@@ -1,19 +1,29 @@
 """Lie superalgebras presented by exact structure constants.
 
-A `Superalgebra` stores the full table [e_i, e_j] = sum_k C(i,j,k) e_k.
+A `Superalgebra` stores the full table [e_i, e_j] = sum_k C(i,j,k) e_k once,
+as sparse rows `rows[i][j] = {k: C(i,j,k)}`; each row is also the coefficient
+dict of the Element `bracket_basis(i, j)` returns.  Brackets, the adjoint
+action on g (x) g, super Jacobi and form invariance all sum products of
+these rows into one dict and build at most one result object.
+
 Matrix realizations act as independent oracles: `from_matrices` re-derives
-the constants from graded commutators, `supertrace_form` produces the
-invariant bilinear form used for Casimir elements and Manin triples.
+the constants from sparse graded commutators.  The span of the images is
+factored once (pivot coordinates from one row reduction, the pivot block
+inverted once); every commutator is read off that inverse and then checked
+exactly against its reconstruction at every matrix entry.  The supertrace
+form str(rho(x) rho(y)) gives the invariant bilinear form used for Casimir
+elements and Manin triples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Sequence
 
 from .graded import (
     EVEN, ODD, Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor2,
-    as_scalar, rank, rref, solve_exact, tensor, _same_basis,
+    as_scalar, invert_matrix, rank, rref, solve_exact, _same_basis,
 )
 from .report import VerificationReport
 
@@ -31,22 +41,35 @@ def koszul(p: int, q: int) -> int:
     return -1 if (p and q) else 1
 
 
+def _add_into(acc: dict, row: Mapping, c: Fraction) -> None:
+    """acc += c * row, entry by entry."""
+    for k, x in row.items():
+        acc[k] = acc.get(k, 0) + c * x
+
+
+def _nonzero(acc: dict) -> dict:
+    return {k: c for k, c in acc.items() if c != 0}
+
+
 class Superalgebra:
     """A finite-dimensional Lie superalgebra over the rationals."""
 
     def __init__(self, basis: GradedBasis,
                  constants: Mapping[tuple[int, int, int], Fraction]):
         self.basis = basis
+        n = len(basis)
         self.constants: dict[tuple[int, int, int], Fraction] = {}
+        self.rows: list[list[dict[int, Fraction]]] = [
+            [{} for _ in range(n)] for _ in range(n)]
         for (i, j, k), c in constants.items():
+            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                raise IndexError(f"index {(i, j, k)} out of range for basis")
             c = as_scalar(c)
             if c != 0:
                 self.constants[(i, j, k)] = c
-        n = len(basis)
-        self._table = [[basis.zero() for _ in range(n)] for _ in range(n)]
-        for (i, j, k), c in self.constants.items():
-            t = self._table[i][j]
-            self._table[i][j] = t + basis.vector(k).scale(c)
+                self.rows[i][j][k] = c
+        self._table = [[Element.wrap(basis, row) for row in rs]
+                       for rs in self.rows]
 
     @classmethod
     def from_half_table(cls, basis: GradedBasis,
@@ -81,11 +104,12 @@ class Superalgebra:
     def bracket(self, x: Element, y: Element) -> Element:
         _same_basis(x.basis, self.basis)
         _same_basis(y.basis, self.basis)
-        out = self.basis.zero()
+        acc: dict[int, Fraction] = {}
         for i, cx in x.coeffs.items():
+            ri = self.rows[i]
             for j, cy in y.coeffs.items():
-                out = out + self._table[i][j].scale(cx * cy)
-        return out
+                _add_into(acc, ri[j], cx * cy)
+        return Element(self.basis, acc)
 
     def dim(self) -> int:
         return len(self.basis)
@@ -99,89 +123,71 @@ class Superalgebra:
         of each axiom is recorded in the report.
         """
         rep = VerificationReport("superalgebra axioms")
-        par = self.basis.parity
+        par = self.basis.parities
         lab = self.basis.labels
+        rows = self.rows
         n = self.dim()
 
         bad = None
         for (i, j, k), c in self.constants.items():
-            if par(k) != (par(i) + par(j)) % 2:
+            if par[k] != (par[i] + par[j]) % 2:
                 bad = f"C({lab[i]},{lab[j]} -> {lab[k]}) = {c} breaks the grading"
                 break
         rep.add("grading consistency", bad is None, bad)
 
         bad = None
-        for i in range(n):
-            for j in range(n):
-                lhs = self._table[j][i]
-                rhs = self._table[i][j].scale(-koszul(par(i), par(j)))
-                if lhs != rhs:
-                    bad = f"[{lab[j]},{lab[i]}] = {lhs} but sign rule wants {rhs}"
-                    break
-            if bad:
+        for i, j in product(range(n), repeat=2):
+            want = {k: (c if par[i] and par[j] else -c)
+                    for k, c in rows[i][j].items()}
+            if rows[j][i] != want:
+                bad = (f"[{lab[j]},{lab[i]}] = {self._table[j][i]} but sign "
+                       f"rule wants {Element.wrap(self.basis, want)}")
                 break
         rep.add("super antisymmetry", bad is None, bad)
 
         # even self-brackets must vanish (odd ones may not)
         bad = None
         for i in range(n):
-            if par(i) == EVEN and not self._table[i][i].is_zero():
+            if par[i] == EVEN and rows[i][i]:
                 bad = f"[{lab[i]},{lab[i]}] = {self._table[i][i]} != 0"
                 break
         rep.add("even self-brackets vanish", bad is None, bad)
 
+        # signed cyclic sum of [x,[y,z]] over (a,b,c), (b,c,a), (c,a,b),
+        # with [x,[y,z]] = sum_k C(y,z,k) [x, e_k]
         bad = None
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    ea, eb, ec = (self.basis.vector(a), self.basis.vector(b),
-                                  self.basis.vector(c))
-                    s = (self.bracket(ea, self.bracket(eb, ec))
-                         .scale(koszul(par(a), par(c)))
-                         + self.bracket(eb, self.bracket(ec, ea))
-                         .scale(koszul(par(b), par(a)))
-                         + self.bracket(ec, self.bracket(ea, eb))
-                         .scale(koszul(par(c), par(b))))
-                    if not s.is_zero():
-                        bad = (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}):"
-                               f" cyclic sum = {s}")
-                        break
-                if bad:
-                    break
-            if bad:
+        for a, b, c in product(range(n), repeat=3):
+            acc: dict[int, Fraction] = {}
+            for x, y, z, sign in ((a, b, c, koszul(par[a], par[c])),
+                                  (b, c, a, koszul(par[b], par[a])),
+                                  (c, a, b, koszul(par[c], par[b]))):
+                rx = rows[x]
+                for k, ck in rows[y][z].items():
+                    _add_into(acc, rx[k], ck if sign == 1 else -ck)
+            if any(acc.values()):
+                bad = (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}):"
+                       f" cyclic sum = {Element(self.basis, acc)}")
                 break
         rep.add("super Jacobi", bad is None, bad)
         return rep
 
-    def derived_subalgebra_rows(self) -> list[list[Fraction]]:
-        n = self.dim()
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                e = self._table[i][j]
-                if not e.is_zero():
-                    rows.append([e[k] for k in range(n)])
-        return rows
+    def is_solvable(self) -> bool:
+        """Does the derived series reach zero?
 
-    def is_solvable(self, max_steps: int = 10) -> bool:
-        """Does the derived series reach zero?"""
-        current = [self.basis.vector(i) for i in range(self.dim())]
-        for _ in range(max_steps):
-            brackets = []
-            for a in current:
-                for b in current:
-                    v = self.bracket(a, b)
-                    if not v.is_zero():
-                        brackets.append(v)
+        Each step either stops shrinking (the series stabilizes above zero)
+        or drops the dimension, so at most dim g steps are taken.
+        """
+        n = self.dim()
+        current = self.basis.vectors()
+        while True:
+            brackets = [self.bracket(a, b) for a in current for b in current]
+            brackets = [v for v in brackets if not v.is_zero()]
             if not brackets:
                 return True
-            n = self.dim()
             red, _ = rref([[v[k] for k in range(n)] for v in brackets])
-            new = [Element(self.basis, {k: r[k] for k in range(n)}) for r in red]
-            if len(new) == len(current):  # series stabilized above zero
+            if len(red) == len(current):
                 return False
-            current = new
-        return False
+            current = [Element(self.basis, dict(enumerate(r))) for r in red]
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +195,51 @@ class Superalgebra:
 # ---------------------------------------------------------------------------
 
 Matrix = list[list[Fraction]]
+SparseMatrix = dict[int, dict[int, Fraction]]   # row -> {column: entry}
 
 
 def zeros(m: int, n: int) -> Matrix:
     return [[Q(0)] * n for _ in range(m)]
 
 
+def _sparse(mat: Matrix) -> SparseMatrix:
+    out: SparseMatrix = {}
+    for r, row in enumerate(mat):
+        nz = {c: x for c, x in enumerate(row) if x != 0}
+        if nz:
+            out[r] = nz
+    return out
+
+
+def _product_into(acc: dict, a: SparseMatrix, b: SparseMatrix,
+                  sign: int) -> None:
+    """acc[(r, s)] += sign * (AB)[r][s]."""
+    for r, arow in a.items():
+        for t, x in arow.items():
+            brow = b.get(t)
+            if brow:
+                for s, y in brow.items():
+                    acc[(r, s)] = acc.get((r, s), 0) + (x * y if sign == 1
+                                                        else -x * y)
+
+
+def _supertrace_product(m: int, a: SparseMatrix, b: SparseMatrix) -> Fraction:
+    """str(AB): the even diagonal block counts +, the odd block -."""
+    acc = Q(0)
+    for r, arow in a.items():
+        for t, x in arow.items():
+            y = b.get(t, {}).get(r)
+            if y is not None:
+                acc += x * y if r < m else -x * y
+    return acc
+
+
 class MatrixRealization:
     """Images of the basis vectors as (m+n) x (m+n) block-graded matrices.
 
     Even vectors must be block diagonal, odd vectors block off-diagonal,
-    relative to the (m|n) splitting.
+    relative to the (m|n) splitting.  `sparse[i]` holds the nonzero
+    entries of the i-th image by row.
     """
 
     def __init__(self, basis: GradedBasis, m: int, n: int,
@@ -212,72 +252,35 @@ class MatrixRealization:
         self.images = [[[as_scalar(x) for x in row] for row in mat]
                        for mat in images]
         d = m + n
+        self.sparse: list[SparseMatrix] = []
         for idx, mat in enumerate(self.images):
             if len(mat) != d or any(len(r) != d for r in mat):
                 raise ValueError("matrix size must be (m+n) x (m+n)")
+            sp = _sparse(mat)
+            self.sparse.append(sp)
             p = basis.parity(idx)
-            for r in range(d):
-                for c in range(d):
-                    block_odd = (r < m) != (c < m)
-                    if mat[r][c] != 0 and block_odd != (p == ODD):
+            for r, row in sp.items():
+                for c in row:
+                    if ((r < m) != (c < m)) != (p == ODD):
                         raise ValueError(
                             f"matrix for {basis.labels[idx]} violates the "
                             f"(m|n) block grading at entry {(r, c)}")
-
-    def matrix_parity(self, mat: Matrix) -> int | None:
-        d = self.m + self.n
-        ps = set()
-        for r in range(d):
-            for c in range(d):
-                if mat[r][c] != 0:
-                    ps.add((r < self.m) != (c < self.m))
-        if len(ps) != 1:
-            return None
-        return ODD if ps.pop() else EVEN
 
     def image_of(self, x: Element) -> Matrix:
         _same_basis(x.basis, self.basis)
         d = self.m + self.n
         out = zeros(d, d)
         for i, c in x.coeffs.items():
-            for r in range(d):
-                for s in range(d):
-                    out[r][s] += c * self.images[i][r][s]
+            for r, row in self.sparse[i].items():
+                for s, v in row.items():
+                    out[r][s] += c * v
         return out
-
-    def graded_commutator(self, a: Matrix, b: Matrix) -> Matrix:
-        """AB - (-1)^{|A||B|} BA for homogeneous block matrices."""
-        pa, pb = self.matrix_parity(a), self.matrix_parity(b)
-        if pa is None or pb is None:
-            raise ValueError("graded commutator needs homogeneous matrices")
-        d = self.m + self.n
-        sign = koszul(pa, pb)
-        out = zeros(d, d)
-        for r in range(d):
-            for s in range(d):
-                acc = Q(0)
-                for t in range(d):
-                    acc += a[r][t] * b[t][s] - sign * b[r][t] * a[t][s]
-                out[r][s] = acc
-        return out
-
-    def supertrace(self, mat: Matrix) -> Fraction:
-        """tr of the even block minus tr of the odd block."""
-        d = self.m + self.n
-        return (sum((mat[i][i] for i in range(self.m)), Q(0))
-                - sum((mat[i][i] for i in range(self.m, d)), Q(0)))
 
 
 def supertrace_form(real: MatrixRealization, x: Element, y: Element) -> Fraction:
     """str(rho(x) rho(y)) relative to the (m|n) block grading."""
-    a = real.image_of(x)
-    b = real.image_of(y)
-    d = real.m + real.n
-    prod = zeros(d, d)
-    for r in range(d):
-        for s in range(d):
-            prod[r][s] = sum((a[r][t] * b[t][s] for t in range(d)), Q(0))
-    return real.supertrace(prod)
+    return _supertrace_product(real.m, _sparse(real.image_of(x)),
+                               _sparse(real.image_of(y)))
 
 
 def from_matrices(real: MatrixRealization) -> Superalgebra:
@@ -289,26 +292,46 @@ def from_matrices(real: MatrixRealization) -> Superalgebra:
     d = real.m + real.n
     flat = [[mat[r][c] for r in range(d) for c in range(d)]
             for mat in real.images]
-    columns = [list(col) for col in flat]
-    if all(all(x == 0 for x in col) for col in columns):
+    if all(all(x == 0 for x in col) for col in flat):
         # an all-zero realization still pins down the abelian algebra
         return Superalgebra(real.basis, {})
-    if rank(columns) != len(real.images):
+    _, pivots = rref(flat)
+    nb = len(real.images)
+    if len(pivots) != nb:
         raise DependentVectors("matrix images are linearly dependent")
+    # The images restricted to the pivot entries form an invertible block P
+    # (P[k][p] = image k at pivot p); coefficients of a span member w are
+    # then w|pivots . P^{-1}.
+    coords = [divmod(p, d) for p in pivots]
+    inv = invert_matrix([[real.images[k][r][c] for r, c in coords]
+                         for k in range(nb)])
+    inv_rows = {rc: {k: x for k, x in enumerate(row) if x != 0}
+                for rc, row in zip(coords, inv)}
+    par = real.basis.parity
+    sp = real.sparse
     constants: dict[tuple[int, int, int], Fraction] = {}
-    nb = len(real.basis)
     for i in range(nb):
         for j in range(nb):
-            br = real.graded_commutator(real.images[i], real.images[j])
-            target = [br[r][c] for r in range(d) for c in range(d)]
-            coeffs = solve_exact(columns, target)
-            if coeffs is None:
+            acc: dict[tuple[int, int], Fraction] = {}
+            _product_into(acc, sp[i], sp[j], 1)
+            _product_into(acc, sp[j], sp[i], -koszul(par(i), par(j)))
+            br = _nonzero(acc)
+            coeffs: dict[int, Fraction] = {}
+            for rc, v in br.items():
+                if rc in inv_rows:
+                    _add_into(coeffs, inv_rows[rc], v)
+            coeffs = _nonzero(coeffs)
+            recon: dict[tuple[int, int], Fraction] = {}
+            for k, c in coeffs.items():
+                for r, row in sp[k].items():
+                    for s, v in row.items():
+                        recon[(r, s)] = recon.get((r, s), 0) + c * v
+            if _nonzero(recon) != br:
                 raise NotClosed(
                     f"[{real.basis.labels[i]}, {real.basis.labels[j]}] is not "
                     f"in the span of the images")
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    constants[(i, j, k)] = c
+            for k in sorted(coeffs):
+                constants[(i, j, k)] = coeffs[k]
     return Superalgebra(real.basis, constants)
 
 
@@ -347,10 +370,8 @@ class BilinearForm:
 
 def gram_matrix(real: MatrixRealization) -> BilinearForm:
     """Gram matrix of the supertrace form in the realization's basis."""
-    n = len(real.basis)
-    vecs = real.basis.vectors()
-    gram = [[supertrace_form(real, vecs[i], vecs[j]) for j in range(n)]
-            for i in range(n)]
+    sp = real.sparse
+    gram = [[_supertrace_product(real.m, a, b) for b in sp] for a in sp]
     return BilinearForm(real.basis, gram)
 
 
@@ -366,16 +387,20 @@ def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor2) -> Tensor2:
     """
     _same_basis(t.left, g.basis)
     _same_basis(t.right, g.basis)
-    out = Tensor2.zero(g.basis)
-    par = g.basis.parity
-    for pa, ah in a.homogeneous_parts().items():
-        for (i, j), c in t.entries.items():
-            left = g.bracket(ah, g.basis.vector(i))
-            right = g.bracket(ah, g.basis.vector(j))
-            out = out + tensor(left, g.basis.vector(j)).scale(c)
-            out = out + tensor(g.basis.vector(i), right).scale(
-                c * koszul(pa, par(i)))
-    return out
+    _same_basis(a.basis, g.basis)
+    par = g.basis.parities
+    acc: dict[tuple[int, int], Fraction] = {}
+    for i, ca in a.coeffs.items():
+        ri = g.rows[i]
+        for (u, v), c in t.entries.items():
+            cc = ca * c
+            for k, x in ri[u].items():
+                acc[(k, v)] = acc.get((k, v), 0) + cc * x
+            if par[i] and par[u]:
+                cc = -cc
+            for k, x in ri[v].items():
+                acc[(u, k)] = acc.get((u, k), 0) + cc * x
+    return Tensor2(g.basis, g.basis, acc)
 
 
 def express_in_span(vectors: Sequence[Element], w: Element) -> list[Fraction] | None:
@@ -399,25 +424,33 @@ def is_subalgebra(g: Superalgebra, vectors: Sequence[Element]) -> bool:
 
 
 def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:
-    """Check <[a,b],c> = <a,[b,c]> over all basis triples."""
+    """Check <[a,b],c> = <a,[b,c]> over all basis triples.
+
+    Both sides come straight from the rows and the Gram matrix G, each
+    summed once per basis pair: left[a][b] = {c: sum_k C(a,b,k) G[k][c]}
+    and right[b][c] = {a: sum_k G[a][k] C(b,c,k)}.
+    """
+    _same_basis(form.basis, g.basis)
     rep = VerificationReport("form invariance")
     lab = g.basis.labels
     n = g.dim()
+    gram = form.gram
+    gram_rows = [{c: x for c, x in enumerate(row) if x != 0} for row in gram]
+    gram_cols = [{r: gram[r][c] for r in range(n) if gram[r][c] != 0}
+                 for c in range(n)]
+    left = [[{} for _ in range(n)] for _ in range(n)]
+    right = [[{} for _ in range(n)] for _ in range(n)]
+    for a, b in product(range(n), repeat=2):
+        for k, c in g.rows[a][b].items():
+            _add_into(left[a][b], gram_rows[k], c)
+            _add_into(right[a][b], gram_cols[k], c)
     bad = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                ei, ej, ek = (g.basis.vector(i), g.basis.vector(j),
-                              g.basis.vector(k))
-                lhs = form.pair(g.bracket(ei, ej), ek)
-                rhs = form.pair(ei, g.bracket(ej, ek))
-                if lhs != rhs:
-                    bad = (f"<[{lab[i]},{lab[j]}],{lab[k]}> = {lhs} but "
-                           f"<{lab[i]},[{lab[j]},{lab[k]}]> = {rhs}")
-                    break
-            if bad:
-                break
-        if bad:
+    for i, j, k in product(range(n), repeat=3):
+        lhs = left[i][j].get(k, Q(0))
+        rhs = right[j][k].get(i, Q(0))
+        if lhs != rhs:
+            bad = (f"<[{lab[i]},{lab[j]}],{lab[k]}> = {lhs} but "
+                   f"<{lab[i]},[{lab[j]},{lab[k]}]> = {rhs}")
             break
     rep.add("invariance <[a,b],c> = <a,[b,c]>", bad is None, bad)
     return rep

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .graded import BasisMismatch, Tensor2
+from .graded import BasisMismatch
 from .algebra import DependentVectors
 from .bialgebra import (
     InhomogeneousInput, InvalidBialgebra, NotClosedUnderCobracket,
@@ -67,10 +67,6 @@ def _emit(obj: dict, args) -> None:
         print(text)
 
 
-def _render_tensor(t: Tensor2) -> str:
-    return str(t)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -101,7 +97,7 @@ def cmd_cocommutator(args) -> int:
     lines = []
     for i, lab in enumerate(g.basis.labels):
         v = delta.value(i)
-        lines.append(f"d({lab}) = {_render_tensor(v) if v is not None else '0'}")
+        lines.append(f"d({lab}) = {v if v is not None else 0}")
     out = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
@@ -115,14 +111,15 @@ def cmd_double(args) -> int:
     b = ser.bialgebra_from_json(_load(args.bialgebra))
     d = build_double(b)
     rep = d.underlying.validate()
+    payload = ser.double_to_json(d)
+    if args.format == "json":
+        _emit(payload, args)  # stdout carries the document and nothing else
+        return PASS if rep.passed else FAIL
     print(f"double dimension: {d.underlying.dim()}")
     _print_report(rep)
-    payload = ser.double_to_json(d)
     if args.out:
         ser.dump(payload, args.out)
         print(f"wrote {args.out}")
-    elif args.format == "json":
-        print(ser.dump(payload))
     return PASS if rep.passed else FAIL
 
 

@@ -111,6 +111,17 @@ class Element:
                 clean[i] = c
         self.coeffs = clean
 
+    @classmethod
+    def wrap(cls, basis: GradedBasis, coeffs: dict[int, Fraction]) -> "Element":
+        """An Element over `coeffs` itself, shared and not copied.
+
+        The dict must already be clean: in-range indices, nonzero Fractions.
+        """
+        e = cls.__new__(cls)
+        e.basis = basis
+        e.coeffs = coeffs
+        return e
+
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs.get(i, Q(0))
 

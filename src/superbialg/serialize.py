@@ -30,7 +30,7 @@ def scalar_to_json(c: Fraction) -> dict:
 def scalar_from_json(d) -> Fraction:
     try:
         return Fraction(int(d["num"]), int(d["den"]))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise SchemaError(f"bad scalar {d!r}") from e
 
 
@@ -74,29 +74,38 @@ def _check_labels(d, basis: GradedBasis):
         raise SchemaError("labels do not match the expected basis")
 
 
-def _read_entries(d, arity: int):
+def _read_entries(d, arity: int, size: int):
+    """Entries keyed by index tuples, each index in range(size)."""
     out = {}
     for ent in d.get("entries", []):
         idx = ent.get("idx")
         if not isinstance(idx, list) or len(idx) != arity:
             raise SchemaError(f"entry index {idx!r} must have {arity} slots")
-        out[tuple(int(i) for i in idx)] = scalar_from_json(ent)
+        try:
+            key = tuple(int(i) for i in idx)
+        except (TypeError, ValueError) as e:
+            raise SchemaError(f"entry index {idx!r} is not integral") from e
+        if not all(0 <= i < size for i in key):
+            raise SchemaError(f"entry index {idx!r} is out of range for a "
+                              f"basis of {size} vectors")
+        out[key] = scalar_from_json(ent)
     return out
 
 
 def element_from_json(d, basis: GradedBasis) -> Element:
     _check_labels(d, basis)
-    return Element(basis, {i: c for (i,), c in _read_entries(d, 1).items()})
+    entries = _read_entries(d, 1, len(basis))
+    return Element(basis, {i: c for (i,), c in entries.items()})
 
 
 def tensor2_from_json(d, basis: GradedBasis) -> Tensor2:
     _check_labels(d, basis)
-    return Tensor2(basis, basis, _read_entries(d, 2))
+    return Tensor2(basis, basis, _read_entries(d, 2, len(basis)))
 
 
 def tensor3_from_json(d, basis: GradedBasis) -> Tensor3:
     _check_labels(d, basis)
-    return Tensor3((basis, basis, basis), _read_entries(d, 3))
+    return Tensor3((basis, basis, basis), _read_entries(d, 3, len(basis)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superbialg import catalog as cat
 from superbialg.algebra import (
-    BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
-    adjoint_on_tensor2, check_homomorphism, check_invariance, from_matrices,
-    is_subalgebra, supertrace_form,
+    BilinearForm, DependentVectors, MatrixRealization, NotClosed,
+    Superalgebra, adjoint_on_tensor2, check_homomorphism, check_invariance,
+    from_matrices, is_subalgebra, supertrace_form,
 )
 from superbialg.bialgebra import dual_bracket
-from superbialg.graded import GradedBasis, LinearMap, Tensor2, tensor
+from superbialg.graded import GradedBasis, LinearMap, Tensor2, solve_exact, tensor
 
 B = cat.sl21_basis()
 V = cat.V
@@ -69,7 +71,8 @@ def test_validate_broken_jacobi():
     rep = g.validate()
     assert not rep.passed
     failure = rep.first_failure()
-    assert "Jacobi" in failure.name and failure.detail
+    assert "Jacobi" in failure.name
+    assert failure.detail == "Jacobi fails on (h,y2,y2): cyclic sum = -2*x"
 
 
 def test_validate_reports_antisymmetry_break():
@@ -78,6 +81,18 @@ def test_validate_reports_antisymmetry_break():
     rep = Superalgebra(SB, consts).validate()
     assert not rep.passed
     assert any("antisymmetry" in c.name for c in rep.failures)
+
+
+def test_validate_perturbed_sl21_names_both_failures():
+    consts = dict(cat.sl21().constants)
+    consts[(0, 2, 2)] = 2 * consts[(0, 2, 2)]  # [E11+E33, E12] = 2*E12
+    rep = Superalgebra(B, consts).validate()
+    assert [(c.name, c.detail) for c in rep.failures] == [
+        ("super antisymmetry",
+         "[E12,E11+E33] = -E12 but sign rule wants -2*E12"),
+        ("super Jacobi",
+         "Jacobi fails on (E11+E33,E11+E33,E12): cyclic sum = 2*E12"),
+    ]
 
 
 # -- adjoint action -----------------------------------------------------------
@@ -128,6 +143,51 @@ def test_from_matrices_dependent_images_raise():
     m = [[Q(1), Q(0)], [Q(0), Q(1)]]
     with pytest.raises(DependentVectors):
         from_matrices(MatrixRealization(two, 2, 0, [m, m]))
+
+
+def test_from_matrices_not_closed_raises():
+    two = GradedBasis(["E12", "E21"], [0, 0])
+    e12 = [[Q(0), Q(1)], [Q(0), Q(0)]]
+    e21 = [[Q(0), Q(0)], [Q(1), Q(0)]]
+    with pytest.raises(NotClosed) as err:
+        from_matrices(MatrixRealization(two, 2, 0, [e12, e21]))
+    assert str(err.value) == "[E12, E21] is not in the span of the images"
+
+
+def per_pair_constants(real):
+    """Reference derivation: a dense graded commutator and a fresh
+    solve_exact against all images for every ordered pair."""
+    d = real.m + real.n
+    cols = [[mat[r][c] for r in range(d) for c in range(d)]
+            for mat in real.images]
+    par = real.basis.parity
+    out = {}
+    for i, a in enumerate(real.images):
+        for j, b in enumerate(real.images):
+            sign = -1 if par(i) and par(j) else 1
+            br = [sum(a[r][t] * b[t][c] - sign * b[r][t] * a[t][c]
+                      for t in range(d))
+                  for r in range(d) for c in range(d)]
+            x = solve_exact(cols, br)
+            assert x is not None
+            out.update({(i, j, k): c for k, c in enumerate(x) if c != 0})
+    return out
+
+
+def test_from_matrices_matches_per_pair_solve():
+    real = cat.sl21_realization()
+    assert from_matrices(real).constants == per_pair_constants(real)
+
+
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=8)
+                .filter(lambda q: q != 0), min_size=8, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_from_matrices_matches_per_pair_solve_rescaled(scales):
+    base = cat.sl21_realization()
+    real = MatrixRealization(base.basis, base.m, base.n,
+                             [[[s * x for x in row] for row in mat]
+                              for s, mat in zip(scales, base.images)])
+    assert from_matrices(real).constants == per_pair_constants(real)
 
 
 def test_realization_rejects_wrong_block_grading():
@@ -194,7 +254,8 @@ def test_identity_gram_is_not_invariant():
                            for i in range(n)])
     rep = check_invariance(cat.sl21(), eye)
     assert not rep.passed
-    assert rep.first_failure().detail
+    assert rep.first_failure().detail == (
+        "<[E11+E33,E12],E12> = 1 but <E11+E33,[E12,E12]> = 0")
 
 
 # -- homomorphisms ------------------------------------------------------------

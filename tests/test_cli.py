@@ -110,6 +110,29 @@ def test_cocommutator_basis_mismatch_exits_2(files, capsys, tmp_path):
     assert code == 2
 
 
+def test_out_of_range_tensor_index_exits_2(files, capsys, tmp_path):
+    doc = ser.tensor2_to_json(cat.r_f())
+    doc["entries"].append({"idx": [0, 99], "num": "1", "den": "1"})
+    p = tmp_path / "badindex.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "cocommutator", files["sl21.json"],
+                       "--r", str(p))
+    assert code == 2
+    assert err.startswith("error:") and "[0, 99]" in err
+    assert "Traceback" not in err
+
+
+def test_zero_denominator_exits_2(files, capsys, tmp_path):
+    doc = ser.superalgebra_to_json(cat.sl21())
+    doc["brackets"][0]["terms"][0]["den"] = "0"
+    p = tmp_path / "zeroden.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert err.startswith("error:") and "bad scalar" in err
+    assert "Traceback" not in err
+
+
 def test_double_writes_output(files, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERBIALG_COLOR", "0")
     out_path = str(tmp_path / "double.json")
@@ -119,6 +142,14 @@ def test_double_writes_output(files, capsys, tmp_path, monkeypatch):
     assert "double dimension: 8" in out
     doc = json.loads(open(out_path).read())
     back = ser.double_from_json(doc)
+    assert back.underlying.dim() == 8
+
+
+def test_double_json_stdout_is_the_document_alone(files, capsys):
+    code, out, _ = run(capsys, "double", files["s_delta2.json"],
+                       "--format", "json")
+    assert code == 0
+    back = ser.double_from_json(json.loads(out))
     assert back.underlying.dim() == 8
 
 
