@@ -17,7 +17,7 @@ The package is organized bottom-up:
 
 from .graded import (
     EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor2, Tensor3, alt_s, apply_endomorphism, image_basis,
+    LinearMap, Tensor2, Tensor3, alt_s, image_basis,
     span_equal, super_swap, tensor, wedge,
 )
 from .report import VerificationReport

@@ -4,7 +4,15 @@ A `Superalgebra` stores the full table [e_i, e_j] = sum_k C(i,j,k) e_k once,
 as sparse rows `rows[i][j] = {k: C(i,j,k)}`; each row is also the coefficient
 dict of the Element `bracket_basis(i, j)` returns.  Brackets, the adjoint
 action on g (x) g, super Jacobi and form invariance all sum products of
-these rows into one dict and build at most one result object.
+these rows into one dict and build at most one result object.  The adjoint
+action has one kernel, `_act_into`, which adds e_i . t into a plain dict;
+the cochain checks in `cohomology` and `bialgebra` call it directly.
+
+`validate` scans super Jacobi over sorted triples a <= b <= c only: the
+signed cyclic sum is invariant under rotation and changes by a sign under
+a transposition once super antisymmetry holds, so the sorted scan decides
+the axiom and its first failure is also the first in product order.  When
+antisymmetry fails, every triple is scanned in product order instead.
 
 Matrix realizations act as independent oracles: `from_matrices` re-derives
 the constants from sparse graded commutators.  The span of the images is
@@ -119,8 +127,9 @@ class Superalgebra:
     def validate(self) -> VerificationReport:
         """Check grading consistency, super antisymmetry and super Jacobi.
 
-        Exhaustive over all basis pairs / triples; the first counterexample
-        of each axiom is recorded in the report.
+        Exhaustive over all basis pairs and (up to the symmetry of the
+        cyclic sum) all triples; the first counterexample of each axiom, in
+        product order, is recorded in the report.
         """
         rep = VerificationReport("superalgebra axioms")
         par = self.basis.parities
@@ -143,7 +152,7 @@ class Superalgebra:
                 bad = (f"[{lab[j]},{lab[i]}] = {self._table[j][i]} but sign "
                        f"rule wants {Element.wrap(self.basis, want)}")
                 break
-        rep.add("super antisymmetry", bad is None, bad)
+        antisymmetric = rep.add("super antisymmetry", bad is None, bad)
 
         # even self-brackets must vanish (odd ones may not)
         bad = None
@@ -153,23 +162,38 @@ class Superalgebra:
                 break
         rep.add("even self-brackets vanish", bad is None, bad)
 
-        # signed cyclic sum of [x,[y,z]] over (a,b,c), (b,c,a), (c,a,b),
-        # with [x,[y,z]] = sum_k C(y,z,k) [x, e_k]
+        # With antisymmetry, J on a permuted triple is +-J on the sorted
+        # one, so J vanishes everywhere iff it does on a <= b <= c, and the
+        # first failure in product order is a sorted triple.  Without it,
+        # every triple is scanned in product order.
+        if antisymmetric:
+            triples = ((a, b, c) for a in range(n) for b in range(a, n)
+                       for c in range(b, n))
+        else:
+            triples = product(range(n), repeat=3)
         bad = None
-        for a, b, c in product(range(n), repeat=3):
-            acc: dict[int, Fraction] = {}
-            for x, y, z, sign in ((a, b, c, koszul(par[a], par[c])),
-                                  (b, c, a, koszul(par[b], par[a])),
-                                  (c, a, b, koszul(par[c], par[b]))):
-                rx = rows[x]
-                for k, ck in rows[y][z].items():
-                    _add_into(acc, rx[k], ck if sign == 1 else -ck)
+        for a, b, c in triples:
+            acc = self._jacobi_sum(a, b, c)
             if any(acc.values()):
                 bad = (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}):"
                        f" cyclic sum = {Element(self.basis, acc)}")
                 break
         rep.add("super Jacobi", bad is None, bad)
         return rep
+
+    def _jacobi_sum(self, a: int, b: int, c: int) -> dict[int, Fraction]:
+        """Signed cyclic sum of [x,[y,z]] over (a,b,c), (b,c,a), (c,a,b),
+        with [x,[y,z]] = sum_k C(y,z,k) [x, e_k]."""
+        par = self.basis.parities
+        rows = self.rows
+        acc: dict[int, Fraction] = {}
+        for x, y, z, sign in ((a, b, c, koszul(par[a], par[c])),
+                              (b, c, a, koszul(par[b], par[a])),
+                              (c, a, b, koszul(par[c], par[b]))):
+            rx = rows[x]
+            for k, ck in rows[y][z].items():
+                _add_into(acc, rx[k], ck if sign == 1 else -ck)
+        return acc
 
     def is_solvable(self) -> bool:
         """Does the derived series reach zero?
@@ -379,6 +403,27 @@ def gram_matrix(real: MatrixRealization) -> BilinearForm:
 # actions and structural checks
 # ---------------------------------------------------------------------------
 
+def _act_into(acc: dict, g: Superalgebra, i: int,
+              entries: Mapping[tuple[int, int], Fraction],
+              c: Fraction) -> None:
+    """acc += c * (e_i . t) for the rank-2 tensor t with these entries.
+
+    The signed Leibniz rule on one basis vector:
+    e_i . (u (x) v) = [e_i,u] (x) v + (-1)^{|e_i||u|} u (x) [e_i,v].
+    """
+    par = g.basis.parities
+    odd = par[i]
+    ri = g.rows[i]
+    for (u, v), x in entries.items():
+        cc = c * x
+        for k, y in ri[u].items():
+            acc[(k, v)] = acc.get((k, v), 0) + cc * y
+        if odd and par[u]:
+            cc = -cc
+        for k, y in ri[v].items():
+            acc[(u, k)] = acc.get((u, k), 0) + cc * y
+
+
 def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor2) -> Tensor2:
     """Signed Leibniz action of a on a rank-2 tensor.
 
@@ -388,18 +433,9 @@ def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor2) -> Tensor2:
     _same_basis(t.left, g.basis)
     _same_basis(t.right, g.basis)
     _same_basis(a.basis, g.basis)
-    par = g.basis.parities
     acc: dict[tuple[int, int], Fraction] = {}
     for i, ca in a.coeffs.items():
-        ri = g.rows[i]
-        for (u, v), c in t.entries.items():
-            cc = ca * c
-            for k, x in ri[u].items():
-                acc[(k, v)] = acc.get((k, v), 0) + cc * x
-            if par[i] and par[u]:
-                cc = -cc
-            for k, x in ri[v].items():
-                acc[(u, k)] = acc.get((u, k), 0) + cc * x
+        _act_into(acc, g, i, t.entries, ca)
     return Tensor2(g.basis, g.basis, acc)
 
 

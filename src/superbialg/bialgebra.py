@@ -12,17 +12,18 @@ which, unwound over a basis, gives the dual bracket
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .graded import (
     EVEN, Q, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor2, Tensor3, alt_s, invert_matrix, matmul, rank,
-    solve_exact, super_swap, tensor,
+    LinearMap, Tensor2, Tensor3, _same_basis, alt_s, invert_matrix, matmul,
+    rank, solve_exact, super_swap, tensor,
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
-    adjoint_on_tensor2, check_invariance, express_in_span, gram_matrix,
-    is_subalgebra, koszul,
+    _act_into, _add_into, adjoint_on_tensor2, check_invariance,
+    express_in_span, gram_matrix, is_subalgebra, koszul,
 )
 from .cohomology import Cochain, coboundary_0, is_cocycle_1
 from .report import VerificationReport
@@ -216,32 +217,40 @@ def check_compatibility(g: Superalgebra, delta: Cochain) -> VerificationReport:
     The right bracket of a homogeneous tensor t with b(x)1 + 1(x)b is
     -(-1)^{|b||t|} times the left action of b on t.
     """
+    _same_basis(delta.g.basis, g.basis)
+    if delta.degree != 1:
+        raise ValueError("argument count must equal the cochain degree")
     rep = VerificationReport("cocycle compatibility")
     lab = g.basis.labels
-    par = g.basis.parity
-    n = g.dim()
+    par = g.basis.parities
+    rows = g.rows
+    vals = delta.values  # a 1-cochain stores delta(e_k) at (k,), sign 1
+
+    def sides_into(lhs: dict, rhs: dict, a: int, b: int, s: int) -> None:
+        """lhs += delta([a,b]); rhs += s * (the Leibniz expansion)."""
+        for k, c in rows[a][b].items():
+            v = vals.get((k,))
+            if v is not None:
+                _add_into(lhs, v.entries, c)
+        da = vals.get((a,))
+        if da is not None:
+            # [delta(a), b(x)1 + 1(x)b]; delta(a) has parity |a|
+            _act_into(rhs, g, b, da.entries, -s * koszul(par[b], par[a]))
+        db = vals.get((b,))
+        if db is not None:
+            _act_into(rhs, g, a, db.entries, s)
+
     bad = None
-    for a in range(n):
-        for b in range(n):
-            br = g.bracket_basis(a, b)
-            lhs = Tensor2.zero(g.basis)
-            for k, c in br.coeffs.items():
-                v = delta.value(k)
-                if v is not None:
-                    lhs = lhs + v.scale(c)
-            rhs = Tensor2.zero(g.basis)
-            da = delta.value(a)
-            if da is not None:
-                # [delta(a), b(x)1 + 1(x)b]; delta(a) has parity |a|
-                act = adjoint_on_tensor2(g, g.basis.vector(b), da)
-                rhs = rhs + act.scale(-koszul(par(b), par(a)))
-            db = delta.value(b)
-            if db is not None:
-                rhs = rhs + adjoint_on_tensor2(g, g.basis.vector(a), db)
-            if lhs != rhs:
-                bad = f"pair ({lab[a]}, {lab[b]}): {lhs} != {rhs}"
-                break
-        if bad:
+    for a, b in product(range(g.dim()), repeat=2):
+        diff: dict = {}
+        sides_into(diff, diff, a, b, -1)
+        if any(diff.values()):
+            lhs: dict = {}
+            rhs: dict = {}
+            sides_into(lhs, rhs, a, b, 1)
+            bad = (f"pair ({lab[a]}, {lab[b]}): "
+                   f"{Tensor2(g.basis, g.basis, lhs)} != "
+                   f"{Tensor2(g.basis, g.basis, rhs)}")
             break
     rep.add("delta([a,b]) matches the Leibniz expansion", bad is None, bad)
     return rep

@@ -110,7 +110,7 @@ def cmd_cocommutator(args) -> int:
 def cmd_double(args) -> int:
     b = ser.bialgebra_from_json(_load(args.bialgebra))
     d = build_double(b)
-    rep = d.underlying.validate()
+    rep = d.axioms  # verified once, inside build_double
     payload = ser.double_to_json(d)
     if args.format == "json":
         _emit(payload, args)  # stdout carries the document and nothing else
@@ -259,7 +259,10 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return ERROR
     except (InvalidBialgebra, DoubleConstructionError, DependentVectors) as e:
-        print(f"{_mark(False)}  {e}")
+        if args.format == "json":
+            print(ser.dump({"passed": False, "detail": str(e)}))
+        else:
+            print(f"{_mark(False)}  {e}")
         return FAIL
 
 

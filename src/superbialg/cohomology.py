@@ -17,16 +17,28 @@ with
               (-1)^{|x_i| (|x_1|+..+|x_{i-1}|)} (-1)^{|x_j| (|x_1|+..+|x_{j-1}|)}
 
 (1-based i, j; the j-sum in s2 includes |x_i| since i < j).
+
+`coboundary`, `is_cocycle_1` and `bialgebra.check_compatibility` add every
+term into one plain dict per argument tuple, straight from the bracket rows
+and the stored values: the action on g (x) g goes through the single
+`algebra._act_into` kernel, the action on g and the bracket-insertion terms
+through `_add_into`.  An Element or Tensor2 is built only for a nonzero
+result or to render a counterexample.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 from .graded import (
-    EVEN, ODD, BasisMismatch, Element, GradedBasis, Tensor2, as_scalar,
+    EVEN, ODD, BasisMismatch, Element, GradedBasis, Tensor2, _same_basis,
+    as_scalar,
 )
-from .algebra import Superalgebra, adjoint_on_tensor2, koszul
+from .algebra import (
+    Superalgebra, _act_into, _add_into, adjoint_on_tensor2, koszul,
+)
 from .report import VerificationReport
 
 
@@ -88,9 +100,16 @@ class Cochain:
                        self.parity)
 
     def set_value(self, args: tuple[int, ...], val):
-        """Store a value given at an arbitrary tuple (sign applied)."""
+        """Store a value given at an arbitrary tuple (sign applied).
+
+        The value must live over the algebra's basis: the checks read
+        stored values by index alone.
+        """
         if len(args) != self.degree:
             raise ValueError("argument count must equal the cochain degree")
+        for b in ((val.basis,) if isinstance(val, Element)
+                  else (val.left, val.right)):
+            _same_basis(b, self.g.basis)
         key, sign = canonical_tuple(self.g.basis, args)
         if key is None:
             if not val.is_zero():
@@ -109,11 +128,17 @@ class Cochain:
         """Value at an arbitrary argument tuple, Koszul sign included."""
         if len(args) != self.degree:
             raise ValueError("argument count must equal the cochain degree")
-        key, sign = canonical_tuple(self.g.basis, tuple(args))
-        if key is None or key not in self.values:
+        val, sign = self._stored(args)
+        if val is None:
             return None  # caller decides the zero of the right module
-        val = self.values[key]
         return val if sign == 1 else val.scale(sign)
+
+    def _stored(self, args: tuple[int, ...]) -> tuple[object | None, int]:
+        """The stored value behind an argument tuple and the sign that
+        relates them; (None, 0) when the value is zero."""
+        key, sign = canonical_tuple(self.g.basis, args)
+        val = None if key is None else self.values.get(key)
+        return (val, sign) if val is not None else (None, 0)
 
     def is_zero(self) -> bool:
         return not self.values
@@ -154,11 +179,27 @@ class Cochain:
         return out
 
 
-def _act(g: Superalgebra, a: Element, val):
-    """Module action of a on a value: adjoint on g, Leibniz on g (x) g."""
+def _coeffs(val) -> dict:
+    """The coefficient dict of a value in g or g (x) g."""
+    return val.coeffs if isinstance(val, Element) else val.entries
+
+
+def _act_value_into(acc: dict, g: Superalgebra, a: int, val,
+                    c: Fraction) -> None:
+    """acc += c * (e_a . val): adjoint on g, Leibniz on g (x) g."""
     if isinstance(val, Element):
-        return g.bracket(a, val)
-    return adjoint_on_tensor2(g, a, val)
+        ra = g.rows[a]
+        for j, x in val.coeffs.items():
+            _add_into(acc, ra[j], c * x)
+    else:
+        _act_into(acc, g, a, val.entries, c)
+
+
+def _value_of(g: Superalgebra, like, acc: dict):
+    """acc as a value of the same module as `like`."""
+    if isinstance(like, Element):
+        return Element(g.basis, acc)
+    return Tensor2(g.basis, g.basis, acc)
 
 
 def coboundary_0(g: Superalgebra, r: Tensor2) -> Cochain:
@@ -189,46 +230,47 @@ def coboundary_0(g: Superalgebra, r: Tensor2) -> Cochain:
 
 def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
     """The (n+1)-cochain df, with the displayed signs s1 and s2."""
+    _same_basis(f.g.basis, g.basis)
     n = f.degree
     par = g.basis.parity
+    rows = g.rows
     out = f.copy_empty(n + 1)
+    like = next(iter(f.values.values()), None)
+    if like is None:
+        return out
     for args in canonical_tuples(g.basis, n + 1):
         ps = [par(a) for a in args]
         prefix = [0] * (n + 2)  # prefix[i] = |x_1| + .. + |x_{i-1}|, 1-based i
         for i in range(1, n + 2):
             prefix[i] = prefix[i - 1] + ps[i - 1]
-        total = None
+        acc: dict = {}
 
         # first sum: the module action terms
         for i in range(1, n + 2):
-            rest = args[:i - 1] + args[i:]
-            fv = f.value(*rest)
+            fv, sign = f._stored(args[:i - 1] + args[i:])
             if fv is None:
                 continue
             s1 = ((-1) ** (i + 1)) * ((-1) ** (ps[i - 1] * (f.parity + prefix[i - 1])))
-            term = _act(g, g.basis.vector(args[i - 1]), fv).scale(s1)
-            total = term if total is None else total + term
+            _act_value_into(acc, g, args[i - 1], fv, s1 * sign)
 
         # second sum: the bracket-insertion terms
         for i in range(1, n + 2):
             for j in range(i + 1, n + 2):
-                br = g.bracket_basis(args[i - 1], args[j - 1])
-                if br.is_zero():
+                br = rows[args[i - 1]][args[j - 1]]
+                if not br:
                     continue
                 rest = tuple(a for t, a in enumerate(args, start=1)
                              if t not in (i, j))
                 s2 = ((-1) ** (i + j)) * koszul(ps[i - 1], ps[j - 1]) \
                     * ((-1) ** (ps[i - 1] * prefix[i - 1])) \
                     * ((-1) ** (ps[j - 1] * prefix[j - 1]))
-                for k, c in br.coeffs.items():
-                    fv = f.value(k, *rest)
-                    if fv is None:
-                        continue
-                    term = fv.scale(s2 * c)
-                    total = term if total is None else total + term
+                for k, c in br.items():
+                    fv, sign = f._stored((k,) + rest)
+                    if fv is not None:
+                        _add_into(acc, _coeffs(fv), s2 * sign * c)
 
-        if total is not None and not total.is_zero():
-            out.set_value(args, total)
+        if any(acc.values()):
+            out.set_value(args, _value_of(g, like, acc))
     return out
 
 
@@ -241,44 +283,43 @@ def is_cocycle_1(g: Superalgebra, delta: Cochain) -> VerificationReport:
 
     over all ordered basis pairs, and vanishing of the degree-2 coboundary.
     """
+    _same_basis(delta.g.basis, g.basis)
     rep = VerificationReport("1-cocycle")
     if delta.degree != 1:
         rep.add("degree is 1", False, f"degree = {delta.degree}")
         return rep
     lab = g.basis.labels
-    par = g.basis.parity
-    n = g.dim()
+    par = g.basis.parities
+    rows = g.rows
+    vals = delta.values  # a 1-cochain stores f(e_k) at (k,), sign 1
+    p = delta.parity
+
+    def sides_into(lhs: dict, rhs: dict, a: int, b: int, s: int) -> None:
+        """lhs += f([a,b]); rhs += s * (the action side)."""
+        for k, c in rows[a][b].items():
+            v = vals.get((k,))
+            if v is not None:
+                _add_into(lhs, _coeffs(v), c)
+        fb = vals.get((b,))
+        if fb is not None:
+            _act_value_into(rhs, g, a, fb, s * koszul(par[a], p))
+        fa = vals.get((a,))
+        if fa is not None:
+            _act_value_into(rhs, g, b, fa,
+                            -s * koszul(par[b], (p + par[a]) % 2))
+
     bad = None
-    for a in range(n):
-        for b in range(n):
-            ea, eb = g.basis.vector(a), g.basis.vector(b)
-            br = g.bracket_basis(a, b)
-            lhs = None
-            for k, c in br.coeffs.items():
-                v = delta.value(k)
-                if v is None:
-                    continue
-                term = v.scale(c)
-                lhs = term if lhs is None else lhs + term
-            fb = delta.value(b)
-            fa = delta.value(a)
-            rhs = None
-            if fb is not None:
-                term = _act(g, ea, fb).scale(koszul(par(a), delta.parity))
-                rhs = term
-            if fa is not None:
-                sign = -koszul(par(b), (delta.parity + par(a)) % 2)
-                term = _act(g, eb, fa).scale(sign)
-                rhs = term if rhs is None else rhs + term
-            if lhs is None and rhs is None:
-                continue
-            l = lhs if lhs is not None else rhs.scale(0)
-            r = rhs if rhs is not None else lhs.scale(0)
-            if l != r:
-                bad = (f"pair ({lab[a]}, {lab[b]}): f([a,b]) = {l} but "
-                       f"action side = {r}")
-                break
-        if bad:
+    for a, b in product(range(g.dim()), repeat=2):
+        diff: dict = {}
+        sides_into(diff, diff, a, b, -1)
+        if any(diff.values()):
+            lhs: dict = {}
+            rhs: dict = {}
+            sides_into(lhs, rhs, a, b, 1)
+            like = next(iter(vals.values()))
+            bad = (f"pair ({lab[a]}, {lab[b]}): f([a,b]) = "
+                   f"{_value_of(g, like, lhs)} but action side = "
+                   f"{_value_of(g, like, rhs)}")
             break
     rep.add("pairwise super cocycle condition", bad is None, bad)
 

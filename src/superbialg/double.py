@@ -161,15 +161,21 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
 
 
 class DoubleAlgebra:
-    """The double: algebra, cobracket, pairing and canonical r-matrix."""
+    """The double: algebra, cobracket, pairing and canonical r-matrix.
+
+    `axioms` is the bracket-axiom report `build_double` verified, or None
+    for a double that was not verified here (e.g. one read from JSON).
+    """
 
     def __init__(self, underlying: Superalgebra, delta: Cochain,
-                 form: BilinearForm, canonical_r: Tensor2, primal_dim: int):
+                 form: BilinearForm, canonical_r: Tensor2, primal_dim: int,
+                 axioms: VerificationReport | None = None):
         self.underlying = underlying
         self.delta = delta
         self.form = form
         self.canonical_r = canonical_r
         self.primal_dim = primal_dim
+        self.axioms = axioms
 
     def as_bialgebra(self, check: bool = False) -> Bialgebra:
         return Bialgebra(self.underlying, self.delta, check=check)
@@ -181,7 +187,7 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     The output is verified before returning: the bracket must satisfy the
     superalgebra axioms (a Jacobi failure signals an inconsistent input),
     the form must be invariant, and the cobracket must be a skew cocycle
-    satisfying coJacobi.
+    satisfying coJacobi.  The bracket-axiom report is kept as `axioms`.
     """
     sc = extract_constants(b)
     scd = dual_constants(sc)
@@ -218,10 +224,11 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
                         constants.get((j, n + i, k), Q(0)) + s * c)
 
     underlying = Superalgebra(dbasis, constants)
-    rep = underlying.validate()
-    if not rep.passed:
+    bracket_axioms = underlying.validate()
+    if not bracket_axioms.passed:
         raise DoubleConstructionError(
-            f"double bracket fails the axioms: {rep.first_failure()}")
+            f"double bracket fails the axioms: "
+            f"{bracket_axioms.first_failure()}")
 
     # cobracket: delta on the primal block, minus the dual cobracket on the
     # dual block (the dual half sits inside the double co-oppositely)
@@ -258,7 +265,8 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     if not axioms.passed:
         raise DoubleConstructionError(f"double cobracket fails: "
                                       f"{axioms.first_failure()}")
-    return DoubleAlgebra(underlying, delta, form, canonical_r, n)
+    return DoubleAlgebra(underlying, delta, form, canonical_r, n,
+                         axioms=bracket_axioms)
 
 
 def check_canonical_r(d: DoubleAlgebra) -> VerificationReport:

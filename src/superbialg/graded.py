@@ -527,10 +527,6 @@ class LinearEndomorphism(LinearMap):
         return self.is_parity_preserving()
 
 
-def apply_endomorphism(m: LinearEndomorphism, x: Element) -> Element:
-    return m(x)
-
-
 def image_basis(m: LinearEndomorphism) -> list[Element]:
     """A deterministic basis of Im(m) by exact row reduction.
 

@@ -74,6 +74,19 @@ def _check_labels(d, basis: GradedBasis):
         raise SchemaError("labels do not match the expected basis")
 
 
+def _index(x, size: int, what: str, shown=None) -> int:
+    """A basis index read from JSON: an integer (not a bool) in range(size).
+
+    Errors name `what` and `shown` (default: the index itself)."""
+    shown = x if shown is None else shown
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise SchemaError(f"{what} {shown!r} is not integral")
+    if not 0 <= x < size:
+        raise SchemaError(f"{what} {shown!r} is out of range for a basis of "
+                          f"{size} vectors")
+    return x
+
+
 def _read_entries(d, arity: int, size: int):
     """Entries keyed by index tuples, each index in range(size)."""
     out = {}
@@ -81,13 +94,7 @@ def _read_entries(d, arity: int, size: int):
         idx = ent.get("idx")
         if not isinstance(idx, list) or len(idx) != arity:
             raise SchemaError(f"entry index {idx!r} must have {arity} slots")
-        try:
-            key = tuple(int(i) for i in idx)
-        except (TypeError, ValueError) as e:
-            raise SchemaError(f"entry index {idx!r} is not integral") from e
-        if not all(0 <= i < size for i in key):
-            raise SchemaError(f"entry index {idx!r} is out of range for a "
-                              f"basis of {size} vectors")
+        key = tuple(_index(i, size, "entry index", idx) for i in idx)
         out[key] = scalar_from_json(ent)
     return out
 
@@ -125,18 +132,26 @@ def superalgebra_to_json(g: Superalgebra) -> dict:
 
 
 def superalgebra_from_json(d) -> Superalgebra:
+    """Read a bracket table; the abelian algebra needs `"brackets": []`."""
     basis = basis_from_json(d)
+    n = len(basis)
+    brackets = d.get("brackets")
+    if not isinstance(brackets, list):
+        raise SchemaError("superalgebra JSON needs a 'brackets' list")
     half: dict[tuple[int, int, int], Fraction] = {}
-    for ent in d.get("brackets", []):
+    for ent in brackets:
         try:
-            i, j = int(ent["i"]), int(ent["j"])
-            terms = ent["terms"]
-        except (KeyError, TypeError, ValueError) as e:
+            i, j, terms = ent["i"], ent["j"], ent["terms"]
+            ks = [term["k"] for term in terms]
+        except (KeyError, TypeError) as e:
             raise SchemaError(f"bad bracket entry {ent!r}") from e
+        i = _index(i, n, "bracket index i")
+        j = _index(j, n, "bracket index j")
         if i > j:
             raise SchemaError("bracket tables list only pairs with i <= j")
-        for term in terms:
-            half[(i, j, int(term["k"]))] = scalar_from_json(term)
+        for k, term in zip(ks, terms):
+            half[(i, j, _index(k, n, "bracket term index k"))] = \
+                scalar_from_json(term)
     try:
         return Superalgebra.from_half_table(basis, half)
     except ValueError as e:
@@ -162,14 +177,23 @@ def cochain_from_json(d, g: Superalgebra) -> Cochain:
         out = Cochain(g, int(d["degree"]), int(d["parity"]))
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError("cochain needs integer degree and parity") from e
+    n = len(g.basis)
     for ent in d.get("values", []):
-        args = tuple(int(a) for a in ent["args"])
+        args = ent["args"]
+        if not isinstance(args, list) or len(args) != out.degree:
+            raise SchemaError(f"cochain args {args!r} must list "
+                              f"{out.degree} indices")
+        args = tuple(_index(a, n, "cochain argument") for a in args)
         vj = ent["value"]
         arity = len(vj["entries"][0]["idx"]) if vj.get("entries") else 2
         if arity == 1:
-            out.set_value(args, element_from_json(vj, g.basis))
+            val = element_from_json(vj, g.basis)
         else:
-            out.set_value(args, tensor2_from_json(vj, g.basis))
+            val = tensor2_from_json(vj, g.basis)
+        try:
+            out.set_value(args, val)
+        except ValueError as e:
+            raise SchemaError(f"cochain args {list(args)!r}: {e}") from e
     return out
 
 

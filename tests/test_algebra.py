@@ -1,6 +1,7 @@
 """Superalgebra axioms, matrix oracles, forms, structural checks."""
 
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,68 @@ def test_validate_perturbed_sl21_names_both_failures():
         ("super Jacobi",
          "Jacobi fails on (E11+E33,E11+E33,E12): cyclic sum = 2*E12"),
     ]
+
+
+def test_validate_without_antisymmetry_names_product_order_triple():
+    # one-sided change: the first Jacobi failure is the unsorted (0, 2, 1)
+    consts = dict(cat.sl21().constants)
+    consts[(1, 2, 2)] = 2 * consts[(1, 2, 2)]  # [E22+E33, E12] = -2*E12
+    rep = Superalgebra(B, consts).validate()
+    assert [(c.name, c.detail) for c in rep.failures] == [
+        ("super antisymmetry",
+         "[E12,E22+E33] = E12 but sign rule wants 2*E12"),
+        ("super Jacobi",
+         "Jacobi fails on (E11+E33,E12,E22+E33): cyclic sum = -E12"),
+    ]
+
+
+def _jacobi_reference(g: Superalgebra) -> str | None:
+    """First failing triple of super Jacobi in product order, summed
+    through the public bracket: the detail `validate` must report."""
+    par, lab, n = g.basis.parities, g.basis.labels, g.dim()
+    e = g.basis.vector
+    for a, b, c in product(range(n), repeat=3):
+        total = g.basis.zero()
+        for x, y, z, p, q in ((a, b, c, a, c), (b, c, a, b, a),
+                              (c, a, b, c, b)):
+            sign = -1 if par[p] and par[q] else 1
+            total = total + g.bracket(e(x), g.bracket(e(y), e(z))).scale(sign)
+        if not total.is_zero():
+            return (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}):"
+                    f" cyclic sum = {total}")
+    return None
+
+
+PERTURBED = {"sl21": lambda: cat.sl21(),
+             "double of s": lambda: cat.double_of_s().underlying}
+
+
+@given(st.sampled_from(sorted(PERTURBED)),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                          st.integers(0, 7),
+                          st.fractions(min_value=-3, max_value=3,
+                                       max_denominator=3)),
+                max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_validate_jacobi_matches_product_order_reference(name, changes):
+    g = PERTURBED[name]()
+    par = g.basis.parities
+    consts = dict(g.constants)
+    for i, j, k, c in changes:
+        # add c to C(i,j,k) and keep the table super-antisymmetric
+        if i == j and not par[i]:
+            continue  # an even self-bracket must stay zero
+        consts[(i, j, k)] = consts.get((i, j, k), 0) + c
+        if i != j:
+            sign = -1 if par[i] and par[j] else 1
+            consts[(j, i, k)] = consts.get((j, i, k), 0) - sign * c
+    h = Superalgebra(g.basis, consts)
+    rep = h.validate()
+    checks = {ch.name: ch for ch in rep.checks}
+    assert checks["super antisymmetry"].passed
+    want = _jacobi_reference(h)
+    assert checks["super Jacobi"].passed == (want is None)
+    assert checks["super Jacobi"].detail == want
 
 
 # -- adjoint action -----------------------------------------------------------

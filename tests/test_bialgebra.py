@@ -266,3 +266,11 @@ def test_manin_triple_fails_without_direct_sum():
     rep = check_manin_triple(t)
     assert not rep.passed
     assert any("direct sum" in c.name for c in rep.failures)
+
+
+def test_compatibility_needs_a_1_cochain():
+    g = cat.sl21()
+    c = Cochain(g, 2, 0)
+    c.set_value((0, 2), tensor(V("E12"), V("E12")))
+    with pytest.raises(ValueError):
+        check_compatibility(g, c)

@@ -6,6 +6,7 @@ import pytest
 
 from superbialg import catalog as cat
 from superbialg import serialize as ser
+from superbialg.algebra import Superalgebra
 from superbialg.cli import main
 
 
@@ -133,6 +134,70 @@ def test_zero_denominator_exits_2(files, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def _first_term(doc):
+    return doc["brackets"][0]["terms"][0]
+
+
+# Each input is unusable; every one must exit 2 with an `error:` line.
+SCHEMA_CASES = {
+    "k negative": ("sl21.json", lambda d: _first_term(d).update(k=-1)),
+    "k a string": ("sl21.json", lambda d: _first_term(d).update(k="x")),
+    "k fractional": ("sl21.json", lambda d: _first_term(d).update(k=1.5)),
+    "k boolean": ("sl21.json", lambda d: _first_term(d).update(k=True)),
+    "j fractional": ("sl21.json", lambda d: d["brackets"][0].update(
+        j=d["brackets"][0]["j"] + 0.5)),
+    "idx fractional": ("r_f.json",
+                       lambda d: d["entries"][0].update(idx=[0, 1.5])),
+    "args too long": ("s_delta2.json",
+                      lambda d: d["delta"]["values"][0].update(args=[0, 1])),
+    "args out of range": ("s_delta2.json",
+                          lambda d: d["delta"]["values"][0].update(args=[99])),
+    "args repeat an even index": ("s_delta2.json", lambda d: (
+        d["delta"].update(degree=2),
+        d["delta"]["values"][0].update(args=[0, 0]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+def test_non_integral_or_out_of_range_index_exits_2(case, files, capsys,
+                                                    tmp_path):
+    name, mutate = SCHEMA_CASES[case]
+    doc = json.loads(open(files[name]).read())
+    mutate(doc)
+    p = tmp_path / "mutated.json"
+    p.write_text(json.dumps(doc))
+    argv = {"sl21.json": ["validate", str(p)],
+            "r_f.json": ["cocommutator", files["sl21.json"], "--r", str(p)],
+            "s_delta2.json": ["dual", str(p)]}[name]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_missing_brackets_key_exits_2(files, capsys, tmp_path):
+    doc = ser.superalgebra_to_json(cat.sl21())
+    del doc["brackets"]
+    p = tmp_path / "nobrackets.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 2
+    assert err.startswith("error:") and "brackets" in err
+
+
+def test_empty_brackets_is_the_abelian_algebra(files, capsys, tmp_path,
+                                               monkeypatch):
+    monkeypatch.setenv("SUPERBIALG_COLOR", "0")
+    doc = ser.superalgebra_to_json(cat.sl21())
+    doc["brackets"] = []
+    p = tmp_path / "abelian.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "validate", str(p))
+    assert code == 0
+    assert "FAIL" not in out
+    assert ser.superalgebra_from_json(doc).constants == {}
+
+
 def test_double_writes_output(files, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERBIALG_COLOR", "0")
     out_path = str(tmp_path / "double.json")
@@ -153,9 +218,7 @@ def test_double_json_stdout_is_the_document_alone(files, capsys):
     assert back.underlying.dim() == 8
 
 
-def test_double_invalid_bialgebra_exits_1(files, capsys, tmp_path,
-                                          monkeypatch):
-    monkeypatch.setenv("SUPERBIALG_COLOR", "0")
+def _invalid_bialgebra(tmp_path) -> str:
     doc = ser.bialgebra_to_json(cat.s_bialgebra_2())
     # negate a single delta row: skewness survives but the cocycle dies
     for ent in doc["delta"]["values"]:
@@ -164,9 +227,49 @@ def test_double_invalid_bialgebra_exits_1(files, capsys, tmp_path,
                 e["num"] = str(-int(e["num"]))
     p = tmp_path / "invalid.json"
     p.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "double", str(p))
+    return str(p)
+
+
+def test_double_invalid_bialgebra_exits_1(files, capsys, tmp_path,
+                                          monkeypatch):
+    monkeypatch.setenv("SUPERBIALG_COLOR", "0")
+    code, out, _ = run(capsys, "double", _invalid_bialgebra(tmp_path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_double_json_failure_prints_json(files, capsys, tmp_path,
+                                         monkeypatch):
+    monkeypatch.setenv("SUPERBIALG_COLOR", "0")
+    path = _invalid_bialgebra(tmp_path)
+    code, out, _ = run(capsys, "double", path, "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    _, text, _ = run(capsys, "double", path)
+    assert doc == {"passed": False, "detail": text.strip()[len("FAIL  "):]}
+    assert doc["detail"].startswith("FAIL pairwise super cocycle condition")
+
+
+def test_double_validates_the_double_once(files, capsys, monkeypatch):
+    monkeypatch.setenv("SUPERBIALG_COLOR", "0")
+    calls = []
+    validate = Superalgebra.validate
+
+    def counted(self):
+        calls.append(self.dim())
+        return validate(self)
+
+    monkeypatch.setattr(Superalgebra, "validate", counted)
+    code, out, _ = run(capsys, "double", files["s_delta2.json"])
+    assert code == 0
+    assert calls == [8]
+    assert out.splitlines() == [
+        "double dimension: 8",
+        "PASS  grading consistency",
+        "PASS  super antisymmetry",
+        "PASS  even self-brackets vanish",
+        "PASS  super Jacobi",
+    ]
 
 
 def test_dual_prints_bracket_table(files, capsys, monkeypatch):

@@ -6,11 +6,12 @@ from fractions import Fraction as Q
 import pytest
 
 from superbialg import catalog as cat
+from superbialg.bialgebra import check_compatibility
 from superbialg.cohomology import (
     Cochain, canonical_tuple, canonical_tuples, coboundary, coboundary_0,
     is_cocycle_1,
 )
-from superbialg.graded import Element, Tensor2, tensor
+from superbialg.graded import BasisMismatch, Element, Tensor2, tensor
 
 B = cat.sl21_basis()
 V = cat.V
@@ -180,7 +181,12 @@ def test_constant_cochain_is_not_a_cocycle():
         c.set_value((a,), fixed)
     rep = is_cocycle_1(g, c)
     assert not rep.passed
-    assert rep.first_failure().detail  # counterexample pair is named
+    assert [(ch.name, ch.detail) for ch in rep.checks] == [
+        ("pairwise super cocycle condition",
+         "pair (E11+E33, E22+E33): f([a,b]) = 0 but action side = "
+         "4*E12⊗E12"),
+        ("coboundary vanishes", "d(delta) has 28 nonzero values"),
+    ]
 
 
 def test_coboundaries_are_cocycles():
@@ -201,3 +207,19 @@ def test_cocycle_paths_agree_on_non_cocycles():
     results = {chk.name: chk.passed for chk in rep.checks}
     assert (results["pairwise super cocycle condition"]
             == results["coboundary vanishes"])
+
+
+def test_value_over_another_basis_is_refused():
+    g = cat.sl21()
+    other = cat.s_basis()
+    c = Cochain(g, 1, 0)
+    with pytest.raises(BasisMismatch):
+        c.set_value((0,), Tensor2(other, other, {(0, 1): 1}))
+        is_cocycle_1(g, c)
+
+
+@pytest.mark.parametrize("check", [is_cocycle_1, coboundary,
+                                   check_compatibility])
+def test_cochain_over_another_algebra_is_refused(check):
+    with pytest.raises(BasisMismatch):
+        check(cat.s_algebra(), cat.delta_f())

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from superbialg import catalog as cat
+from superbialg import serialize as ser
 from superbialg.algebra import Superalgebra, koszul
 from superbialg.bialgebra import Bialgebra, dual_bracket
 from superbialg.cohomology import Cochain, coboundary_0
@@ -223,3 +224,13 @@ def test_inconsistent_input_is_rejected():
     b = Bialgebra(g, c, check=False)
     with pytest.raises(DoubleConstructionError):
         build_double(b)
+
+
+def test_double_keeps_its_bracket_axiom_report():
+    d = cat.double_of_s()
+    assert [c.name for c in d.axioms.checks] == [
+        "grading consistency", "super antisymmetry",
+        "even self-brackets vanish", "super Jacobi"]
+    assert d.axioms.passed
+    # a double read back from JSON was not verified here
+    assert ser.double_from_json(ser.double_to_json(d)).axioms is None
