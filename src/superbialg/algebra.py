@@ -4,15 +4,20 @@ A `Superalgebra` stores the full table [e_i, e_j] = sum_k C(i,j,k) e_k once,
 as sparse rows `rows[i][j] = {k: C(i,j,k)}`; each row is also the coefficient
 dict of the Element `bracket_basis(i, j)` returns.  Brackets, the adjoint
 action on g (x) g, super Jacobi and form invariance all sum products of
-these rows into one dict and build at most one result object.  The adjoint
-action has one kernel, `_act_into`, which adds e_i . t into a plain dict;
-the cochain checks in `cohomology` and `bialgebra` call it directly.
+these rows into one dict and build at most one result object.  Two kernels
+do the adding: `_add_into` (a row times a scalar) and `_act_into` (e_i . t
+for t in g (x) g); the cochain checks in `cohomology` and `bialgebra` call
+them directly.  Both skip the multiplication for a coefficient of +-1 and
+store the first term of a key as it is.
 
-`validate` scans super Jacobi over sorted triples a <= b <= c only: the
-signed cyclic sum is invariant under rotation and changes by a sign under
-a transposition once super antisymmetry holds, so the sorted scan decides
-the axiom and its first failure is also the first in product order.  When
-antisymmetry fails, every triple is scanned in product order instead.
+Super antisymmetry is tested in one place, `antisymmetry_failure`.  Once it
+holds, `validate` scans super Jacobi over sorted triples a <= b <= c only:
+the signed cyclic sum is invariant under rotation and changes by a sign
+under a transposition, so the sorted scan decides the axiom and its first
+failure is also the first in product order.  `pairs_to_scan` gives the
+pairwise checks the same shortcut over a <= b.  When antisymmetry fails,
+every tuple is scanned in product order instead.  `check_invariance`
+compares the two sides of <[a,b],c> = <a,[b,c]> one dict over c per pair.
 
 Matrix realizations act as independent oracles: `from_matrices` re-derives
 the constants from sparse graded commutators.  The span of the images is
@@ -50,9 +55,24 @@ def koszul(p: int, q: int) -> int:
 
 
 def _add_into(acc: dict, row: Mapping, c: Fraction) -> None:
-    """acc += c * row, entry by entry."""
-    for k, x in row.items():
-        acc[k] = acc.get(k, 0) + c * x
+    """acc += c * row, entry by entry.
+
+    A coefficient of +-1 costs no multiplication, and the first term of a
+    key is stored as it is rather than added to 0.
+    """
+    get = acc.get
+    if c == 1:
+        for k, x in row.items():
+            old = get(k)
+            acc[k] = x if old is None else old + x
+    elif c == -1:
+        for k, x in row.items():
+            old = get(k)
+            acc[k] = -x if old is None else old - x
+    else:
+        for k, x in row.items():
+            old = get(k)
+            acc[k] = c * x if old is None else old + c * x
 
 
 def _nonzero(acc: dict) -> dict:
@@ -145,13 +165,11 @@ class Superalgebra:
         rep.add("grading consistency", bad is None, bad)
 
         bad = None
-        for i, j in product(range(n), repeat=2):
-            want = {k: (c if par[i] and par[j] else -c)
-                    for k, c in rows[i][j].items()}
-            if rows[j][i] != want:
-                bad = (f"[{lab[j]},{lab[i]}] = {self._table[j][i]} but sign "
-                       f"rule wants {Element.wrap(self.basis, want)}")
-                break
+        pair = self.antisymmetry_failure()
+        if pair is not None:
+            i, j = pair
+            bad = (f"[{lab[j]},{lab[i]}] = {self._table[j][i]} but sign rule "
+                   f"wants {Element.wrap(self.basis, self._mirror(i, j))}")
         antisymmetric = rep.add("super antisymmetry", bad is None, bad)
 
         # even self-brackets must vanish (odd ones may not)
@@ -180,6 +198,41 @@ class Superalgebra:
                 break
         rep.add("super Jacobi", bad is None, bad)
         return rep
+
+    def _mirror(self, i: int, j: int) -> dict[int, Fraction]:
+        """The row [e_j, e_i] that super antisymmetry derives from [e_i, e_j]."""
+        par = self.basis.parities
+        keep = par[i] and par[j]
+        return {k: (c if keep else -c) for k, c in self.rows[i][j].items()}
+
+    def antisymmetry_failure(self) -> tuple[int, int] | None:
+        """The first pair (i, j), in product order, whose row [e_j, e_i] is
+        not the mirror of [e_i, e_j]; None when the table is super
+        antisymmetric.
+
+        Mirroring is an involution, so (i, j) fails iff (j, i) does, and the
+        first failure in product order has i <= j: only those are scanned.
+        """
+        rows = self.rows
+        n = self.dim()
+        for i in range(n):
+            for j in range(i, n):
+                if rows[j][i] != self._mirror(i, j):
+                    return i, j
+        return None
+
+    def pairs_to_scan(self):
+        """Basis pairs that decide a pairwise condition R(a, b) = 0 whose
+        residual obeys R(b, a) = +-R(a, b) under super antisymmetry.
+
+        For an antisymmetric table these are the sorted pairs a <= b: the
+        failing set is closed under swapping, so its first member in product
+        order is sorted.  Otherwise every pair, in product order.
+        """
+        n = self.dim()
+        if self.antisymmetry_failure() is None:
+            return ((a, b) for a in range(n) for b in range(a, n))
+        return product(range(n), repeat=2)
 
     def _jacobi_sum(self, a: int, b: int, c: int) -> dict[int, Fraction]:
         """Signed cyclic sum of [x,[y,z]] over (a,b,c), (b,c,a), (c,a,b),
@@ -414,14 +467,19 @@ def _act_into(acc: dict, g: Superalgebra, i: int,
     par = g.basis.parities
     odd = par[i]
     ri = g.rows[i]
+    get = acc.get
     for (u, v), x in entries.items():
-        cc = c * x
+        cc = x if c == 1 else -x if c == -1 else c * x
         for k, y in ri[u].items():
-            acc[(k, v)] = acc.get((k, v), 0) + cc * y
+            key = (k, v)
+            old = get(key)
+            acc[key] = cc * y if old is None else old + cc * y
         if odd and par[u]:
             cc = -cc
         for k, y in ri[v].items():
-            acc[(u, k)] = acc.get((u, k), 0) + cc * y
+            key = (u, k)
+            old = get(key)
+            acc[key] = cc * y if old is None else old + cc * y
 
 
 def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor2) -> Tensor2:
@@ -464,7 +522,10 @@ def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:
 
     Both sides come straight from the rows and the Gram matrix G, each
     summed once per basis pair: left[a][b] = {c: sum_k C(a,b,k) G[k][c]}
-    and right[b][c] = {a: sum_k G[a][k] C(b,c,k)}.
+    and right[b][c] = {a: sum_k G[a][k] C(b,c,k)}.  With right transposed
+    once to {c: ...} per pair (a, b), the two sides are compared one dict
+    per pair; only the first unequal pair is scanned over c, for the
+    counterexample.
     """
     _same_basis(form.basis, g.basis)
     rep = VerificationReport("form invariance")
@@ -480,14 +541,24 @@ def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:
         for k, c in g.rows[a][b].items():
             _add_into(left[a][b], gram_rows[k], c)
             _add_into(right[a][b], gram_cols[k], c)
+    # right_t[a][b] = {c: right[b][c][a]}, so both sides of the pair (a, b)
+    # are one dict over c
+    right_t = [[{} for _ in range(n)] for _ in range(n)]
+    for b, c in product(range(n), repeat=2):
+        for a, x in right[b][c].items():
+            right_t[a][b][c] = x
     bad = None
-    for i, j, k in product(range(n), repeat=3):
-        lhs = left[i][j].get(k, Q(0))
-        rhs = right[j][k].get(i, Q(0))
-        if lhs != rhs:
-            bad = (f"<[{lab[i]},{lab[j]}],{lab[k]}> = {lhs} but "
-                   f"<{lab[i]},[{lab[j]},{lab[k]}]> = {rhs}")
-            break
+    for i, j in product(range(n), repeat=2):
+        if _nonzero(left[i][j]) == _nonzero(right_t[i][j]):
+            continue
+        for k in range(n):
+            lhs = left[i][j].get(k, Q(0))
+            rhs = right_t[i][j].get(k, Q(0))
+            if lhs != rhs:
+                break
+        bad = (f"<[{lab[i]},{lab[j]}],{lab[k]}> = {lhs} but "
+               f"<{lab[i]},[{lab[j]},{lab[k]}]> = {rhs}")
+        break
     rep.add("invariance <[a,b],c> = <a,[b,c]>", bad is None, bad)
     return rep
 

@@ -24,12 +24,17 @@ and the stored values: the action on g (x) g goes through the single
 `algebra._act_into` kernel, the action on g and the bracket-insertion terms
 through `_add_into`.  An Element or Tensor2 is built only for a nonzero
 result or to render a counterexample.
+
+The pairwise cocycle condition is scanned over `g.pairs_to_scan()`: under
+super antisymmetry its residual at (b, a) is -(-1)^{|a||b|} times the one
+at (a, b), for either cochain parity, so the sorted pairs a <= b decide it
+and name the first failing pair in product order.  A table that is not
+super antisymmetric is scanned over every pair in product order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Mapping
 
 from .graded import (
@@ -281,7 +286,9 @@ def is_cocycle_1(g: Superalgebra, delta: Cochain) -> VerificationReport:
 
         f([a,b]) = (-1)^{|a||f|} a . f(b) - (-1)^{|b|(|f|+|a|)} b . f(a)
 
-    over all ordered basis pairs, and vanishing of the degree-2 coboundary.
+    over the basis pairs of `g.pairs_to_scan()` (sorted pairs when the
+    bracket is super antisymmetric), and vanishing of the degree-2
+    coboundary.
     """
     _same_basis(delta.g.basis, g.basis)
     rep = VerificationReport("1-cocycle")
@@ -309,7 +316,7 @@ def is_cocycle_1(g: Superalgebra, delta: Cochain) -> VerificationReport:
                             -s * koszul(par[b], (p + par[a]) % 2))
 
     bad = None
-    for a, b in product(range(g.dim()), repeat=2):
+    for a, b in g.pairs_to_scan():
         diff: dict = {}
         sides_into(diff, diff, a, b, -1)
         if any(diff.values()):

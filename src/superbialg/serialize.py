@@ -2,6 +2,10 @@
 
 Scalars travel as decimal strings ("num"/"den") so arbitrary-precision
 integers survive; indices are 0-based positions in the basis label list.
+Every integer is read exactly: a JSON integer (never a float or a bool),
+or for "num"/"den" also a string of decimal digits.  Parities are 0 or 1.
+A cochain's values all lie in one module, g or g (x) g; a cobracket's lie
+in g (x) g.
 Bracket tables list only pairs with i <= j; the i > j half is rebuilt by
 super antisymmetry, and diagonal pairs are only accepted for odd vectors.
 All round trips are bit-exact.
@@ -10,6 +14,7 @@ All round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .graded import Element, GradedBasis, Tensor2, Tensor3
@@ -27,9 +32,31 @@ def scalar_to_json(c: Fraction) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(x, what: str, text: bool = False, shown=None) -> int:
+    """An integer read from JSON: a JSON integer, not a bool or a float
+    (not even an integral one); with `text`, also a string of decimal
+    digits.  Errors name `what` and `shown` (default: the value itself)."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if text and isinstance(x, str) and _DECIMAL.fullmatch(x):
+        return int(x)
+    raise SchemaError(f"{what} {x if shown is None else shown!r} "
+                      f"is not integral")
+
+
+def _parity(x, what: str) -> int:
+    if _integer(x, what) not in (0, 1):
+        raise SchemaError(f"{what} {x!r} must be 0 or 1")
+    return x
+
+
 def scalar_from_json(d) -> Fraction:
     try:
-        return Fraction(int(d["num"]), int(d["den"]))
+        return Fraction(_integer(d["num"], "num", text=True),
+                        _integer(d["den"], "den", text=True))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
         raise SchemaError(f"bad scalar {d!r}") from e
 
@@ -40,8 +67,15 @@ def basis_to_json(b: GradedBasis) -> dict:
 
 def basis_from_json(d) -> GradedBasis:
     try:
-        return GradedBasis(d["basis"], d["parities"])
-    except (KeyError, TypeError, ValueError) as e:
+        labels, parities = d["basis"], d["parities"]
+    except (KeyError, TypeError) as e:
+        raise SchemaError(f"bad basis: {e}") from e
+    if not isinstance(parities, list):
+        raise SchemaError("bad basis: parities must be a list")
+    parities = [_parity(p, "basis parity") for p in parities]
+    try:
+        return GradedBasis(labels, parities)
+    except (TypeError, ValueError) as e:
         raise SchemaError(f"bad basis: {e}") from e
 
 
@@ -69,7 +103,18 @@ def tensor3_to_json(t: Tensor3) -> dict:
             "entries": _entries_to_json(t.entries)}
 
 
+def _objects(d, key: str) -> list:
+    """The list of JSON objects under `key`; empty when the key is absent."""
+    items = d.get(key, [])
+    if not (isinstance(items, list)
+            and all(isinstance(x, dict) for x in items)):
+        raise SchemaError(f"{key!r} must be a list of objects")
+    return items
+
+
 def _check_labels(d, basis: GradedBasis):
+    if not isinstance(d, dict):
+        raise SchemaError(f"value {d!r} is not an object")
     if list(d.get("basis", [])) != list(basis.labels):
         raise SchemaError("labels do not match the expected basis")
 
@@ -79,8 +124,7 @@ def _index(x, size: int, what: str, shown=None) -> int:
 
     Errors name `what` and `shown` (default: the index itself)."""
     shown = x if shown is None else shown
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise SchemaError(f"{what} {shown!r} is not integral")
+    _integer(x, what, shown=shown)
     if not 0 <= x < size:
         raise SchemaError(f"{what} {shown!r} is out of range for a basis of "
                           f"{size} vectors")
@@ -90,7 +134,7 @@ def _index(x, size: int, what: str, shown=None) -> int:
 def _read_entries(d, arity: int, size: int):
     """Entries keyed by index tuples, each index in range(size)."""
     out = {}
-    for ent in d.get("entries", []):
+    for ent in _objects(d, "entries"):
         idx = ent.get("idx")
         if not isinstance(idx, list) or len(idx) != arity:
             raise SchemaError(f"entry index {idx!r} must have {arity} slots")
@@ -172,20 +216,41 @@ def cochain_to_json(c: Cochain) -> dict:
     return {"degree": c.degree, "parity": c.parity, "values": values}
 
 
-def cochain_from_json(d, g: Superalgebra) -> Cochain:
+def _first_arity(vj) -> int | None:
+    """Indices per entry of a cochain value, from its first entry; None
+    for a value without entries (zero in either module)."""
     try:
-        out = Cochain(g, int(d["degree"]), int(d["parity"]))
-    except (KeyError, TypeError, ValueError) as e:
+        idx = vj["entries"][0]["idx"]
+    except (KeyError, IndexError, TypeError):
+        return None
+    if not isinstance(idx, list) or len(idx) not in (1, 2):
+        raise SchemaError(f"cochain value index {idx!r} must have 1 slot "
+                          f"(a value in g) or 2 (in g (x) g)")
+    return len(idx)
+
+
+def cochain_from_json(d, g: Superalgebra, arity: int | None = None) -> Cochain:
+    """Read a cochain whose values all lie in one module: g when `arity` is
+    1, g (x) g when it is 2; by default the first value with entries
+    decides, and every later value must have as many indices per entry."""
+    try:
+        degree, parity = d["degree"], d["parity"]
+    except (KeyError, TypeError) as e:
         raise SchemaError("cochain needs integer degree and parity") from e
+    degree = _integer(degree, "cochain degree")
+    if degree < 0:
+        raise SchemaError(f"cochain degree {degree} is negative")
+    out = Cochain(g, degree, _parity(parity, "cochain parity"))
     n = len(g.basis)
-    for ent in d.get("values", []):
+    for ent in _objects(d, "values"):
         args = ent["args"]
         if not isinstance(args, list) or len(args) != out.degree:
             raise SchemaError(f"cochain args {args!r} must list "
                               f"{out.degree} indices")
         args = tuple(_index(a, n, "cochain argument") for a in args)
         vj = ent["value"]
-        arity = len(vj["entries"][0]["idx"]) if vj.get("entries") else 2
+        if arity is None:
+            arity = _first_arity(vj)
         if arity == 1:
             val = element_from_json(vj, g.basis)
         else:
@@ -205,7 +270,7 @@ def bialgebra_to_json(b: Bialgebra) -> dict:
 def bialgebra_from_json(d, check: bool = True) -> Bialgebra:
     try:
         alg = superalgebra_from_json(d["algebra"])
-        delta = cochain_from_json(d["delta"], alg)
+        delta = cochain_from_json(d["delta"], alg, arity=2)
     except KeyError as e:
         raise SchemaError(f"bialgebra JSON needs {e} field") from e
     return Bialgebra(alg, delta, check=check)
@@ -261,10 +326,10 @@ def double_from_json(d) -> DoubleAlgebra:
     alg = superalgebra_from_json(d["algebra"])
     return DoubleAlgebra(
         underlying=alg,
-        delta=cochain_from_json(d["delta"], alg),
+        delta=cochain_from_json(d["delta"], alg, arity=2),
         form=gram_from_json(d["gram"], alg.basis),
         canonical_r=tensor2_from_json(d["canonical_r"], alg.basis),
-        primal_dim=int(d["primal_dim"]),
+        primal_dim=_integer(d["primal_dim"], "primal_dim"),
     )
 
 

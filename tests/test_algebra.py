@@ -84,6 +84,17 @@ def test_validate_reports_antisymmetry_break():
     assert any("antisymmetry" in c.name for c in rep.failures)
 
 
+def test_validate_even_self_bracket_breaks_antisymmetry():
+    consts = dict(cat.sl21().constants)
+    consts[(0, 0, 2)] = Q(1)  # [E11+E33, E11+E33] = E12
+    rep = Superalgebra(B, consts).validate()
+    assert [(c.name, c.detail) for c in rep.failures][:2] == [
+        ("super antisymmetry",
+         "[E11+E33,E11+E33] = E12 but sign rule wants -E12"),
+        ("even self-brackets vanish", "[E11+E33,E11+E33] = E12 != 0"),
+    ]
+
+
 def test_validate_perturbed_sl21_names_both_failures():
     consts = dict(cat.sl21().constants)
     consts[(0, 2, 2)] = 2 * consts[(0, 2, 2)]  # [E11+E33, E12] = 2*E12
@@ -309,6 +320,16 @@ def test_invariance_trivial_on_abelian():
     g = Superalgebra(one, {})
     form = BilinearForm(one, [[Q(1), Q(0)], [Q(0), Q(1)]])
     assert check_invariance(g, form).passed
+
+
+def test_invariance_ignores_terms_that_cancel():
+    # [p,q] = z + w and <z,p> = -<w,p> = 1: <[p,q],p> sums to an exact 0
+    # that the other side never produces; the form is still invariant
+    four = GradedBasis(["p", "q", "z", "w"], [0, 0, 0, 0])
+    g = Superalgebra.from_half_table(four, {(0, 1, 2): 1, (0, 1, 3): 1})
+    gram = [[Q(0)] * 4 for _ in range(4)]
+    gram[2][0], gram[3][0] = Q(1), Q(-1)
+    assert check_invariance(g, BilinearForm(four, gram)).passed
 
 
 def test_identity_gram_is_not_invariant():

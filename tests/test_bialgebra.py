@@ -133,6 +133,25 @@ def test_cojacobi_for_restricted_delta2():
     assert check_cojacobi(b.algebra, b.delta).passed
 
 
+def test_cojacobi_failure_names_the_vector_and_the_cyclic_sum():
+    # delta_f with E13^E23 added at E11+E33: the cyclic sum first fails
+    # at E21, where odd legs give the terms mixed signs
+    g = cat.sl21()
+    d = Cochain(g, 1, 0, dict(cat.delta_f().values))
+    d.set_value((B.index("E11+E33"),), wedge(V("E13"), V("E23")))
+    rep = check_cojacobi(g, d)
+    assert not rep.passed
+    assert rep.first_failure().detail == (
+        "at E21: cyclic sum = -E21⊗E13⊗E23 - E21⊗E23⊗E13 + E13⊗E21⊗E23"
+        " - E13⊗E23⊗E21 + E23⊗E21⊗E13 - E23⊗E13⊗E21")
+
+
+def test_cojacobi_needs_a_1_cochain():
+    g = cat.sl21()
+    with pytest.raises(ValueError):
+        check_cojacobi(g, Cochain(g, 2, 0))
+
+
 def test_compatibility_for_delta_f():
     assert check_compatibility(cat.sl21(), cat.delta_f()).passed
 

@@ -155,6 +155,14 @@ SCHEMA_CASES = {
     "args repeat an even index": ("s_delta2.json", lambda d: (
         d["delta"].update(degree=2),
         d["delta"]["values"][0].update(args=[0, 0]))),
+    "value not an object": ("s_delta2.json",
+                            lambda d: d["delta"]["values"][0].update(value=5)),
+    "values not a list": ("s_delta2.json",
+                          lambda d: d["delta"].update(values=5)),
+    "values entry not an object": ("s_delta2.json",
+                                   lambda d: d["delta"].update(values=[5])),
+    "entries not a list": ("r_f.json", lambda d: d.update(entries=5)),
+    "entry not an object": ("r_f.json", lambda d: d.update(entries=[5])),
 }
 
 
@@ -196,6 +204,54 @@ def test_empty_brackets_is_the_abelian_algebra(files, capsys, tmp_path,
     assert code == 0
     assert "FAIL" not in out
     assert ser.superalgebra_from_json(doc).constants == {}
+
+
+def _set_parity_of_first_odd(d, value):
+    parities = d["algebra"]["parities"]
+    parities[parities.index(1)] = value
+
+
+# Integers that `int()` would have truncated or accepted: each must be a
+# schema error on the `double` path, not a silently changed input.
+INTEGER_CASES = {
+    "num a float": lambda d: d["algebra"]["brackets"][0]["terms"][0].update(
+        num=1.5),
+    "den a bool": lambda d: d["algebra"]["brackets"][0]["terms"][0].update(
+        den=True),
+    "basis parity a float": lambda d: _set_parity_of_first_odd(d, 1.0),
+    "cochain degree a float": lambda d: d["delta"].update(degree=1.5),
+    "cochain parity 2": lambda d: d["delta"].update(parity=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CASES))
+def test_non_integer_count_or_scalar_exits_2(case, capsys, tmp_path):
+    doc = ser.bialgebra_to_json(cat.bialgebra_f())
+    INTEGER_CASES[case](doc)
+    p = tmp_path / "mutated.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "double", str(p))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("swapped", ["one value", "every value"])
+def test_element_valued_delta_exits_2(swapped, fmt, capsys, tmp_path):
+    # a cobracket lives in g (x) g: a value written as an element of g is
+    # a schema error, also when every value is written that way
+    doc = ser.bialgebra_to_json(cat.bialgebra_f())
+    values = doc["delta"]["values"]
+    for ent in values[1:2] if swapped == "one value" else values:
+        ent["value"] = ser.element_to_json(cat.V("E12"))
+    p = tmp_path / "element_delta.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "double", str(p), "--format", fmt)
+    assert code == 2
+    assert err.startswith("error:") and "2 slots" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_double_writes_output(files, capsys, tmp_path, monkeypatch):

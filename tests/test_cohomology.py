@@ -6,7 +6,8 @@ from fractions import Fraction as Q
 import pytest
 
 from superbialg import catalog as cat
-from superbialg.bialgebra import check_compatibility
+from superbialg.algebra import Superalgebra
+from superbialg.bialgebra import check_compatibility, check_cojacobi
 from superbialg.cohomology import (
     Cochain, canonical_tuple, canonical_tuples, coboundary, coboundary_0,
     is_cocycle_1,
@@ -209,6 +210,23 @@ def test_cocycle_paths_agree_on_non_cocycles():
             == results["coboundary vanishes"])
 
 
+def test_checks_without_antisymmetry_name_an_unsorted_pair():
+    # [E22+E33, E11+E33] gains an E11+E33 term that [E11+E33, E22+E33]
+    # lacks: only the unsorted pair fails, so both pairwise checks must
+    # scan in product order to find it
+    b = cat.bialgebra_f()
+    consts = dict(b.algebra.constants)
+    consts[(1, 0, 0)] = consts.get((1, 0, 0), 0) + 1
+    h = Superalgebra(B, consts)
+    d = Cochain(h, 1, 0, dict(b.delta.values))
+    cyc = is_cocycle_1(h, d)
+    assert cyc.first_failure().detail == (
+        "pair (E22+E33, E11+E33): f([a,b]) = -2*E23⊗E23 but action side = 0")
+    comp = check_compatibility(h, d)
+    assert comp.first_failure().detail == (
+        "pair (E22+E33, E11+E33): -2*E23⊗E23 != 0")
+
+
 def test_value_over_another_basis_is_refused():
     g = cat.sl21()
     other = cat.s_basis()
@@ -219,7 +237,7 @@ def test_value_over_another_basis_is_refused():
 
 
 @pytest.mark.parametrize("check", [is_cocycle_1, coboundary,
-                                   check_compatibility])
+                                   check_compatibility, check_cojacobi])
 def test_cochain_over_another_algebra_is_refused(check):
     with pytest.raises(BasisMismatch):
         check(cat.s_algebra(), cat.delta_f())

@@ -1,0 +1,174 @@
+"""Cobracket and form checks against product-order reference scans.
+
+`is_cocycle_1`, `check_compatibility`, `check_cojacobi` and
+`check_invariance` add their terms into plain dicts and, on a super
+antisymmetric bracket, scan only the sorted pairs.  The references below
+scan every basis pair (or vector, or triple) in product order through the
+public tensor operations; on perturbed cochains and forms both must agree
+on pass/fail and name the same first counterexample.
+"""
+
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superbialg import catalog as cat
+from superbialg.algebra import (
+    BilinearForm, Superalgebra, adjoint_on_tensor2, check_invariance,
+)
+from superbialg.bialgebra import check_cojacobi, check_compatibility
+from superbialg.cohomology import Cochain, is_cocycle_1
+from superbialg.graded import Element, Tensor2, Tensor3, alt_s
+
+BASES = {
+    "sl21": (cat.sl21, cat.delta_f, cat.supertrace_gram),
+    "double of s": (lambda: cat.double_of_s().underlying,
+                    lambda: cat.double_of_s().delta,
+                    lambda: cat.double_of_s().form),
+}
+
+coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+index = st.integers(0, 7)
+
+
+def _value(f: Cochain, k: int, zero):
+    v = f.value(k)
+    return zero if v is None else v
+
+
+def _act(g: Superalgebra, a: int, v):
+    e = g.basis.vector(a)
+    if isinstance(v, Tensor2):
+        return adjoint_on_tensor2(g, e, v)
+    return g.bracket(e, v)
+
+
+def _f_of(f: Cochain, x: Element, zero):
+    out = zero
+    for k, c in x.coeffs.items():
+        out = out + _value(f, k, zero).scale(c)
+    return out
+
+
+def cocycle_reference(g: Superalgebra, f: Cochain, zero) -> str | None:
+    """f([a,b]) = (-1)^{|a||f|} a.f(b) - (-1)^{|b|(|f|+|a|)} b.f(a)."""
+    par, lab, p = g.basis.parities, g.basis.labels, f.parity
+    for a, b in product(range(g.dim()), repeat=2):
+        lhs = _f_of(f, g.bracket_basis(a, b), zero)
+        rhs = (_act(g, a, _value(f, b, zero)).scale((-1) ** (par[a] * p))
+               - _act(g, b, _value(f, a, zero)).scale(
+                   (-1) ** (par[b] * (p + par[a]))))
+        if lhs != rhs:
+            return (f"pair ({lab[a]}, {lab[b]}): f([a,b]) = {lhs} but "
+                    f"action side = {rhs}")
+    return None
+
+
+def compatibility_reference(g: Superalgebra, d: Cochain) -> str | None:
+    """delta([a,b]) = a.delta(b) - (-1)^{|a||b|} b.delta(a), delta even."""
+    par, lab = g.basis.parities, g.basis.labels
+    zero = Tensor2.zero(g.basis)
+    for a, b in product(range(g.dim()), repeat=2):
+        lhs = _f_of(d, g.bracket_basis(a, b), zero)
+        rhs = (_act(g, a, _value(d, b, zero))
+               - _act(g, b, _value(d, a, zero)).scale(
+                   (-1) ** (par[a] * par[b])))
+        if lhs != rhs:
+            return f"pair ({lab[a]}, {lab[b]}): {lhs} != {rhs}"
+    return None
+
+
+def cojacobi_reference(g: Superalgebra, d: Cochain) -> str | None:
+    """Alt of (delta (x) Id) delta(x), one basis vector x at a time."""
+    bases = (g.basis,) * 3
+    for x in range(g.dim()):
+        dx = d.value(x)
+        if dx is None:
+            continue
+        entries = {}
+        for (u, v), c in dx.entries.items():
+            du = d.value(u)
+            if du is not None:
+                for (i, j), y in du.entries.items():
+                    entries[(i, j, v)] = entries.get((i, j, v), 0) + c * y
+        s = alt_s(Tensor3(bases, entries))
+        if not s.is_zero():
+            return f"at {g.basis.labels[x]}: cyclic sum = {s}"
+    return None
+
+
+def invariance_reference(g: Superalgebra, form: BilinearForm) -> str | None:
+    lab, e = g.basis.labels, g.basis.vector
+    for a, b, c in product(range(g.dim()), repeat=3):
+        lhs = form.pair(g.bracket_basis(a, b), e(c))
+        rhs = form.pair(e(a), g.bracket_basis(b, c))
+        if lhs != rhs:
+            return (f"<[{lab[a]},{lab[b]}],{lab[c]}> = {lhs} but "
+                    f"<{lab[a]},[{lab[b]},{lab[c]}]> = {rhs}")
+    return None
+
+
+def _broken(g: Superalgebra, breaks) -> Superalgebra:
+    """g with C(i,j,k) += c for each break and no mirror: a nonempty list
+    usually leaves the table not super antisymmetric."""
+    consts = dict(g.constants)
+    for i, j, k, c in breaks:
+        consts[(i, j, k)] = consts.get((i, j, k), 0) + c
+    return Superalgebra(g.basis, consts)
+
+
+def _detail(rep):
+    check = rep.checks[0]
+    return None if check.passed else check.detail
+
+
+@given(name=st.sampled_from(sorted(BASES)),
+       tensor_valued=st.booleans(),
+       adjoint_by=index,
+       parity=st.integers(0, 1),
+       changes=st.lists(st.tuples(index, index, index, coefficient),
+                        max_size=3),
+       breaks=st.lists(st.tuples(index, index, index, coefficient),
+                       max_size=1))
+@settings(max_examples=60, deadline=None)
+def test_cochain_checks_match_product_order_references(
+        name, tensor_valued, adjoint_by, parity, changes, breaks):
+    algebra, delta, _ = BASES[name]
+    g = _broken(algebra(), breaks)
+    if tensor_valued:
+        # the catalog cobracket, relabelled with the drawn parity, plus
+        # c * e_i (x) e_j added to the value at e_k
+        f = Cochain(g, 1, parity, dict(delta().values))
+        for k, i, j, c in changes:
+            f.set_value((k,), Tensor2(g.basis, g.basis, {(i, j): c}))
+        zero = Tensor2.zero(g.basis)
+    else:
+        # ad of a basis vector, plus c * e_i added to the value at e_k
+        x = g.basis.vector(adjoint_by)
+        f = Cochain(g, 1, parity, {(k,): g.bracket(x, g.basis.vector(k))
+                                   for k in range(g.dim())})
+        for k, i, _, c in changes:
+            f.set_value((k,), Element(g.basis, {i: c}))
+        zero = g.basis.zero()
+    assert _detail(is_cocycle_1(g, f)) == cocycle_reference(g, f, zero)
+    if tensor_valued:
+        assert (_detail(check_compatibility(g, f))
+                == compatibility_reference(g, f))
+        assert _detail(check_cojacobi(g, f)) == cojacobi_reference(g, f)
+
+
+@given(name=st.sampled_from(sorted(BASES)),
+       changes=st.lists(st.tuples(index, index, coefficient), max_size=2),
+       breaks=st.lists(st.tuples(index, index, index, coefficient),
+                       max_size=1))
+@settings(max_examples=40, deadline=None)
+def test_invariance_matches_product_order_reference(name, changes, breaks):
+    algebra, _, form = BASES[name]
+    g = _broken(algebra(), breaks)
+    gram = [list(row) for row in form().gram]
+    for i, j, c in changes:
+        gram[i][j] += c
+    perturbed = BilinearForm(g.basis, gram)
+    assert (_detail(check_invariance(g, perturbed))
+            == invariance_reference(g, perturbed))

@@ -138,3 +138,37 @@ def test_label_mismatch_rejected():
 def test_bad_scalar_rejected():
     with pytest.raises(ser.SchemaError):
         ser.scalar_from_json({"num": "x", "den": "1"})
+
+
+def test_scalar_accepts_integers_and_decimal_strings():
+    assert ser.scalar_from_json({"num": -3, "den": "+4"}) == Q(-3, 4)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "1.5", " 1", "1e3", None])
+def test_scalar_rejects_non_integers(bad):
+    with pytest.raises(ser.SchemaError):
+        ser.scalar_from_json({"num": bad, "den": "1"})
+    with pytest.raises(ser.SchemaError):
+        ser.scalar_from_json({"num": "1", "den": bad})
+
+
+def test_double_primal_dim_must_be_an_integer():
+    doc = ser.double_to_json(cat.double_of_s())
+    doc["primal_dim"] = float(doc["primal_dim"])
+    with pytest.raises(ser.SchemaError, match="primal_dim"):
+        ser.double_from_json(doc)
+
+
+def test_cochain_values_share_one_module():
+    # the first value is in g (x) g, so an element of g later is refused
+    doc = ser.cochain_to_json(cat.delta_f())
+    doc["values"][-1]["value"] = ser.element_to_json(V("E12"))
+    with pytest.raises(ser.SchemaError, match="2 slots"):
+        ser.cochain_from_json(doc, cat.sl21())
+
+
+def test_tensor_module_refuses_element_values():
+    g = cat.sl21()
+    doc = ser.cochain_to_json(Cochain(g, 1, 1, {(0,): V("E12")}))
+    with pytest.raises(ser.SchemaError, match="2 slots"):
+        ser.cochain_from_json(doc, g, arity=2)
