@@ -10,10 +10,12 @@ for t in g (x) g); the cochain checks in `cohomology` and `bialgebra` call
 them directly.  Both skip the multiplication for a coefficient of +-1 and
 store the first term of a key as it is.
 
-Super antisymmetry is tested in one place, `antisymmetry_failure`.  Once it
-holds, `validate` scans super Jacobi over sorted triples a <= b <= c only:
-the signed cyclic sum is invariant under rotation and changes by a sign
-under a transposition, so the sorted scan decides the axiom and its first
+Each check here is a `VerificationReport.scan` over basis tuples.  Super
+antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted
+pair, which both `validate` and `pairs_to_scan` scan.  Once it holds,
+`validate` scans super Jacobi over sorted triples a <= b <= c only: the
+signed cyclic sum is invariant under rotation and changes by a sign under
+a transposition, so the sorted scan decides the axiom and its first
 failure is also the first in product order.  `pairs_to_scan` gives the
 pairwise checks the same shortcut over a <= b.  When antisymmetry fails,
 every tuple is scanned in product order instead.  `check_invariance`
@@ -157,28 +159,19 @@ class Superalgebra:
         rows = self.rows
         n = self.dim()
 
-        bad = None
-        for (i, j, k), c in self.constants.items():
-            if par[k] != (par[i] + par[j]) % 2:
-                bad = f"C({lab[i]},{lab[j]} -> {lab[k]}) = {c} breaks the grading"
-                break
-        rep.add("grading consistency", bad is None, bad)
+        def misgraded(key, c):
+            i, j, k = key
+            return (None if par[k] == (par[i] + par[j]) % 2 else
+                    f"C({lab[i]},{lab[j]} -> {lab[k]}) = {c} breaks the grading")
+        rep.scan("grading consistency", self.constants.items(), misgraded)
 
-        bad = None
-        pair = self.antisymmetry_failure()
-        if pair is not None:
-            i, j = pair
-            bad = (f"[{lab[j]},{lab[i]}] = {self._table[j][i]} but sign rule "
-                   f"wants {Element.wrap(self.basis, self._mirror(i, j))}")
-        antisymmetric = rep.add("super antisymmetry", bad is None, bad)
+        antisymmetric = rep.scan("super antisymmetry", self._sorted_pairs(),
+                                 self._antisymmetry_failure)
 
         # even self-brackets must vanish (odd ones may not)
-        bad = None
-        for i in range(n):
-            if par[i] == EVEN and rows[i][i]:
-                bad = f"[{lab[i]},{lab[i]}] = {self._table[i][i]} != 0"
-                break
-        rep.add("even self-brackets vanish", bad is None, bad)
+        rep.scan("even self-brackets vanish", product(range(n)),
+                 lambda i: (f"[{lab[i]},{lab[i]}] = {self._table[i][i]} != 0"
+                            if par[i] == EVEN and rows[i][i] else None))
 
         # With antisymmetry, J on a permuted triple is +-J on the sorted
         # one, so J vanishes everywhere iff it does on a <= b <= c, and the
@@ -189,37 +182,33 @@ class Superalgebra:
                        for c in range(b, n))
         else:
             triples = product(range(n), repeat=3)
-        bad = None
-        for a, b, c in triples:
+
+        def jacobi_fails(a, b, c):
             acc = self._jacobi_sum(a, b, c)
-            if any(acc.values()):
-                bad = (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}):"
-                       f" cyclic sum = {Element(self.basis, acc)}")
-                break
-        rep.add("super Jacobi", bad is None, bad)
+            return (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}):"
+                    f" cyclic sum = {Element(self.basis, acc)}"
+                    if any(acc.values()) else None)
+        rep.scan("super Jacobi", triples, jacobi_fails)
         return rep
 
-    def _mirror(self, i: int, j: int) -> dict[int, Fraction]:
-        """The row [e_j, e_i] that super antisymmetry derives from [e_i, e_j]."""
-        par = self.basis.parities
-        keep = par[i] and par[j]
-        return {k: (c if keep else -c) for k, c in self.rows[i][j].items()}
+    def _sorted_pairs(self):
+        n = self.dim()
+        return ((i, j) for i in range(n) for j in range(i, n))
 
-    def antisymmetry_failure(self) -> tuple[int, int] | None:
-        """The first pair (i, j), in product order, whose row [e_j, e_i] is
-        not the mirror of [e_i, e_j]; None when the table is super
-        antisymmetric.
+    def _antisymmetry_failure(self, i: int, j: int) -> str | None:
+        """None when the row [e_j, e_i] is the mirror super antisymmetry
+        derives from [e_i, e_j]; otherwise a detail naming both rows.
 
         Mirroring is an involution, so (i, j) fails iff (j, i) does, and the
-        first failure in product order has i <= j: only those are scanned.
+        first failure in product order has i <= j: only those need a scan.
         """
-        rows = self.rows
-        n = self.dim()
-        for i in range(n):
-            for j in range(i, n):
-                if rows[j][i] != self._mirror(i, j):
-                    return i, j
-        return None
+        keep = self.basis.parities[i] and self.basis.parities[j]
+        mirror = {k: (c if keep else -c) for k, c in self.rows[i][j].items()}
+        if self.rows[j][i] == mirror:
+            return None
+        lab = self.basis.labels
+        return (f"[{lab[j]},{lab[i]}] = {self._table[j][i]} but sign rule "
+                f"wants {Element.wrap(self.basis, mirror)}")
 
     def pairs_to_scan(self):
         """Basis pairs that decide a pairwise condition R(a, b) = 0 whose
@@ -229,10 +218,9 @@ class Superalgebra:
         failing set is closed under swapping, so its first member in product
         order is sorted.  Otherwise every pair, in product order.
         """
-        n = self.dim()
-        if self.antisymmetry_failure() is None:
-            return ((a, b) for a in range(n) for b in range(a, n))
-        return product(range(n), repeat=2)
+        if any(self._antisymmetry_failure(i, j) for i, j in self._sorted_pairs()):
+            return product(range(self.dim()), repeat=2)
+        return self._sorted_pairs()
 
     def _jacobi_sum(self, a: int, b: int, c: int) -> dict[int, Fraction]:
         """Signed cyclic sum of [x,[y,z]] over (a,b,c), (b,c,a), (c,a,b),
@@ -547,19 +535,19 @@ def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:
     for b, c in product(range(n), repeat=2):
         for a, x in right[b][c].items():
             right_t[a][b][c] = x
-    bad = None
-    for i, j in product(range(n), repeat=2):
+
+    def unequal(i, j):
         if _nonzero(left[i][j]) == _nonzero(right_t[i][j]):
-            continue
+            return None
         for k in range(n):
             lhs = left[i][j].get(k, Q(0))
             rhs = right_t[i][j].get(k, Q(0))
             if lhs != rhs:
                 break
-        bad = (f"<[{lab[i]},{lab[j]}],{lab[k]}> = {lhs} but "
-               f"<{lab[i]},[{lab[j]},{lab[k]}]> = {rhs}")
-        break
-    rep.add("invariance <[a,b],c> = <a,[b,c]>", bad is None, bad)
+        return (f"<[{lab[i]},{lab[j]}],{lab[k]}> = {lhs} but "
+                f"<{lab[i]},[{lab[j]},{lab[k]}]> = {rhs}")
+    rep.scan("invariance <[a,b],c> = <a,[b,c]>", product(range(n), repeat=2),
+             unequal)
     return rep
 
 
@@ -571,17 +559,13 @@ def check_homomorphism(phi: LinearMap, source: Superalgebra,
     rep = VerificationReport("bracket homomorphism")
     rep.add("parity preserving", phi.is_parity_preserving())
     lab = source.basis.labels
-    bad = None
-    n = source.dim()
-    for i in range(n):
-        for j in range(n):
-            lhs = phi(source.bracket_basis(i, j))
-            rhs = target.bracket(phi.images[i], phi.images[j])
-            if lhs != rhs:
-                bad = (f"phi[{lab[i]},{lab[j]}] = {lhs} but "
-                       f"[phi {lab[i]}, phi {lab[j]}] = {rhs}")
-                break
-        if bad:
-            break
-    rep.add("bracket preserved", bad is None, bad)
+
+    def breaks(i, j):
+        lhs = phi(source.bracket_basis(i, j))
+        rhs = target.bracket(phi.images[i], phi.images[j])
+        return (None if lhs == rhs else
+                f"phi[{lab[i]},{lab[j]}] = {lhs} but "
+                f"[phi {lab[i]}, phi {lab[j]}] = {rhs}")
+    rep.scan("bracket preserved", product(range(source.dim()), repeat=2),
+             breaks)
     return rep

@@ -1,4 +1,4 @@
-"""Cobrackets, r-matrices and Manin triples.
+"""Cobrackets, r-matrices, the dual bracket and Manin triples.
 
 The graded pairing used to dualize a cobracket is
 
@@ -7,6 +7,23 @@ The graded pairing used to dualize a cobracket is
 which, unwound over a basis, gives the dual bracket
 
     [e_i*, e_j*] = sum_k (-1)^{|e_i||e_j|} delta(e_k)_{ij} e_k*.
+
+The dual is derived in one place, the constant exchange.  With
+[e_i, e_j] = sum_k C(i,j,k) e_k and
+delta(e_k) = sum_{i<j} D(k,i,j) e_i ^ e_j + sum_{i odd} D(k,i,i) e_i ^ e_i
+(wedge basis, e ^ e = 2 e (x) e), the dual algebra carries
+
+    [e_i*, e_j*] = sum_k C*(i,j,k) e_k*,   C*(i,j,k) = (-1)^{|e_i||e_j|} D(k,i,j)
+                                            (i < j);  -2 D(k,i,i)  (i = j)
+
+and the dual cobracket has D*(k,i,j) = (-1)^{|e_i||e_j|} C(k: i,j) for i < j
+and D*(k,i,i) = -C(i,i -> k)/2 on odd diagonals.  The -1/2 (rather than -2)
+is forced by the pairing that defines the dual cobracket and makes the two
+exchange rules mutually inverse.  `dual_bracket` is the C* block of
+`dual_constants`; `wedge_entries` turns a D table back into g (x) g
+entries, both to re-check `extract_constants` and to assemble a dual
+cobracket.  The tests keep the pairing formula above as the independent
+oracle for the exchange.
 
 The cobracket axioms work on plain dicts.  `check_compatibility` scans the
 sorted pairs a <= b once the bracket is super antisymmetric (its residual
@@ -18,17 +35,18 @@ product order otherwise.  `check_cojacobi` adds the three cyclic terms of
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .graded import (
-    EVEN, Q, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
+    EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
     LinearMap, Tensor2, Tensor3, _same_basis, invert_matrix, matmul,
     rank, solve_exact, super_swap, tensor,
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
-    _act_into, _add_into, adjoint_on_tensor2, check_invariance,
-    express_in_span, gram_matrix, is_subalgebra, koszul,
+    _act_into, _add_into, adjoint_on_tensor2, check_homomorphism,
+    check_invariance, express_in_span, gram_matrix, is_subalgebra, koszul,
 )
 from .cohomology import Cochain, coboundary_0, is_cocycle_1
 from .report import VerificationReport
@@ -71,9 +89,14 @@ class Bialgebra:
     def basis(self) -> GradedBasis:
         return self.algebra.basis
 
-    def delta_of(self, i: int) -> Tensor2:
-        v = self.delta.value(i)
-        return v if v is not None else Tensor2.zero(self.basis)
+    def delta_of(self, x: Element) -> Tensor2:
+        """delta(x) = sum_i c_i delta(e_i) for x = sum_i c_i e_i."""
+        acc: dict[tuple[int, int], Fraction] = {}
+        for i, c in x.coeffs.items():
+            v = self.delta.value(i)
+            if v is not None:
+                _add_into(acc, v.entries, c)
+        return Tensor2(self.basis, self.basis, acc)
 
     def verify(self) -> VerificationReport:
         rep = VerificationReport("bialgebra axioms")
@@ -136,19 +159,15 @@ def check_f_equation(g: Superalgebra, f: LinearEndomorphism) -> VerificationRepo
     rep = VerificationReport("f-equation")
     fm1 = f - LinearEndomorphism.identity(g.basis)
     lab = g.basis.labels
-    bad = None
-    n = g.dim()
-    for i in range(n):
-        for j in range(n):
-            x, y = g.basis.vector(i), g.basis.vector(j)
-            lhs = fm1(g.bracket(f(x), f(y)))
-            rhs = f(g.bracket(fm1(x), fm1(y)))
-            if lhs != rhs:
-                bad = f"pair ({lab[i]}, {lab[j]}): {lhs} != {rhs}"
-                break
-        if bad:
-            break
-    rep.add("(f-1)[fx,fy] = f([(f-1)x,(f-1)y])", bad is None, bad)
+
+    def breaks(i, j):
+        x, y = g.basis.vector(i), g.basis.vector(j)
+        lhs = fm1(g.bracket(f(x), f(y)))
+        rhs = f(g.bracket(fm1(x), fm1(y)))
+        return (None if lhs == rhs else
+                f"pair ({lab[i]}, {lab[j]}): {lhs} != {rhs}")
+    rep.scan("(f-1)[fx,fy] = f([(f-1)x,(f-1)y])",
+             product(range(g.dim()), repeat=2), breaks)
     return rep
 
 
@@ -201,11 +220,11 @@ def check_cojacobi(g: Superalgebra, delta: Cochain) -> VerificationReport:
     lab = g.basis.labels
     par = g.basis.parities
     vals = delta.values  # a 1-cochain stores delta(e_k) at (k,), sign 1
-    bad = None
-    for a in range(g.dim()):
+
+    def breaks(a):
         da = vals.get((a,))
         if da is None:
-            continue
+            return None
         acc: dict[tuple[int, int, int], Fraction] = {}
         get = acc.get
         for (u, v), c in da.entries.items():
@@ -224,11 +243,10 @@ def check_cojacobi(g: Superalgebra, delta: Cochain) -> VerificationReport:
                         acc[key] = -x if flip else x
                     else:
                         acc[key] = old - x if flip else old + x
-        if any(acc.values()):
-            bad = (f"at {lab[a]}: cyclic sum = "
-                   f"{Tensor3((g.basis, g.basis, g.basis), acc)}")
-            break
-    rep.add("Alt(delta (x) Id) delta = 0", bad is None, bad)
+        return (f"at {lab[a]}: cyclic sum = "
+                f"{Tensor3((g.basis, g.basis, g.basis), acc)}"
+                if any(acc.values()) else None)
+    rep.scan("Alt(delta (x) Id) delta = 0", product(range(g.dim())), breaks)
     return rep
 
 
@@ -262,19 +280,19 @@ def check_compatibility(g: Superalgebra, delta: Cochain) -> VerificationReport:
         if db is not None:
             _act_into(rhs, g, a, db.entries, s)
 
-    bad = None
-    for a, b in g.pairs_to_scan():
+    def breaks(a, b):
         diff: dict = {}
         sides_into(diff, diff, a, b, -1)
-        if any(diff.values()):
-            lhs: dict = {}
-            rhs: dict = {}
-            sides_into(lhs, rhs, a, b, 1)
-            bad = (f"pair ({lab[a]}, {lab[b]}): "
-                   f"{Tensor2(g.basis, g.basis, lhs)} != "
-                   f"{Tensor2(g.basis, g.basis, rhs)}")
-            break
-    rep.add("delta([a,b]) matches the Leibniz expansion", bad is None, bad)
+        if not any(diff.values()):
+            return None
+        lhs: dict = {}
+        rhs: dict = {}
+        sides_into(lhs, rhs, a, b, 1)
+        return (f"pair ({lab[a]}, {lab[b]}): "
+                f"{Tensor2(g.basis, g.basis, lhs)} != "
+                f"{Tensor2(g.basis, g.basis, rhs)}")
+    rep.scan("delta([a,b]) matches the Leibniz expansion", g.pairs_to_scan(),
+             breaks)
     return rep
 
 
@@ -286,20 +304,106 @@ def dual_basis(basis: GradedBasis) -> GradedBasis:
     return GradedBasis([lab + "*" for lab in basis.labels], basis.parities)
 
 
-def dual_bracket(b: Bialgebra) -> Superalgebra:
-    """The Lie superalgebra on g* defined by pairing against delta."""
-    basis = b.basis
+class InconsistentConstants(ValueError):
+    """A delta value could not be expanded in the ordered wedge basis."""
+
+
+class StructureConstants:
+    """Bracket constants C and wedge-basis cobracket constants D."""
+
+    def __init__(self, basis: GradedBasis,
+                 C: dict[tuple[int, int, int], Fraction],
+                 D: dict[tuple[int, int, int], Fraction]):
+        self.basis = basis
+        self.C = {k: v for k, v in C.items() if v != 0}
+        self.D = {}
+        for (k, i, j), v in D.items():
+            if v == 0:
+                continue
+            if i > j:
+                raise ValueError("D is stored on the ordered wedge basis (i <= j)")
+            if i == j and basis.parity(i) == EVEN:
+                raise ValueError("diagonal D entries need an odd index")
+            self.D[(k, i, j)] = v
+
+
+def wedge_entries(basis: GradedBasis, D: dict[tuple[int, int, int], Fraction]
+                  ) -> dict[int, dict[tuple[int, int], Fraction]]:
+    """The g (x) g entries of delta(e_k) = sum D(k,i,j) e_i ^ e_j, per k.
+
+    Off the diagonal e_i ^ e_j = e_i (x) e_j - (-1)^{|e_i||e_j|} e_j (x) e_i;
+    on it e_i ^ e_i = 2 e_i (x) e_i.  Each entry comes from one D entry.
+    """
     par = basis.parity
-    constants: dict[tuple[int, int, int], Fraction] = {}
+    out: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (k, i, j), d in D.items():
+        ent = out.setdefault(k, {})
+        if i == j:
+            ent[(i, i)] = 2 * d
+        else:
+            ent[(i, j)] = d
+            ent[(j, i)] = -koszul(par(i), par(j)) * d
+    return out
+
+
+def extract_constants(b: Bialgebra) -> StructureConstants:
+    """Read C off the algebra and solve D from the delta table.
+
+    Each delta(e_k) is read on its entries i <= j and re-expanded from them;
+    the two agree iff delta(e_k) is super-skew.
+    """
+    basis = b.basis
+    D: dict[tuple[int, int, int], Fraction] = {}
     for k in range(len(basis)):
-        dk = b.delta.value(k)
-        if dk is None:
+        t = b.delta.value(k)
+        if t is None:
             continue
-        for (i, j), c in dk.entries.items():
-            val = koszul(par(i), par(j)) * c
-            if val != 0:
-                constants[(i, j, k)] = constants.get((i, j, k), Q(0)) + val
-    out = Superalgebra(dual_basis(basis), constants)
+        row: dict[tuple[int, int, int], Fraction] = {}
+        for (i, j), c in t.entries.items():
+            if i < j:
+                row[(k, i, j)] = c
+            elif i == j:
+                if basis.parity(i) == EVEN:
+                    raise InconsistentConstants(
+                        f"delta({basis.labels[k]}) has an even diagonal entry")
+                row[(k, i, i)] = c / 2
+        if wedge_entries(basis, row).get(k) != t.entries:
+            raise InconsistentConstants(
+                f"delta({basis.labels[k]}) is not super-skew")
+        D.update(row)
+    return StructureConstants(basis, dict(b.algebra.constants), D)
+
+
+def dual_constants(sc: StructureConstants) -> StructureConstants:
+    """Exchange C and D to produce the constants of the dual algebra.
+
+    The dual bracket gets the (-1)^{|i||j|} / -2 factors; the dual
+    cobracket gets (-1)^{|i||j|} off the diagonal and -1/2 on odd
+    diagonals, making the exchange an involution.
+    """
+    par = sc.basis.parity
+    # each D entry (k, i <= j) fills its own keys, as does each C entry
+    Cd: dict[tuple[int, int, int], Fraction] = {}
+    for (k, i, j), d in sc.D.items():
+        if i == j:
+            Cd[(i, i, k)] = -2 * d
+        else:
+            Cd[(i, j, k)] = koszul(par(i), par(j)) * d
+            # super antisymmetry fills the transposed pair
+            Cd[(j, i, k)] = -d
+    Dd: dict[tuple[int, int, int], Fraction] = {}
+    for (i, j, k), c in sc.C.items():
+        if i < j:
+            Dd[(k, i, j)] = koszul(par(i), par(j)) * c
+        elif i == j:
+            Dd[(k, i, i)] = -c / 2
+    return StructureConstants(dual_basis(sc.basis), Cd, Dd)
+
+
+def dual_bracket(b: Bialgebra) -> Superalgebra:
+    """The Lie superalgebra on g*: the C block of the constant exchange."""
+    out = Superalgebra(dual_basis(b.basis),
+                       dual_constants(extract_constants(b)).C)
     rep = out.validate()
     if not rep.passed:
         raise InvalidBialgebra(f"dual bracket is not a Lie superalgebra: "
@@ -348,11 +452,7 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
         pair_cols.append([t[(i, j)] for i in range(n) for j in range(n)])
     delta_sub = Cochain(sub_alg, 1, b.delta.parity)
     for s_idx, v in enumerate(sub):
-        total = Tensor2.zero(g.basis)
-        for i, c in v.coeffs.items():
-            dv = b.delta.value(i)
-            if dv is not None:
-                total = total + dv.scale(c)
+        total = b.delta_of(v)
         target = [total[(i, j)] for i in range(n) for j in range(n)]
         sol = solve_exact(pair_cols, target)
         if sol is None:
@@ -380,23 +480,14 @@ def opposite(b: Bialgebra) -> Bialgebra:
 def check_bialgebra_homomorphism(phi: LinearMap, source: Bialgebra,
                                  target: Bialgebra) -> VerificationReport:
     """Bracket homomorphism plus (phi (x) phi) o delta_src = delta_tgt o phi."""
-    from .algebra import check_homomorphism
     rep = check_homomorphism(phi, source.algebra, target.algebra)
-    bad = None
-    for k in range(len(source.basis)):
-        sv = source.delta.value(k)
-        lhs = (phi.apply_tensor2(sv) if sv is not None
-               else Tensor2.zero(target.basis))
-        rhs = Tensor2.zero(target.basis)
-        for i, c in phi.images[k].coeffs.items():
-            tv = target.delta.value(i)
-            if tv is not None:
-                rhs = rhs + tv.scale(c)
-        if lhs != rhs:
-            bad = (f"cobracket breaks on {source.basis.labels[k]}: "
-                   f"{lhs} != {rhs}")
-            break
-    rep.add("cobracket preserved", bad is None, bad)
+
+    def breaks(k):
+        lhs = phi.apply_tensor2(source.delta_of(source.basis.vector(k)))
+        rhs = target.delta_of(phi.images[k])
+        return (None if lhs == rhs else
+                f"cobracket breaks on {source.basis.labels[k]}: {lhs} != {rhs}")
+    rep.scan("cobracket preserved", product(range(len(source.basis))), breaks)
     return rep
 
 
@@ -435,17 +526,12 @@ def check_manin_triple(t: ManinTriple) -> VerificationReport:
             ok = False
         rep.add(f"{name} is a subalgebra", ok)
 
+    def pairs_nonzero(a, bb):
+        val = t.form.pair(a, bb)
+        return None if val == 0 else f"<{a}, {bb}> = {val}"
     for name, part in (("plus", t.plus), ("minus", t.minus)):
-        bad = None
-        for a in part:
-            for bb in part:
-                val = t.form.pair(a, bb)
-                if val != 0:
-                    bad = f"<{a}, {bb}> = {val}"
-                    break
-            if bad:
-                break
-        rep.add(f"{name} is isotropic", bad is None, bad)
+        rep.scan(f"{name} is isotropic", product(part, repeat=2),
+                 pairs_nonzero)
 
     rep.add("form is super-symmetric", t.form.is_supersymmetric())
     rep.add("form is nondegenerate", t.form.is_nondegenerate())

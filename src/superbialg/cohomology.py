@@ -315,20 +315,19 @@ def is_cocycle_1(g: Superalgebra, delta: Cochain) -> VerificationReport:
             _act_value_into(rhs, g, b, fa,
                             -s * koszul(par[b], (p + par[a]) % 2))
 
-    bad = None
-    for a, b in g.pairs_to_scan():
+    def breaks(a, b):
         diff: dict = {}
         sides_into(diff, diff, a, b, -1)
-        if any(diff.values()):
-            lhs: dict = {}
-            rhs: dict = {}
-            sides_into(lhs, rhs, a, b, 1)
-            like = next(iter(vals.values()))
-            bad = (f"pair ({lab[a]}, {lab[b]}): f([a,b]) = "
-                   f"{_value_of(g, like, lhs)} but action side = "
-                   f"{_value_of(g, like, rhs)}")
-            break
-    rep.add("pairwise super cocycle condition", bad is None, bad)
+        if not any(diff.values()):
+            return None
+        lhs: dict = {}
+        rhs: dict = {}
+        sides_into(lhs, rhs, a, b, 1)
+        like = next(iter(vals.values()))
+        return (f"pair ({lab[a]}, {lab[b]}): f([a,b]) = "
+                f"{_value_of(g, like, lhs)} but action side = "
+                f"{_value_of(g, like, rhs)}")
+    rep.scan("pairwise super cocycle condition", g.pairs_to_scan(), breaks)
 
     d2 = coboundary(g, delta)
     rep.add("coboundary vanishes", d2.is_zero(),

@@ -1,32 +1,28 @@
 """The Drinfeld double of a finite-dimensional Lie superbialgebra.
 
-Constants convention: with [e_i, e_j] = sum_k C(i,j,k) e_k and
-delta(e_k) = sum_{i<j} D(k,i,j) e_i ^ e_j + sum_{i odd} D(k,i,i) e_i ^ e_i
-(wedge basis, e ^ e = 2 e (x) e), the dual algebra carries
-
-    [e_i*, e_j*] = sum_k C*(i,j,k) e_k*,   C*(i,j,k) = (-1)^{|e_i||e_j|} D(k,i,j)
-                                            (i < j);  -2 D(k,i,i)  (i = j)
-
-and the dual cobracket has D*(k,i,j) = (-1)^{|e_i||e_j|} C(k: i,j) for i < j
-and D*(k,i,i) = -C(i,i -> k)/2 on odd diagonals.  The -1/2 (rather than -2)
-is forced by the pairing that defines the dual cobracket and makes the two
-exchange rules mutually inverse.
-
+The constants C, D of a bialgebra and C*, D* of its dual come from the
+constant exchange in `bialgebra` (`extract_constants`, `dual_constants`).
 The double lives on basis (e_1..e_n, e_1*..e_n*) with
 
     [e_i , e_j ]  = primal bracket
-    [e_i*, e_j*]  = dual bracket (as above, no argument twist)
+    [e_i*, e_j*]  = dual bracket (C*, no argument twist)
     [e_i*, e_j ]  = sum_k C*(k,i -> j) e_k  +  sum_k C(j,k -> i) e_k*
 
 where the mixed bracket is the unique one making the pairing
-<e_i*, e_j> = delta_ij, <e_i, e_j*> = (-1)^{|e_i|} delta_ij invariant.
-The cobracket is delta on the primal block and minus the dual cobracket on
-the dual block; the canonical r-matrix is sum_i e_i (x) e_i*.
+<e_i*, e_j> = delta_ij, <e_i, e_j*> = (-1)^{|e_i|} delta_ij invariant; it
+and its super-antisymmetric mirror are read off the nonzero C and C*
+entries.  The cobracket is delta on the primal block and minus the dual
+cobracket (D*, expanded by `wedge_entries`) on the dual block; the
+canonical r-matrix is sum_i e_i (x) e_i*.
+
+`identify` composes the existing checks: bijectivity, then
+`check_bialgebra_homomorphism` against the target, then the form pullback.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .graded import (
     EVEN, Q, GradedBasis, LinearMap, Tensor2, super_swap,
@@ -35,117 +31,15 @@ from .algebra import (
     BilinearForm, Superalgebra, adjoint_on_tensor2, check_invariance, koszul,
 )
 from .bialgebra import (
-    Bialgebra, check_cojacobi, dual_basis,
+    Bialgebra, check_bialgebra_homomorphism, check_cojacobi, dual_constants,
+    extract_constants, wedge_entries,
 )
 from .cohomology import Cochain, coboundary_0, is_cocycle_1
 from .report import VerificationReport
 
 
-class InconsistentConstants(ValueError):
-    """A delta value could not be expanded in the ordered wedge basis."""
-
-
 class DoubleConstructionError(ValueError):
     """The constructed double failed one of its defining axioms."""
-
-
-class StructureConstants:
-    """Bracket constants C and wedge-basis cobracket constants D."""
-
-    def __init__(self, basis: GradedBasis,
-                 C: dict[tuple[int, int, int], Fraction],
-                 D: dict[tuple[int, int, int], Fraction]):
-        self.basis = basis
-        self.C = {k: v for k, v in C.items() if v != 0}
-        self.D = {}
-        for (k, i, j), v in D.items():
-            if v == 0:
-                continue
-            if i > j:
-                raise ValueError("D is stored on the ordered wedge basis (i <= j)")
-            if i == j and basis.parity(i) == EVEN:
-                raise ValueError("diagonal D entries need an odd index")
-            self.D[(k, i, j)] = v
-
-
-def extract_constants(b: Bialgebra) -> StructureConstants:
-    """Read C off the algebra and solve D from the delta table."""
-    basis = b.basis
-    par = basis.parity
-    D: dict[tuple[int, int, int], Fraction] = {}
-    for k in range(len(basis)):
-        t = b.delta.value(k)
-        if t is None:
-            continue
-        # expand in the ordered wedge basis and re-check the expansion
-        recon: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in t.entries.items():
-            if i < j:
-                D[(k, i, j)] = c
-            elif i == j:
-                if par(i) == EVEN:
-                    raise InconsistentConstants(
-                        f"delta({basis.labels[k]}) has an even diagonal entry")
-                D[(k, i, i)] = c / 2
-        for (k2, i, j), d in list(D.items()):
-            if k2 != k:
-                continue
-            if i == j:
-                recon[(i, i)] = recon.get((i, i), Q(0)) + 2 * d
-            else:
-                recon[(i, j)] = recon.get((i, j), Q(0)) + d
-                recon[(j, i)] = recon.get((j, i), Q(0)) - koszul(par(i), par(j)) * d
-        if Tensor2(basis, basis, recon) != t:
-            raise InconsistentConstants(
-                f"delta({basis.labels[k]}) is not super-skew")
-    return StructureConstants(basis, dict(b.algebra.constants), D)
-
-
-def dual_constants(sc: StructureConstants) -> StructureConstants:
-    """Exchange C and D to produce the constants of the dual algebra.
-
-    The dual bracket gets the (-1)^{|i||j|} / -2 factors; the dual
-    cobracket gets (-1)^{|i||j|} off the diagonal and -1/2 on odd
-    diagonals, making the exchange an involution.
-    """
-    par = sc.basis.parity
-    Cd: dict[tuple[int, int, int], Fraction] = {}
-    for (k, i, j), d in sc.D.items():
-        if i == j:
-            Cd[(i, i, k)] = Cd.get((i, i, k), Q(0)) - 2 * d
-        else:
-            c = koszul(par(i), par(j)) * d
-            Cd[(i, j, k)] = Cd.get((i, j, k), Q(0)) + c
-            # super antisymmetry fills the transposed pair
-            Cd[(j, i, k)] = Cd.get((j, i, k), Q(0)) - koszul(par(i), par(j)) * c
-    Dd: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), c in sc.C.items():
-        if i < j:
-            Dd[(k, i, j)] = Dd.get((k, i, j), Q(0)) + koszul(par(i), par(j)) * c
-        elif i == j:
-            Dd[(k, i, i)] = Dd.get((k, i, i), Q(0)) - c / 2
-    return StructureConstants(dual_basis(sc.basis), Cd, Dd)
-
-
-def dual_delta_cochain(g_dual: Superalgebra,
-                       sc_dual: StructureConstants) -> Cochain:
-    """Assemble the wedge-basis D table of g* into a 1-cochain on g*."""
-    basis = g_dual.basis
-    par = basis.parity
-    delta = Cochain(g_dual, 1, EVEN)
-    values: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for (k, i, j), d in sc_dual.D.items():
-        ent = values.setdefault(k, {})
-        if i == j:
-            ent[(i, i)] = ent.get((i, i), Q(0)) + 2 * d
-        else:
-            ent[(i, j)] = ent.get((i, j), Q(0)) + d
-            ent[(j, i)] = ent.get((j, i), Q(0)) - koszul(par(i), par(j)) * d
-    for k, ent in values.items():
-        t = Tensor2(basis, basis, ent)
-        if not t.is_zero():
-            delta.set_value((k,), t)
-    return delta
 
 
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:
@@ -156,8 +50,10 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     surface here.
     """
     scd = dual_constants(extract_constants(b))
-    g_dual = Superalgebra(dual_basis(b.basis), scd.C)
-    return Bialgebra(g_dual, dual_delta_cochain(g_dual, scd))
+    g_dual = Superalgebra(scd.basis, scd.C)
+    values = {(k,): Tensor2(scd.basis, scd.basis, ent)
+              for k, ent in wedge_entries(scd.basis, scd.D).items()}
+    return Bialgebra(g_dual, Cochain(g_dual, 1, EVEN, values))
 
 
 class DoubleAlgebra:
@@ -197,31 +93,21 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     labels = list(basis.labels) + [lab + "*" for lab in basis.labels]
     dbasis = GradedBasis(labels, list(basis.parities) * 2)
 
-    constants: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), c in sc.C.items():
-        constants[(i, j, k)] = c
+    constants = dict(sc.C)
     for (i, j, k), c in scd.C.items():
         constants[(n + i, n + j, n + k)] = c
 
-    # mixed block [e_i*, e_j], then its super-antisymmetric mirror
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c = scd.C.get((k, i, j), Q(0))  # coefficient of e_j* in [e_k*, e_i*]
-                if c != 0:
-                    constants[(n + i, j, k)] = constants.get((n + i, j, k), Q(0)) + c
-                c2 = sc.C.get((j, k, i), Q(0))  # coefficient of e_i in [e_j, e_k]
-                if c2 != 0:
-                    constants[(n + i, j, n + k)] = (
-                        constants.get((n + i, j, n + k), Q(0)) + c2)
-    for i in range(n):
-        for j in range(n):
-            s = -koszul(par(i), par(j))
-            for k in range(2 * n):
-                c = constants.get((n + i, j, k), Q(0))
-                if c != 0:
-                    constants[(j, n + i, k)] = (
-                        constants.get((j, n + i, k), Q(0)) + s * c)
+    # mixed block: [e_i*, e_j] has c e_k where [e_k*, e_i*] has c e_j*, and
+    # c e_k* where [e_j, e_k] has c e_i; then its super-antisymmetric mirror.
+    # Each C or C* entry gives one key, and no key of the four blocks repeats.
+    mixed: dict[tuple[int, int, int], Fraction] = {}
+    for (k, i, j), c in scd.C.items():
+        mixed[(i, j, k)] = c
+    for (j, k, i), c in sc.C.items():
+        mixed[(i, j, n + k)] = c
+    for (i, j, k), c in mixed.items():
+        constants[(n + i, j, k)] = c
+        constants[(j, n + i, k)] = -koszul(par(i), par(j)) * c
 
     underlying = Superalgebra(dbasis, constants)
     bracket_axioms = underlying.validate()
@@ -237,13 +123,9 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
         t = b.delta.value(k)
         if t is not None:
             delta.set_value((k,), Tensor2(dbasis, dbasis, dict(t.entries)))
-    g_dual = Superalgebra(dual_basis(basis), scd.C)
-    ddual = dual_delta_cochain(g_dual, scd)
-    for k in range(n):
-        t = ddual.value(k)
-        if t is not None:
-            shifted = {(n + i, n + j): -c for (i, j), c in t.entries.items()}
-            delta.set_value((n + k,), Tensor2(dbasis, dbasis, shifted))
+    for k, ent in sorted(wedge_entries(basis, scd.D).items()):
+        shifted = {(n + i, n + j): -c for (i, j), c in ent.items()}
+        delta.set_value((n + k,), Tensor2(dbasis, dbasis, shifted))
 
     gram = [[Q(0)] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -283,12 +165,12 @@ def check_canonical_r(d: DoubleAlgebra) -> VerificationReport:
     rep.add("d(canonical r) = delta", same, detail)
 
     sym = d.canonical_r + super_swap(d.canonical_r)
-    bad = None
-    for a in range(g.dim()):
-        if not adjoint_on_tensor2(g, g.basis.vector(a), sym).is_zero():
-            bad = f"a = {g.basis.labels[a]} moves r + T(r)"
-            break
-    rep.add("r + T(r) is adjoint-invariant", bad is None, bad)
+
+    def moves(a):
+        moved = adjoint_on_tensor2(g, g.basis.vector(a), sym)
+        return (None if moved.is_zero() else
+                f"a = {g.basis.labels[a]} moves r + T(r)")
+    rep.scan("r + T(r) is adjoint-invariant", product(range(g.dim())), moves)
     return rep
 
 
@@ -296,10 +178,10 @@ def identify(d: DoubleAlgebra, target: Bialgebra, phi: LinearMap,
              target_form: BilinearForm | None = None) -> VerificationReport:
     """Verify that phi identifies the double with the target bialgebra.
 
-    Checks bijectivity, the bracket homomorphism property, the cobracket
-    homomorphism property (phi (x) phi) o delta_d = delta_target o phi, and
-    (when a target form is supplied) that the double's pairing pulls back
-    to it entry for entry.
+    Checks bijectivity, that phi is a bialgebra homomorphism (parity,
+    brackets, and (phi (x) phi) o delta_d = delta_target o phi, through
+    `check_bialgebra_homomorphism`), and (when a target form is supplied)
+    that the double's pairing pulls back to it entry for entry.
     """
     rep = VerificationReport("double identification")
     g = d.underlying
@@ -309,48 +191,17 @@ def identify(d: DoubleAlgebra, target: Bialgebra, phi: LinearMap,
         return rep
     rep.add("map connects double to target", True)
     rep.add("bijective", phi.is_bijective())
-    rep.add("parity preserving", phi.is_parity_preserving())
-
-    lab = g.basis.labels
-    bad = None
-    for i in range(g.dim()):
-        for j in range(g.dim()):
-            lhs = phi(g.bracket_basis(i, j))
-            rhs = target.algebra.bracket(phi.images[i], phi.images[j])
-            if lhs != rhs:
-                bad = f"bracket breaks on ({lab[i]}, {lab[j]}): {lhs} != {rhs}"
-                break
-        if bad:
-            break
-    rep.add("bracket homomorphism", bad is None, bad)
-
-    bad = None
-    for k in range(g.dim()):
-        t = d.delta.value(k)
-        lhs = (phi.apply_tensor2(t) if t is not None
-               else Tensor2.zero(target.basis))
-        img = phi.images[k]
-        rhs = Tensor2.zero(target.basis)
-        for i, c in img.coeffs.items():
-            tv = target.delta.value(i)
-            if tv is not None:
-                rhs = rhs + tv.scale(c)
-        if lhs != rhs:
-            bad = f"cobracket breaks on {lab[k]}: {lhs} != {rhs}"
-            break
-    rep.add("cobracket homomorphism", bad is None, bad)
+    rep.merge(check_bialgebra_homomorphism(phi, d.as_bialgebra(), target))
 
     if target_form is not None:
-        bad = None
-        for i in range(g.dim()):
-            for j in range(g.dim()):
-                want = d.form.gram[i][j]
-                got = target_form.pair(phi.images[i], phi.images[j])
-                if want != got:
-                    bad = (f"form pullback breaks at ({lab[i]}, {lab[j]}): "
-                           f"{got} != {want}")
-                    break
-            if bad:
-                break
-        rep.add("form pulls back to the target form", bad is None, bad)
+        lab = g.basis.labels
+
+        def breaks(i, j):
+            want = d.form.gram[i][j]
+            got = target_form.pair(phi.images[i], phi.images[j])
+            return (None if want == got else
+                    f"form pullback breaks at ({lab[i]}, {lab[j]}): "
+                    f"{got} != {want}")
+        rep.scan("form pulls back to the target form",
+                 product(range(g.dim()), repeat=2), breaks)
     return rep

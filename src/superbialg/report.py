@@ -1,6 +1,14 @@
-"""Structured pass/fail reports for the verification operations."""
+"""Structured pass/fail reports for the verification operations.
+
+Most checks in the package scan basis tuples and stop at the first
+counterexample.  `VerificationReport.scan` is that scan, written once: each
+check supplies the tuples, in the order that decides which counterexample
+comes first, and a function naming the failure at one tuple.
+"""
 
 from __future__ import annotations
+
+from typing import Callable, Iterable
 
 
 class Check:
@@ -31,6 +39,21 @@ class VerificationReport:
     def add(self, name: str, passed: bool, detail: str | None = None) -> bool:
         self.checks.append(Check(name, passed, detail))
         return passed
+
+    def scan(self, name: str, tuples: Iterable[tuple],
+             fails: Callable[..., str | None]) -> bool:
+        """Add the check `name`, decided by the first counterexample.
+
+        `fails(*t)` runs over `tuples` in order; it returns None where the
+        condition holds and a detail naming the counterexample where it
+        does not.  The first detail fails the check and ends the scan.
+        Returns whether the check passed.
+        """
+        for t in tuples:
+            detail = fails(*t)
+            if detail is not None:
+                return self.add(name, False, detail)
+        return self.add(name, True)
 
     def merge(self, other: "VerificationReport", prefix: str = ""):
         for c in other.checks:

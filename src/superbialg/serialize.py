@@ -242,13 +242,15 @@ def cochain_from_json(d, g: Superalgebra, arity: int | None = None) -> Cochain:
         raise SchemaError(f"cochain degree {degree} is negative")
     out = Cochain(g, degree, _parity(parity, "cochain parity"))
     n = len(g.basis)
-    for ent in _objects(d, "values"):
-        args = ent["args"]
+    for pos, ent in enumerate(_objects(d, "values")):
+        try:
+            args, vj = ent["args"], ent["value"]
+        except KeyError as e:
+            raise SchemaError(f"cochain value {pos} needs {e} field") from e
         if not isinstance(args, list) or len(args) != out.degree:
             raise SchemaError(f"cochain args {args!r} must list "
                               f"{out.degree} indices")
         args = tuple(_index(a, n, "cochain argument") for a in args)
-        vj = ent["value"]
         if arity is None:
             arity = _first_arity(vj)
         if arity == 1:
@@ -323,14 +325,17 @@ def double_to_json(dd: DoubleAlgebra) -> dict:
 def double_from_json(d) -> DoubleAlgebra:
     if d.get("type") != "double":
         raise SchemaError("expected a document with type = 'double'")
-    alg = superalgebra_from_json(d["algebra"])
-    return DoubleAlgebra(
-        underlying=alg,
-        delta=cochain_from_json(d["delta"], alg, arity=2),
-        form=gram_from_json(d["gram"], alg.basis),
-        canonical_r=tensor2_from_json(d["canonical_r"], alg.basis),
-        primal_dim=_integer(d["primal_dim"], "primal_dim"),
-    )
+    try:
+        alg = superalgebra_from_json(d["algebra"])
+        return DoubleAlgebra(
+            underlying=alg,
+            delta=cochain_from_json(d["delta"], alg, arity=2),
+            form=gram_from_json(d["gram"], alg.basis),
+            canonical_r=tensor2_from_json(d["canonical_r"], alg.basis),
+            primal_dim=_integer(d["primal_dim"], "primal_dim"),
+        )
+    except KeyError as e:
+        raise SchemaError(f"double JSON needs {e} field") from e
 
 
 def dump(obj: dict, path: str | None = None) -> str:

@@ -95,6 +95,12 @@ def test_validate_even_self_bracket_breaks_antisymmetry():
     ]
 
 
+def test_validate_names_a_misgraded_constant():
+    rep = Superalgebra(SB, {(0, 1, 2): Q(1)}).validate()  # [h,x] = y1
+    assert [(c.name, c.detail) for c in rep.failures][:1] == [
+        ("grading consistency", "C(h,x -> y1) = 1 breaks the grading")]
+
+
 def test_validate_perturbed_sl21_names_both_failures():
     consts = dict(cat.sl21().constants)
     consts[(0, 2, 2)] = 2 * consts[(0, 2, 2)]  # [E11+E33, E12] = 2*E12
@@ -367,6 +373,8 @@ def test_wrong_sign_breaks_homomorphism():
     bad = LinearMap(SB, B, images)
     rep = check_homomorphism(bad, cat.s_algebra(), cat.sl21())
     assert not rep.passed
+    assert str(rep.first_failure()) == (
+        "FAIL bracket preserved (phi[x,y2] = E13 but [phi x, phi y2] = -E13)")
 
 
 # -- solvability --------------------------------------------------------------

@@ -14,7 +14,7 @@ from superbialg.bialgebra import (
 )
 from superbialg.cohomology import Cochain
 from superbialg.graded import (
-    GradedBasis, LinearEndomorphism, Tensor2, tensor, wedge,
+    GradedBasis, LinearEndomorphism, LinearMap, Tensor2, tensor, wedge,
 )
 
 B = cat.sl21_basis()
@@ -80,6 +80,13 @@ def test_f_equation_for_standard_map():
 
 
 # -- unitarity ---------------------------------------------------------------------
+
+def test_f_equation_names_the_first_broken_pair():
+    g = cat.sl21()
+    twice = LinearEndomorphism(B, [v.scale(2) for v in B.vectors()])
+    assert check_f_equation(g, twice).first_failure().detail == (
+        "pair (E11+E33, E12): 4*E12 != 2*E12")
+
 
 def test_unitarity_for_both_r_matrices():
     assert check_unitarity(cat.r_f(), cat.omega()).passed
@@ -191,6 +198,12 @@ def test_dual_bracket_second_structure():
     assert cat.dual_matches_table(d, cat.dual_bracket_table_2())
 
 
+def test_dual_bracket_t_structures():
+    for bial, table in ((cat.t_bialgebra_1(), cat.dual_bracket_table_t1()),
+                        (cat.t_bialgebra_2(), cat.dual_bracket_table_t2())):
+        assert cat.dual_matches_table(dual_bracket(bial), table)
+
+
 def test_dual_bracket_of_zero_delta_is_abelian():
     b = Bialgebra(cat.s_algebra(), Cochain(cat.s_algebra(), 1, 0))
     assert dual_bracket(b).constants == {}
@@ -252,6 +265,19 @@ def test_opposite_of_first_is_second():
     assert rep.passed
 
 
+def test_bialgebra_homomorphism_names_the_broken_cobracket():
+    # the identity preserves the bracket of s, but delta_1 = -delta_2
+    ident = LinearMap(SB, SB, SB.vectors())
+    rep = check_bialgebra_homomorphism(ident, cat.s_bialgebra_1(),
+                                       cat.s_bialgebra_2())
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("parity preserving", True, None),
+        ("bracket preserved", True, None),
+        ("cobracket preserved", False,
+         "cobracket breaks on h: -2*y1⊗y1 != 2*y1⊗y1"),
+    ]
+
+
 def test_opposite_is_an_involution():
     b = cat.s_bialgebra_1()
     bb = opposite(opposite(b))
@@ -285,6 +311,16 @@ def test_manin_triple_fails_without_direct_sum():
     rep = check_manin_triple(t)
     assert not rep.passed
     assert any("direct sum" in c.name for c in rep.failures)
+
+
+def test_manin_triple_names_a_nonisotropic_pair():
+    # swap the last vectors of the two halves of the exotic split
+    t = cat.manin_triple_s()
+    swapped = ManinTriple(t.ambient, t.form, t.plus[:3] + t.minus[3:],
+                          t.minus[:3] + t.plus[3:])
+    details = {c.name: c.detail for c in check_manin_triple(swapped).checks}
+    assert details["plus is isotropic"] == "<E13, E13 + E31> = 1"
+    assert details["minus is isotropic"] == "<E23, E23 + E32> = 1"
 
 
 def test_compatibility_needs_a_1_cochain():

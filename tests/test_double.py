@@ -6,14 +6,16 @@ import pytest
 
 from superbialg import catalog as cat
 from superbialg import serialize as ser
-from superbialg.algebra import Superalgebra, koszul
+from superbialg.algebra import BilinearForm, Superalgebra, koszul
 from superbialg.bialgebra import Bialgebra, dual_bracket
 from superbialg.cohomology import Cochain, coboundary_0
 from superbialg.double import (
-    DoubleConstructionError, build_double, check_canonical_r, dual_bialgebra,
-    dual_constants, extract_constants, identify,
+    DoubleAlgebra, DoubleConstructionError, build_double, check_canonical_r,
+    dual_bialgebra, dual_constants, extract_constants, identify,
 )
 from superbialg.graded import GradedBasis, LinearMap, Tensor2
+
+from oracles import pairing_dual_bracket
 
 SB = cat.s_basis()
 
@@ -61,13 +63,17 @@ def test_exchange_is_an_involution():
 
 
 def test_dual_constants_agree_with_pairing_dual():
-    # two independent derivations of the dual bracket
+    # two independent derivations of the dual bracket, on the four
+    # restricted structures and on both 8-dimensional doubles
     for bial in (cat.s_bialgebra_1(), cat.s_bialgebra_2(),
-                 cat.t_bialgebra_1(), cat.t_bialgebra_2()):
+                 cat.t_bialgebra_1(), cat.t_bialgebra_2(),
+                 cat.double_of_s().as_bialgebra(),
+                 cat.double_of_t().as_bialgebra()):
         scd = dual_constants(extract_constants(bial))
-        via_pairing = dual_bracket(bial)
+        via_pairing = pairing_dual_bracket(bial)
         assert Superalgebra(via_pairing.basis, scd.C).constants \
             == via_pairing.constants
+        assert dual_bracket(bial).constants == via_pairing.constants
 
 
 def test_dual_bialgebra_is_a_valid_bialgebra():
@@ -175,6 +181,18 @@ def test_canonical_r_of_both_doubles():
     assert check_canonical_r(cat.double_of_t()).passed
 
 
+def test_canonical_r_names_a_vector_that_moves_the_symmetric_part():
+    d = cat.double_of_s()
+    basis = d.underlying.basis
+    r = d.canonical_r + Tensor2(basis, basis, {(0, 0): Q(1)})  # + h (x) h
+    rep = check_canonical_r(DoubleAlgebra(d.underlying, d.delta, d.form, r,
+                                          d.primal_dim))
+    assert [(c.name, c.detail) for c in rep.failures] == [
+        ("d(canonical r) = delta", "d(r) - delta has 4 nonzero values"),
+        ("r + T(r) is adjoint-invariant", "a = x moves r + T(r)"),
+    ]
+
+
 def test_canonical_r_reproduces_delta():
     d = cat.double_of_s()
     assert coboundary_0(d.underlying, d.canonical_r) == d.delta
@@ -204,6 +222,26 @@ def test_identify_detects_a_flipped_sign():
     assert not rep.passed
     broken = [c for c in rep.failures if "bracket" in c.name]
     assert broken and broken[0].detail  # violated pair is reported
+
+
+def test_identify_runs_each_check_once():
+    rep = identify(cat.double_of_s(), cat.bialgebra_f(),
+                   cat.double_s_identification(), cat.supertrace_gram())
+    assert [c.name for c in rep.checks] == [
+        "map connects double to target", "bijective", "parity preserving",
+        "bracket preserved", "cobracket preserved",
+        "form pulls back to the target form"]
+
+
+def test_identify_names_the_first_broken_form_entry():
+    gram = cat.supertrace_gram()
+    doubled = BilinearForm(gram.basis, [[2 * x for x in row]
+                                        for row in gram.gram])
+    rep = identify(cat.double_of_s(), cat.bialgebra_f(),
+                   cat.double_s_identification(), doubled)
+    assert [(c.name, c.detail) for c in rep.failures] == [
+        ("form pulls back to the target form",
+         "form pullback breaks at (h, h*): 2 != 1")]
 
 
 def test_form_pullback_equals_supertrace_gram():

@@ -128,6 +128,29 @@ def test_double_type_tag_required():
         ser.double_from_json(doc)
 
 
+@pytest.mark.parametrize("path", [
+    ("algebra",), ("delta",), ("gram",), ("canonical_r",), ("primal_dim",),
+    ("delta", "values", 0, "args"),
+], ids=lambda path: "/".join(map(str, path)))
+def test_double_missing_field_is_a_schema_error(path):
+    doc = ser.double_to_json(cat.double_of_s())
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    with pytest.raises(ser.SchemaError, match=repr(path[-1])):
+        ser.double_from_json(doc)
+
+
+@pytest.mark.parametrize("field", ["args", "value"])
+def test_cochain_value_missing_field_is_named(field):
+    doc = ser.bialgebra_to_json(cat.bialgebra_f())
+    del doc["delta"]["values"][2][field]
+    with pytest.raises(ser.SchemaError,
+                       match=f"cochain value 2 needs '{field}' field"):
+        ser.bialgebra_from_json(doc)
+
+
 def test_label_mismatch_rejected():
     doc = ser.tensor2_to_json(cat.r_f())
     doc["basis"][0] = "renamed"
