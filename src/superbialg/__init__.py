@@ -2,8 +2,9 @@
 
 The package is organized bottom-up:
 
-* `graded` -- rational sparse elements / tensors over Z/2-graded bases and
-  the Koszul-signed operations (tensor, wedge, super swap, signed cycle);
+* `graded` -- one rational sparse tensor type of any rank over a Z/2-graded
+  basis and the Koszul-signed operations (tensor, wedge, super swap, signed
+  cycle);
 * `algebra` -- Lie superalgebras from structure constants, matrix
   realizations, the supertrace form, axiom and homomorphism checks;
 * `cohomology` -- super-alternating cochains and the differential;
@@ -17,8 +18,8 @@ The package is organized bottom-up:
 
 from .graded import (
     EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor2, Tensor3, alt_s, image_basis,
-    span_equal, super_swap, tensor, wedge,
+    LinearMap, Tensor, Tensor2, Tensor3, alt_s, image_basis, is_super_skew,
+    koszul, span_equal, super_swap, tensor, wedge,
 )
 from .report import VerificationReport
 from .algebra import (

@@ -37,8 +37,8 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .graded import (
-    EVEN, ODD, Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor2,
-    as_scalar, invert_matrix, rank, rref, solve_exact, _same_basis,
+    EVEN, ODD, Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
+    as_scalar, invert_matrix, koszul, rank, rref, solve_exact, _same_basis,
 )
 from .report import VerificationReport
 
@@ -49,11 +49,6 @@ class NotClosed(ValueError):
 
 class DependentVectors(ValueError):
     """Vectors required to be linearly independent are not."""
-
-
-def koszul(p: int, q: int) -> int:
-    """(-1)^{pq} for parities p, q."""
-    return -1 if (p and q) else 1
 
 
 def _add_into(acc: dict, row: Mapping, c: Fraction) -> None:
@@ -135,9 +130,9 @@ class Superalgebra:
         _same_basis(x.basis, self.basis)
         _same_basis(y.basis, self.basis)
         acc: dict[int, Fraction] = {}
-        for i, cx in x.coeffs.items():
+        for i, cx in x.entries.items():
             ri = self.rows[i]
-            for j, cy in y.coeffs.items():
+            for j, cy in y.entries.items():
                 _add_into(acc, ri[j], cx * cy)
         return Element(self.basis, acc)
 
@@ -335,7 +330,7 @@ class MatrixRealization:
         _same_basis(x.basis, self.basis)
         d = self.m + self.n
         out = zeros(d, d)
-        for i, c in x.coeffs.items():
+        for i, c in x.entries.items():
             for r, row in self.sparse[i].items():
                 for s, v in row.items():
                     out[r][s] += c * v
@@ -418,8 +413,8 @@ class BilinearForm:
         _same_basis(x.basis, self.basis)
         _same_basis(y.basis, self.basis)
         acc = Q(0)
-        for i, cx in x.coeffs.items():
-            for j, cy in y.coeffs.items():
+        for i, cx in x.entries.items():
+            for j, cy in y.entries.items():
                 acc += cx * self.gram[i][j] * cy
         return acc
 
@@ -470,19 +465,18 @@ def _act_into(acc: dict, g: Superalgebra, i: int,
             acc[key] = cc * y if old is None else old + cc * y
 
 
-def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor2) -> Tensor2:
+def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor) -> Tensor:
     """Signed Leibniz action of a on a rank-2 tensor.
 
     For homogeneous a:  a . (u (x) v) = [a,u] (x) v + (-1)^{|a||u|} u (x) [a,v];
     mixed a acts part by part.
     """
-    _same_basis(t.left, g.basis)
-    _same_basis(t.right, g.basis)
+    _same_basis(t.basis, g.basis)
     _same_basis(a.basis, g.basis)
     acc: dict[tuple[int, int], Fraction] = {}
-    for i, ca in a.coeffs.items():
+    for i, ca in a.entries.items():
         _act_into(acc, g, i, t.entries, ca)
-    return Tensor2(g.basis, g.basis, acc)
+    return t._with(acc)
 
 
 def express_in_span(vectors: Sequence[Element], w: Element) -> list[Fraction] | None:

@@ -40,13 +40,13 @@ from typing import Sequence
 
 from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor2, Tensor3, _same_basis, invert_matrix, matmul,
-    rank, solve_exact, super_swap, tensor,
+    LinearMap, Tensor2, Tensor3, _same_basis, invert_matrix, is_super_skew,
+    koszul, matmul, rank, solve_exact, super_swap, tensor,
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
     _act_into, _add_into, adjoint_on_tensor2, check_homomorphism,
-    check_invariance, express_in_span, gram_matrix, is_subalgebra, koszul,
+    check_invariance, express_in_span, gram_matrix, is_subalgebra,
 )
 from .cohomology import Cochain, coboundary_0, is_cocycle_1
 from .report import VerificationReport
@@ -92,7 +92,7 @@ class Bialgebra:
     def delta_of(self, x: Element) -> Tensor2:
         """delta(x) = sum_i c_i delta(e_i) for x = sum_i c_i e_i."""
         acc: dict[tuple[int, int], Fraction] = {}
-        for i, c in x.coeffs.items():
+        for i, c in x.entries.items():
             v = self.delta.value(i)
             if v is not None:
                 _add_into(acc, v.entries, c)
@@ -101,8 +101,8 @@ class Bialgebra:
     def verify(self) -> VerificationReport:
         rep = VerificationReport("bialgebra axioms")
         rep.add("delta is even", self.delta.parity == EVEN)
-        skew = all(super_swap(v) == v.scale(-1) for v in self.delta.values.values())
-        rep.add("delta values are super-skew", skew)
+        rep.add("delta values are super-skew",
+                all(map(is_super_skew, self.delta.values.values())))
         rep.merge(is_cocycle_1(self.algebra, self.delta))
         rep.merge(check_cojacobi(self.algebra, self.delta))
         return rep
@@ -137,21 +137,20 @@ def casimir(real: MatrixRealization, g: Superalgebra | None = None) -> Tensor2:
 
 def r_of_f(f: LinearEndomorphism, omega: Tensor2) -> Tensor2:
     """(f (x) 1) omega: apply f to the left tensor leg."""
-    if f.basis != omega.left:
+    if f.basis != omega.basis:
         raise BasisMismatch("endomorphism and tensor bases differ")
-    out = Tensor2.zero(omega.left)
-    for (i, j), c in omega.entries.items():
-        out = out + tensor(f.images[i], omega.right.vector(j)).scale(c)
-    return out
+    return sum((tensor(f.images[i], omega.basis.vector(j)).scale(c)
+                for (i, j), c in omega.entries.items()),
+               Tensor2.zero(omega.basis))
 
 
 def solve_f_from_r(r: Tensor2, omega: Tensor2) -> LinearEndomorphism:
     """The unique f with (f (x) 1) omega = r, for invertible omega."""
-    n = len(omega.left)
+    n = len(omega.basis)
     om = [[omega[(i, j)] for j in range(n)] for i in range(n)]
     rm = [[r[(i, j)] for j in range(n)] for i in range(n)]
     fmat = matmul(rm, invert_matrix(om))
-    return LinearEndomorphism.from_matrix(omega.left, fmat)
+    return LinearEndomorphism.from_matrix(omega.basis, fmat)
 
 
 def check_f_equation(g: Superalgebra, f: LinearEndomorphism) -> VerificationReport:
@@ -174,13 +173,9 @@ def check_f_equation(g: Superalgebra, f: LinearEndomorphism) -> VerificationRepo
 def check_unitarity(r: Tensor2, omega: Tensor2) -> VerificationReport:
     """Check r + T(r) = omega entrywise."""
     rep = VerificationReport("unitarity")
-    s = r + super_swap(r)
-    ok = s == omega
-    detail = None
-    if not ok:
-        diff = s - omega
-        detail = f"r + T(r) - omega = {diff}"
-    rep.add("r + T(r) = omega", ok, detail)
+    diff = r + super_swap(r) - omega
+    rep.add("r + T(r) = omega", diff.is_zero(),
+            None if diff.is_zero() else f"r + T(r) - omega = {diff}")
     return rep
 
 
@@ -194,7 +189,7 @@ def cocommutator(g: Superalgebra, r: Tensor2,
     delta = coboundary_0(g, r)
     if omega is not None and check_unitarity(r, omega).passed:
         for args, v in delta.values.items():
-            if super_swap(v) != v.scale(-1):
+            if not is_super_skew(v):
                 raise ValueError(f"cobracket value at {args} is not super-skew")
     return delta
 
@@ -305,7 +300,8 @@ def dual_basis(basis: GradedBasis) -> GradedBasis:
 
 
 class InconsistentConstants(ValueError):
-    """A delta value could not be expanded in the ordered wedge basis."""
+    """The constants cannot be exchanged: a delta value is not in the
+    ordered wedge basis, or an even vector has a nonzero self-bracket."""
 
 
 class StructureConstants:
@@ -382,6 +378,7 @@ def dual_constants(sc: StructureConstants) -> StructureConstants:
     diagonals, making the exchange an involution.
     """
     par = sc.basis.parity
+    lab = sc.basis.labels
     # each D entry (k, i <= j) fills its own keys, as does each C entry
     Cd: dict[tuple[int, int, int], Fraction] = {}
     for (k, i, j), d in sc.D.items():
@@ -396,6 +393,9 @@ def dual_constants(sc: StructureConstants) -> StructureConstants:
         if i < j:
             Dd[(k, i, j)] = koszul(par(i), par(j)) * c
         elif i == j:
+            if par(i) == EVEN:
+                raise InconsistentConstants(
+                    f"the even vector {lab[i]} has a nonzero self-bracket")
             Dd[(k, i, i)] = -c / 2
     return StructureConstants(dual_basis(sc.basis), Cd, Dd)
 

@@ -107,10 +107,7 @@ def f_map() -> LinearEndomorphism:
 
 
 def _tensor_sum(terms) -> Tensor2:
-    out = Tensor2.zero(sl21_basis())
-    for a, b in terms:
-        out = out + tensor(a, b)
-    return out
+    return sum((tensor(a, b) for a, b in terms), Tensor2.zero(sl21_basis()))
 
 
 def _omega_expected() -> Tensor2:
@@ -174,10 +171,7 @@ def f_standard() -> LinearEndomorphism:
 # ---------------------------------------------------------------------------
 
 def _wedge_sum(terms) -> Tensor2:
-    out = Tensor2.zero(sl21_basis())
-    for a, b in terms:
-        out = out + wedge(a, b)
-    return out
+    return sum((wedge(a, b) for a, b in terms), Tensor2.zero(sl21_basis()))
 
 
 @cache
@@ -344,9 +338,8 @@ def _s_wedge_table(table: dict[str, list[tuple]], g: Superalgebra) -> Cochain:
     basis = g.basis
     c = Cochain(g, 1, EVEN)
     for lab, terms in table.items():
-        total = Tensor2.zero(basis)
-        for coeff, a, b in terms:
-            total = total + wedge(basis.vector(a), basis.vector(b)).scale(coeff)
+        total = sum((wedge(basis.vector(a), basis.vector(b)).scale(coeff)
+                     for coeff, a, b in terms), Tensor2.zero(basis))
         if not total.is_zero():
             c.set_value((basis.index(lab),), total)
     return c

@@ -89,7 +89,7 @@ def cmd_validate(args) -> int:
 
 def cmd_cocommutator(args) -> int:
     g = ser.superalgebra_from_json(_load(args.algebra))
-    r = ser.tensor2_from_json(_load(args.r), g.basis)
+    r = ser.tensor_from_json(_load(args.r), g.basis, 2)
     delta = cocommutator(g, r)
     if args.format == "json":
         _emit(ser.cochain_to_json(delta), args)
@@ -146,7 +146,7 @@ def cmd_restrict(args) -> int:
     span_doc = _load(args.span)
     if not isinstance(span_doc, list):
         raise CliInputError("--span file must hold a JSON list of elements")
-    vectors = [ser.element_from_json(v, b.basis) for v in span_doc]
+    vectors = [ser.tensor_from_json(v, b.basis, 1) for v in span_doc]
     labels = args.labels.split(",") if args.labels else None
     try:
         sub = restrict(b, vectors, labels=labels)

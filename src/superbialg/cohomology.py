@@ -22,8 +22,9 @@ with
 term into one plain dict per argument tuple, straight from the bracket rows
 and the stored values: the action on g (x) g goes through the single
 `algebra._act_into` kernel, the action on g and the bracket-insertion terms
-through `_add_into`.  An Element or Tensor2 is built only for a nonzero
-result or to render a counterexample.
+through `_add_into`.  A value (a `graded.Tensor` of rank 1 or 2; its
+`rank` says which module) is built only for a nonzero result or to render
+a counterexample.
 
 The pairwise cocycle condition is scanned over `g.pairs_to_scan()`: under
 super antisymmetry its residual at (b, a) is -(-1)^{|a||b|} times the one
@@ -38,12 +39,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .graded import (
-    EVEN, ODD, BasisMismatch, Element, GradedBasis, Tensor2, _same_basis,
-    as_scalar,
+    EVEN, ODD, BasisMismatch, GradedBasis, Tensor, _same_basis, as_scalar,
+    koszul,
 )
-from .algebra import (
-    Superalgebra, _act_into, _add_into, adjoint_on_tensor2, koszul,
-)
+from .algebra import Superalgebra, _act_into, _add_into, adjoint_on_tensor2
 from .report import VerificationReport
 
 
@@ -112,9 +111,7 @@ class Cochain:
         """
         if len(args) != self.degree:
             raise ValueError("argument count must equal the cochain degree")
-        for b in ((val.basis,) if isinstance(val, Element)
-                  else (val.left, val.right)):
-            _same_basis(b, self.g.basis)
+        _same_basis(val.basis, self.g.basis)
         key, sign = canonical_tuple(self.g.basis, args)
         if key is None:
             if not val.is_zero():
@@ -167,10 +164,7 @@ class Cochain:
         return out
 
     def __neg__(self) -> "Cochain":
-        out = self.copy_empty()
-        for args, v in self.values.items():
-            out.set_value(args, v.scale(-1))
-        return out
+        return self.scale(-1)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -184,30 +178,18 @@ class Cochain:
         return out
 
 
-def _coeffs(val) -> dict:
-    """The coefficient dict of a value in g or g (x) g."""
-    return val.coeffs if isinstance(val, Element) else val.entries
-
-
-def _act_value_into(acc: dict, g: Superalgebra, a: int, val,
+def _act_value_into(acc: dict, g: Superalgebra, a: int, val: Tensor,
                     c: Fraction) -> None:
     """acc += c * (e_a . val): adjoint on g, Leibniz on g (x) g."""
-    if isinstance(val, Element):
+    if val.rank == 1:
         ra = g.rows[a]
-        for j, x in val.coeffs.items():
+        for j, x in val.entries.items():
             _add_into(acc, ra[j], c * x)
     else:
         _act_into(acc, g, a, val.entries, c)
 
 
-def _value_of(g: Superalgebra, like, acc: dict):
-    """acc as a value of the same module as `like`."""
-    if isinstance(like, Element):
-        return Element(g.basis, acc)
-    return Tensor2(g.basis, g.basis, acc)
-
-
-def coboundary_0(g: Superalgebra, r: Tensor2) -> Cochain:
+def coboundary_0(g: Superalgebra, r: Tensor) -> Cochain:
     """d of a homogeneous 0-cochain r in g (x) g.
 
     For even r this is the plain action a -> [a(x)1 + 1(x)a, r]; for odd r
@@ -216,8 +198,7 @@ def coboundary_0(g: Superalgebra, r: Tensor2) -> Cochain:
     r-matrix is even, so the sign never shows up in those tables; it is
     what keeps d o d = 0 on the odd part of the module.)
     """
-    if r.left != g.basis or r.right != g.basis:
-        raise BasisMismatch("tensor must live over the algebra's basis")
+    _same_basis(r.basis, g.basis)
     p = r.parity()
     if p is None and not r.is_zero():
         raise ValueError("0-cochain must be parity-homogeneous; "
@@ -272,10 +253,10 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
                 for k, c in br.items():
                     fv, sign = f._stored((k,) + rest)
                     if fv is not None:
-                        _add_into(acc, _coeffs(fv), s2 * sign * c)
+                        _add_into(acc, fv.entries, s2 * sign * c)
 
         if any(acc.values()):
-            out.set_value(args, _value_of(g, like, acc))
+            out.set_value(args, like._with(acc))
     return out
 
 
@@ -306,7 +287,7 @@ def is_cocycle_1(g: Superalgebra, delta: Cochain) -> VerificationReport:
         for k, c in rows[a][b].items():
             v = vals.get((k,))
             if v is not None:
-                _add_into(lhs, _coeffs(v), c)
+                _add_into(lhs, v.entries, c)
         fb = vals.get((b,))
         if fb is not None:
             _act_value_into(rhs, g, a, fb, s * koszul(par[a], p))
@@ -325,8 +306,7 @@ def is_cocycle_1(g: Superalgebra, delta: Cochain) -> VerificationReport:
         sides_into(lhs, rhs, a, b, 1)
         like = next(iter(vals.values()))
         return (f"pair ({lab[a]}, {lab[b]}): f([a,b]) = "
-                f"{_value_of(g, like, lhs)} but action side = "
-                f"{_value_of(g, like, rhs)}")
+                f"{like._with(lhs)} but action side = {like._with(rhs)}")
     rep.scan("pairwise super cocycle condition", g.pairs_to_scan(), breaks)
 
     d2 = coboundary(g, delta)

@@ -25,10 +25,11 @@ from fractions import Fraction
 from itertools import product
 
 from .graded import (
-    EVEN, Q, GradedBasis, LinearMap, Tensor2, super_swap,
+    EVEN, Q, GradedBasis, LinearMap, Tensor2, is_super_skew, koszul,
+    super_swap,
 )
 from .algebra import (
-    BilinearForm, Superalgebra, adjoint_on_tensor2, check_invariance, koszul,
+    BilinearForm, Superalgebra, adjoint_on_tensor2, check_invariance,
 )
 from .bialgebra import (
     Bialgebra, check_bialgebra_homomorphism, check_cojacobi, dual_constants,
@@ -141,7 +142,7 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
                                       f"{inv.first_failure()}")
     axioms = VerificationReport("double cobracket")
     axioms.add("values super-skew",
-               all(super_swap(v) == v.scale(-1) for v in delta.values.values()))
+               all(map(is_super_skew, delta.values.values())))
     axioms.merge(is_cocycle_1(underlying, delta))
     axioms.merge(check_cojacobi(underlying, delta))
     if not axioms.passed:

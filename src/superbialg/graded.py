@@ -5,9 +5,16 @@ equality of any two objects is structural (absent entry == zero entry).
 Values are immutable by convention: no operation mutates its inputs, and all
 constructors normalize by stripping zero coefficients.
 
+One sparse type, `Tensor`, holds every graded value: an element of g has
+rank 1, an r-matrix or a cobracket value rank 2, the coJacobi sum rank 3.
+All legs of a tensor lie over one basis.  Arithmetic, equality, parity and
+rendering are written once; `Element`, `Tensor2` and `Tensor3` only fix the
+rank and keep their constructor signatures.
+
 Sign conventions (used throughout the package):
 
-* Koszul rule: transposing two homogeneous objects a, b costs (-1)^{|a||b|}.
+* Koszul rule: transposing two homogeneous objects a, b costs (-1)^{|a||b|}
+  (`koszul`).
 * wedge:        a ^ b = a (x) b - (-1)^{|a||b|} b (x) a
 * super swap:   T(a (x) b) = (-1)^{|a||b|} b (x) a
 * signed cycle: A(a (x) b (x) c) = a(x)b(x)c + (-1)^{|a|(|b|+|c|)} b(x)c(x)a
@@ -38,6 +45,11 @@ def as_scalar(x) -> Fraction:
     return Fraction(x)
 
 
+def koszul(p: int, q: int) -> int:
+    """(-1)^{pq}; only the parities of the integers p, q matter."""
+    return -1 if p & q & 1 else 1
+
+
 class GradedBasis:
     """An ordered basis of a Z/2-graded vector space.
 
@@ -59,6 +71,7 @@ class GradedBasis:
         self.labels = labels
         self.parities = parities
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self.indices = frozenset(range(len(labels)))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -97,19 +110,117 @@ def _same_basis(a: GradedBasis, b: GradedBasis):
         raise BasisMismatch(f"bases differ: {a!r} vs {b!r}")
 
 
-class Element:
-    """A sparse linear combination of basis vectors, exact coefficients."""
+class Tensor:
+    """A sparse rank-k tensor over one graded basis, exact coefficients.
+
+    `entries` maps keys to nonzero Fractions.  A rank-1 key is a plain basis
+    index, so a `Superalgebra` row dict doubles as the coefficients of an
+    element (`Element.wrap`); a key of rank k >= 2 is a tuple of k indices.
+    Arithmetic returns the class of its left operand.
+    """
+
+    def __init__(self, basis: GradedBasis, entries: Mapping, rank: int):
+        self.basis = basis
+        self.rank = rank
+        indices = basis.indices
+        clean = {}
+        for key, c in entries.items():
+            if not (key in indices if rank == 1 else
+                    type(key) is tuple and len(key) == rank
+                    and indices.issuperset(key)):
+                raise IndexError(f"key {key!r} is not a rank-{rank} key "
+                                 f"over range({len(basis)})")
+            if type(c) is not Fraction:
+                c = as_scalar(c)
+            if c:
+                clean[key] = c
+        self.entries = clean
+
+    @classmethod
+    def _of(cls, basis: GradedBasis, rank: int, entries: dict) -> "Tensor":
+        """A tensor over `entries` itself: in-range keys, nonzero Fractions."""
+        t = cls.__new__(cls)
+        t.basis = basis
+        t.rank = rank
+        t.entries = entries
+        return t
+
+    def _with(self, entries: Mapping) -> "Tensor":
+        """Same class, rank and basis over in-range Fraction entries; zero
+        entries are dropped."""
+        return self._of(self.basis, self.rank,
+                        {k: c for k, c in entries.items() if c})
+
+    @classmethod
+    def zero(cls, basis: GradedBasis) -> "Tensor":
+        """The zero tensor of a fixed-rank subclass."""
+        return cls._of(basis, cls.rank, {})
+
+    def __getitem__(self, key) -> Fraction:
+        return self.entries.get(key, Q(0))
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Tensor)
+                and self.rank == other.rank
+                and self.basis == other.basis
+                and self.entries == other.entries)
+
+    def __add__(self, other: "Tensor") -> "Tensor":
+        _same_basis(self.basis, other.basis)
+        if self.rank != other.rank:
+            raise BasisMismatch(f"cannot add tensors of rank {self.rank} "
+                                f"and {other.rank}")
+        out = dict(self.entries)
+        for k, c in other.entries.items():
+            old = out.get(k)
+            out[k] = c if old is None else old + c
+        return self._with(out)
+
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        return self + (-other)
+
+    def __neg__(self) -> "Tensor":
+        return self._with({k: -c for k, c in self.entries.items()})
+
+    def scale(self, s) -> "Tensor":
+        s = as_scalar(s)
+        return self._with({k: s * c for k, c in self.entries.items()})
+
+    __rmul__ = scale
+
+    def legs(self, key) -> tuple:
+        """The basis indices of a key, one per leg."""
+        return (key,) if self.rank == 1 else key
+
+    def parity(self) -> int | None:
+        """The common parity (sum of leg parities) of all entries; None for
+        0 or a mixed tensor."""
+        par = self.basis.parities
+        ps = {sum(par[i] for i in self.legs(k)) % 2 for k in self.entries}
+        return ps.pop() if len(ps) == 1 else None
+
+    def is_homogeneous(self) -> bool:
+        return self.is_zero() or self.parity() is not None
+
+    def __str__(self):
+        lab = self.basis.labels
+        return format_combination(
+            [("⊗".join(atom(lab[i]) for i in self.legs(k)), c)
+             for k, c in sorted(self.entries.items())])
+
+    __repr__ = __str__
+
+
+class Element(Tensor):
+    """A sparse linear combination of basis vectors: a rank-1 tensor."""
+
+    rank = 1
 
     def __init__(self, basis: GradedBasis, coeffs: Mapping[int, Fraction]):
-        self.basis = basis
-        clean = {}
-        for i, c in coeffs.items():
-            if not 0 <= i < len(basis):
-                raise IndexError(f"index {i} out of range for basis")
-            c = as_scalar(c)
-            if c != 0:
-                clean[i] = c
-        self.coeffs = clean
+        super().__init__(basis, coeffs, 1)
 
     @classmethod
     def wrap(cls, basis: GradedBasis, coeffs: dict[int, Fraction]) -> "Element":
@@ -117,245 +228,99 @@ class Element:
 
         The dict must already be clean: in-range indices, nonzero Fractions.
         """
-        e = cls.__new__(cls)
-        e.basis = basis
-        e.coeffs = coeffs
-        return e
+        return cls._of(basis, 1, coeffs)
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs.get(i, Q(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Element)
-                and self.basis == other.basis
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other: "Element") -> "Element":
-        _same_basis(self.basis, other.basis)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, Q(0)) + c
-        return Element(self.basis, out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return Element(self.basis, {i: -c for i, c in self.coeffs.items()})
-
-    def scale(self, s) -> "Element":
-        s = as_scalar(s)
-        return Element(self.basis, {i: s * c for i, c in self.coeffs.items()})
-
-    __rmul__ = scale
-
-    def homogeneous_parts(self) -> dict[int, "Element"]:
-        """Split into even / odd parts; zero parts are omitted."""
-        parts: dict[int, dict[int, Fraction]] = {}
-        for i, c in self.coeffs.items():
-            parts.setdefault(self.basis.parity(i), {})[i] = c
-        return {p: Element(self.basis, cs) for p, cs in parts.items()}
-
-    def is_homogeneous(self) -> bool:
-        return len({self.basis.parity(i) for i in self.coeffs}) <= 1
-
-    def parity(self) -> int | None:
-        """Parity of a homogeneous element; None for 0 or mixed elements."""
-        ps = {self.basis.parity(i) for i in self.coeffs}
-        return ps.pop() if len(ps) == 1 else None
-
-    def __str__(self):
-        return format_combination(
-            [(atom(self.basis.labels[i]), c)
-             for i, c in sorted(self.coeffs.items())])
-
-    __repr__ = __str__
+    @property
+    def coeffs(self) -> dict[int, Fraction]:
+        return self.entries
 
 
-class Tensor2:
-    """A sparse rank-2 tensor over a pair of graded bases."""
+class Tensor2(Tensor):
+    """A sparse rank-2 tensor; both legs lie over one basis."""
+
+    rank = 2
 
     def __init__(self, left: GradedBasis, right: GradedBasis,
                  entries: Mapping[tuple[int, int], Fraction]):
-        self.left = left
-        self.right = right
-        clean = {}
-        for (i, j), c in entries.items():
-            c = as_scalar(c)
-            if c != 0:
-                clean[(i, j)] = c
-        self.entries = clean
+        _same_basis(left, right)
+        super().__init__(left, entries, 2)
 
-    @classmethod
-    def zero(cls, basis: GradedBasis) -> "Tensor2":
-        return cls(basis, basis, {})
+    @property
+    def left(self) -> GradedBasis:
+        return self.basis
 
-    def __getitem__(self, ij) -> Fraction:
-        return self.entries.get(ij, Q(0))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Tensor2)
-                and self.left == other.left and self.right == other.right
-                and self.entries == other.entries)
-
-    def _check(self, other: "Tensor2"):
-        _same_basis(self.left, other.left)
-        _same_basis(self.right, other.right)
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        self._check(other)
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            out[k] = out.get(k, Q(0)) + c
-        return Tensor2(self.left, self.right, out)
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor2":
-        return Tensor2(self.left, self.right,
-                       {k: -c for k, c in self.entries.items()})
-
-    def scale(self, s) -> "Tensor2":
-        s = as_scalar(s)
-        return Tensor2(self.left, self.right,
-                       {k: s * c for k, c in self.entries.items()})
-
-    __rmul__ = scale
-
-    def parity(self) -> int | None:
-        """Common parity |e_i|+|e_j| of all entries, if one exists."""
-        ps = {(self.left.parity(i) + self.right.parity(j)) % 2
-              for i, j in self.entries}
-        return ps.pop() if len(ps) == 1 else None
-
-    def __str__(self):
-        terms = [(f"{atom(self.left.labels[i])}⊗{atom(self.right.labels[j])}", c)
-                 for (i, j), c in sorted(self.entries.items())]
-        return format_combination(terms)
-
-    __repr__ = __str__
+    right = left
 
 
-class Tensor3:
-    """A sparse rank-3 tensor over a triple of graded bases."""
+class Tensor3(Tensor):
+    """A sparse rank-3 tensor; all three legs lie over one basis."""
+
+    rank = 3
 
     def __init__(self, bases: tuple[GradedBasis, GradedBasis, GradedBasis],
                  entries: Mapping[tuple[int, int, int], Fraction]):
-        self.bases = bases
-        clean = {}
-        for k, c in entries.items():
-            c = as_scalar(c)
-            if c != 0:
-                clean[k] = c
-        self.entries = clean
+        b0, b1, b2 = bases
+        _same_basis(b0, b1)
+        _same_basis(b0, b2)
+        super().__init__(b0, entries, 3)
 
-    @classmethod
-    def zero(cls, basis: GradedBasis) -> "Tensor3":
-        return cls((basis, basis, basis), {})
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Tensor3)
-                and self.bases == other.bases
-                and self.entries == other.entries)
-
-    def __add__(self, other: "Tensor3") -> "Tensor3":
-        if self.bases != other.bases:
-            raise BasisMismatch("rank-3 tensor bases differ")
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            out[k] = out.get(k, Q(0)) + c
-        return Tensor3(self.bases, out)
-
-    def __neg__(self) -> "Tensor3":
-        return Tensor3(self.bases, {k: -c for k, c in self.entries.items()})
-
-    def __sub__(self, other: "Tensor3") -> "Tensor3":
-        return self + (-other)
-
-    def scale(self, s) -> "Tensor3":
-        s = as_scalar(s)
-        return Tensor3(self.bases, {k: s * c for k, c in self.entries.items()})
-
-    __rmul__ = scale
-
-    def __str__(self):
-        b0, b1, b2 = self.bases
-        terms = [(f"{atom(b0.labels[i])}⊗{atom(b1.labels[j])}⊗{atom(b2.labels[k])}", c)
-                 for (i, j, k), c in sorted(self.entries.items())]
-        return format_combination(terms)
-
-    __repr__ = __str__
+    @property
+    def bases(self) -> tuple[GradedBasis, GradedBasis, GradedBasis]:
+        return (self.basis,) * 3
 
 
 # ---------------------------------------------------------------------------
 # graded operations
 # ---------------------------------------------------------------------------
 
-def tensor(a: Element, b: Element) -> Tensor2:
-    """Bilinear a (x) b."""
-    _same_basis(a.basis, b.basis)
-    entries = {}
-    for i, ca in a.coeffs.items():
-        for j, cb in b.coeffs.items():
-            entries[(i, j)] = ca * cb
-    return Tensor2(a.basis, b.basis, entries)
+def tensor(a: Tensor, b: Tensor) -> Tensor2:
+    """Bilinear a (x) b of two elements."""
+    return Tensor2(a.basis, b.basis, {(i, j): x * y
+                                      for i, x in a.entries.items()
+                                      for j, y in b.entries.items()})
 
 
-def wedge(a: Element, b: Element) -> Tensor2:
-    """a ^ b = a(x)b - (-1)^{|a||b|} b(x)a, extended over homogeneous parts.
+def wedge(a: Tensor, b: Tensor) -> Tensor2:
+    """a ^ b = a(x)b - (-1)^{|a||b|} b(x)a, extended bilinearly.
 
     Note that for equal odd vectors this doubles: e ^ e = 2 e(x)e.
     """
     _same_basis(a.basis, b.basis)
-    out = Tensor2.zero(a.basis)
-    for pa, ah in a.homogeneous_parts().items():
-        for pb, bh in b.homogeneous_parts().items():
-            sign = -1 if (pa and pb) else 1
-            out = out + tensor(ah, bh) - tensor(bh, ah).scale(sign)
-    return out
+    par = a.basis.parities
+    acc: dict[tuple[int, int], Fraction] = {}
+    for i, x in a.entries.items():
+        for j, y in b.entries.items():
+            acc[(i, j)] = acc.get((i, j), 0) + x * y
+            acc[(j, i)] = acc.get((j, i), 0) - koszul(par[i], par[j]) * x * y
+    return Tensor2(a.basis, b.basis, acc)
 
 
-def super_swap(t: Tensor2) -> Tensor2:
+def super_swap(t: Tensor) -> Tensor:
     """The permutation map of super vector spaces on a rank-2 tensor."""
-    _same_basis(t.left, t.right)
-    entries = {}
-    for (i, j), c in t.entries.items():
-        sign = -1 if (t.left.parity(i) and t.right.parity(j)) else 1
-        entries[(j, i)] = entries.get((j, i), Q(0)) + sign * c
-    return Tensor2(t.left, t.right, entries)
+    par = t.basis.parities
+    return t._of(t.basis, 2, {(j, i): koszul(par[i], par[j]) * c
+                              for (i, j), c in t.entries.items()})
 
 
-def alt_s(t: Tensor3) -> Tensor3:
+def is_super_skew(t: Tensor) -> bool:
+    """T(t) = -t for a rank-2 tensor t."""
+    return super_swap(t) == -t
+
+
+def alt_s(t: Tensor) -> Tensor:
     """Signed cyclic symmetrization of a rank-3 tensor.
 
     On a(x)b(x)c the three terms carry signs 1, (-1)^{|a|(|b|+|c|)} and
     (-1)^{|c|(|a|+|b|)} as the factors cycle left / right.
     """
-    b0, b1, b2 = t.bases
-    if not (b0 == b1 == b2):
-        raise BasisMismatch("alt_s needs all three tensor legs over one basis")
-    par = b0.parity
-    entries: dict[tuple[int, int, int], Fraction] = {}
-
-    def put(key, c):
-        entries[key] = entries.get(key, Q(0)) + c
-
+    par = t.basis.parities
+    acc: dict[tuple[int, int, int], Fraction] = {}
     for (i, j, k), c in t.entries.items():
-        pi, pj, pk = par(i), par(j), par(k)
-        put((i, j, k), c)
-        put((j, k, i), c * ((-1) ** (pi * (pj + pk))))
-        put((k, i, j), c * ((-1) ** (pk * (pi + pj))))
-    return Tensor3(t.bases, entries)
+        for key, sign in (((i, j, k), 1),
+                          ((j, k, i), koszul(par[i], par[j] + par[k])),
+                          ((k, i, j), koszul(par[k], par[i] + par[j]))):
+            acc[key] = acc.get(key, 0) + sign * c
+    return t._with(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +419,8 @@ class LinearMap:
 
     def __call__(self, x: Element) -> Element:
         _same_basis(x.basis, self.source)
-        out = self.target.zero()
-        for i, c in x.coeffs.items():
-            out = out + self.images[i].scale(c)
-        return out
+        return sum((self.images[i].scale(c) for i, c in x.entries.items()),
+                   self.target.zero())
 
     def matrix(self) -> list[list[Fraction]]:
         """Dense matrix, column j = image of source vector j."""
@@ -472,7 +435,7 @@ class LinearMap:
     def is_parity_preserving(self) -> bool:
         for j, im in enumerate(self.images):
             p = self.source.parity(j)
-            if any(self.target.parity(i) != p for i in im.coeffs):
+            if any(self.target.parity(i) != p for i in im.entries):
                 return False
         return True
 
@@ -484,11 +447,10 @@ class LinearMap:
 
     def apply_tensor2(self, t: Tensor2) -> Tensor2:
         """(phi (x) phi) t: both legs mapped, no sign (phi is even here)."""
-        _same_basis(t.left, self.source)
-        out = Tensor2.zero(self.target)
-        for (i, j), c in t.entries.items():
-            out = out + tensor(self.images[i], self.images[j]).scale(c)
-        return out
+        _same_basis(t.basis, self.source)
+        return sum((tensor(self.images[i], self.images[j]).scale(c)
+                    for (i, j), c in t.entries.items()),
+                   Tensor2.zero(self.target))
 
 
 class LinearEndomorphism(LinearMap):

@@ -4,8 +4,11 @@ Scalars travel as decimal strings ("num"/"den") so arbitrary-precision
 integers survive; indices are 0-based positions in the basis label list.
 Every integer is read exactly: a JSON integer (never a float or a bool),
 or for "num"/"den" also a string of decimal digits.  Parities are 0 or 1.
-A cochain's values all lie in one module, g or g (x) g; a cobracket's lie
-in g (x) g.
+One pair, `tensor_to_json` / `tensor_from_json(d, basis, rank)`, carries a
+`graded.Tensor` of any rank: elements, r-matrices, cobracket values and
+rank-3 tensors alike.  A cochain's values all lie in one module, g or
+g (x) g; a cobracket's lie in g (x) g.  Every document root, and every
+Gram matrix, is checked for its shape before it is read.
 Bracket tables list only pairs with i <= j; the i > j half is rebuilt by
 super antisymmetry, and diagonal pairs are only accepted for odd vectors.
 All round trips are bit-exact.
@@ -17,7 +20,7 @@ import json
 import re
 from fractions import Fraction
 
-from .graded import Element, GradedBasis, Tensor2, Tensor3
+from .graded import GradedBasis, Tensor
 from .algebra import BilinearForm, Superalgebra
 from .bialgebra import Bialgebra, ManinTriple
 from .cohomology import Cochain
@@ -79,33 +82,24 @@ def basis_from_json(d) -> GradedBasis:
         raise SchemaError(f"bad basis: {e}") from e
 
 
-def _entries_to_json(entries: dict) -> list:
-    out = []
-    for idx in sorted(entries):
-        c = entries[idx]
-        key = list(idx) if isinstance(idx, tuple) else [idx]
-        out.append({"idx": key, **scalar_to_json(c)})
-    return out
+def tensor_to_json(t: Tensor) -> dict:
+    return {"basis": list(t.basis.labels),
+            "entries": [{"idx": list(t.legs(k)), **scalar_to_json(c)}
+                        for k, c in sorted(t.entries.items())]}
 
 
-def element_to_json(e: Element) -> dict:
-    return {"basis": list(e.basis.labels),
-            "entries": _entries_to_json(e.coeffs)}
+def _root(d, what: str) -> dict:
+    """`d`, checked to be a JSON object; errors name it `what`."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"{what} JSON must be an object, "
+                          f"not {type(d).__name__}")
+    return d
 
 
-def tensor2_to_json(t: Tensor2) -> dict:
-    return {"basis": list(t.left.labels),
-            "entries": _entries_to_json(t.entries)}
-
-
-def tensor3_to_json(t: Tensor3) -> dict:
-    return {"basis": list(t.bases[0].labels),
-            "entries": _entries_to_json(t.entries)}
-
-
-def _objects(d, key: str) -> list:
-    """The list of JSON objects under `key`; empty when the key is absent."""
-    items = d.get(key, [])
+def _objects(d, key: str, required: bool = False) -> list:
+    """The list of JSON objects under `key`; empty when a key that is not
+    `required` is absent."""
+    items = d[key] if required else d.get(key, [])
     if not (isinstance(items, list)
             and all(isinstance(x, dict) for x in items)):
         raise SchemaError(f"{key!r} must be a list of objects")
@@ -113,9 +107,7 @@ def _objects(d, key: str) -> list:
 
 
 def _check_labels(d, basis: GradedBasis):
-    if not isinstance(d, dict):
-        raise SchemaError(f"value {d!r} is not an object")
-    if list(d.get("basis", [])) != list(basis.labels):
+    if _root(d, "tensor").get("basis") != list(basis.labels):
         raise SchemaError("labels do not match the expected basis")
 
 
@@ -143,20 +135,13 @@ def _read_entries(d, arity: int, size: int):
     return out
 
 
-def element_from_json(d, basis: GradedBasis) -> Element:
+def tensor_from_json(d, basis: GradedBasis, rank: int) -> Tensor:
+    """A rank-`rank` tensor with every leg over `basis`."""
     _check_labels(d, basis)
-    entries = _read_entries(d, 1, len(basis))
-    return Element(basis, {i: c for (i,), c in entries.items()})
-
-
-def tensor2_from_json(d, basis: GradedBasis) -> Tensor2:
-    _check_labels(d, basis)
-    return Tensor2(basis, basis, _read_entries(d, 2, len(basis)))
-
-
-def tensor3_from_json(d, basis: GradedBasis) -> Tensor3:
-    _check_labels(d, basis)
-    return Tensor3((basis, basis, basis), _read_entries(d, 3, len(basis)))
+    entries = _read_entries(d, rank, len(basis))
+    if rank == 1:
+        entries = {i: c for (i,), c in entries.items()}
+    return Tensor(basis, entries, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +192,8 @@ def superalgebra_from_json(d) -> Superalgebra:
 # ---------------------------------------------------------------------------
 
 def cochain_to_json(c: Cochain) -> dict:
-    values = []
-    for args in sorted(c.values):
-        v = c.values[args]
-        vj = (element_to_json(v) if isinstance(v, Element)
-              else tensor2_to_json(v))
-        values.append({"args": list(args), "value": vj})
+    values = [{"args": list(args), "value": tensor_to_json(v)}
+              for args, v in sorted(c.values.items())]
     return {"degree": c.degree, "parity": c.parity, "values": values}
 
 
@@ -253,10 +234,7 @@ def cochain_from_json(d, g: Superalgebra, arity: int | None = None) -> Cochain:
         args = tuple(_index(a, n, "cochain argument") for a in args)
         if arity is None:
             arity = _first_arity(vj)
-        if arity == 1:
-            val = element_from_json(vj, g.basis)
-        else:
-            val = tensor2_from_json(vj, g.basis)
+        val = tensor_from_json(vj, g.basis, arity or 2)
         try:
             out.set_value(args, val)
         except ValueError as e:
@@ -271,7 +249,7 @@ def bialgebra_to_json(b: Bialgebra) -> dict:
 
 def bialgebra_from_json(d, check: bool = True) -> Bialgebra:
     try:
-        alg = superalgebra_from_json(d["algebra"])
+        alg = superalgebra_from_json(_root(d, "bialgebra")["algebra"])
         delta = cochain_from_json(d["delta"], alg, arity=2)
     except KeyError as e:
         raise SchemaError(f"bialgebra JSON needs {e} field") from e
@@ -287,24 +265,31 @@ def gram_to_json(form: BilinearForm) -> list:
 
 
 def gram_from_json(rows, basis: GradedBasis) -> BilinearForm:
-    gram = [[scalar_from_json(c) for c in row] for row in rows]
-    return BilinearForm(basis, gram)
+    n = len(basis)
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(row, list) and len(row) == n for row in rows)):
+        raise SchemaError(f"gram must be {n} lists of {n} scalars, one "
+                          f"row per basis vector")
+    return BilinearForm(basis, [[scalar_from_json(c) for c in row]
+                                for row in rows])
 
 
 def manin_to_json(t: ManinTriple) -> dict:
     return {
         "ambient": superalgebra_to_json(t.ambient),
-        "plus": [element_to_json(v) for v in t.plus],
-        "minus": [element_to_json(v) for v in t.minus],
+        "plus": [tensor_to_json(v) for v in t.plus],
+        "minus": [tensor_to_json(v) for v in t.minus],
         "gram": gram_to_json(t.form),
     }
 
 
 def manin_from_json(d) -> ManinTriple:
     try:
-        ambient = superalgebra_from_json(d["ambient"])
-        plus = [element_from_json(v, ambient.basis) for v in d["plus"]]
-        minus = [element_from_json(v, ambient.basis) for v in d["minus"]]
+        ambient = superalgebra_from_json(_root(d, "Manin triple")["ambient"])
+        plus = [tensor_from_json(v, ambient.basis, 1)
+                for v in _objects(d, "plus", required=True)]
+        minus = [tensor_from_json(v, ambient.basis, 1)
+                 for v in _objects(d, "minus", required=True)]
         form = gram_from_json(d["gram"], ambient.basis)
     except KeyError as e:
         raise SchemaError(f"Manin triple JSON needs {e} field") from e
@@ -317,13 +302,13 @@ def double_to_json(dd: DoubleAlgebra) -> dict:
         "algebra": superalgebra_to_json(dd.underlying),
         "delta": cochain_to_json(dd.delta),
         "gram": gram_to_json(dd.form),
-        "canonical_r": tensor2_to_json(dd.canonical_r),
+        "canonical_r": tensor_to_json(dd.canonical_r),
         "primal_dim": dd.primal_dim,
     }
 
 
 def double_from_json(d) -> DoubleAlgebra:
-    if d.get("type") != "double":
+    if _root(d, "double").get("type") != "double":
         raise SchemaError("expected a document with type = 'double'")
     try:
         alg = superalgebra_from_json(d["algebra"])
@@ -331,7 +316,7 @@ def double_from_json(d) -> DoubleAlgebra:
             underlying=alg,
             delta=cochain_from_json(d["delta"], alg, arity=2),
             form=gram_from_json(d["gram"], alg.basis),
-            canonical_r=tensor2_from_json(d["canonical_r"], alg.basis),
+            canonical_r=tensor_from_json(d["canonical_r"], alg.basis, 2),
             primal_dim=_integer(d["primal_dim"], "primal_dim"),
         )
     except KeyError as e:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,13 +22,13 @@ def files(tmp_path):
         return str(p)
 
     write("sl21.json", ser.superalgebra_to_json(cat.sl21()))
-    write("r_f.json", ser.tensor2_to_json(cat.r_f()))
-    write("omega.json", ser.tensor2_to_json(cat.omega()))
+    write("r_f.json", ser.tensor_to_json(cat.r_f()))
+    write("omega.json", ser.tensor_to_json(cat.omega()))
     write("s_delta2.json", ser.bialgebra_to_json(cat.s_bialgebra_2()))
     write("manin_s.json", ser.manin_to_json(cat.manin_triple_s()))
     write("sl21_delta_s.json", ser.bialgebra_to_json(cat.bialgebra_s()))
     write("s1_span.json",
-          [ser.element_to_json(v) for v in cat.s1_span()])
+          [ser.tensor_to_json(v) for v in cat.s1_span()])
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -102,7 +103,7 @@ def test_cocommutator_json_roundtrips(files, capsys):
 
 
 def test_cocommutator_basis_mismatch_exits_2(files, capsys, tmp_path):
-    doc = ser.tensor2_to_json(cat.r_f())
+    doc = ser.tensor_to_json(cat.r_f())
     doc["basis"][0] = "other"
     p = tmp_path / "wrongbasis.json"
     p.write_text(json.dumps(doc))
@@ -112,7 +113,7 @@ def test_cocommutator_basis_mismatch_exits_2(files, capsys, tmp_path):
 
 
 def test_out_of_range_tensor_index_exits_2(files, capsys, tmp_path):
-    doc = ser.tensor2_to_json(cat.r_f())
+    doc = ser.tensor_to_json(cat.r_f())
     doc["entries"].append({"idx": [0, 99], "num": "1", "den": "1"})
     p = tmp_path / "badindex.json"
     p.write_text(json.dumps(doc))
@@ -163,6 +164,10 @@ SCHEMA_CASES = {
                                    lambda d: d["delta"].update(values=[5])),
     "entries not a list": ("r_f.json", lambda d: d.update(entries=5)),
     "entry not an object": ("r_f.json", lambda d: d.update(entries=[5])),
+    "tensor basis not a list": ("r_f.json", lambda d: d.update(basis=5)),
+    "delta value basis not a list": (
+        "s_delta2.json", lambda d: d["delta"]["values"][0]["value"].update(
+            basis=None)),
 }
 
 
@@ -170,7 +175,7 @@ SCHEMA_CASES = {
 def test_non_integral_or_out_of_range_index_exits_2(case, files, capsys,
                                                     tmp_path):
     name, mutate = SCHEMA_CASES[case]
-    doc = json.loads(open(files[name]).read())
+    doc = json.loads(Path(files[name]).read_text())
     mutate(doc)
     p = tmp_path / "mutated.json"
     p.write_text(json.dumps(doc))
@@ -244,7 +249,7 @@ def test_element_valued_delta_exits_2(swapped, fmt, capsys, tmp_path):
     doc = ser.bialgebra_to_json(cat.bialgebra_f())
     values = doc["delta"]["values"]
     for ent in values[1:2] if swapped == "one value" else values:
-        ent["value"] = ser.element_to_json(cat.V("E12"))
+        ent["value"] = ser.tensor_to_json(cat.V("E12"))
     p = tmp_path / "element_delta.json"
     p.write_text(json.dumps(doc))
     code, out, err = run(capsys, "double", str(p), "--format", fmt)
@@ -261,7 +266,7 @@ def test_double_writes_output(files, capsys, tmp_path, monkeypatch):
                        "--out", out_path)
     assert code == 0
     assert "double dimension: 8" in out
-    doc = json.loads(open(out_path).read())
+    doc = json.loads(Path(out_path).read_text())
     back = ser.double_from_json(doc)
     assert back.underlying.dim() == 8
 
@@ -345,7 +350,7 @@ def test_restrict_not_closed_exits_1(files, capsys, monkeypatch):
 
 def test_restrict_success_roundtrips(files, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SUPERBIALG_COLOR", "0")
-    span = [ser.element_to_json(v) for v in cat.t1_span()]
+    span = [ser.tensor_to_json(v) for v in cat.t1_span()]
     p = tmp_path / "t1_span.json"
     p.write_text(json.dumps(span))
     code, out, _ = run(capsys, "restrict", files["sl21_delta_s.json"],
@@ -361,6 +366,51 @@ def test_manin_passes(files, capsys, monkeypatch):
     code, out, _ = run(capsys, "manin", files["manin_s.json"])
     assert code == 0
     assert "direct sum" in out
+
+
+# the argument vector of each subcommand with the document `p` in one slot
+DOCUMENT_SLOTS = {
+    "validate": lambda f, p: ["validate", p],
+    "cocommutator algebra": lambda f, p: ["cocommutator", p,
+                                          "--r", f["r_f.json"]],
+    "cocommutator --r": lambda f, p: ["cocommutator", f["sl21.json"],
+                                      "--r", p],
+    "dual": lambda f, p: ["dual", p],
+    "double": lambda f, p: ["double", p],
+    "restrict": lambda f, p: ["restrict", p, "--span", f["s1_span.json"]],
+    "manin": lambda f, p: ["manin", p],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("slot", sorted(DOCUMENT_SLOTS))
+def test_document_that_is_not_an_object_exits_2(slot, fmt, files, capsys,
+                                                 tmp_path):
+    p = tmp_path / "list.json"
+    p.write_text("[]")
+    code, out, err = run(capsys, *DOCUMENT_SLOTS[slot](files, str(p)),
+                         "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gram", ["missing row", "short row", "not a list"])
+def test_malformed_gram_exits_2(gram, files, capsys, tmp_path):
+    doc = json.loads(Path(files["manin_s.json"]).read_text())
+    if gram == "missing row":
+        del doc["gram"][-1]
+    elif gram == "short row":
+        del doc["gram"][3][0]
+    else:
+        doc["gram"] = 5
+    p = tmp_path / "triple.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "manin", str(p))
+    assert code == 2
+    assert err == ("error: gram must be 8 lists of 8 scalars, one row per "
+                   "basis vector\n")
 
 
 def test_verify_paper_section2(files, capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from superbialg import catalog as cat
 from superbialg import serialize as ser
 from superbialg.algebra import BilinearForm, Superalgebra, koszul
-from superbialg.bialgebra import Bialgebra, dual_bracket
+from superbialg.bialgebra import Bialgebra, InconsistentConstants, dual_bracket
 from superbialg.cohomology import Cochain, coboundary_0
 from superbialg.double import (
     DoubleAlgebra, DoubleConstructionError, build_double, check_canonical_r,
@@ -74,6 +74,20 @@ def test_dual_constants_agree_with_pairing_dual():
         assert Superalgebra(via_pairing.basis, scd.C).constants \
             == via_pairing.constants
         assert dual_bracket(bial).constants == via_pairing.constants
+
+
+@pytest.mark.parametrize("derive", [dual_bracket, dual_bialgebra, build_double],
+                         ids=lambda f: f.__name__)
+def test_even_self_bracket_is_named_by_the_exchange(derive):
+    # an unverified sl(2,1) whose even vector E21 brackets to E12 with itself
+    g = cat.sl21()
+    B = g.basis
+    bad = Superalgebra(B, {**g.constants,
+                           (B.index("E21"), B.index("E21"), B.index("E12")): 1})
+    b = Bialgebra(bad, Cochain(bad, 1, 0, cat.delta_f().values), check=False)
+    with pytest.raises(InconsistentConstants) as err:
+        derive(b)
+    assert str(err.value) == "the even vector E21 has a nonzero self-bracket"
 
 
 def test_dual_bialgebra_is_a_valid_bialgebra():

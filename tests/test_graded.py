@@ -6,9 +6,9 @@ import pytest
 
 from superbialg import catalog as cat
 from superbialg.graded import (
-    BasisMismatch, Element, GradedBasis, LinearEndomorphism, Tensor2, Tensor3,
-    alt_s, image_basis, invert_matrix, matmul, rref,
-    solve_exact, span_equal, super_swap, tensor, wedge,
+    BasisMismatch, Element, GradedBasis, LinearEndomorphism, Tensor, Tensor2,
+    Tensor3, alt_s, image_basis, invert_matrix, is_super_skew, koszul, matmul,
+    rref, solve_exact, span_equal, super_swap, tensor, wedge,
 )
 
 B = cat.sl21_basis()
@@ -47,6 +47,83 @@ def test_element_parity():
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         Element(B, {0: 0.5})
+
+
+# -- one tensor type ----------------------------------------------------------
+
+def test_the_three_ranks_are_one_type():
+    t = Tensor(B, {(0, 1): Q(2), (4, 5): 0}, 2)
+    assert t == T({(0, 1): 2}) and T({(0, 1): 2}) == t
+    assert V("E12") == Tensor(B, {2: 1}, 1)
+    assert B.zero() != Tensor2.zero(B)  # equal entries, different rank
+    assert (t.rank, V("E12").rank, Tensor3.zero(B).rank) == (2, 1, 3)
+
+
+def test_arithmetic_keeps_the_subclass():
+    x = Tensor3((B, B, B), {(0, 4, 5): 1})
+    for value in (x + x, x - x, -x, x.scale(2), 2 * x, alt_s(x)):
+        assert type(value) is Tensor3
+    for value in (T({(0, 1): 1}) + T({}), super_swap(T({(4, 5): 1}))):
+        assert type(value) is Tensor2
+    assert type(V("E12") - V("E13")) is Element
+
+
+def test_tensor_parity_sums_the_legs():
+    assert Tensor3((B, B, B), {(4, 5, 0): 1}).parity() == 0
+    assert Tensor3((B, B, B), {(4, 0, 1): 1}).parity() == 1
+    assert Tensor3((B, B, B), {(4, 0, 1): 1, (0, 1, 2): 1}).parity() is None
+    assert not Tensor3((B, B, B), {(4, 0, 1): 1, (0, 1, 2): 1}).is_homogeneous()
+
+
+def test_rank_three_renders_and_indexes():
+    x = Tensor3((B, B, B), {(4, 0, 6): Q(-2, 3), (2, 3, 1): 1})
+    assert str(x) == "E12⊗E21⊗(E22+E33) - 2/3*E13⊗(E11+E33)⊗E23"
+    assert x[(4, 0, 6)] == Q(-2, 3) and x[(0, 0, 0)] == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Element(B, {8: 1}),
+    lambda: Element(B, {(1,): 1}),
+    lambda: T({(0, 8): 1}),
+    lambda: T({(0, -1): 1}),
+    lambda: T({(0, 1, 2): 1}),
+    lambda: T({3: 1}),
+    lambda: Tensor3((B, B, B), {(0, 1, 9): 1}),
+    lambda: Tensor3((B, B, B), {(0, 1): 1}),
+    lambda: Tensor(B, {(0, 1): 1}, 3),
+], ids=["element range", "element arity", "t2 range", "t2 negative",
+        "t2 arity", "t2 int key", "t3 range", "t3 arity", "tensor arity"])
+def test_constructors_check_every_key(make):
+    with pytest.raises(IndexError):
+        make()
+
+
+def test_legs_must_share_one_basis():
+    other = GradedBasis(["a"], [0])
+    with pytest.raises(BasisMismatch):
+        Tensor2(B, other, {})
+    with pytest.raises(BasisMismatch):
+        Tensor3((B, B, other), {})
+    with pytest.raises(BasisMismatch):
+        V("E12") + T({(0, 1): 1})  # rank 1 plus rank 2
+
+
+def test_leg_views_are_read_only():
+    t, x, e = T({(0, 1): 1}), Tensor3.zero(B), V("E12")
+    assert t.left is B and t.right is B and x.bases == (B, B, B)
+    assert e.coeffs is e.entries
+    for obj, name in ((t, "left"), (t, "right"), (x, "bases"), (e, "coeffs")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, B)
+
+
+def test_koszul_and_super_skew():
+    assert [koszul(p, q) for p, q in ((0, 0), (0, 1), (1, 1), (1, 2))] == \
+        [1, 1, -1, 1]
+    from superbialg.algebra import koszul as from_algebra
+    assert from_algebra is koszul
+    assert is_super_skew(wedge(V("E13"), V("E23")))
+    assert not is_super_skew(tensor(V("E13"), V("E23")))
 
 
 # -- tensor -------------------------------------------------------------------

@@ -25,20 +25,20 @@ def test_scalar_strings_survive_big_integers():
 
 def test_element_roundtrip():
     e = Q(22, 7) * V("E12") - 5 * V("E32")
-    doc = roundtrip(ser.element_to_json(e))
-    assert ser.element_from_json(doc, B) == e
+    doc = roundtrip(ser.tensor_to_json(e))
+    assert ser.tensor_from_json(doc, B, 1) == e
 
 
 def test_tensor2_roundtrip():
     t = cat.r_f()
-    doc = roundtrip(ser.tensor2_to_json(t))
-    assert ser.tensor2_from_json(doc, B) == t
+    doc = roundtrip(ser.tensor_to_json(t))
+    assert ser.tensor_from_json(doc, B, 2) == t
 
 
 def test_tensor3_roundtrip():
     t = Tensor3((B, B, B), {(0, 4, 7): Q(-3, 2), (1, 1, 1): Q(5)})
-    doc = roundtrip(ser.tensor3_to_json(t))
-    assert ser.tensor3_from_json(doc, B) == t
+    doc = roundtrip(ser.tensor_to_json(t))
+    assert ser.tensor_from_json(doc, B, 3) == t
 
 
 def test_superalgebra_roundtrip():
@@ -151,11 +151,30 @@ def test_cochain_value_missing_field_is_named(field):
         ser.bialgebra_from_json(doc)
 
 
+@pytest.mark.parametrize("gram", ["missing row", "not a list"])
+def test_double_gram_shape_is_a_schema_error(gram):
+    doc = ser.double_to_json(cat.double_of_s())
+    if gram == "missing row":
+        del doc["gram"][0]
+    else:
+        doc["gram"] = 5
+    with pytest.raises(ser.SchemaError, match="gram must be 8 lists of 8"):
+        ser.double_from_json(doc)
+
+
+@pytest.mark.parametrize("read", [ser.bialgebra_from_json,
+                                  ser.manin_from_json, ser.double_from_json],
+                         ids=lambda f: f.__name__)
+def test_document_root_must_be_an_object(read):
+    with pytest.raises(ser.SchemaError, match="must be an object, not list"):
+        read([])
+
+
 def test_label_mismatch_rejected():
-    doc = ser.tensor2_to_json(cat.r_f())
+    doc = ser.tensor_to_json(cat.r_f())
     doc["basis"][0] = "renamed"
     with pytest.raises(ser.SchemaError):
-        ser.tensor2_from_json(doc, B)
+        ser.tensor_from_json(doc, B, 2)
 
 
 def test_bad_scalar_rejected():
@@ -185,7 +204,7 @@ def test_double_primal_dim_must_be_an_integer():
 def test_cochain_values_share_one_module():
     # the first value is in g (x) g, so an element of g later is refused
     doc = ser.cochain_to_json(cat.delta_f())
-    doc["values"][-1]["value"] = ser.element_to_json(V("E12"))
+    doc["values"][-1]["value"] = ser.tensor_to_json(V("E12"))
     with pytest.raises(ser.SchemaError, match="2 slots"):
         ser.cochain_from_json(doc, cat.sl21())
 
