@@ -25,9 +25,9 @@ entries, both to re-check `extract_constants` and to assemble a dual
 cobracket.  The tests keep the pairing formula above as the independent
 oracle for the exchange.
 
-The cobracket axioms work on plain dicts.  `check_compatibility` scans the
-sorted pairs a <= b once the bracket is super antisymmetric (its residual
-at (b, a) is -(-1)^{|a||b|} times the one at (a, b)), and every pair in
+The cobracket axioms work on plain dicts.  `check_compatibility` is the
+pairwise cocycle kernel of `cohomology` at parity 0, so it scans the sorted
+pairs a <= b once the bracket is super antisymmetric and every pair in
 product order otherwise.  `check_cojacobi` adds the three cyclic terms of
 (delta (x) Id) delta(x) straight into one dict per basis vector x.
 """
@@ -45,10 +45,12 @@ from .graded import (
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
-    _act_into, _add_into, adjoint_on_tensor2, check_homomorphism,
+    _add_into, adjoint_on_tensor2, check_homomorphism,
     check_invariance, express_in_span, gram_matrix, is_subalgebra,
 )
-from .cohomology import Cochain, coboundary_0, is_cocycle_1
+from .cohomology import (
+    Cochain, coboundary_0, is_cocycle_1, pairwise_failure,
+)
 from .report import VerificationReport
 
 
@@ -249,45 +251,12 @@ def check_compatibility(g: Superalgebra, delta: Cochain) -> VerificationReport:
     """Check delta([a,b]) = [delta(a), b(x)1 + 1(x)b] + [a(x)1 + 1(x)a, delta(b)].
 
     The right bracket of a homogeneous tensor t with b(x)1 + 1(x)b is
-    -(-1)^{|b||t|} times the left action of b on t.  The pairs scanned are
-    those of `g.pairs_to_scan()`.
+    -(-1)^{|b||t|} times the left action of b on t, so this is the pairwise
+    condition of `cohomology.pairwise_failure` at parity 0.
     """
-    _same_basis(delta.g.basis, g.basis)
-    if delta.degree != 1:
-        raise ValueError("argument count must equal the cochain degree")
     rep = VerificationReport("cocycle compatibility")
-    lab = g.basis.labels
-    par = g.basis.parities
-    rows = g.rows
-    vals = delta.values  # a 1-cochain stores delta(e_k) at (k,), sign 1
-
-    def sides_into(lhs: dict, rhs: dict, a: int, b: int, s: int) -> None:
-        """lhs += delta([a,b]); rhs += s * (the Leibniz expansion)."""
-        for k, c in rows[a][b].items():
-            v = vals.get((k,))
-            if v is not None:
-                _add_into(lhs, v.entries, c)
-        da = vals.get((a,))
-        if da is not None:
-            # [delta(a), b(x)1 + 1(x)b]; delta(a) has parity |a|
-            _act_into(rhs, g, b, da.entries, -s * koszul(par[b], par[a]))
-        db = vals.get((b,))
-        if db is not None:
-            _act_into(rhs, g, a, db.entries, s)
-
-    def breaks(a, b):
-        diff: dict = {}
-        sides_into(diff, diff, a, b, -1)
-        if not any(diff.values()):
-            return None
-        lhs: dict = {}
-        rhs: dict = {}
-        sides_into(lhs, rhs, a, b, 1)
-        return (f"pair ({lab[a]}, {lab[b]}): "
-                f"{Tensor2(g.basis, g.basis, lhs)} != "
-                f"{Tensor2(g.basis, g.basis, rhs)}")
     rep.scan("delta([a,b]) matches the Leibniz expansion", g.pairs_to_scan(),
-             breaks)
+             pairwise_failure(g, delta, EVEN, "{} != {}"))
     return rep
 
 

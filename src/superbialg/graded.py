@@ -125,9 +125,10 @@ class Tensor:
         indices = basis.indices
         clean = {}
         for key, c in entries.items():
-            if not (key in indices if rank == 1 else
+            # an index is an int proper: 1.0 and True hash like 1
+            if not (type(key) is int and key in indices if rank == 1 else
                     type(key) is tuple and len(key) == rank
-                    and indices.issuperset(key)):
+                    and all(type(i) is int and i in indices for i in key)):
                 raise IndexError(f"key {key!r} is not a rank-{rank} key "
                                  f"over range({len(basis)})")
             if type(c) is not Fraction:

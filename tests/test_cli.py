@@ -8,6 +8,7 @@ import pytest
 from superbialg import catalog as cat
 from superbialg import serialize as ser
 from superbialg.algebra import Superalgebra
+from superbialg.bialgebra import Bialgebra
 from superbialg.cli import main
 
 
@@ -333,6 +334,24 @@ def test_double_validates_the_double_once(files, capsys, monkeypatch):
     ]
 
 
+def test_verify_paper_counts_each_verification(capsys, monkeypatch):
+    # from cold caches: the restricted bialgebras and the doubles keep the
+    # reports their constructors made instead of verifying again
+    calls = {"verify": 0, "validate": 0}
+    for cls, name in ((Bialgebra, "verify"), (Superalgebra, "validate")):
+        def counted(self, real=getattr(cls, name), name=name):
+            calls[name] += 1
+            return real(self)
+        monkeypatch.setattr(cls, name, counted)
+    for f in vars(cat).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    code, out, _ = run(capsys, "verify", "paper")
+    assert code == 0
+    assert out.endswith("70/70 fixtures pass\n")
+    assert calls == {"verify": 7, "validate": 17}
+
+
 def test_dual_prints_bracket_table(files, capsys, monkeypatch):
     monkeypatch.setenv("SUPERBIALG_COLOR", "0")
     code, out, _ = run(capsys, "dual", files["s_delta2.json"])
@@ -411,6 +430,30 @@ def test_malformed_gram_exits_2(gram, files, capsys, tmp_path):
     assert code == 2
     assert err == ("error: gram must be 8 lists of 8 scalars, one row per "
                    "basis vector\n")
+
+
+def test_inhomogeneous_r_exits_2(files, capsys, tmp_path):
+    doc = ser.tensor_to_json(cat.r_f())
+    doc["entries"][0]["idx"] = [0, 4]  # an even-odd entry in an even r
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "cocommutator", files["sl21.json"],
+                         "--r", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: 0-cochain must be parity-homogeneous")
+
+
+@pytest.mark.parametrize("raw,why", [
+    (b"\x80", "unreadable JSON: 'utf-8' codec can't decode byte 0x80"),
+    # past the int digit limit of Python >= 3.10.7, a schema error before
+    (b"[" + b"1" * 5000 + b"]", ""),
+], ids=["not utf-8", "integer literal too long"])
+def test_unreadable_document_exits_2(raw, why, capsys, tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_bytes(raw)
+    code, out, err = run(capsys, "validate", str(p))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and why in err
 
 
 def test_verify_paper_section2(files, capsys, monkeypatch):

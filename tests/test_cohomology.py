@@ -186,8 +186,8 @@ def test_constant_cochain_is_not_a_cocycle():
         ("pairwise super cocycle condition",
          "pair (E11+E33, E22+E33): f([a,b]) = 0 but action side = "
          "4*E12⊗E12"),
-        ("coboundary vanishes", "d(delta) has 28 nonzero values"),
     ]
+    assert len(coboundary(g, c).values) == 28
 
 
 def test_coboundaries_are_cocycles():
@@ -204,10 +204,7 @@ def test_cocycle_paths_agree_on_non_cocycles():
     g = cat.sl21()
     c = Cochain(g, 1, 0)
     c.set_value((B.index("E12"),), tensor(V("E13"), V("E13")))
-    rep = is_cocycle_1(g, c)
-    results = {chk.name: chk.passed for chk in rep.checks}
-    assert (results["pairwise super cocycle condition"]
-            == results["coboundary vanishes"])
+    assert coboundary(g, c).is_zero() == is_cocycle_1(g, c).passed
 
 
 def test_checks_without_antisymmetry_name_an_unsorted_pair():

@@ -1,0 +1,192 @@
+"""Oracle checks on the doubles `build_double` verifies through their canonical r.
+
+`build_double` checks delta = d(r) and the invariance of r + T(r), and
+nothing else about the double's cobracket.  Here every double the tests
+build is checked again with the bialgebra checks of `Bialgebra.verify`
+(super-skew values, `is_cocycle_1`, `check_cojacobi`) and with the super
+classical Yang-Baxter oracle `oracles.super_cybe`.
+"""
+
+import json
+from functools import cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superbialg import catalog as cat
+from superbialg import serialize as ser
+from superbialg.algebra import MatrixRealization, Superalgebra, from_matrices
+from superbialg.bialgebra import (
+    Bialgebra, InconsistentConstants, casimir, check_cojacobi,
+    check_unitarity, cocommutator,
+)
+from superbialg.cohomology import Cochain, coboundary_0, is_cocycle_1
+from superbialg.double import DoubleConstructionError, build_double
+from superbialg.graded import (
+    GradedBasis, Q, Tensor2, is_super_skew, koszul, super_swap,
+)
+
+from oracles import is_ad_invariant3, super_cybe
+
+GOLDEN_21 = Path(__file__).parent / "golden" / "inputs" / "sl21-seed1.json"
+
+
+def sl_standard_bialgebra(m: int, n: int) -> Bialgebra:
+    """sl(m|n) from elementary matrices with the cobracket of its standard r:
+    half the Cartan block of omega plus omega on e_a (x) e_-a for the
+    positive roots a."""
+    N = m + n
+    labels, parities, images = [], [], []
+
+    def add(label, parity, entries):
+        mat = [[Q(0)] * N for _ in range(N)]
+        for (i, j), c in entries.items():
+            mat[i][j] = Q(c)
+        labels.append(label)
+        parities.append(parity)
+        images.append(mat)
+    for i in range(N - 1):
+        add(f"h{i + 1}", 0, {(i, i): 1, (N - 1, N - 1): -1 if i >= m else 1})
+    roots = []
+    for i in range(N):
+        for j in range(i + 1, N):
+            roots.append(len(labels))
+            add(f"E{i + 1}{j + 1}", int((i >= m) != (j >= m)), {(i, j): 1})
+            add(f"E{j + 1}{i + 1}", int((i >= m) != (j >= m)), {(j, i): 1})
+    real = MatrixRealization(GradedBasis(labels, parities), m, n, images)
+    g = from_matrices(real)
+    omega = casimir(real, g)
+    r = {(i, j): c / 2 for (i, j), c in omega.entries.items()
+         if i < N - 1 and j < N - 1}
+    for pos in roots:
+        r[(pos, pos + 1)] = omega[(pos, pos + 1)]
+    return Bialgebra(g, coboundary_0(g, Tensor2(g.basis, g.basis, r)),
+                     check=False)
+
+
+@cache
+def double_of(name: str):
+    if name == "double of s":
+        return cat.double_of_s()
+    if name == "double of t":
+        return cat.double_of_t()
+    if name == "golden (2|1) input":
+        return build_double(ser.bialgebra_from_json(
+            json.loads(GOLDEN_21.read_text())))
+    return build_double(sl_standard_bialgebra(3, 1))
+
+
+DOUBLES = ["double of s", "double of t", "golden (2|1) input",
+           "(3|1) standard"]
+
+
+def assert_bialgebra_checks_pass(d) -> None:
+    assert all(map(is_super_skew, d.delta.values.values()))
+    assert is_cocycle_1(d.underlying, d.delta).passed
+    assert check_cojacobi(d.underlying, d.delta).passed
+
+
+@pytest.mark.parametrize("name", DOUBLES)
+def test_double_cobracket_passes_the_bialgebra_checks(name):
+    assert_bialgebra_checks_pass(double_of(name))
+
+
+@pytest.mark.parametrize("name", DOUBLES)
+def test_canonical_r_solves_the_super_cybe(name):
+    d = double_of(name)
+    assert super_cybe(d.underlying, d.canonical_r).is_zero()
+
+
+def test_build_double_checks_the_cobracket_through_r_alone(monkeypatch):
+    from superbialg import bialgebra, cohomology, double
+    calls = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    counting(double, "check_canonical_r")
+    for name in ("is_cocycle_1", "check_cojacobi", "is_super_skew"):
+        for module in (bialgebra, cohomology, double):
+            if hasattr(module, name):
+                counting(module, name)
+    d = build_double(cat.bialgebra_f())
+    assert d.underlying.dim() == 16
+    assert calls == ["check_canonical_r"]
+
+
+# -- coJacobi of d(r) against the super CYBE ------------------------------------
+
+def _same_parity_pair(draw_i, draw_j):
+    """An index pair of equal parity over sl(2,1): 0..3 even, 4..7 odd."""
+    return draw_i, (draw_j % 4) + (4 if draw_i >= 4 else 0)
+
+
+@given(base=st.sampled_from(["r_f", "r_standard"]),
+       changes=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                  st.fractions(-2, 2, max_denominator=2)),
+                        max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_cojacobi_holds_iff_the_cybe_is_invariant(base, changes):
+    # r + (t - T(t)) keeps r + T(r) = omega, so d(r) stays a skew cocycle
+    g = cat.sl21()
+    r = getattr(cat, base)()
+    for i, j, c in changes:
+        t = Tensor2(g.basis, g.basis, {_same_parity_pair(i, j): c})
+        r = r + t - super_swap(t)
+    assert check_unitarity(r, cat.omega()).passed
+    delta = cocommutator(g, r)
+    assert (check_cojacobi(g, delta).passed
+            == is_ad_invariant3(g, super_cybe(g, r)))
+
+
+# -- every double build_double accepts passes the bialgebra checks --------------
+
+BASES = {
+    "s": cat.s_bialgebra_2,
+    "t": cat.t_bialgebra_2,
+    "sl21 delta_s": cat.bialgebra_s,
+}
+
+
+def _perturbed(b: Bialgebra, kind: str, k: int, i: int, j: int, c) -> Bialgebra:
+    """b with delta or the bracket scaled by c, or c * e_i ^ e_j added to
+    delta(e_k) (indices taken modulo the dimension)."""
+    n = b.algebra.dim()
+    k, i, j = k % n, i % n, j % n
+    par = b.basis.parity
+    g = b.algebra
+    if kind == "scale bracket":
+        g = Superalgebra(b.basis, {key: c * v
+                                   for key, v in g.constants.items()})
+    values = {args: (v.scale(c) if kind == "scale delta" else v)
+              for args, v in b.delta.values.items()}
+    delta = Cochain(g, 1, 0, values)
+    if kind == "wedge" and not (i == j and par(i) == 0):
+        ent = {(i, i): 2 * c} if i == j else {
+            (i, j): c, (j, i): -koszul(par(i), par(j)) * c}
+        delta.set_value((k,), Tensor2(b.basis, b.basis, ent))
+    return Bialgebra(g, delta, check=False)
+
+
+@given(base=st.sampled_from(sorted(BASES)),
+       kinds=st.lists(st.sampled_from(["scale delta", "scale bracket",
+                                       "wedge"]), min_size=1, max_size=2),
+       k=st.integers(0, 7), i=st.integers(0, 7), j=st.integers(0, 7),
+       c=st.sampled_from([Q(-2), Q(-1), Q(1, 2), Q(3)]))
+@settings(max_examples=30, deadline=None)
+def test_every_accepted_double_passes_the_bialgebra_checks(base, kinds, k, i,
+                                                           j, c):
+    b = BASES[base]()
+    for kind in kinds:
+        b = _perturbed(b, kind, k, i, j, c)
+    try:
+        d = build_double(b)
+    except (DoubleConstructionError, InconsistentConstants):
+        return
+    assert_bialgebra_checks_pass(d)

@@ -91,8 +91,15 @@ def test_rank_three_renders_and_indexes():
     lambda: Tensor3((B, B, B), {(0, 1, 9): 1}),
     lambda: Tensor3((B, B, B), {(0, 1): 1}),
     lambda: Tensor(B, {(0, 1): 1}, 3),
+    lambda: Element(B, {1.0: 1}),
+    lambda: Element(B, {True: 1}),
+    lambda: T({(0, 1.0): 1}),
+    lambda: T({(False, 1): 1}),
+    lambda: Tensor3((B, B, B), {(0, 1, 2.0): 1}),
 ], ids=["element range", "element arity", "t2 range", "t2 negative",
-        "t2 arity", "t2 int key", "t3 range", "t3 arity", "tensor arity"])
+        "t2 arity", "t2 int key", "t3 range", "t3 arity", "tensor arity",
+        "element float", "element bool", "t2 float", "t2 bool",
+        "t3 float"])
 def test_constructors_check_every_key(make):
     with pytest.raises(IndexError):
         make()

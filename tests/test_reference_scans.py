@@ -5,7 +5,8 @@
 antisymmetric bracket, scan only the sorted pairs.  The references below
 scan every basis pair (or vector, or triple) in product order through the
 public tensor operations; on perturbed cochains and forms both must agree
-on pass/fail and name the same first counterexample.
+on pass/fail and name the same first counterexample.  The degree-2
+`coboundary` is the second route to the cocycle condition.
 """
 
 from itertools import product
@@ -18,7 +19,7 @@ from superbialg.algebra import (
     BilinearForm, Superalgebra, adjoint_on_tensor2, check_invariance,
 )
 from superbialg.bialgebra import check_cojacobi, check_compatibility
-from superbialg.cohomology import Cochain, is_cocycle_1
+from superbialg.cohomology import Cochain, coboundary, is_cocycle_1
 from superbialg.graded import Element, Tensor2, Tensor3, alt_s
 
 BASES = {
@@ -151,7 +152,14 @@ def test_cochain_checks_match_product_order_references(
         for k, i, _, c in changes:
             f.set_value((k,), Element(g.basis, {i: c}))
         zero = g.basis.zero()
-    assert _detail(is_cocycle_1(g, f)) == cocycle_reference(g, f, zero)
+    cocycle = is_cocycle_1(g, f)
+    assert _detail(cocycle) == cocycle_reference(g, f, zero)
+    # d(f) = 0 is the pairwise condition on the canonical pairs a <= b;
+    # the pairs decide it exactly when the bracket is super antisymmetric
+    if not breaks:
+        assert coboundary(g, f).is_zero() == cocycle.passed
+    elif cocycle.passed:
+        assert coboundary(g, f).is_zero()
     if tensor_valued:
         assert (_detail(check_compatibility(g, f))
                 == compatibility_reference(g, f))
