@@ -5,10 +5,10 @@ as sparse rows `rows[i][j] = {k: C(i,j,k)}`; each row is also the coefficient
 dict of the Element `bracket_basis(i, j)` returns.  Brackets, the adjoint
 action on g (x) g, super Jacobi and form invariance all sum products of
 these rows into one dict and build at most one result object.  Two kernels
-do the adding: `_add_into` (a row times a scalar) and `_act_into` (e_i . t
-for t in g (x) g); the cochain checks in `cohomology` and `bialgebra` call
-them directly.  Both skip the multiplication for a coefficient of +-1 and
-store the first term of a key as it is.
+do the adding: `graded._add_into` (a row times a scalar) and `_act_into`
+(e_i . t for t in g (x) g); the cochain checks in `cohomology` and
+`bialgebra` call them directly.  Both skip the multiplication for a
+coefficient of +-1 and store the first term of a key as it is.
 
 Each check here is a `VerificationReport.scan` over basis tuples.  Super
 antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted
@@ -22,10 +22,10 @@ every tuple is scanned in product order instead.  `check_invariance`
 compares the two sides of <[a,b],c> = <a,[b,c]> one dict over c per pair.
 
 Matrix realizations act as independent oracles: `from_matrices` re-derives
-the constants from sparse graded commutators.  The span of the images is
-factored once (pivot coordinates from one row reduction, the pivot block
-inverted once); every commutator is read off that inverse and then checked
-exactly against its reconstruction at every matrix entry.  The supertrace
+the constants from sparse graded commutators.  It, `is_subalgebra` and
+`bialgebra.restrict` each factor their span once with `graded.factor_span`
+and read every bracket off that one factorization; each coordinate vector
+is checked exactly against its reconstruction, entry for entry.  The supertrace
 form str(rho(x) rho(y)) gives the invariant bilinear form used for Casimir
 elements and Manin triples.
 """
@@ -38,7 +38,8 @@ from typing import Mapping, Sequence
 
 from .graded import (
     EVEN, ODD, Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
-    as_scalar, invert_matrix, koszul, rank, rref, solve_exact, _same_basis,
+    _add_into, as_scalar, factor_span, koszul, rank, rref, span_coordinates,
+    _same_basis,
 )
 from .report import VerificationReport
 
@@ -49,27 +50,6 @@ class NotClosed(ValueError):
 
 class DependentVectors(ValueError):
     """Vectors required to be linearly independent are not."""
-
-
-def _add_into(acc: dict, row: Mapping, c: Fraction) -> None:
-    """acc += c * row, entry by entry.
-
-    A coefficient of +-1 costs no multiplication, and the first term of a
-    key is stored as it is rather than added to 0.
-    """
-    get = acc.get
-    if c == 1:
-        for k, x in row.items():
-            old = get(k)
-            acc[k] = x if old is None else old + x
-    elif c == -1:
-        for k, x in row.items():
-            old = get(k)
-            acc[k] = -x if old is None else old - x
-    else:
-        for k, x in row.items():
-            old = get(k)
-            acc[k] = c * x if old is None else old + c * x
 
 
 def _nonzero(acc: dict) -> dict:
@@ -346,52 +326,34 @@ def supertrace_form(real: MatrixRealization, x: Element, y: Element) -> Fraction
 def from_matrices(real: MatrixRealization) -> Superalgebra:
     """Derive abstract structure constants from a faithful realization.
 
-    Raises DependentVectors if the images are linearly dependent, NotClosed
-    if some graded commutator leaves their span.
+    The flattened images are factored once (`graded.factor_span`), and the
+    coordinates of every graded commutator are read off that one
+    factorization.  Raises DependentVectors if the images are linearly
+    dependent, NotClosed if some graded commutator leaves their span.
     """
     d = real.m + real.n
-    flat = [[mat[r][c] for r in range(d) for c in range(d)]
-            for mat in real.images]
-    if all(all(x == 0 for x in col) for col in flat):
+    flat = [{(r, c): x for r, row in sp.items() for c, x in row.items()}
+            for sp in real.sparse]
+    if not any(flat):
         # an all-zero realization still pins down the abelian algebra
         return Superalgebra(real.basis, {})
-    _, pivots = rref(flat)
-    nb = len(real.images)
-    if len(pivots) != nb:
+    span = factor_span(flat, list(product(range(d), repeat=2)))
+    if span is None:
         raise DependentVectors("matrix images are linearly dependent")
-    # The images restricted to the pivot entries form an invertible block P
-    # (P[k][p] = image k at pivot p); coefficients of a span member w are
-    # then w|pivots . P^{-1}.
-    coords = [divmod(p, d) for p in pivots]
-    inv = invert_matrix([[real.images[k][r][c] for r, c in coords]
-                         for k in range(nb)])
-    inv_rows = {rc: {k: x for k, x in enumerate(row) if x != 0}
-                for rc, row in zip(coords, inv)}
     par = real.basis.parity
     sp = real.sparse
     constants: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(nb):
-        for j in range(nb):
-            acc: dict[tuple[int, int], Fraction] = {}
-            _product_into(acc, sp[i], sp[j], 1)
-            _product_into(acc, sp[j], sp[i], -koszul(par(i), par(j)))
-            br = _nonzero(acc)
-            coeffs: dict[int, Fraction] = {}
-            for rc, v in br.items():
-                if rc in inv_rows:
-                    _add_into(coeffs, inv_rows[rc], v)
-            coeffs = _nonzero(coeffs)
-            recon: dict[tuple[int, int], Fraction] = {}
-            for k, c in coeffs.items():
-                for r, row in sp[k].items():
-                    for s, v in row.items():
-                        recon[(r, s)] = recon.get((r, s), 0) + c * v
-            if _nonzero(recon) != br:
-                raise NotClosed(
-                    f"[{real.basis.labels[i]}, {real.basis.labels[j]}] is not "
-                    f"in the span of the images")
-            for k in sorted(coeffs):
-                constants[(i, j, k)] = coeffs[k]
+    for i, j in product(range(len(sp)), repeat=2):
+        acc: dict[tuple[int, int], Fraction] = {}
+        _product_into(acc, sp[i], sp[j], 1)
+        _product_into(acc, sp[j], sp[i], -koszul(par(i), par(j)))
+        coeffs = span_coordinates(span, _nonzero(acc))
+        if coeffs is None:
+            raise NotClosed(
+                f"[{real.basis.labels[i]}, {real.basis.labels[j]}] is not "
+                f"in the span of the images")
+        for k, c in coeffs.items():
+            constants[(i, j, k)] = c
     return Superalgebra(real.basis, constants)
 
 
@@ -479,24 +441,17 @@ def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor) -> Tensor:
     return t._with(acc)
 
 
-def express_in_span(vectors: Sequence[Element], w: Element) -> list[Fraction] | None:
-    """Coefficients of w in the given vectors, or None if w is outside."""
-    n = len(w.basis)
-    cols = [[v[k] for k in range(n)] for v in vectors]
-    return solve_exact(cols, [w[k] for k in range(n)])
-
-
 def is_subalgebra(g: Superalgebra, vectors: Sequence[Element]) -> bool:
-    """Is the span of the (independent) vectors closed under the bracket?"""
-    n = g.dim()
-    rows = [[v[k] for k in range(n)] for v in vectors]
-    if rank(rows) != len(vectors):
+    """Is the span of the (independent) vectors closed under the bracket?
+
+    The span is factored once, and each bracket [a, b], in (a, b) order, is
+    read off that one factorization.
+    """
+    span = factor_span([v.entries for v in vectors], range(g.dim()))
+    if span is None:
         raise DependentVectors("subalgebra test needs independent vectors")
-    for a in vectors:
-        for b in vectors:
-            if express_in_span(vectors, g.bracket(a, b)) is None:
-                return False
-    return True
+    return all(span_coordinates(span, g.bracket(a, b).entries) is not None
+               for a in vectors for b in vectors)
 
 
 def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:

@@ -40,13 +40,14 @@ from typing import Sequence
 
 from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor2, Tensor3, _same_basis, invert_matrix, is_super_skew,
-    koszul, matmul, rank, solve_exact, super_swap, tensor,
+    LinearMap, Tensor2, Tensor3, _add_into, _same_basis, factor_span,
+    invert_matrix, is_super_skew, koszul, matmul, rank, span_coordinates,
+    square_span, super_swap, tensor,
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
-    _add_into, adjoint_on_tensor2, check_homomorphism,
-    check_invariance, express_in_span, gram_matrix, is_subalgebra,
+    adjoint_on_tensor2, check_homomorphism, check_invariance, gram_matrix,
+    is_subalgebra,
 )
 from .cohomology import (
     Cochain, coboundary_0, is_cocycle_1, pairwise_failure,
@@ -386,15 +387,17 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
 
     Every sub vector must be homogeneous and independent; the bracket and
     delta must both close on the span (exact membership, no projection).
-    Raises NotClosedUnderCobracket when some delta(s) leaves span (x) span.
+    The span is factored once: every [v_i, v_j] is read off that
+    factorization, and every delta(v) off its tensor square, which factors
+    span (x) span.  Raises NotClosedUnderCobracket when some bracket leaves
+    the span or some delta(v) leaves span (x) span.
     """
     g = b.algebra
-    n = g.dim()
     for v in sub:
         if not v.is_homogeneous() or v.is_zero():
             raise InhomogeneousInput(f"sub vector {v} is not homogeneous")
-    rows = [[v[k] for k in range(n)] for v in sub]
-    if rank(rows) != len(sub):
+    span = factor_span([v.entries for v in sub], range(g.dim()))
+    if span is None:
         raise DependentVectors("restriction needs independent vectors")
     if labels is None:
         labels = [f"v{i}" for i in range(len(sub))]
@@ -403,31 +406,21 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
     constants: dict[tuple[int, int, int], Fraction] = {}
     for i, vi in enumerate(sub):
         for j, vj in enumerate(sub):
-            w = g.bracket(vi, vj)
-            coeffs = express_in_span(sub, w)
+            coeffs = span_coordinates(span, g.bracket(vi, vj).entries)
             if coeffs is None:
                 raise NotClosedUnderCobracket(
                     f"bracket [{vi}, {vj}] leaves the span")
-            for k, c in enumerate(coeffs):
-                if c != 0:
-                    constants[(i, j, k)] = c
+            for k, c in coeffs.items():
+                constants[(i, j, k)] = c
     sub_alg = Superalgebra(sub_basis, constants)
 
-    # membership in span (x) span, solved entrywise and exactly
-    pair_cols = []
-    pairs = [(a, bb) for a in range(len(sub)) for bb in range(len(sub))]
-    for a, bb in pairs:
-        t = tensor(sub[a], sub[bb])
-        pair_cols.append([t[(i, j)] for i in range(n) for j in range(n)])
+    pairs = square_span(span)
     delta_sub = Cochain(sub_alg, 1, b.delta.parity)
     for s_idx, v in enumerate(sub):
-        total = b.delta_of(v)
-        target = [total[(i, j)] for i in range(n) for j in range(n)]
-        sol = solve_exact(pair_cols, target)
-        if sol is None:
+        entries = span_coordinates(pairs, b.delta_of(v).entries)
+        if entries is None:
             raise NotClosedUnderCobracket(
                 f"delta({v}) does not lie in span (x) span")
-        entries = {pairs[t_idx]: c for t_idx, c in enumerate(sol) if c != 0}
         if entries:
             delta_sub.set_value((s_idx,), Tensor2(sub_basis, sub_basis, entries))
     return Bialgebra(sub_alg, delta_sub)

@@ -39,10 +39,10 @@ from fractions import Fraction
 from typing import Mapping
 
 from .graded import (
-    EVEN, ODD, BasisMismatch, GradedBasis, Tensor, _same_basis, as_scalar,
-    koszul,
+    EVEN, ODD, BasisMismatch, GradedBasis, Tensor, _add_into, _same_basis,
+    as_scalar, koszul,
 )
-from .algebra import Superalgebra, _act_into, _add_into, adjoint_on_tensor2
+from .algebra import Superalgebra, _act_into, adjoint_on_tensor2
 from .report import VerificationReport
 
 

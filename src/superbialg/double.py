@@ -64,8 +64,9 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
 class DoubleAlgebra:
     """The double: algebra, cobracket, pairing and canonical r-matrix.
 
-    `axioms` is the bracket-axiom report `build_double` verified, or None
-    for a double that was not verified here (e.g. one read from JSON).
+    `axioms` and `canonical_r_report` are the bracket-axiom and
+    `check_canonical_r` reports `build_double` verified, or None for a
+    double that was not verified here (e.g. one read from JSON).
     """
 
     def __init__(self, underlying: Superalgebra, delta: Cochain,
@@ -77,6 +78,7 @@ class DoubleAlgebra:
         self.canonical_r = canonical_r
         self.primal_dim = primal_dim
         self.axioms = axioms
+        self.canonical_r_report: VerificationReport | None = None
 
     def as_bialgebra(self) -> Bialgebra:
         """The double as an unchecked bialgebra (see `build_double`)."""
@@ -89,7 +91,8 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     The output is verified before returning: the bracket must satisfy the
     superalgebra axioms (a Jacobi failure signals an inconsistent input),
     the form must be invariant, and `check_canonical_r` must pass (delta =
-    d(r), r + T(r) invariant).  The bracket-axiom report is kept as `axioms`.
+    d(r), r + T(r) invariant).  The two reports are kept as `axioms` and
+    `canonical_r_report`.
     """
     sc = extract_constants(b)
     scd = dual_constants(sc)
@@ -141,7 +144,8 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     _required(check_invariance(underlying, form), "double form not invariant")
     d = DoubleAlgebra(underlying, delta, form, canonical_r, n,
                       axioms=bracket_axioms)
-    _required(check_canonical_r(d), "double cobracket fails")
+    d.canonical_r_report = _required(check_canonical_r(d),
+                                     "double cobracket fails")
     return d
 
 

@@ -19,6 +19,12 @@ Sign conventions (used throughout the package):
 * super swap:   T(a (x) b) = (-1)^{|a||b|} b (x) a
 * signed cycle: A(a (x) b (x) c) = a(x)b(x)c + (-1)^{|a|(|b|+|c|)} b(x)c(x)a
                 + (-1)^{|c|(|a|+|b|)} c(x)a(x)b
+
+The linear-algebra kernel is `rref` on dense rows.  `factor_span` factors a
+span once: one `rref` for the pivot columns, one inverse of the pivot block
+P.  `span_coordinates` reads coordinates off it and rebuilds them to decide
+membership exactly; `square_span` gives the factorization of span (x) span,
+P^{-1} (x) P^{-1} on the pivot pairs, with no second row reduction.
 """
 
 from __future__ import annotations
@@ -325,8 +331,29 @@ def alt_s(t: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# exact dense linear algebra kernel
+# exact linear algebra kernels
 # ---------------------------------------------------------------------------
+
+def _add_into(acc: dict, row: Mapping, c: Fraction) -> None:
+    """acc += c * row, entry by entry.
+
+    A coefficient of +-1 costs no multiplication, and the first term of a
+    key is stored as it is rather than added to 0.
+    """
+    get = acc.get
+    if c == 1:
+        for k, x in row.items():
+            old = get(k)
+            acc[k] = x if old is None else old + x
+    elif c == -1:
+        for k, x in row.items():
+            old = get(k)
+            acc[k] = -x if old is None else old - x
+    else:
+        for k, x in row.items():
+            old = get(k)
+            acc[k] = c * x if old is None else old + c * x
+
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot columns).
@@ -361,22 +388,43 @@ def rank(rows: list[list[Fraction]]) -> int:
     return len(rref(rows)[1])
 
 
-def solve_exact(columns: list[list[Fraction]],
-                target: list[Fraction]) -> list[Fraction] | None:
-    """Solve sum_j x_j * columns[j] == target exactly; None if unsolvable."""
-    if not columns:
-        return [] if all(t == 0 for t in target) else None
-    n = len(target)
-    aug = [[columns[j][i] for j in range(len(columns))] + [target[i]]
-           for i in range(n)]
-    red, pivots = rref(aug)
-    ncols = len(columns)
-    if ncols in pivots:
-        return None  # inconsistent system
-    x = [Q(0)] * ncols
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
-    return x
+def factor_span(vectors: Sequence[Mapping], columns: Sequence) -> tuple | None:
+    """(rows of P^{-1} by pivot key, vectors by index) for sparse vectors
+    over the keys in `columns`, where P[a][p] is vector a at pivot p; None
+    when the vectors are dependent."""
+    zero = Q(0)
+    _, pivots = rref([[v.get(k, zero) for k in columns] for v in vectors])
+    if len(pivots) != len(vectors):
+        return None
+    keys = [columns[p] for p in pivots]
+    inv = invert_matrix([[v.get(k, zero) for k in keys] for v in vectors])
+    return ({k: {a: x for a, x in enumerate(row) if x}
+             for k, row in zip(keys, inv)}, dict(enumerate(vectors)))
+
+
+def square_span(span: tuple) -> tuple:
+    """The factorization of span (x) span from that of the span: the pivots
+    are the pivot pairs, the inverse is P^{-1} (x) P^{-1} and the vectors
+    are the v_a (x) v_b, keyed by (a, b)."""
+    return tuple({(p, q): {(a, b): x * y for a, x in rows[p].items()
+                           for b, y in rows[q].items()}
+                  for p in rows for q in rows} for rows in span)
+
+
+def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
+    """Coordinates of a sparse vector (nonzero entries only) in a factored
+    span, sorted by key, or None when it lies outside: w|pivots . P^{-1},
+    kept only if rebuilding them gives back `entries` entry for entry."""
+    inv, vecs = span
+    acc: dict = {}
+    for key, c in entries.items():
+        if key in inv:
+            _add_into(acc, inv[key], c)
+    coords = {a: acc[a] for a in sorted(acc) if acc[a]}
+    recon: dict = {}
+    for a, c in coords.items():
+        _add_into(recon, vecs[a], c)
+    return coords if {k: x for k, x in recon.items() if x} == entries else None
 
 
 def invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:

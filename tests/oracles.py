@@ -21,11 +21,22 @@ expanding the commutators in U(g)^(x)3 with Koszul signs gives
 
 When r + T(r) is ad-invariant, d(r) satisfies coJacobi iff [[r,r]] is
 ad-invariant; the canonical r of a double has [[r,r]] = 0.
+
+The library reads every coordinate in a span off one factorization of it
+(`graded.factor_span`).  `solve_exact` is the reference solver it is
+compared with: one fresh row reduction of an augmented system per target.
+`restrict_reference` is `bialgebra.restrict` written on top of it, solving
+every bracket and every delta value on its own.
 """
 
-from superbialg.algebra import Superalgebra, koszul
-from superbialg.bialgebra import Bialgebra, dual_basis
-from superbialg.graded import EVEN, Tensor2, Tensor3
+from superbialg.algebra import DependentVectors, Superalgebra, koszul
+from superbialg.bialgebra import (
+    Bialgebra, InhomogeneousInput, NotClosedUnderCobracket, dual_basis,
+)
+from superbialg.cohomology import Cochain
+from superbialg.graded import (
+    EVEN, Q, GradedBasis, Tensor2, Tensor3, rank, rref, tensor,
+)
 
 
 def pairing_dual_bracket(b: Bialgebra) -> Superalgebra:
@@ -84,3 +95,78 @@ def adjoint_on_tensor3(g: Superalgebra, a: int, t: Tensor3) -> Tensor3:
 
 def is_ad_invariant3(g: Superalgebra, t: Tensor3) -> bool:
     return all(adjoint_on_tensor3(g, a, t).is_zero() for a in range(g.dim()))
+
+
+def solve_exact(columns, target):
+    """Solve sum_j x_j * columns[j] == target exactly; None if unsolvable."""
+    if not columns:
+        return [] if all(t == 0 for t in target) else None
+    n = len(target)
+    aug = [[columns[j][i] for j in range(len(columns))] + [target[i]]
+           for i in range(n)]
+    red, pivots = rref(aug)
+    ncols = len(columns)
+    if ncols in pivots:
+        return None  # inconsistent system
+    x = [Q(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[-1]
+    return x
+
+
+def restrict_reference(b, sub, labels=None):
+    """`bialgebra.restrict` with one `solve_exact` per bracket and per
+    delta value, the latter over the 64 entries of g (x) g."""
+    g = b.algebra
+    n = g.dim()
+    for v in sub:
+        if not v.is_homogeneous() or v.is_zero():
+            raise InhomogeneousInput(f"sub vector {v} is not homogeneous")
+    rows = [[v[k] for k in range(n)] for v in sub]
+    if rank(rows) != len(sub):
+        raise DependentVectors("restriction needs independent vectors")
+    if labels is None:
+        labels = [f"v{i}" for i in range(len(sub))]
+    sub_basis = GradedBasis(labels, [v.parity() for v in sub])
+    cols = [[v[k] for k in range(n)] for v in sub]
+
+    constants = {}
+    for i, vi in enumerate(sub):
+        for j, vj in enumerate(sub):
+            w = g.bracket(vi, vj)
+            coeffs = solve_exact(cols, [w[k] for k in range(n)])
+            if coeffs is None:
+                raise NotClosedUnderCobracket(
+                    f"bracket [{vi}, {vj}] leaves the span")
+            for k, c in enumerate(coeffs):
+                if c != 0:
+                    constants[(i, j, k)] = c
+    sub_alg = Superalgebra(sub_basis, constants)
+
+    pairs = [(a, bb) for a in range(len(sub)) for bb in range(len(sub))]
+    pair_cols = []
+    for a, bb in pairs:
+        t = tensor(sub[a], sub[bb])
+        pair_cols.append([t[(i, j)] for i in range(n) for j in range(n)])
+    delta_sub = Cochain(sub_alg, 1, b.delta.parity)
+    for s_idx, v in enumerate(sub):
+        total = b.delta_of(v)
+        target = [total[(i, j)] for i in range(n) for j in range(n)]
+        sol = solve_exact(pair_cols, target)
+        if sol is None:
+            raise NotClosedUnderCobracket(
+                f"delta({v}) does not lie in span (x) span")
+        entries = {pairs[t_idx]: c for t_idx, c in enumerate(sol) if c != 0}
+        if entries:
+            delta_sub.set_value((s_idx,), Tensor2(sub_basis, sub_basis, entries))
+    return Bialgebra(sub_alg, delta_sub)
+
+
+def is_subalgebra_reference(g, vectors):
+    """`algebra.is_subalgebra` with one `solve_exact` per bracket."""
+    n = g.dim()
+    cols = [[v[k] for k in range(n)] for v in vectors]
+    if rank(cols) != len(vectors):
+        raise DependentVectors("subalgebra test needs independent vectors")
+    return all(solve_exact(cols, [w[k] for k in range(n)]) is not None
+               for w in (g.bracket(a, b) for a in vectors for b in vectors))

@@ -14,7 +14,8 @@ from superbialg.algebra import (
     from_matrices, is_subalgebra, supertrace_form,
 )
 from superbialg.bialgebra import dual_bracket
-from superbialg.graded import GradedBasis, LinearMap, Tensor2, solve_exact, tensor
+from superbialg.graded import GradedBasis, LinearMap, Tensor2, tensor
+from oracles import solve_exact
 
 B = cat.sl21_basis()
 V = cat.V

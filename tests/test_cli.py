@@ -1,11 +1,13 @@
 """End-to-end command line behavior and exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from superbialg import catalog as cat
+from superbialg import double, graded
 from superbialg import serialize as ser
 from superbialg.algebra import Superalgebra
 from superbialg.bialgebra import Bialgebra
@@ -336,20 +338,33 @@ def test_double_validates_the_double_once(files, capsys, monkeypatch):
 
 def test_verify_paper_counts_each_verification(capsys, monkeypatch):
     # from cold caches: the restricted bialgebras and the doubles keep the
-    # reports their constructors made instead of verifying again
-    calls = {"verify": 0, "validate": 0}
+    # reports their constructors made instead of verifying again, each dual
+    # bracket is derived once per run, and every span is factored once
+    calls = {"verify": 0, "validate": 0, "check_canonical_r": 0, "rref": 0}
     for cls, name in ((Bialgebra, "verify"), (Superalgebra, "validate")):
         def counted(self, real=getattr(cls, name), name=name):
             calls[name] += 1
             return real(self)
         monkeypatch.setattr(cls, name, counted)
+    modules = [m for n, m in sys.modules.items() if n.startswith("superbialg")]
+    for name in ("check_canonical_r", "rref"):
+        def counted(*args, real=getattr(graded if name == "rref" else double,
+                                        name), name=name):
+            calls[name] += 1
+            return real(*args)
+        for m in modules:
+            if hasattr(m, name):
+                monkeypatch.setattr(m, name, counted)
     for f in vars(cat).values():
         if hasattr(f, "cache_clear"):
             f.cache_clear()
     code, out, _ = run(capsys, "verify", "paper")
     assert code == 0
     assert out.endswith("70/70 fixtures pass\n")
-    assert calls == {"verify": 7, "validate": 17}
+    assert calls == {"verify": 7, "validate": 11, "check_canonical_r": 2,
+                     "rref": 56}
+    # the reference solver lives in tests/oracles.py only
+    assert not any(hasattr(m, "solve_exact") for m in modules)
 
 
 def test_dual_prints_bracket_table(files, capsys, monkeypatch):

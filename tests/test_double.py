@@ -286,3 +286,12 @@ def test_double_keeps_its_bracket_axiom_report():
     assert d.axioms.passed
     # a double read back from JSON was not verified here
     assert ser.double_from_json(ser.double_to_json(d)).axioms is None
+
+
+def test_double_keeps_its_canonical_r_report():
+    d = cat.double_of_t()
+    assert [c.name for c in d.canonical_r_report.checks] == [
+        "d(canonical r) = delta", "r + T(r) is adjoint-invariant"]
+    assert d.canonical_r_report.passed
+    assert ser.double_from_json(
+        ser.double_to_json(d)).canonical_r_report is None

@@ -8,8 +8,9 @@ from superbialg import catalog as cat
 from superbialg.graded import (
     BasisMismatch, Element, GradedBasis, LinearEndomorphism, Tensor, Tensor2,
     Tensor3, alt_s, image_basis, invert_matrix, is_super_skew, koszul, matmul,
-    rref, solve_exact, span_equal, super_swap, tensor, wedge,
+    rref, span_equal, super_swap, tensor, wedge,
 )
+from oracles import solve_exact
 
 B = cat.sl21_basis()
 V = cat.V
