@@ -8,8 +8,8 @@ The package is organized bottom-up:
 * `algebra` -- Lie superalgebras from structure constants, matrix
   realizations, the supertrace form, axiom and homomorphism checks;
 * `cohomology` -- super-alternating cochains and the differential;
-* `bialgebra` -- r-matrices, cobrackets, the structure-constant exchange
-  and dual brackets, restriction, opposites and Manin triples;
+* `bialgebra` -- r-matrices, cobrackets, the constant exchange (one
+  Koszul sign map), dual brackets, restriction, opposites, Manin triples;
 * `double` -- the dual bialgebra and the Drinfeld double;
 * `catalog` -- the concrete sl(2,1) objects with their reference tables;
 * `verify` -- the section-by-section reproduction suite;
@@ -29,12 +29,11 @@ from .algebra import (
 )
 from .cohomology import Cochain, coboundary, coboundary_0, is_cocycle_1
 from .bialgebra import (
-    Bialgebra, DegenerateForm, InconsistentConstants, InvalidBialgebra,
-    ManinTriple, NotClosedUnderCobracket, StructureConstants, casimir,
-    check_bialgebra_homomorphism, check_cojacobi, check_compatibility,
-    check_f_equation, check_manin_triple, check_unitarity, cocommutator,
-    dual_bracket, dual_constants, extract_constants, opposite, r_of_f,
-    restrict, solve_f_from_r,
+    Bialgebra, DegenerateForm, InvalidBialgebra, ManinTriple,
+    NotClosedUnderCobracket, casimir, check_bialgebra_homomorphism,
+    check_cojacobi, check_compatibility, check_f_equation,
+    check_manin_triple, check_unitarity, cocommutator, delta_constants,
+    dual_bracket, exchange, opposite, r_of_f, restrict, solve_f_from_r,
 )
 from .double import (
     DoubleAlgebra, DoubleConstructionError, build_double, check_canonical_r,

@@ -67,7 +67,8 @@ class Superalgebra:
         self.rows: list[list[dict[int, Fraction]]] = [
             [{} for _ in range(n)] for _ in range(n)]
         for (i, j, k), c in constants.items():
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+            # an index is an int proper: 1.0 and True hash like 1
+            if not all(type(x) is int and 0 <= x < n for x in (i, j, k)):
                 raise IndexError(f"index {(i, j, k)} out of range for basis")
             c = as_scalar(c)
             if c != 0:
@@ -138,7 +139,8 @@ class Superalgebra:
             i, j, k = key
             return (None if par[k] == (par[i] + par[j]) % 2 else
                     f"C({lab[i]},{lab[j]} -> {lab[k]}) = {c} breaks the grading")
-        rep.scan("grading consistency", self.constants.items(), misgraded)
+        rep.scan("grading consistency", sorted(self.constants.items()),
+                 misgraded)
 
         antisymmetric = rep.scan("super antisymmetry", self._sorted_pairs(),
                                  self._antisymmetry_failure)

@@ -2,28 +2,21 @@
 
 The graded pairing used to dualize a cobracket is
 
-    <a* (x) b*, u (x) v> = (-1)^{|b*||u|} a*(u) b*(v)
+    <a* (x) b*, u (x) v> = (-1)^{|b*||u|} a*(u) b*(v).
 
-which, unwound over a basis, gives the dual bracket
+Write C(i,j,k) for the e_k coefficient of [e_i, e_j] and D(i,j,k) for the
+e_i (x) e_j entry of delta(e_k), read straight off the stored delta
+(`delta_constants`).  Unwound over a basis, the pairing gives the dual
+bialgebra on g* the constants
 
-    [e_i*, e_j*] = sum_k (-1)^{|e_i||e_j|} delta(e_k)_{ij} e_k*.
+    C*(i,j,k) = (-1)^{|e_i||e_j|} D(i,j,k),
+    D*(i,j,k) = (-1)^{|e_i||e_j|} C(i,j,k),
 
-The dual is derived in one place, the constant exchange.  With
-[e_i, e_j] = sum_k C(i,j,k) e_k and
-delta(e_k) = sum_{i<j} D(k,i,j) e_i ^ e_j + sum_{i odd} D(k,i,i) e_i ^ e_i
-(wedge basis, e ^ e = 2 e (x) e), the dual algebra carries
-
-    [e_i*, e_j*] = sum_k C*(i,j,k) e_k*,   C*(i,j,k) = (-1)^{|e_i||e_j|} D(k,i,j)
-                                            (i < j);  -2 D(k,i,i)  (i = j)
-
-and the dual cobracket has D*(k,i,j) = (-1)^{|e_i||e_j|} C(k: i,j) for i < j
-and D*(k,i,i) = -C(i,i -> k)/2 on odd diagonals.  The -1/2 (rather than -2)
-is forced by the pairing that defines the dual cobracket and makes the two
-exchange rules mutually inverse.  `dual_bracket` is the C* block of
-`dual_constants`; `wedge_entries` turns a D table back into g (x) g
-entries, both to re-check `extract_constants` and to assemble a dual
-cobracket.  The tests keep the pairing formula above as the independent
-oracle for the exchange.
+so one sign map, `exchange`, serves both directions and is its own
+inverse.  `dual_bracket` is the algebra on g* with C* = exchange(D),
+validated: a delta that is not super-skew gives a table that is not super
+antisymmetric and is rejected there.  The tests keep the pairing formula
+as the independent oracle for the exchange.
 
 The cobracket axioms work on plain dicts.  `check_compatibility` is the
 pairwise cocycle kernel of `cohomology` at parity 0, so it scans the sorted
@@ -41,7 +34,7 @@ from typing import Sequence
 from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
     LinearMap, Tensor2, Tensor3, _add_into, _same_basis, factor_span,
-    invert_matrix, is_super_skew, koszul, matmul, rank, span_coordinates,
+    invert_matrix, is_super_skew, matmul, rank, span_coordinates,
     square_span, super_swap, tensor,
 )
 from .algebra import (
@@ -269,111 +262,29 @@ def dual_basis(basis: GradedBasis) -> GradedBasis:
     return GradedBasis([lab + "*" for lab in basis.labels], basis.parities)
 
 
-class InconsistentConstants(ValueError):
-    """The constants cannot be exchanged: a delta value is not in the
-    ordered wedge basis, or an even vector has a nonzero self-bracket."""
+def exchange(basis: GradedBasis, table: dict[tuple[int, int, int], Fraction]
+             ) -> dict[tuple[int, int, int], Fraction]:
+    """table(i,j,k) -> (-1)^{|e_i||e_j|} table(i,j,k): the constant exchange.
 
-
-class StructureConstants:
-    """Bracket constants C and wedge-basis cobracket constants D."""
-
-    def __init__(self, basis: GradedBasis,
-                 C: dict[tuple[int, int, int], Fraction],
-                 D: dict[tuple[int, int, int], Fraction]):
-        self.basis = basis
-        self.C = {k: v for k, v in C.items() if v != 0}
-        self.D = {}
-        for (k, i, j), v in D.items():
-            if v == 0:
-                continue
-            if i > j:
-                raise ValueError("D is stored on the ordered wedge basis (i <= j)")
-            if i == j and basis.parity(i) == EVEN:
-                raise ValueError("diagonal D entries need an odd index")
-            self.D[(k, i, j)] = v
-
-
-def wedge_entries(basis: GradedBasis, D: dict[tuple[int, int, int], Fraction]
-                  ) -> dict[int, dict[tuple[int, int], Fraction]]:
-    """The g (x) g entries of delta(e_k) = sum D(k,i,j) e_i ^ e_j, per k.
-
-    Off the diagonal e_i ^ e_j = e_i (x) e_j - (-1)^{|e_i||e_j|} e_j (x) e_i;
-    on it e_i ^ e_i = 2 e_i (x) e_i.  Each entry comes from one D entry.
+    It sends the bracket constants C of g to the cobracket entries D* of
+    g* and the entries D of delta to the bracket constants C* of g*; it is
+    its own inverse.
     """
-    par = basis.parity
-    out: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for (k, i, j), d in D.items():
-        ent = out.setdefault(k, {})
-        if i == j:
-            ent[(i, i)] = 2 * d
-        else:
-            ent[(i, j)] = d
-            ent[(j, i)] = -koszul(par(i), par(j)) * d
-    return out
+    par = basis.parities
+    return {(i, j, k): -c if par[i] and par[j] else c
+            for (i, j, k), c in table.items()}
 
 
-def extract_constants(b: Bialgebra) -> StructureConstants:
-    """Read C off the algebra and solve D from the delta table.
-
-    Each delta(e_k) is read on its entries i <= j and re-expanded from them;
-    the two agree iff delta(e_k) is super-skew.
-    """
-    basis = b.basis
-    D: dict[tuple[int, int, int], Fraction] = {}
-    for k in range(len(basis)):
-        t = b.delta.value(k)
-        if t is None:
-            continue
-        row: dict[tuple[int, int, int], Fraction] = {}
-        for (i, j), c in t.entries.items():
-            if i < j:
-                row[(k, i, j)] = c
-            elif i == j:
-                if basis.parity(i) == EVEN:
-                    raise InconsistentConstants(
-                        f"delta({basis.labels[k]}) has an even diagonal entry")
-                row[(k, i, i)] = c / 2
-        if wedge_entries(basis, row).get(k) != t.entries:
-            raise InconsistentConstants(
-                f"delta({basis.labels[k]}) is not super-skew")
-        D.update(row)
-    return StructureConstants(basis, dict(b.algebra.constants), D)
-
-
-def dual_constants(sc: StructureConstants) -> StructureConstants:
-    """Exchange C and D to produce the constants of the dual algebra.
-
-    The dual bracket gets the (-1)^{|i||j|} / -2 factors; the dual
-    cobracket gets (-1)^{|i||j|} off the diagonal and -1/2 on odd
-    diagonals, making the exchange an involution.
-    """
-    par = sc.basis.parity
-    lab = sc.basis.labels
-    # each D entry (k, i <= j) fills its own keys, as does each C entry
-    Cd: dict[tuple[int, int, int], Fraction] = {}
-    for (k, i, j), d in sc.D.items():
-        if i == j:
-            Cd[(i, i, k)] = -2 * d
-        else:
-            Cd[(i, j, k)] = koszul(par(i), par(j)) * d
-            # super antisymmetry fills the transposed pair
-            Cd[(j, i, k)] = -d
-    Dd: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), c in sc.C.items():
-        if i < j:
-            Dd[(k, i, j)] = koszul(par(i), par(j)) * c
-        elif i == j:
-            if par(i) == EVEN:
-                raise InconsistentConstants(
-                    f"the even vector {lab[i]} has a nonzero self-bracket")
-            Dd[(k, i, i)] = -c / 2
-    return StructureConstants(dual_basis(sc.basis), Cd, Dd)
+def delta_constants(b: Bialgebra) -> dict[tuple[int, int, int], Fraction]:
+    """D(i,j,k), the e_i (x) e_j entry of delta(e_k), off the stored delta."""
+    return {(i, j, k): c for (k,), t in b.delta.values.items()
+            for (i, j), c in t.entries.items()}
 
 
 def dual_bracket(b: Bialgebra) -> Superalgebra:
-    """The Lie superalgebra on g*: the C block of the constant exchange."""
+    """The Lie superalgebra on g*, C* = exchange(D), validated."""
     out = Superalgebra(dual_basis(b.basis),
-                       dual_constants(extract_constants(b)).C)
+                       exchange(b.basis, delta_constants(b)))
     rep = out.validate()
     if not rep.passed:
         raise InvalidBialgebra(f"dual bracket is not a Lie superalgebra: "

@@ -2,7 +2,9 @@
 
 Exit codes: 0 = success / all checks pass, 1 = a verification failed,
 2 = unusable input (malformed JSON, missing file, schema mismatch).
-Set SUPERBIALG_COLOR=0 to disable ANSI color.
+Set SUPERBIALG_COLOR=0 to disable ANSI color.  `--out PATH` writes the
+document `--format json` would print to PATH, for every subcommand and
+outcome (`_emit`).
 """
 
 from __future__ import annotations
@@ -55,18 +57,29 @@ class CliInputError(Exception):
     pass
 
 
-def _print_report(rep) -> None:
+def _report_lines(rep) -> list[str]:
+    lines = []
     for c in rep.checks:
         line = f"{_mark(c.passed)}  {c.name}"
         if c.detail:
             line += f"  [{c.detail}]"
-        print(line)
+        lines.append(line)
+    return lines
 
 
-def _emit(obj: dict, args) -> None:
-    text = ser.dump(obj, getattr(args, "out", None))
-    if not getattr(args, "out", None):
-        print(text)
+def _emit(args, doc: dict, lines: list[str]) -> None:
+    """The one output rule.  `--format json` prints `doc` and nothing else;
+    text prints `lines`.  `--out` gets `doc` in either format: in json mode
+    instead of stdout, in text mode after the text, with a `wrote` line."""
+    if args.format == "json":
+        text = ser.dump(doc, args.out)
+        if not args.out:
+            print(text)
+        return
+    print("\n".join(lines))
+    if args.out:
+        ser.dump(doc, args.out)
+        print(f"wrote {args.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +95,7 @@ def _report_json(rep) -> dict:
 def cmd_validate(args) -> int:
     g = ser.superalgebra_from_json(_load(args.algebra))
     rep = g.validate()
-    if args.format == "json":
-        _emit(_report_json(rep), args)
-    else:
-        _print_report(rep)
+    _emit(args, _report_json(rep), _report_lines(rep))
     return PASS if rep.passed else FAIL
 
 
@@ -96,43 +106,25 @@ def cmd_cocommutator(args) -> int:
         delta = cocommutator(g, r)
     except ValueError as e:  # an r that is not parity-homogeneous
         raise CliInputError(str(e))
-    if args.format == "json":
-        _emit(ser.cochain_to_json(delta), args)
-        return PASS
     lines = []
     for i, lab in enumerate(g.basis.labels):
         v = delta.value(i)
         lines.append(f"d({lab}) = {v if v is not None else 0}")
-    out = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    else:
-        print(out)
+    _emit(args, ser.cochain_to_json(delta), lines)
     return PASS
 
 
 def cmd_double(args) -> int:
     b = ser.bialgebra_from_json(_load(args.bialgebra))
     d = build_double(b)  # raises DoubleConstructionError unless verified
-    payload = ser.double_to_json(d)
-    if args.format == "json":
-        _emit(payload, args)  # stdout carries the document and nothing else
-        return PASS
-    print(f"double dimension: {d.underlying.dim()}")
-    _print_report(d.axioms)
-    if args.out:
-        ser.dump(payload, args.out)
-        print(f"wrote {args.out}")
+    _emit(args, ser.double_to_json(d),
+          [f"double dimension: {d.underlying.dim()}", *_report_lines(d.axioms)])
     return PASS
 
 
 def cmd_dual(args) -> int:
     b = ser.bialgebra_from_json(_load(args.bialgebra))
     dual = dual_bracket(b)
-    if args.format == "json":
-        _emit(ser.superalgebra_to_json(dual), args)
-        return PASS
     lines = []
     n = len(dual.basis)
     for i in range(n):
@@ -141,7 +133,8 @@ def cmd_dual(args) -> int:
             if not v.is_zero():
                 lines.append(f"[{dual.basis.labels[i]}, {dual.basis.labels[j]}]"
                              f" = {v}")
-    print("\n".join(lines) if lines else "abelian: all brackets vanish")
+    _emit(args, ser.superalgebra_to_json(dual),
+          lines or ["abelian: all brackets vanish"])
     return PASS
 
 
@@ -158,21 +151,16 @@ def cmd_restrict(args) -> int:
         raise NotClosedUnderCobracket(f"restriction is not closed: {e}")
     except (DependentVectors, InhomogeneousInput, ValueError) as e:
         raise CliInputError(str(e))
-    if args.format == "json":
-        _emit(ser.bialgebra_to_json(sub), args)
-    else:
-        print(f"{_mark(True)}  restricted to a {sub.algebra.dim()}-dimensional "
-              f"subbialgebra")
+    _emit(args, ser.bialgebra_to_json(sub),
+          [f"{_mark(True)}  restricted to a {sub.algebra.dim()}-dimensional "
+           f"subbialgebra"])
     return PASS
 
 
 def cmd_manin(args) -> int:
     t = ser.manin_from_json(_load(args.triple))
     rep = check_manin_triple(t)
-    if args.format == "json":
-        _emit(_report_json(rep), args)
-    else:
-        _print_report(rep)
+    _emit(args, _report_json(rep), _report_lines(rep))
     return PASS if rep.passed else FAIL
 
 
@@ -181,19 +169,18 @@ def cmd_verify(args) -> int:
         raise CliInputError("only 'verify paper' is available")
     results = run_fixtures(args.section)
     ok = all(r.passed for r in results)
-    if args.format == "json":
-        _emit({"passed": ok,
-               "fixtures": [{"name": r.name, "section": r.section,
-                             "citation": r.citation, "passed": r.passed,
-                             "detail": r.detail} for r in results]}, args)
-        return PASS if ok else FAIL
+    lines = []
     for r in results:
         line = f"{_mark(r.passed)}  {r.name}  ({r.citation})"
         if r.detail:
             line += f"  [{r.detail}]"
-        print(line)
+        lines.append(line)
     npass = sum(1 for r in results if r.passed)
-    print(f"{npass}/{len(results)} fixtures pass")
+    lines.append(f"{npass}/{len(results)} fixtures pass")
+    _emit(args, {"passed": ok,
+                 "fixtures": [{"name": r.name, "section": r.section,
+                               "citation": r.citation, "passed": r.passed,
+                               "detail": r.detail} for r in results]}, lines)
     return PASS if ok else FAIL
 
 
@@ -207,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--out", help="write JSON output to this path")
+        sp.add_argument("--out", help="write the --format json document "
+                        "to this path")
 
     sp = sub.add_parser("validate", help="check superalgebra axioms")
     sp.add_argument("algebra")
@@ -263,10 +251,8 @@ def main(argv=None) -> int:
         return ERROR
     except (InvalidBialgebra, DoubleConstructionError, DependentVectors,
             NotClosedUnderCobracket) as e:
-        if args.format == "json":
-            print(ser.dump({"passed": False, "detail": str(e)}))
-        else:
-            print(f"{_mark(False)}  {e}")
+        _emit(args, {"passed": False, "detail": str(e)},
+              [f"{_mark(False)}  {e}"])
         return FAIL
 
 

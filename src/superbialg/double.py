@@ -1,10 +1,11 @@
 """The Drinfeld double of a finite-dimensional Lie superbialgebra.
 
-The constants C, D of a bialgebra and C*, D* of its dual come from the
-constant exchange in `bialgebra` (`extract_constants`, `dual_constants`).
-The double lives on basis (e_1..e_n, e_1*..e_n*) with
+With C the bracket constants of a bialgebra and D its cobracket entries,
+the dual bialgebra has C* = exchange(D) and D* = exchange(C) (the one sign
+map of `bialgebra.exchange`).  The double lives on basis
+(e_1..e_n, e_1*..e_n*) with
 
-    [e_i , e_j ]  = primal bracket
+    [e_i , e_j ]  = primal bracket (C)
     [e_i*, e_j*]  = dual bracket (C*, no argument twist)
     [e_i*, e_j ]  = sum_k C*(k,i -> j) e_k  +  sum_k C(j,k -> i) e_k*
 
@@ -12,8 +13,9 @@ where the mixed bracket is the unique one making the pairing
 <e_i*, e_j> = delta_ij, <e_i, e_j*> = (-1)^{|e_i|} delta_ij invariant; it
 and its super-antisymmetric mirror are read off the nonzero C and C*
 entries.  The cobracket is delta on the primal block and minus the dual
-cobracket (D*, expanded by `wedge_entries`) on the dual block; the
-canonical r-matrix is sum_i e_i (x) e_i*.
+cobracket, -D*, on the dual block; the canonical r-matrix is
+sum_i e_i (x) e_i*.  An input whose delta is not super-skew, or whose
+bracket is not super antisymmetric, gives a double that fails `validate`.
 
 A double's cobracket is the coboundary of its canonical r (Drinfeld), so
 `check_canonical_r` alone verifies it: d(r) is a cocycle since d o d = 0
@@ -36,8 +38,8 @@ from .algebra import (
     BilinearForm, Superalgebra, adjoint_on_tensor2, check_invariance,
 )
 from .bialgebra import (
-    Bialgebra, check_bialgebra_homomorphism, dual_constants,
-    extract_constants, wedge_entries,
+    Bialgebra, check_bialgebra_homomorphism, delta_constants, dual_bracket,
+    exchange,
 )
 from .cohomology import Cochain, coboundary_0
 from .report import VerificationReport
@@ -50,15 +52,17 @@ class DoubleConstructionError(ValueError):
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     """The dual bialgebra: bracket from delta, cobracket from the bracket.
 
-    Built through the constant exchange; the axioms are re-verified on
-    construction, so a sign error in either exchange direction would
-    surface here.
+    The algebra is `dual_bracket(b)` and the cobracket is D* = exchange(C);
+    the axioms are re-verified on construction, so a sign error in the
+    exchange would surface here.
     """
-    scd = dual_constants(extract_constants(b))
-    g_dual = Superalgebra(scd.basis, scd.C)
-    values = {(k,): Tensor2(scd.basis, scd.basis, ent)
-              for k, ent in wedge_entries(scd.basis, scd.D).items()}
-    return Bialgebra(g_dual, Cochain(g_dual, 1, EVEN, values))
+    g_dual = dual_bracket(b)
+    values: dict[tuple[int], dict[tuple[int, int], Fraction]] = {}
+    for (i, j, k), c in exchange(b.basis, b.algebra.constants).items():
+        values.setdefault((k,), {})[(i, j)] = c
+    return Bialgebra(g_dual, Cochain(g_dual, 1, EVEN, {
+        args: Tensor2(g_dual.basis, g_dual.basis, ent)
+        for args, ent in values.items()}))
 
 
 class DoubleAlgebra:
@@ -94,25 +98,25 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     d(r), r + T(r) invariant).  The two reports are kept as `axioms` and
     `canonical_r_report`.
     """
-    sc = extract_constants(b)
-    scd = dual_constants(sc)
     basis = b.basis
+    C = b.algebra.constants
+    Cd = exchange(basis, delta_constants(b))  # the dual bracket C*
     n = len(basis)
     par = basis.parity
     labels = list(basis.labels) + [lab + "*" for lab in basis.labels]
     dbasis = GradedBasis(labels, list(basis.parities) * 2)
 
-    constants = dict(sc.C)
-    for (i, j, k), c in scd.C.items():
+    constants = dict(C)
+    for (i, j, k), c in Cd.items():
         constants[(n + i, n + j, n + k)] = c
 
     # mixed block: [e_i*, e_j] has c e_k where [e_k*, e_i*] has c e_j*, and
     # c e_k* where [e_j, e_k] has c e_i; then its super-antisymmetric mirror.
     # Each C or C* entry gives one key, and no key of the four blocks repeats.
     mixed: dict[tuple[int, int, int], Fraction] = {}
-    for (k, i, j), c in scd.C.items():
+    for (k, i, j), c in Cd.items():
         mixed[(i, j, k)] = c
-    for (j, k, i), c in sc.C.items():
+    for (j, k, i), c in C.items():
         mixed[(i, j, n + k)] = c
     for (i, j, k), c in mixed.items():
         constants[(n + i, j, k)] = c
@@ -122,16 +126,19 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     bracket_axioms = _required(underlying.validate(),
                                "double bracket fails the axioms")
 
-    # cobracket: delta on the primal block, minus the dual cobracket on the
-    # dual block (the dual half sits inside the double co-oppositely)
+    # cobracket: delta on the primal block, minus the dual cobracket
+    # D* = exchange(C) on the dual block (the dual half sits inside the
+    # double co-oppositely)
     delta = Cochain(underlying, 1, EVEN)
     for k in range(n):
         t = b.delta.value(k)
         if t is not None:
             delta.set_value((k,), Tensor2(dbasis, dbasis, dict(t.entries)))
-    for k, ent in sorted(wedge_entries(basis, scd.D).items()):
-        shifted = {(n + i, n + j): -c for (i, j), c in ent.items()}
-        delta.set_value((n + k,), Tensor2(dbasis, dbasis, shifted))
+    dual_delta: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (i, j, k), c in exchange(basis, C).items():
+        dual_delta.setdefault(n + k, {})[(n + i, n + j)] = -c
+    for k, ent in sorted(dual_delta.items()):
+        delta.set_value((k,), Tensor2(dbasis, dbasis, ent))
 
     gram = [[Q(0)] * (2 * n) for _ in range(2 * n)]
     for i in range(n):

@@ -3,8 +3,8 @@
     PYTHONPATH=src python tests/golden/regen.py
 
 re-runs every case below through `superbialg.cli.main` and rewrites its
-stdout (`<case>.out`) and, for `--out`, the written file (`<case>.json`)
-in this directory.  `tests/test_golden.py` runs the same cases and compares
+stdout (`<case>.out`) and, for `--out`, the file the case names in this
+directory.  `tests/test_golden.py` runs the same cases and compares
 every byte.  The documents under `inputs/` were written once from
 `superbialg.catalog` and, for `sl21-seed1.json`, from the seed-1 (2|1)
 input of the benchmark's `double` workload; this script never rewrites
@@ -47,6 +47,10 @@ for _bi in ("sl21-delta-f", "sl21-delta-s", "s-delta-1", "s-delta-2",
     CASES += [(f"dual-{_bi}", ["dual", f"{_bi}.json"], None),
               (f"dual-{_bi}-json", ["dual", f"{_bi}.json", "--format", "json"],
                None)]
+# `--out` gets the document `--format json` prints, in text mode too: its
+# file is the stdout of the json case
+CASES.append(("dual-s-delta-1-out", ["dual", "s-delta-1.json", "--out"],
+              "dual-s-delta-1-json.out"))
 for _tr in ("s", "t"):
     CASES += [(f"manin-{_tr}", ["manin", f"manin-{_tr}.json"], None),
               (f"manin-{_tr}-json",

@@ -1,7 +1,8 @@
 """Independent reference derivations that tests compare the library against.
 
 The library derives the dual bracket from the constant exchange
-(`bialgebra.dual_constants`); the oracle here unwinds the graded pairing
+(`bialgebra.exchange`, one Koszul sign per entry of the stored delta); the
+oracle here unwinds the graded pairing
 
     <a* (x) b*, u (x) v> = (-1)^{|b*||u|} a*(u) b*(v)
 

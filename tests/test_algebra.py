@@ -97,9 +97,12 @@ def test_validate_even_self_bracket_breaks_antisymmetry():
 
 
 def test_validate_names_a_misgraded_constant():
-    rep = Superalgebra(SB, {(0, 1, 2): Q(1)}).validate()  # [h,x] = y1
-    assert [(c.name, c.detail) for c in rep.failures][:1] == [
-        ("grading consistency", "C(h,x -> y1) = 1 breaks the grading")]
+    # the first misgraded key in key order, whatever order the table was
+    # built in: [h,x] = y1 comes before [x,h] = -y1
+    for table in ({(0, 1, 2): Q(1)}, {(1, 0, 2): Q(-1), (0, 1, 2): Q(1)}):
+        rep = Superalgebra(SB, table).validate()
+        assert [(c.name, c.detail) for c in rep.failures][:1] == [
+            ("grading consistency", "C(h,x -> y1) = 1 breaks the grading")]
 
 
 def test_validate_perturbed_sl21_names_both_failures():

@@ -32,6 +32,8 @@ def files(tmp_path):
     write("sl21_delta_s.json", ser.bialgebra_to_json(cat.bialgebra_s()))
     write("s1_span.json",
           [ser.tensor_to_json(v) for v in cat.s1_span()])
+    write("t1_span.json",
+          [ser.tensor_to_json(v) for v in cat.t1_span()])
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -400,6 +402,47 @@ def test_manin_passes(files, capsys, monkeypatch):
     code, out, _ = run(capsys, "manin", files["manin_s.json"])
     assert code == 0
     assert "direct sum" in out
+
+
+# each subcommand, passing and failing, with its exit code
+OUT_CASES = {
+    "validate": (0, lambda f, tmp: ["validate", f["sl21.json"]]),
+    "cocommutator": (0, lambda f, tmp: ["cocommutator", f["sl21.json"],
+                                        "--r", f["r_f.json"]]),
+    "double": (0, lambda f, tmp: ["double", f["s_delta2.json"]]),
+    "double invalid": (1, lambda f, tmp: ["double", _invalid_bialgebra(tmp)]),
+    "dual": (0, lambda f, tmp: ["dual", f["s_delta2.json"]]),
+    "restrict": (0, lambda f, tmp: ["restrict", f["sl21_delta_s.json"],
+                                    "--span", f["t1_span.json"]]),
+    "restrict not closed": (1, lambda f, tmp: [
+        "restrict", f["sl21_delta_s.json"], "--span", f["s1_span.json"]]),
+    "manin": (0, lambda f, tmp: ["manin", f["manin_s.json"]]),
+    "verify": (0, lambda f, tmp: ["verify", "paper", "--section", "3.1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_CASES))
+def test_out_gets_the_json_document(case, files, capsys, tmp_path,
+                                    monkeypatch):
+    # one rule for every subcommand: --out gets what --format json prints,
+    # in json mode instead of stdout, in text mode after the text
+    monkeypatch.setenv("SUPERBIALG_COLOR", "0")
+    want, argv = OUT_CASES[case]
+    argv = argv(files, tmp_path)
+    code, doc, _ = run(capsys, *argv, "--format", "json")
+    assert code == want
+    json.loads(doc)
+    code, text, _ = run(capsys, *argv)
+    assert code == want
+    out = tmp_path / "out.json"
+    code, printed, _ = run(capsys, *argv, "--out", str(out))
+    assert code == want
+    assert printed == text + f"wrote {out}\n"
+    assert out.read_text() == doc
+    out.unlink()
+    code, printed, _ = run(capsys, *argv, "--format", "json", "--out", str(out))
+    assert code == want
+    assert printed == "" and out.read_text() == doc
 
 
 # the argument vector of each subcommand with the document `p` in one slot

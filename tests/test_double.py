@@ -1,4 +1,4 @@
-"""Structure-constant exchange and the Drinfeld double."""
+"""The constant exchange, the dual bialgebra and the Drinfeld double."""
 
 from fractions import Fraction as Q
 
@@ -7,11 +7,13 @@ import pytest
 from superbialg import catalog as cat
 from superbialg import serialize as ser
 from superbialg.algebra import BilinearForm, Superalgebra, koszul
-from superbialg.bialgebra import Bialgebra, InconsistentConstants, dual_bracket
+from superbialg.bialgebra import (
+    Bialgebra, InvalidBialgebra, delta_constants, dual_bracket, exchange,
+)
 from superbialg.cohomology import Cochain, coboundary_0
 from superbialg.double import (
     DoubleAlgebra, DoubleConstructionError, build_double, check_canonical_r,
-    dual_bialgebra, dual_constants, extract_constants, identify,
+    dual_bialgebra, identify,
 )
 from superbialg.graded import GradedBasis, LinearMap, Tensor2
 
@@ -20,46 +22,55 @@ from oracles import pairing_dual_bracket
 SB = cat.s_basis()
 
 
-# -- constant extraction --------------------------------------------------------
+# -- the cobracket entries D(i,j,k), read off delta -------------------------------
 
 def test_extract_constants_diagonal_entry():
-    sc = extract_constants(cat.s_bialgebra_1())
-    # delta_1(h) = -y1 ^ y1 lands on the odd diagonal of the wedge basis
-    assert sc.D[(0, 2, 2)] == -1
+    # delta_1(h) = -y1 ^ y1 = -2 y1 (x) y1: D(y1,y1,h) is the stored entry
+    assert delta_constants(cat.s_bialgebra_1())[(2, 2, 0)] == -2
 
 
 def test_extract_constants_off_diagonal_entries():
-    sc = extract_constants(cat.s_bialgebra_1())
-    # delta_1(x) = x ^ h - y1 ^ y2 = -(h ^ x) - y1 ^ y2 in ordered form
-    assert sc.D[(1, 0, 1)] == -1
-    assert sc.D[(1, 2, 3)] == -1
+    # delta_1(x) = x ^ h - y1 ^ y2: both orders of each pair are stored
+    D = delta_constants(cat.s_bialgebra_1())
+    assert (D[(0, 1, 1)], D[(1, 0, 1)]) == (-1, 1)
+    assert (D[(2, 3, 1)], D[(3, 2, 1)]) == (-1, -1)
 
 
 def test_extract_constants_zero_delta():
     b = Bialgebra(cat.s_algebra(), Cochain(cat.s_algebra(), 1, 0))
-    assert extract_constants(b).D == {}
+    assert delta_constants(b) == {}
 
 
-# -- dual constants ---------------------------------------------------------------
+# -- the exchange: dual constants C* = exchange(D), D* = exchange(C) --------------
+
+def test_exchange_signs_odd_pairs_only():
+    table = {(0, 1, 1): Q(3), (2, 3, 0): Q(1, 2), (0, 2, 2): Q(-1),
+             (2, 2, 0): Q(2)}
+    assert exchange(SB, table) == {(0, 1, 1): 3, (2, 3, 0): Q(-1, 2),
+                                   (0, 2, 2): -1, (2, 2, 0): -2}
+    assert exchange(SB, exchange(SB, table)) == table
+
 
 def test_dual_constants_give_2h_star():
-    sc = extract_constants(cat.s_bialgebra_1())
-    scd = dual_constants(sc)
-    assert scd.C[(2, 2, 0)] == 2  # [y1*, y1*] = 2h*
+    # [y1*, y1*] = 2h*
+    assert dual_bracket(cat.s_bialgebra_1()).constants[(2, 2, 0)] == 2
 
 
 def test_dual_constants_of_zero_delta_are_abelian():
     b = Bialgebra(cat.s_algebra(), Cochain(cat.s_algebra(), 1, 0))
-    scd = dual_constants(extract_constants(b))
-    assert scd.C == {}
+    assert dual_bracket(b).constants == {}
 
 
 def test_exchange_is_an_involution():
+    # the dual of the dual is the bialgebra itself, relabelled e**
     for bial in (cat.s_bialgebra_1(), cat.s_bialgebra_2(),
-                 cat.t_bialgebra_1(), cat.t_bialgebra_2()):
-        sc = extract_constants(bial)
-        back = dual_constants(dual_constants(sc))
-        assert back.C == sc.C and back.D == sc.D
+                 cat.t_bialgebra_1(), cat.t_bialgebra_2(),
+                 cat.bialgebra_f(), cat.bialgebra_s()):
+        back = dual_bialgebra(dual_bialgebra(bial))
+        assert back.basis.labels == tuple(lab + "**"
+                                          for lab in bial.basis.labels)
+        assert back.algebra.constants == bial.algebra.constants
+        assert delta_constants(back) == delta_constants(bial)
 
 
 def test_dual_constants_agree_with_pairing_dual():
@@ -69,25 +80,51 @@ def test_dual_constants_agree_with_pairing_dual():
                  cat.t_bialgebra_1(), cat.t_bialgebra_2(),
                  cat.double_of_s().as_bialgebra(),
                  cat.double_of_t().as_bialgebra()):
-        scd = dual_constants(extract_constants(bial))
-        via_pairing = pairing_dual_bracket(bial)
-        assert Superalgebra(via_pairing.basis, scd.C).constants \
-            == via_pairing.constants
-        assert dual_bracket(bial).constants == via_pairing.constants
+        assert dual_bracket(bial).constants \
+            == pairing_dual_bracket(bial).constants
 
 
 @pytest.mark.parametrize("derive", [dual_bracket, dual_bialgebra, build_double],
                          ids=lambda f: f.__name__)
-def test_even_self_bracket_is_named_by_the_exchange(derive):
+def test_even_self_bracket(derive):
     # an unverified sl(2,1) whose even vector E21 brackets to E12 with itself
     g = cat.sl21()
     B = g.basis
     bad = Superalgebra(B, {**g.constants,
                            (B.index("E21"), B.index("E21"), B.index("E12")): 1})
     b = Bialgebra(bad, Cochain(bad, 1, 0, cat.delta_f().values), check=False)
-    with pytest.raises(InconsistentConstants) as err:
+    if derive is dual_bracket:  # the dual bracket depends on delta alone
+        assert derive(b).constants \
+            == dual_bracket(cat.bialgebra_f()).constants
+        return
+    # the dual cobracket gets an even diagonal entry, the double's bracket
+    # breaks super antisymmetry at that pair
+    err = InvalidBialgebra if derive is dual_bialgebra else \
+        DoubleConstructionError
+    with pytest.raises(err) as caught:
         derive(b)
-    assert str(err.value) == "the even vector E21 has a nonzero self-bracket"
+    assert str(caught.value) == {
+        dual_bialgebra: "FAIL delta values are super-skew",
+        build_double: "double bracket fails the axioms: FAIL super "
+                      "antisymmetry ([E21,E21] = E12 but sign rule wants "
+                      "-E12)"}[derive]
+
+
+def test_dual_bialgebra_validates_its_algebra():
+    # delta(h) += 1/2 x ^ y2 breaks the grading of the dual bracket, which
+    # dual_bialgebra once returned because Bialgebra.verify does not
+    # validate the algebra
+    b = cat.t_bialgebra_2()
+    delta = Cochain(b.algebra, 1, 0, b.delta.values)
+    delta.set_value((0,), Tensor2(b.basis, b.basis,
+                                  {(1, 3): Q(1, 2), (3, 1): Q(-1, 2)}))
+    b = Bialgebra(b.algebra, delta, check=False)
+    for derive in (dual_bracket, dual_bialgebra):
+        with pytest.raises(InvalidBialgebra) as err:
+            derive(b)
+        assert str(err.value) == (
+            "dual bracket is not a Lie superalgebra: FAIL grading "
+            "consistency (C(x*,y2* -> h*) = 1/2 breaks the grading)")
 
 
 def test_dual_bialgebra_is_a_valid_bialgebra():

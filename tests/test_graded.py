@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from superbialg import catalog as cat
+from superbialg.algebra import Superalgebra
 from superbialg.graded import (
     BasisMismatch, Element, GradedBasis, LinearEndomorphism, Tensor, Tensor2,
     Tensor3, alt_s, image_basis, invert_matrix, is_super_skew, koszul, matmul,
@@ -97,10 +98,12 @@ def test_rank_three_renders_and_indexes():
     lambda: T({(0, 1.0): 1}),
     lambda: T({(False, 1): 1}),
     lambda: Tensor3((B, B, B), {(0, 1, 2.0): 1}),
+    lambda: Superalgebra(B, {(1.0, 0, 1): 1}),
+    lambda: Superalgebra(B, {(True, 0, 1): 1}),
 ], ids=["element range", "element arity", "t2 range", "t2 negative",
         "t2 arity", "t2 int key", "t3 range", "t3 arity", "tensor arity",
         "element float", "element bool", "t2 float", "t2 bool",
-        "t3 float"])
+        "t3 float", "algebra float", "algebra bool"])
 def test_constructors_check_every_key(make):
     with pytest.raises(IndexError):
         make()
