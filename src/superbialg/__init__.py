@@ -3,8 +3,7 @@
 The package is organized bottom-up:
 
 * `graded` -- one rational sparse tensor type of any rank over a Z/2-graded
-  basis and the Koszul-signed operations (tensor, wedge, super swap, signed
-  cycle);
+  basis and the Koszul-signed operations (tensor, wedge, super swap);
 * `algebra` -- Lie superalgebras from structure constants, matrix
   realizations, the supertrace form, axiom and homomorphism checks;
 * `cohomology` -- super-alternating cochains and the differential;
@@ -18,14 +17,14 @@ The package is organized bottom-up:
 
 from .graded import (
     EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor, Tensor2, Tensor3, alt_s, image_basis, is_super_skew,
-    koszul, span_equal, super_swap, tensor, wedge,
+    LinearMap, Tensor, Tensor2, Tensor3, image_basis, is_super_skew, koszul,
+    span_equal, super_swap, tensor, wedge,
 )
 from .report import VerificationReport
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, NotClosed,
     Superalgebra, adjoint_on_tensor2, check_homomorphism, check_invariance,
-    from_matrices, gram_matrix, is_subalgebra, supertrace_form,
+    from_matrices, gram_matrix, is_subalgebra,
 )
 from .cohomology import Cochain, coboundary, coboundary_0, is_cocycle_1
 from .bialgebra import (
@@ -36,8 +35,7 @@ from .bialgebra import (
     dual_bracket, exchange, opposite, r_of_f, restrict, solve_f_from_r,
 )
 from .double import (
-    DoubleAlgebra, DoubleConstructionError, build_double, check_canonical_r,
-    dual_bialgebra, identify,
+    DoubleAlgebra, build_double, check_canonical_r, dual_bialgebra, identify,
 )
 
 __version__ = "0.1.0"

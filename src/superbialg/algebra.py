@@ -319,12 +319,6 @@ class MatrixRealization:
         return out
 
 
-def supertrace_form(real: MatrixRealization, x: Element, y: Element) -> Fraction:
-    """str(rho(x) rho(y)) relative to the (m|n) block grading."""
-    return _supertrace_product(real.m, _sparse(real.image_of(x)),
-                               _sparse(real.image_of(y)))
-
-
 def from_matrices(real: MatrixRealization) -> Superalgebra:
     """Derive abstract structure constants from a faithful realization.
 

@@ -15,8 +15,9 @@ bialgebra on g* the constants
 so one sign map, `exchange`, serves both directions and is its own
 inverse.  `dual_bracket` is the algebra on g* with C* = exchange(D),
 validated: a delta that is not super-skew gives a table that is not super
-antisymmetric and is rejected there.  The tests keep the pairing formula
-as the independent oracle for the exchange.
+antisymmetric and is rejected there.  The tests derive the dual bracket
+through the wedge basis and the pairing as the independent oracle for the
+exchange.
 
 The cobracket axioms work on plain dicts.  `check_compatibility` is the
 pairwise cocycle kernel of `cohomology` at parity 0, so it scans the sorted
@@ -67,8 +68,9 @@ class InhomogeneousInput(ValueError):
 class Bialgebra:
     """A Lie superalgebra with a compatible cobracket.
 
-    `check=True` verifies skewness, the cocycle condition and coJacobi on
-    construction; pass False to skip when the caller already knows.
+    `check=True` runs `verify` on construction and raises InvalidBialgebra
+    naming its first failure; pass False when the caller verifies later
+    (`double.build_double` does) or already knows.
     """
 
     def __init__(self, algebra: Superalgebra, delta: Cochain, check: bool = True):
@@ -95,8 +97,25 @@ class Bialgebra:
         return Tensor2(self.basis, self.basis, acc)
 
     def verify(self) -> VerificationReport:
+        """The one complete check: g passes `validate`; delta is even entry
+        by entry (|e_i| + |e_j| = |e_k| for each e_i (x) e_j in delta(e_k)),
+        super-skew, a 1-cocycle and coJacobi.  By the Manin-triple theorem
+        this decides the Drinfeld double as well (see `double`).
+        """
         rep = VerificationReport("bialgebra axioms")
-        rep.add("delta is even", self.delta.parity == EVEN)
+        rep.merge(self.algebra.validate())
+        par, lab = self.basis.parities, self.basis.labels
+
+        def misgraded(key, c):
+            i, j, k = key
+            return (None if (par[i] + par[j]) % 2 == par[k] else
+                    f"D({lab[i]},{lab[j]} -> {lab[k]}) = {c} breaks the "
+                    f"grading")
+        if self.delta.parity == EVEN:
+            rep.scan("delta is even", sorted(delta_constants(self).items()),
+                     misgraded)
+        else:  # a declared odd cochain is no cobracket
+            rep.add("delta is even", False)
         rep.add("delta values are super-skew",
                 all(map(is_super_skew, self.delta.values.values())))
         rep.merge(is_cocycle_1(self.algebra, self.delta))

@@ -1,10 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 = success / all checks pass, 1 = a verification failed,
-2 = unusable input (malformed JSON, missing file, schema mismatch).
-Set SUPERBIALG_COLOR=0 to disable ANSI color.  `--out PATH` writes the
-document `--format json` would print to PATH, for every subcommand and
-outcome (`_emit`).
+2 = unusable input (malformed JSON, missing file, schema mismatch, an
+unwritable `--out`).  Set SUPERBIALG_COLOR=0 to disable ANSI color.
+`--out PATH` writes the document `--format json` would print to PATH, for
+every subcommand and outcome (`_emit`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .bialgebra import (
     InhomogeneousInput, InvalidBialgebra, NotClosedUnderCobracket,
     check_manin_triple, cocommutator, dual_bracket, restrict,
 )
-from .double import DoubleConstructionError, build_double
+from .double import build_double
 from . import serialize as ser
 from .verify import SECTIONS, run_fixtures
 
@@ -70,15 +70,20 @@ def _report_lines(rep) -> list[str]:
 def _emit(args, doc: dict, lines: list[str]) -> None:
     """The one output rule.  `--format json` prints `doc` and nothing else;
     text prints `lines`.  `--out` gets `doc` in either format: in json mode
-    instead of stdout, in text mode after the text, with a `wrote` line."""
+    instead of stdout, in text mode with a `wrote` line after the text.
+    The file is written first: a path that cannot be written is a
+    CliInputError before anything is printed."""
+    if args.out:
+        try:
+            ser.dump(doc, args.out)
+        except OSError as e:
+            raise CliInputError(f"cannot write {args.out}: {e.strerror or e}")
     if args.format == "json":
-        text = ser.dump(doc, args.out)
         if not args.out:
-            print(text)
+            print(ser.dump(doc))
         return
     print("\n".join(lines))
     if args.out:
-        ser.dump(doc, args.out)
         print(f"wrote {args.out}")
 
 
@@ -115,8 +120,8 @@ def cmd_cocommutator(args) -> int:
 
 
 def cmd_double(args) -> int:
-    b = ser.bialgebra_from_json(_load(args.bialgebra))
-    d = build_double(b)  # raises DoubleConstructionError unless verified
+    b = ser.bialgebra_from_json(_load(args.bialgebra), check=False)
+    d = build_double(b)  # verifies b, once
     _emit(args, ser.double_to_json(d),
           [f"double dimension: {d.underlying.dim()}", *_report_lines(d.axioms)])
     return PASS
@@ -244,16 +249,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
+    try:  # the failure document's own --out can fail too
+        try:
+            return args.fn(args)
+        except (InvalidBialgebra, DependentVectors,
+                NotClosedUnderCobracket) as e:
+            _emit(args, {"passed": False, "detail": str(e)},
+                  [f"{_mark(False)}  {e}"])
+            return FAIL
     except (CliInputError, ser.SchemaError, BasisMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return ERROR
-    except (InvalidBialgebra, DoubleConstructionError, DependentVectors,
-            NotClosedUnderCobracket) as e:
-        _emit(args, {"passed": False, "detail": str(e)},
-              [f"{_mark(False)}  {e}"])
-        return FAIL
 
 
 if __name__ == "__main__":

@@ -314,22 +314,6 @@ def is_super_skew(t: Tensor) -> bool:
     return super_swap(t) == -t
 
 
-def alt_s(t: Tensor) -> Tensor:
-    """Signed cyclic symmetrization of a rank-3 tensor.
-
-    On a(x)b(x)c the three terms carry signs 1, (-1)^{|a|(|b|+|c|)} and
-    (-1)^{|c|(|a|+|b|)} as the factors cycle left / right.
-    """
-    par = t.basis.parities
-    acc: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), c in t.entries.items():
-        for key, sign in (((i, j, k), 1),
-                          ((j, k, i), koszul(par[i], par[j] + par[k])),
-                          ((k, i, j), koszul(par[k], par[i] + par[j]))):
-            acc[key] = acc.get(key, 0) + sign * c
-    return t._with(acc)
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra kernels
 # ---------------------------------------------------------------------------

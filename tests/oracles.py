@@ -1,14 +1,16 @@
 """Independent reference derivations that tests compare the library against.
 
 The library derives the dual bracket from the constant exchange
-(`bialgebra.exchange`, one Koszul sign per entry of the stored delta); the
-oracle here unwinds the graded pairing
+(`bialgebra.exchange`, one Koszul sign per entry of the stored delta).  The
+oracle here goes through the wedge basis instead: it writes each delta(e_k)
+as sum w_ab e_a ^ e_b (a < b, and a = b odd, where e_a ^ e_a is
+2 e_a (x) e_a), checks that the expansion rebuilds delta(e_k), and pairs
+every wedge with e_i* (x) e_j* term by term through the graded pairing
 
-    <a* (x) b*, u (x) v> = (-1)^{|b*||u|} a*(u) b*(v)
+    <a* (x) b*, u (x) v> = (-1)^{|b*||u|} a*(u) b*(v),
 
-over a basis instead, reading delta(e_k) entry by entry:
-
-    [e_i*, e_j*] = sum_k (-1)^{|e_i||e_j|} delta(e_k)_{ij} e_k*.
+so that <[e_i*, e_j*], e_k> = <e_i* (x) e_j*, delta(e_k)>.  It shares no
+code with the exchange; a sign dropped there shows up as a mismatch.
 
 The library verifies a double's cobracket through its canonical r alone
 (`double.check_canonical_r`).  The super classical Yang-Baxter expression
@@ -23,6 +25,9 @@ expanding the commutators in U(g)^(x)3 with Koszul signs gives
 When r + T(r) is ad-invariant, d(r) satisfies coJacobi iff [[r,r]] is
 ad-invariant; the canonical r of a double has [[r,r]] = 0.
 
+`alt_s` (the signed cycle of `graded`'s conventions) and `supertrace_form`
+(str(rho(x) rho(y)) from dense matrix products) serve only the tests.
+
 The library reads every coordinate in a span off one factorization of it
 (`graded.factor_span`).  `solve_exact` is the reference solver it is
 compared with: one fresh row reduction of an augmented system per target.
@@ -36,22 +41,36 @@ from superbialg.bialgebra import (
 )
 from superbialg.cohomology import Cochain
 from superbialg.graded import (
-    EVEN, Q, GradedBasis, Tensor2, Tensor3, rank, rref, tensor,
+    EVEN, Q, GradedBasis, Tensor2, Tensor3, rank, rref, tensor, wedge,
 )
 
 
 def pairing_dual_bracket(b: Bialgebra) -> Superalgebra:
-    """The bracket on g* defined by pairing against delta (not validated)."""
-    par = b.basis.parity
+    """The bracket on g* paired against delta in the wedge basis (not
+    validated); raises ValueError for a delta value that is not super-skew."""
+    basis = b.basis
+    par = basis.parity
+
+    def pair(i, j, u, v):  # <e_i* (x) e_j*, e_u (x) e_v>
+        return koszul(par(j), par(u)) if (i, j) == (u, v) else 0
+
     constants = {}
-    for k in range(len(b.basis)):
+    for k in range(len(basis)):
         dk = b.delta.value(k)
         if dk is None:
             continue
-        for (i, j), c in dk.entries.items():
-            constants[(i, j, k)] = (constants.get((i, j, k), 0)
-                                    + koszul(par(i), par(j)) * c)
-    return Superalgebra(dual_basis(b.basis), constants)
+        w = {(a, c): (x if a < c else x / 2)
+             for (a, c), x in dk.entries.items() if a <= c}
+        rebuilt = sum((wedge(basis.vector(a), basis.vector(c)).scale(x)
+                       for (a, c), x in w.items()), Tensor2.zero(basis))
+        if rebuilt != dk:
+            raise ValueError(f"delta({basis.labels[k]}) is not super-skew")
+        for (a, c), x in w.items():
+            for i, j in {(a, c), (c, a)}:
+                y = x * (pair(i, j, a, c)
+                         - koszul(par(a), par(c)) * pair(i, j, c, a))
+                constants[(i, j, k)] = constants.get((i, j, k), 0) + y
+    return Superalgebra(dual_basis(basis), constants)
 
 
 def super_cybe(g: Superalgebra, r: Tensor2) -> Tensor3:
@@ -96,6 +115,30 @@ def adjoint_on_tensor3(g: Superalgebra, a: int, t: Tensor3) -> Tensor3:
 
 def is_ad_invariant3(g: Superalgebra, t: Tensor3) -> bool:
     return all(adjoint_on_tensor3(g, a, t).is_zero() for a in range(g.dim()))
+
+
+def alt_s(t):
+    """Signed cyclic symmetrization of a rank-3 tensor.
+
+    On a(x)b(x)c the three terms carry signs 1, (-1)^{|a|(|b|+|c|)} and
+    (-1)^{|c|(|a|+|b|)} as the factors cycle left / right.
+    """
+    par = t.basis.parities
+    acc = {}
+    for (i, j, k), c in t.entries.items():
+        for key, sign in (((i, j, k), 1),
+                          ((j, k, i), koszul(par[i], par[j] + par[k])),
+                          ((k, i, j), koszul(par[k], par[i] + par[j]))):
+            acc[key] = acc.get(key, 0) + sign * c
+    return t._with(acc)
+
+
+def supertrace_form(real, x, y):
+    """str(rho(x) rho(y)) relative to the (m|n) block grading, from the
+    dense product of the two images."""
+    a, b = real.image_of(x), real.image_of(y)
+    return sum((1 if i < real.m else -1) * a[i][j] * b[j][i]
+               for i in range(len(a)) for j in range(len(a)))
 
 
 def solve_exact(columns, target):

@@ -17,11 +17,11 @@ from superbialg.bialgebra import (
 from superbialg.cohomology import coboundary, coboundary_0, is_cocycle_1
 from superbialg.double import check_canonical_r, identify
 from superbialg.graded import (
-    LinearEndomorphism, Tensor2, alt_s, image_basis, span_equal, super_swap,
-    tensor, wedge,
+    LinearEndomorphism, Tensor2, image_basis, span_equal, super_swap, tensor,
+    wedge,
 )
 
-from oracles import pairing_dual_bracket
+from oracles import alt_s, pairing_dual_bracket
 
 B = cat.sl21_basis()
 V = cat.V

@@ -11,11 +11,11 @@ from superbialg import catalog as cat
 from superbialg.algebra import (
     BilinearForm, DependentVectors, MatrixRealization, NotClosed,
     Superalgebra, adjoint_on_tensor2, check_homomorphism, check_invariance,
-    from_matrices, is_subalgebra, supertrace_form,
+    from_matrices, is_subalgebra,
 )
 from superbialg.bialgebra import dual_bracket
 from superbialg.graded import GradedBasis, LinearMap, Tensor2, tensor
-from oracles import solve_exact
+from oracles import solve_exact, supertrace_form
 
 B = cat.sl21_basis()
 V = cat.V

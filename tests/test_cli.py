@@ -317,31 +317,38 @@ def test_double_json_failure_prints_json(files, capsys, tmp_path,
 
 
 def test_double_validates_the_double_once(files, capsys, monkeypatch):
+    # the document is loaded unchecked and `build_double` verifies the
+    # 4-dim bialgebra once; nothing is validated on the 8-dim double
     monkeypatch.setenv("SUPERBIALG_COLOR", "0")
     calls = []
-    validate = Superalgebra.validate
-
-    def counted(self):
-        calls.append(self.dim())
-        return validate(self)
-
-    monkeypatch.setattr(Superalgebra, "validate", counted)
+    for cls, name in ((Bialgebra, "verify"), (Superalgebra, "validate")):
+        def counted(self, real=getattr(cls, name), name=name):
+            calls.append((name, len(self.basis)))
+            return real(self)
+        monkeypatch.setattr(cls, name, counted)
     code, out, _ = run(capsys, "double", files["s_delta2.json"])
     assert code == 0
-    assert calls == [8]
+    assert calls == [("verify", 4), ("validate", 4)]
     assert out.splitlines() == [
         "double dimension: 8",
         "PASS  grading consistency",
         "PASS  super antisymmetry",
         "PASS  even self-brackets vanish",
         "PASS  super Jacobi",
+        "PASS  delta is even",
+        "PASS  delta values are super-skew",
+        "PASS  pairwise super cocycle condition",
+        "PASS  Alt(delta (x) Id) delta = 0",
     ]
 
 
 def test_verify_paper_counts_each_verification(capsys, monkeypatch):
-    # from cold caches: the restricted bialgebras and the doubles keep the
-    # reports their constructors made instead of verifying again, each dual
-    # bracket is derived once per run, and every span is factored once
+    # from cold caches: the restricted bialgebras keep the report `restrict`
+    # made instead of verifying again, each double verifies its bialgebra
+    # once (7 + 2 verify), every verify validates its algebra, the two
+    # double fixtures validate their double and the two canonical_r
+    # fixtures check its r, each dual bracket is derived once per run, and
+    # every span is factored once
     calls = {"verify": 0, "validate": 0, "check_canonical_r": 0, "rref": 0}
     for cls, name in ((Bialgebra, "verify"), (Superalgebra, "validate")):
         def counted(self, real=getattr(cls, name), name=name):
@@ -363,7 +370,7 @@ def test_verify_paper_counts_each_verification(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "paper")
     assert code == 0
     assert out.endswith("70/70 fixtures pass\n")
-    assert calls == {"verify": 7, "validate": 11, "check_canonical_r": 2,
+    assert calls == {"verify": 9, "validate": 20, "check_canonical_r": 2,
                      "rref": 56}
     # the reference solver lives in tests/oracles.py only
     assert not any(hasattr(m, "solve_exact") for m in modules)

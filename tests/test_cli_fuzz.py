@@ -138,3 +138,24 @@ def test_verify_keeps_its_contract(section, fmt):
     code, out, err = _run(["verify", "paper", "--section", section,
                            "--format", fmt])
     _assert_contract(code, out, err, fmt)
+
+
+# every subcommand on a golden document, plus `restrict` on a span delta_s
+# does not close on, whose failure document goes through `main`'s own
+# failure path
+OUT_CASES = [argv_of(_doc(names[0])) for _, argv_of, names in SLOTS] + [
+    ["verify", "paper", "--section", "2"],
+    ["restrict", _doc("sl21-delta-s"), "--span", _doc("s1-span")],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", OUT_CASES,
+                         ids=[f"{a[0]}-{i}" for i, a in enumerate(OUT_CASES)])
+def test_an_unwritable_out_path_exits_2(argv, fmt, tmp_path):
+    out_path = str(tmp_path / "missing" / "x.json")
+    code, out, err = _run(argv + ["--format", fmt, "--out", out_path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}:"), err
+    _assert_contract(code, out, err, fmt)

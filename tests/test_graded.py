@@ -8,10 +8,10 @@ from superbialg import catalog as cat
 from superbialg.algebra import Superalgebra
 from superbialg.graded import (
     BasisMismatch, Element, GradedBasis, LinearEndomorphism, Tensor, Tensor2,
-    Tensor3, alt_s, image_basis, invert_matrix, is_super_skew, koszul, matmul,
+    Tensor3, image_basis, invert_matrix, is_super_skew, koszul, matmul,
     rref, span_equal, super_swap, tensor, wedge,
 )
-from oracles import solve_exact
+from oracles import alt_s, solve_exact
 
 B = cat.sl21_basis()
 V = cat.V

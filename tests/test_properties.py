@@ -15,9 +15,11 @@ from superbialg import catalog as cat
 from superbialg.algebra import Superalgebra, adjoint_on_tensor2
 from superbialg.cohomology import Cochain, canonical_tuple, coboundary_0, is_cocycle_1
 from superbialg.graded import (
-    Element, LinearEndomorphism, Tensor2, Tensor3, alt_s, image_basis, rank,
+    Element, LinearEndomorphism, Tensor2, Tensor3, image_basis, rank,
     super_swap, wedge,
 )
+
+from oracles import alt_s
 
 B = cat.sl21_basis()
 

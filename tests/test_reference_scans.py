@@ -20,7 +20,9 @@ from superbialg.algebra import (
 )
 from superbialg.bialgebra import check_cojacobi, check_compatibility
 from superbialg.cohomology import Cochain, coboundary, is_cocycle_1
-from superbialg.graded import Element, Tensor2, Tensor3, alt_s
+from superbialg.graded import Element, Tensor2, Tensor3
+
+from oracles import alt_s
 
 BASES = {
     "sl21": (cat.sl21, cat.delta_f, cat.supertrace_gram),
