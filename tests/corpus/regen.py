@@ -1,14 +1,20 @@
-"""A seeded corpus of perturbed bialgebras and what `build_double` makes of each.
+"""A seeded corpus of perturbed bialgebras and what the checks make of each.
 
     PYTHONPATH=src python tests/corpus/regen.py
 
-rebuilds every input of `inputs()` and rewrites `build_double.jsonl`, one
-line per input: its id, a description of how it was made, and the outcome
-of `double.build_double` on it.  An accepted input records the SHA-256 of
-its double's `serialize.double_to_json` document (compact JSON, sorted
-keys); a rejected one records the exception class and its message.
+rebuilds every input of `inputs()` and rewrites two files, one line per
+input: its id, a description of how it was made, and an outcome.
+
+* `build_double.jsonl`: the outcome of `double.build_double`.  An accepted
+  input records the SHA-256 of its double's `serialize.double_to_json`
+  document (compact JSON, sorted keys); a rejected one records the
+  exception class and its message.
+* `verify.jsonl`: every check, as [name, passed, detail], of three
+  reports: `Bialgebra.verify`, `bialgebra.check_compatibility`, and the
+  `validate` of the dual table Superalgebra(dual_basis, exchange(D)).
+
 `tests/test_corpus.py` rebuilds the same lines and compares them with the
-file.
+files.
 
 The inputs start from the six catalog bialgebras and the seed-1 (2|1)
 document `tests/golden/inputs/sl21-seed1.json` (the benchmark's rescaled
@@ -25,7 +31,7 @@ judge.  One hand-built input follows them: the abelian algebra on (a | b, c)
 with delta(b) = c (x) c, a super-skew and cocycle value that breaks the
 grading.
 
-A change that alters lines of the file on purpose lists them, by class, in
+A change that alters lines of a file on purpose lists them, by class, in
 CHANGES.md, as for the golden CLI files.
 """
 
@@ -40,6 +46,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "build_double.jsonl"
+VERIFY_CORPUS = HERE / "verify.jsonl"
 SEED_INPUT = HERE.parent / "golden" / "inputs" / "sl21-seed1.json"
 PERTURBED = 400
 
@@ -145,13 +152,32 @@ def outcome(b) -> dict:
     return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
-def lines() -> list[str]:
-    return [json.dumps({"id": name, "input": what, **outcome(b)},
-                       sort_keys=True)
-            for name, what, b in inputs()]
+def reports(b) -> dict:
+    """The checks of `verify`, `check_compatibility` and the dual table's
+    `validate` on b, each as a list of [name, passed, detail]."""
+    from superbialg import Superalgebra, check_compatibility
+    from superbialg.bialgebra import delta_constants, dual_basis, exchange
+    dual = Superalgebra(dual_basis(b.basis),
+                        exchange(b.basis, delta_constants(b)))
+    return {name: [[c.name, c.passed, c.detail] for c in rep.checks]
+            for name, rep in (("verify", b.verify()),
+                              ("compatibility",
+                               check_compatibility(b.algebra, b.delta)),
+                              ("dual validate", dual.validate()))}
+
+
+def lines() -> dict[Path, list[str]]:
+    """The lines of both corpus files, from one pass over the inputs."""
+    out: dict[Path, list[str]] = {CORPUS: [], VERIFY_CORPUS: []}
+    for name, what, b in inputs():
+        for path, result in ((CORPUS, outcome(b)), (VERIFY_CORPUS, reports(b))):
+            out[path].append(json.dumps({"id": name, "input": what, **result},
+                                        sort_keys=True))
+    return out
 
 
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parents[1] / "src"))
-    CORPUS.write_text("\n".join(lines()) + "\n")
-    print(f"wrote {CORPUS.name}")
+    for path, text in lines().items():
+        path.write_text("\n".join(text) + "\n")
+        print(f"wrote {path.name}")

@@ -1,16 +1,29 @@
-"""`build_double` on the seeded corpus of perturbed bialgebras
-(see tests/corpus/regen.py): every outcome, hash or rejection message,
-must match the committed line."""
+"""The checks on the seeded corpus of perturbed bialgebras (see
+tests/corpus/regen.py): every outcome of `build_double`, hash or rejection
+message, and every check line of `verify`, `check_compatibility` and the
+dual table's `validate` must match the committed line."""
 
 import json
+from functools import cache
 
-from corpus.regen import CORPUS, lines
+import pytest
+
+from corpus.regen import CORPUS, VERIFY_CORPUS, lines
+
+cached_lines = cache(lines)
+
+
+def _changed(path):
+    want = path.read_text().splitlines()
+    got = cached_lines()[path]
+    assert len(got) == len(want)
+    return [(json.loads(w), json.loads(g))
+            for w, g in zip(want, got) if w != g]
 
 
 def test_build_double_outcomes_match_the_corpus():
-    want = CORPUS.read_text().splitlines()
-    got = lines()
-    assert len(got) == len(want)
-    changed = [(json.loads(w), json.loads(g))
-               for w, g in zip(want, got) if w != g]
-    assert changed == []
+    assert _changed(CORPUS) == []
+
+
+def test_verify_reports_match_the_corpus():
+    assert _changed(VERIFY_CORPUS) == []
