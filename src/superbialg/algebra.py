@@ -4,11 +4,11 @@ A `Superalgebra` stores the full table [e_i, e_j] = sum_k C(i,j,k) e_k once,
 as sparse rows `rows[i][j] = {k: C(i,j,k)}`; each row is also the coefficient
 dict of the Element `bracket_basis(i, j)` returns.  Brackets, the adjoint
 action on g (x) g, super Jacobi and form invariance all sum products of
-these rows into one dict and build at most one result object.  Two kernels
-do the adding: `graded._add_into` (a row times a scalar) and `_act_into`
-(e_i . t for t in g (x) g); the cochain checks in `cohomology` and
-`bialgebra` call them directly.  Both skip the multiplication for a
-coefficient of +-1 and store the first term of a key as it is.
+these rows into one dict and build at most one result object.  Super
+antisymmetry, Jacobi and the action on g (x) g (`_act_into`, also called by
+`cohomology` and `bialgebra`) sum ints over `int_table`, D times the table:
+a sum is the true one times a positive integer, so "is zero" is exact, and
+Fractions (`graded._over`) come back only in results and counterexamples.
 
 Each check here is a `VerificationReport.scan` over basis tuples.  Super
 antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted
@@ -33,13 +33,14 @@ elements and Manin triples.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
 from .graded import (
     EVEN, ODD, Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
-    _add_into, as_scalar, factor_span, koszul, rank, rref, span_coordinates,
-    _same_basis,
+    _add_into, _denominator, _numerators, _over, _same_basis, as_scalar,
+    factor_span, koszul, rank, rref, span_coordinates,
 )
 from .report import VerificationReport
 
@@ -104,6 +105,13 @@ class Superalgebra:
                                         - koszul(pi, pj) * c)
         return cls(basis, constants)
 
+    @cached_property
+    def int_table(self) -> tuple[int, list[list[dict[int, int]]]]:
+        """(D, num): D the lcm of the denominators of the constants and
+        num[i][j] = {k: C(i,j,k) D}, as ints."""
+        den = _denominator(row for rs in self.rows for row in rs)
+        return den, [[_numerators(row, den) for row in rs] for rs in self.rows]
+
     def bracket_basis(self, i: int, j: int) -> Element:
         return self._table[i][j]
 
@@ -160,10 +168,12 @@ class Superalgebra:
         else:
             triples = product(range(n), repeat=3)
 
+        scale = self.int_table[0] ** 2
+
         def jacobi_fails(a, b, c):
             acc = self._jacobi_sum(a, b, c)
-            return (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}):"
-                    f" cyclic sum = {Element(self.basis, acc)}"
+            return (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}): cyclic "
+                    f"sum = {Element.wrap(self.basis, _over(acc, scale))}"
                     if any(acc.values()) else None)
         rep.scan("super Jacobi", triples, jacobi_fails)
         return rep
@@ -180,12 +190,15 @@ class Superalgebra:
         first failure in product order has i <= j: only those need a scan.
         """
         keep = self.basis.parities[i] and self.basis.parities[j]
-        mirror = {k: (c if keep else -c) for k, c in self.rows[i][j].items()}
-        if self.rows[j][i] == mirror:
+
+        def mirror(row):
+            return row if keep else {k: -c for k, c in row.items()}
+        num = self.int_table[1]
+        if num[j][i] == mirror(num[i][j]):
             return None
         lab = self.basis.labels
         return (f"[{lab[j]},{lab[i]}] = {self._table[j][i]} but sign rule "
-                f"wants {Element.wrap(self.basis, mirror)}")
+                f"wants {Element.wrap(self.basis, mirror(self.rows[i][j]))}")
 
     def pairs_to_scan(self):
         """Basis pairs that decide a pairwise condition R(a, b) = 0 whose
@@ -199,12 +212,13 @@ class Superalgebra:
             return product(range(self.dim()), repeat=2)
         return self._sorted_pairs()
 
-    def _jacobi_sum(self, a: int, b: int, c: int) -> dict[int, Fraction]:
+    def _jacobi_sum(self, a: int, b: int, c: int) -> dict[int, int]:
         """Signed cyclic sum of [x,[y,z]] over (a,b,c), (b,c,a), (c,a,b),
-        with [x,[y,z]] = sum_k C(y,z,k) [x, e_k]."""
+        with [x,[y,z]] = sum_k C(y,z,k) [x, e_k], summed over `int_table`:
+        D^2 times the true sum."""
         par = self.basis.parities
-        rows = self.rows
-        acc: dict[int, Fraction] = {}
+        rows = self.int_table[1]
+        acc: dict[int, int] = {}
         for x, y, z, sign in ((a, b, c, koszul(par[a], par[c])),
                               (b, c, a, koszul(par[b], par[a])),
                               (c, a, b, koszul(par[c], par[b]))):
@@ -238,10 +252,6 @@ class Superalgebra:
 
 Matrix = list[list[Fraction]]
 SparseMatrix = dict[int, dict[int, Fraction]]   # row -> {column: entry}
-
-
-def zeros(m: int, n: int) -> Matrix:
-    return [[Q(0)] * n for _ in range(m)]
 
 
 def _sparse(mat: Matrix) -> SparseMatrix:
@@ -311,7 +321,7 @@ class MatrixRealization:
     def image_of(self, x: Element) -> Matrix:
         _same_basis(x.basis, self.basis)
         d = self.m + self.n
-        out = zeros(d, d)
+        out = [[Q(0)] * d for _ in range(d)]
         for i, c in x.entries.items():
             for r, row in self.sparse[i].items():
                 for s, v in row.items():
@@ -398,16 +408,16 @@ def gram_matrix(real: MatrixRealization) -> BilinearForm:
 # ---------------------------------------------------------------------------
 
 def _act_into(acc: dict, g: Superalgebra, i: int,
-              entries: Mapping[tuple[int, int], Fraction],
-              c: Fraction) -> None:
-    """acc += c * (e_i . t) for the rank-2 tensor t with these entries.
+              entries: Mapping[tuple[int, int], int], c: int) -> None:
+    """acc += c * (e_i . t) for the rank-2 tensor t with these integer
+    entries, over `g.int_table`: acc gains D times the value.
 
     The signed Leibniz rule on one basis vector:
     e_i . (u (x) v) = [e_i,u] (x) v + (-1)^{|e_i||u|} u (x) [e_i,v].
     """
     par = g.basis.parities
     odd = par[i]
-    ri = g.rows[i]
+    ri = g.int_table[1][i]
     get = acc.get
     for (u, v), x in entries.items():
         cc = x if c == 1 else -x if c == -1 else c * x
@@ -431,10 +441,12 @@ def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor) -> Tensor:
     """
     _same_basis(t.basis, g.basis)
     _same_basis(a.basis, g.basis)
-    acc: dict[tuple[int, int], Fraction] = {}
-    for i, ca in a.entries.items():
-        _act_into(acc, g, i, t.entries, ca)
-    return t._with(acc)
+    da, dt = _denominator([a.entries]), _denominator([t.entries])
+    ints = _numerators(t.entries, dt)
+    acc: dict[tuple[int, int], int] = {}
+    for i, ca in _numerators(a.entries, da).items():
+        _act_into(acc, g, i, ints, ca)
+    return t._with(_over(acc, g.int_table[0] * da * dt))
 
 
 def is_subalgebra(g: Superalgebra, vectors: Sequence[Element]) -> bool:

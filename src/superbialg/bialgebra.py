@@ -23,7 +23,8 @@ The cobracket axioms work on plain dicts.  `check_compatibility` is the
 pairwise cocycle kernel of `cohomology` at parity 0, so it scans the sorted
 pairs a <= b once the bracket is super antisymmetric and every pair in
 product order otherwise.  `check_cojacobi` adds the three cyclic terms of
-(delta (x) Id) delta(x) straight into one dict per basis vector x.
+(delta (x) Id) delta(x) straight into one dict per basis vector x, as
+ints: E^2 times the sum, with E the one denominator of delta's values.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from typing import Sequence
 
 from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor2, Tensor3, _add_into, _same_basis, factor_span,
+    LinearMap, Tensor2, Tensor3, _add_into, _over, _same_basis, factor_span,
     invert_matrix, is_super_skew, matmul, rank, span_coordinates,
     square_span, super_swap, tensor,
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
-    adjoint_on_tensor2, check_homomorphism, check_invariance, gram_matrix,
-    is_subalgebra,
+    check_homomorphism, check_invariance, gram_matrix, is_subalgebra,
 )
 from .cohomology import (
     Cochain, coboundary_0, is_cocycle_1, pairwise_failure,
@@ -104,6 +104,12 @@ class Bialgebra:
         """
         rep = VerificationReport("bialgebra axioms")
         rep.merge(self.algebra.validate())
+        rep.merge(self.verify_cobracket())
+        return rep
+
+    def verify_cobracket(self) -> VerificationReport:
+        """The checks of `verify` after `validate`: those of delta alone."""
+        rep = VerificationReport("cobracket axioms")
         par, lab = self.basis.parities, self.basis.labels
 
         def misgraded(key, c):
@@ -134,19 +140,18 @@ def casimir(real: MatrixRealization, g: Superalgebra | None = None) -> Tensor2:
     sum_{ij} (G^{-1})_{ij} e_i (x) e_j; invariance under the adjoint action
     is verified before returning.
     """
-    form = gram_matrix(real)
-    if not form.is_nondegenerate():
-        raise DegenerateForm("supertrace form is degenerate")
-    inv = invert_matrix(form.gram)
+    try:
+        inv = invert_matrix(gram_matrix(real).gram)
+    except ValueError:
+        raise DegenerateForm("supertrace form is degenerate") from None
     n = len(real.basis)
     omega = Tensor2(real.basis, real.basis,
                     {(i, j): inv[i][j] for i in range(n) for j in range(n)})
     if g is None:
         from .algebra import from_matrices
         g = from_matrices(real)
-    for a in range(n):
-        if not adjoint_on_tensor2(g, g.basis.vector(a), omega).is_zero():
-            raise ValueError("constructed tensor is not adjoint-invariant")
+    if not coboundary_0(g, omega).is_zero():  # d(omega)(a) = a . omega
+        raise ValueError("constructed tensor is not adjoint-invariant")
     return omega
 
 
@@ -229,20 +234,20 @@ def check_cojacobi(g: Superalgebra, delta: Cochain) -> VerificationReport:
     rep = VerificationReport("coJacobi")
     lab = g.basis.labels
     par = g.basis.parities
-    vals = delta.values  # a 1-cochain stores delta(e_k) at (k,), sign 1
+    den, vals = delta.int_values()  # delta(e_k) at (k,), sign 1
 
     def breaks(a):
         da = vals.get((a,))
         if da is None:
             return None
-        acc: dict[tuple[int, int, int], Fraction] = {}
+        acc: dict[tuple[int, int, int], int] = {}
         get = acc.get
-        for (u, v), c in da.entries.items():
+        for (u, v), c in da.items():
             du = vals.get((u,))
             if du is None:
                 continue
             pv = par[v]
-            for (i, j), d in du.entries.items():
+            for (i, j), d in du.items():
                 x = c * d
                 pi, pj = par[i], par[j]
                 for key, flip in (((i, j, v), False),
@@ -254,7 +259,7 @@ def check_cojacobi(g: Superalgebra, delta: Cochain) -> VerificationReport:
                     else:
                         acc[key] = old - x if flip else old + x
         return (f"at {lab[a]}: cyclic sum = "
-                f"{Tensor3((g.basis, g.basis, g.basis), acc)}"
+                f"{Tensor3((g.basis,) * 3, _over(acc, den * den))}"
                 if any(acc.values()) else None)
     rep.scan("Alt(delta (x) Id) delta = 0", product(range(g.dim())), breaks)
     return rep

@@ -47,6 +47,13 @@ def _madd(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _validated(g: Superalgebra, name: str) -> Superalgebra:
+    rep = g.validate()
+    if not rep.passed:
+        raise FixtureMismatch(f"{name} fails its axioms: {rep.first_failure()}")
+    return g
+
+
 @cache
 def sl21_basis() -> GradedBasis:
     return GradedBasis(SL21_LABELS, SL21_PARITIES)
@@ -69,11 +76,7 @@ def sl21_realization() -> MatrixRealization:
 
 @cache
 def sl21() -> Superalgebra:
-    g = from_matrices(sl21_realization())
-    rep = g.validate()
-    if not rep.passed:
-        raise FixtureMismatch(f"sl(2,1) fails its axioms: {rep.first_failure()}")
-    return g
+    return _validated(from_matrices(sl21_realization()), "sl(2,1)")
 
 
 def V(label: str) -> Element:
@@ -268,10 +271,7 @@ def s_algebra() -> Superalgebra:
         (2, 3, 1): Q(1),
         (3, 3, 0): Q(2),
     })
-    rep = g.validate()
-    if not rep.passed:
-        raise FixtureMismatch(f"s fails its axioms: {rep.first_failure()}")
-    return g
+    return _validated(g, "s")
 
 
 @cache
@@ -282,10 +282,7 @@ def t_algebra() -> Superalgebra:
         (0, 2, 2): Q(-1),
         (2, 3, 1): Q(1),
     })
-    rep = g.validate()
-    if not rep.passed:
-        raise FixtureMismatch(f"t fails its axioms: {rep.first_failure()}")
-    return g
+    return _validated(g, "t")
 
 
 @cache

@@ -28,9 +28,7 @@ PASS, FAIL, ERROR = 0, 1, 2
 
 
 def _color_enabled() -> bool:
-    if os.environ.get("SUPERBIALG_COLOR", "") == "0":
-        return False
-    return sys.stdout.isatty()
+    return os.environ.get("SUPERBIALG_COLOR", "") != "0" and sys.stdout.isatty()
 
 
 def _mark(ok: bool) -> str:
@@ -58,13 +56,8 @@ class CliInputError(Exception):
 
 
 def _report_lines(rep) -> list[str]:
-    lines = []
-    for c in rep.checks:
-        line = f"{_mark(c.passed)}  {c.name}"
-        if c.detail:
-            line += f"  [{c.detail}]"
-        lines.append(line)
-    return lines
+    return [f"{_mark(c.passed)}  {c.name}"
+            + (f"  [{c.detail}]" if c.detail else "") for c in rep.checks]
 
 
 def _emit(args, doc: dict, lines: list[str]) -> None:

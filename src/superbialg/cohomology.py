@@ -19,12 +19,14 @@ with
 (1-based i, j; the j-sum in s2 includes |x_i| since i < j).
 
 `coboundary` and the pairwise kernel `pairwise_failure` add every term
-into one plain dict per argument tuple, straight from the bracket rows and
-the stored values: the action on g (x) g goes through the single
-`algebra._act_into` kernel, the action on g and the bracket-insertion terms
-through `_add_into`.  A value (a `graded.Tensor` of rank 1 or 2; its
-`rank` says which module) is built only for a nonzero result or to render
-a counterexample.
+into one plain dict per argument tuple, in integers: the bracket rows of
+`Superalgebra.int_table` (denominator D) times the stored values scaled
+once per call to one denominator E (`Cochain.int_values`), so each sum is
+D E times its value and "is zero" is decided exactly.  The action on
+g (x) g goes through `algebra._act_into`, the action on g and the
+bracket-insertion terms through `_add_into`.  A value (a `graded.Tensor` of
+rank 1 or 2, one rank per cochain) is built, over D E, only for a nonzero
+result or to render a counterexample.
 
 The pairwise condition (`is_cocycle_1`, `bialgebra.check_compatibility`)
 is scanned over `g.pairs_to_scan()`: under super antisymmetry its residual
@@ -35,14 +37,13 @@ product order.  Other tables are scanned over every pair in product order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .graded import (
-    EVEN, ODD, BasisMismatch, GradedBasis, Tensor, _add_into, _same_basis,
-    as_scalar, koszul,
+    EVEN, BasisMismatch, GradedBasis, Tensor, _add_into, _denominator,
+    _numerators, _over, _same_basis, as_scalar, koszul,
 )
-from .algebra import Superalgebra, _act_into, adjoint_on_tensor2
+from .algebra import Superalgebra, _act_into
 from .report import VerificationReport
 
 
@@ -130,17 +131,18 @@ class Cochain:
         """Value at an arbitrary argument tuple, Koszul sign included."""
         if len(args) != self.degree:
             raise ValueError("argument count must equal the cochain degree")
-        val, sign = self._stored(args)
+        key, sign = canonical_tuple(self.g.basis, args)
+        val = self.values.get(key)
         if val is None:
             return None  # caller decides the zero of the right module
         return val if sign == 1 else val.scale(sign)
 
-    def _stored(self, args: tuple[int, ...]) -> tuple[object | None, int]:
-        """The stored value behind an argument tuple and the sign that
-        relates them; (None, 0) when the value is zero."""
-        key, sign = canonical_tuple(self.g.basis, args)
-        val = None if key is None else self.values.get(key)
-        return (val, sign) if val is not None else (None, 0)
+    def int_values(self) -> tuple[int, dict[tuple[int, ...], dict]]:
+        """(E, {args: {key: c E}}): every stored value's entries as ints
+        over one denominator E, the lcm of theirs."""
+        den = _denominator(v.entries for v in self.values.values())
+        return den, {args: _numerators(v.entries, den)
+                     for args, v in self.values.items()}
 
     def is_zero(self) -> bool:
         return not self.values
@@ -178,15 +180,16 @@ class Cochain:
         return out
 
 
-def _act_value_into(acc: dict, g: Superalgebra, a: int, val: Tensor,
-                    c: Fraction) -> None:
-    """acc += c * (e_a . val): adjoint on g, Leibniz on g (x) g."""
-    if val.rank == 1:
-        ra = g.rows[a]
-        for j, x in val.entries.items():
+def _act_value_into(acc: dict, g: Superalgebra, a: int, rank: int,
+                    entries: Mapping, c: int) -> None:
+    """acc += c * (e_a . v) for the value v of this rank with these integer
+    entries: adjoint on g, Leibniz on g (x) g; acc gains D times it."""
+    if rank == 1:
+        ra = g.int_table[1][a]
+        for j, x in entries.items():
             _add_into(acc, ra[j], c * x)
     else:
-        _act_into(acc, g, a, val.entries, c)
+        _act_into(acc, g, a, entries, c)
 
 
 def coboundary_0(g: Superalgebra, r: Tensor) -> Cochain:
@@ -196,22 +199,15 @@ def coboundary_0(g: Superalgebra, r: Tensor) -> Cochain:
     the general differential prepends its s1 sign, giving
     a -> (-1)^{|a|} [a(x)1 + 1(x)a, r].  (Every cobracket built from an
     r-matrix is even, so the sign never shows up in those tables; it is
-    what keeps d o d = 0 on the odd part of the module.)
+    what keeps d o d = 0 on the odd part of the module.)  It is
+    `coboundary` of the 0-cochain with value r.
     """
     _same_basis(r.basis, g.basis)
     p = r.parity()
     if p is None and not r.is_zero():
         raise ValueError("0-cochain must be parity-homogeneous; "
                          "split the tensor into even and odd parts first")
-    p = EVEN if p is None else p
-    out = Cochain(g, 1, p)
-    for a in range(g.dim()):
-        val = adjoint_on_tensor2(g, g.basis.vector(a), r)
-        if p == ODD and g.basis.parity(a) == ODD:
-            val = val.scale(-1)
-        if not val.is_zero():
-            out.set_value((a,), val)
-    return out
+    return coboundary(g, Cochain(g, 0, EVEN if p is None else p, {(): r}))
 
 
 def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
@@ -219,11 +215,16 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
     _same_basis(f.g.basis, g.basis)
     n = f.degree
     par = g.basis.parity
-    rows = g.rows
+    den, rows = g.int_table
+    scale, ints = f.int_values()
     out = f.copy_empty(n + 1)
     like = next(iter(f.values.values()), None)
     if like is None:
         return out
+
+    def stored(args):  # the integer value behind a tuple, and the sign
+        key, sign = canonical_tuple(g.basis, args)
+        return ints.get(key), sign
     for args in canonical_tuples(g.basis, n + 1):
         ps = [par(a) for a in args]
         prefix = [0] * (n + 2)  # prefix[i] = |x_1| + .. + |x_{i-1}|, 1-based i
@@ -233,11 +234,11 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
 
         # first sum: the module action terms
         for i in range(1, n + 2):
-            fv, sign = f._stored(args[:i - 1] + args[i:])
+            fv, sign = stored(args[:i - 1] + args[i:])
             if fv is None:
                 continue
             s1 = ((-1) ** (i + 1)) * ((-1) ** (ps[i - 1] * (f.parity + prefix[i - 1])))
-            _act_value_into(acc, g, args[i - 1], fv, s1 * sign)
+            _act_value_into(acc, g, args[i - 1], like.rank, fv, s1 * sign)
 
         # second sum: the bracket-insertion terms
         for i in range(1, n + 2):
@@ -251,12 +252,12 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
                     * ((-1) ** (ps[i - 1] * prefix[i - 1])) \
                     * ((-1) ** (ps[j - 1] * prefix[j - 1]))
                 for k, c in br.items():
-                    fv, sign = f._stored((k,) + rest)
+                    fv, sign = stored((k,) + rest)
                     if fv is not None:
-                        _add_into(acc, fv.entries, s2 * sign * c)
+                        _add_into(acc, fv, s2 * sign * c)
 
         if any(acc.values()):
-            out.set_value(args, like._with(acc))
+            out.set_value(args, like._with(_over(acc, scale * den)))
     return out
 
 
@@ -267,28 +268,31 @@ def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
         f([a,b]) = (-1)^{|a| p} a . f(b) - (-1)^{|b|(p + |a|)} b . f(a):
 
     None where it holds at (a, b), else "pair (a, b): " and the format
-    string `sides` filled with both sides as values of f's module.
+    string `sides` filled with both sides as values of f's module.  Both
+    sides are summed in integers, D E times their values.
     """
     _same_basis(delta.g.basis, g.basis)
     if delta.degree != 1:
         raise ValueError("argument count must equal the cochain degree")
     lab = g.basis.labels
     par = g.basis.parities
-    rows = g.rows
-    vals = delta.values  # a 1-cochain stores f(e_k) at (k,), sign 1
+    den, rows = g.int_table
+    scale, vals = delta.int_values()  # f(e_k) at (k,), sign 1
+    like = next(iter(delta.values.values()), None)
 
     def sides_into(lhs: dict, rhs: dict, a: int, b: int, s: int) -> None:
         """lhs += f([a,b]); rhs += s * (the action side)."""
         for k, c in rows[a][b].items():
             v = vals.get((k,))
             if v is not None:
-                _add_into(lhs, v.entries, c)
+                _add_into(lhs, v, c)
         fb = vals.get((b,))
         if fb is not None:
-            _act_value_into(rhs, g, a, fb, s * koszul(par[a], parity))
+            _act_value_into(rhs, g, a, like.rank, fb,
+                            s * koszul(par[a], parity))
         fa = vals.get((a,))
         if fa is not None:
-            _act_value_into(rhs, g, b, fa,
+            _act_value_into(rhs, g, b, like.rank, fa,
                             -s * koszul(par[b], (parity + par[a]) % 2))
 
     def breaks(a, b):
@@ -299,9 +303,9 @@ def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
         lhs: dict = {}
         rhs: dict = {}
         sides_into(lhs, rhs, a, b, 1)
-        like = next(iter(vals.values()))
-        return (f"pair ({lab[a]}, {lab[b]}): "
-                + sides.format(like._with(lhs), like._with(rhs)))
+        return (f"pair ({lab[a]}, {lab[b]}): " + sides.format(
+            like._with(_over(lhs, den * scale)),
+            like._with(_over(rhs, den * scale))))
     return breaks
 
 

@@ -49,17 +49,20 @@ from .report import VerificationReport
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     """The dual bialgebra: bracket from delta, cobracket from the bracket.
 
-    The algebra is `dual_bracket(b)` and the cobracket is D* = exchange(C);
-    the axioms are re-verified on construction, so a sign error in the
-    exchange would surface here.
+    The algebra is `dual_bracket(b)`, validated there once; the cobracket
+    D* = exchange(C) is then verified, so a sign error would surface here.
     """
     g_dual = dual_bracket(b)
     values: dict[tuple[int], dict[tuple[int, int], Fraction]] = {}
     for (i, j, k), c in exchange(b.basis, b.algebra.constants).items():
         values.setdefault((k,), {})[(i, j)] = c
-    return Bialgebra(g_dual, Cochain(g_dual, 1, EVEN, {
+    out = Bialgebra(g_dual, Cochain(g_dual, 1, EVEN, {
         args: Tensor2(g_dual.basis, g_dual.basis, ent)
-        for args, ent in values.items()}))
+        for args, ent in values.items()}), check=False)
+    rep = out.verify_cobracket()
+    if not rep.passed:
+        raise InvalidBialgebra(str(rep.first_failure()))
+    return out
 
 
 class DoubleAlgebra:

@@ -1,8 +1,10 @@
 """Exact sparse linear algebra over Z/2-graded bases.
 
-Everything is built on `fractions.Fraction`, so all arithmetic is exact and
-equality of any two objects is structural (absent entry == zero entry).
-Values are immutable by convention: no operation mutates its inputs, and all
+Values hold `fractions.Fraction`s, so all arithmetic is exact and equality
+of any two objects is structural (absent entry == zero entry).  Kernels that
+sum products sum integer numerators over one common denominator instead
+(`_denominator`, `_numerators`) and return Fractions (`_over`).  Values are
+immutable by convention: no operation mutates its inputs, and all
 constructors normalize by stripping zero coefficients.
 
 One sparse type, `Tensor`, holds every graded value: an element of g has
@@ -30,6 +32,7 @@ P^{-1} (x) P^{-1} on the pivot pairs, with no second row reduction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 EVEN = 0
@@ -339,6 +342,21 @@ def _add_into(acc: dict, row: Mapping, c: Fraction) -> None:
             acc[k] = c * x if old is None else old + c * x
 
 
+def _denominator(rows: Iterable[Mapping]) -> int:
+    """The lcm of the denominators of every coefficient in the rows."""
+    return lcm(*{c.denominator for row in rows for c in row.values()})
+
+
+def _numerators(row: Mapping, den: int) -> dict:
+    """{key: c * den} as ints, for den a multiple of every denominator."""
+    return {k: c.numerator * (den // c.denominator) for k, c in row.items()}
+
+
+def _over(acc: Mapping, den: int) -> dict:
+    """The nonzero entries of an integer sum over den, as Fractions."""
+    return {k: Fraction(x, den) for k, x in acc.items() if x}
+
+
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot columns).
 
@@ -424,13 +442,8 @@ def invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    out = []
-    for i in range(len(a)):
-        row = []
-        for j in range(len(b[0])):
-            row.append(sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)))
-        out.append(row)
-    return out
+    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)]
+            for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +484,6 @@ class LinearMap:
             if any(self.target.parity(i) != p for i in im.entries):
                 return False
         return True
-
-    def inverse(self) -> "LinearMap":
-        inv = invert_matrix(self.matrix())
-        images = [Element(self.source, {i: inv[i][j] for i in range(len(inv))})
-                  for j in range(len(self.source))]
-        return LinearMap(self.target, self.source, images)
 
     def apply_tensor2(self, t: Tensor2) -> Tensor2:
         """(phi (x) phi) t: both legs mapped, no sign (phi is even here)."""

@@ -347,8 +347,9 @@ def test_verify_paper_counts_each_verification(capsys, monkeypatch):
     # made instead of verifying again, each double verifies its bialgebra
     # once (7 + 2 verify), every verify validates its algebra, the two
     # double fixtures validate their double and the two canonical_r
-    # fixtures check its r, each dual bracket is derived once per run, and
-    # every span is factored once
+    # fixtures check its r, each dual bracket is derived once per run,
+    # every span is factored once and casimir inverts its Gram matrix
+    # without a separate rank test
     calls = {"verify": 0, "validate": 0, "check_canonical_r": 0, "rref": 0}
     for cls, name in ((Bialgebra, "verify"), (Superalgebra, "validate")):
         def counted(self, real=getattr(cls, name), name=name):
@@ -371,7 +372,7 @@ def test_verify_paper_counts_each_verification(capsys, monkeypatch):
     assert code == 0
     assert out.endswith("70/70 fixtures pass\n")
     assert calls == {"verify": 9, "validate": 20, "check_canonical_r": 2,
-                     "rref": 56}
+                     "rref": 55}
     # the reference solver lives in tests/oracles.py only
     assert not any(hasattr(m, "solve_exact") for m in modules)
 
