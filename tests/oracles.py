@@ -25,6 +25,10 @@ expanding the commutators in U(g)^(x)3 with Koszul signs gives
 When r + T(r) is ad-invariant, d(r) satisfies coJacobi iff [[r,r]] is
 ad-invariant; the canonical r of a double has [[r,r]] = 0.
 
+The library's adjoint action on g (x) g sums integer numerators
+(`algebra._act_into`); `adjoint_on_tensor2` here is the Leibniz rule on
+the Fraction rows, as `adjoint_on_tensor3` is on g (x) g (x) g.
+
 `alt_s` (the signed cycle of `graded`'s conventions) and `supertrace_form`
 (str(rho(x) rho(y)) from dense matrix products) serve only the tests.
 
@@ -111,6 +115,21 @@ def adjoint_on_tensor3(g: Superalgebra, a: int, t: Tensor3) -> Tensor3:
         for k, z in row[w].items():
             acc[(u, v, k)] = acc.get((u, v, k), 0) + s * z
     return Tensor3((g.basis,) * 3, acc)
+
+
+def adjoint_on_tensor2(g: Superalgebra, a: int, t: Tensor2) -> Tensor2:
+    """e_a . (u (x) v) = [e_a,u] (x) v + (-1)^{|a||u|} u (x) [e_a,v], read
+    straight off `g.rows` in Fractions."""
+    par = g.basis.parities
+    row = g.rows[a]
+    acc = {}
+    for (u, v), c in t.entries.items():
+        for k, z in row[u].items():
+            acc[(k, v)] = acc.get((k, v), 0) + c * z
+        s = koszul(par[a], par[u]) * c
+        for k, z in row[v].items():
+            acc[(u, k)] = acc.get((u, k), 0) + s * z
+    return Tensor2(g.basis, g.basis, acc)
 
 
 def is_ad_invariant3(g: Superalgebra, t: Tensor3) -> bool:

@@ -124,6 +124,18 @@ def test_dual_bialgebra_validates_its_algebra():
             "consistency (C(x*,y2* -> h*) = 1/2 breaks the grading)")
 
 
+def test_dual_bialgebra_validates_g_dual_once(monkeypatch):
+    b = cat.s_bialgebra_1()
+    validated = []
+
+    def counted(self, real=Superalgebra.validate):
+        validated.append(self.basis.labels)
+        return real(self)
+    monkeypatch.setattr(Superalgebra, "validate", counted)
+    dual = dual_bialgebra(b)
+    assert validated == [dual.basis.labels] == [("h*", "x*", "y1*", "y2*")]
+
+
 def test_dual_bialgebra_is_a_valid_bialgebra():
     # both exchange directions at once: bracket and cobracket must cohere
     for bial in (cat.s_bialgebra_1(), cat.s_bialgebra_2(),

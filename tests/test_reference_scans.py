@@ -4,8 +4,9 @@
 `check_invariance` add their terms into plain dicts and, on a super
 antisymmetric bracket, scan only the sorted pairs.  The references below
 scan every basis pair (or vector, or triple) in product order through the
-public tensor operations; on perturbed cochains and forms both must agree
-on pass/fail and name the same first counterexample.  The degree-2
+public tensor operations and the Fraction rows (the action on g (x) g is
+the oracle's, not the library's integer kernel); on perturbed cochains and
+forms both must agree on pass/fail and name the same first counterexample.  The degree-2
 `coboundary` is the second route to the cocycle condition.
 """
 
@@ -15,14 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superbialg import catalog as cat
-from superbialg.algebra import (
-    BilinearForm, Superalgebra, adjoint_on_tensor2, check_invariance,
-)
+from superbialg.algebra import BilinearForm, Superalgebra, check_invariance
 from superbialg.bialgebra import check_cojacobi, check_compatibility
 from superbialg.cohomology import Cochain, coboundary, is_cocycle_1
 from superbialg.graded import Element, Tensor2, Tensor3
 
-from oracles import alt_s
+from oracles import adjoint_on_tensor2, alt_s
 
 BASES = {
     "sl21": (cat.sl21, cat.delta_f, cat.supertrace_gram),
@@ -41,10 +40,9 @@ def _value(f: Cochain, k: int, zero):
 
 
 def _act(g: Superalgebra, a: int, v):
-    e = g.basis.vector(a)
     if isinstance(v, Tensor2):
-        return adjoint_on_tensor2(g, e, v)
-    return g.bracket(e, v)
+        return adjoint_on_tensor2(g, a, v)
+    return g.bracket(g.basis.vector(a), v)
 
 
 def _f_of(f: Cochain, x: Element, zero):
