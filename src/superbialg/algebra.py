@@ -107,8 +107,7 @@ class Superalgebra:
 
     @cached_property
     def int_table(self) -> tuple[int, list[list[dict[int, int]]]]:
-        """(D, num): D the lcm of the denominators of the constants and
-        num[i][j] = {k: C(i,j,k) D}, as ints."""
+        """(D, num[i][j] = {k: C(i,j,k) D}): the table as ints over one D."""
         den = _denominator(row for rs in self.rows for row in rs)
         return den, [[_numerators(row, den) for row in rs] for rs in self.rows]
 
@@ -420,17 +419,13 @@ def _act_into(acc: dict, g: Superalgebra, i: int,
     ri = g.int_table[1][i]
     get = acc.get
     for (u, v), x in entries.items():
-        cc = x if c == 1 else -x if c == -1 else c * x
+        cc = c * x
         for k, y in ri[u].items():
-            key = (k, v)
-            old = get(key)
-            acc[key] = cc * y if old is None else old + cc * y
+            acc[(k, v)] = get((k, v), 0) + cc * y
         if odd and par[u]:
             cc = -cc
         for k, y in ri[v].items():
-            key = (u, k)
-            old = get(key)
-            acc[key] = cc * y if old is None else old + cc * y
+            acc[(u, k)] = get((u, k), 0) + cc * y
 
 
 def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor) -> Tensor:

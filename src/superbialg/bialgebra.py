@@ -104,12 +104,6 @@ class Bialgebra:
         """
         rep = VerificationReport("bialgebra axioms")
         rep.merge(self.algebra.validate())
-        rep.merge(self.verify_cobracket())
-        return rep
-
-    def verify_cobracket(self) -> VerificationReport:
-        """The checks of `verify` after `validate`: those of delta alone."""
-        rep = VerificationReport("cobracket axioms")
         par, lab = self.basis.parities, self.basis.labels
 
         def misgraded(key, c):
@@ -253,11 +247,7 @@ def check_cojacobi(g: Superalgebra, delta: Cochain) -> VerificationReport:
                 for key, flip in (((i, j, v), False),
                                   ((j, v, i), pi and (pj + pv) % 2),
                                   ((v, i, j), pv and (pi + pj) % 2)):
-                    old = get(key)
-                    if old is None:
-                        acc[key] = -x if flip else x
-                    else:
-                        acc[key] = old - x if flip else old + x
+                    acc[key] = get(key, 0) + (-x if flip else x)
         return (f"at {lab[a]}: cyclic sum = "
                 f"{Tensor3((g.basis,) * 3, _over(acc, den * den))}"
                 if any(acc.values()) else None)

@@ -28,7 +28,9 @@ PASS, FAIL, ERROR = 0, 1, 2
 
 
 def _color_enabled() -> bool:
-    return os.environ.get("SUPERBIALG_COLOR", "") != "0" and sys.stdout.isatty()
+    if os.environ.get("SUPERBIALG_COLOR", "") == "0":
+        return False
+    return sys.stdout.isatty()
 
 
 def _mark(ok: bool) -> str:
@@ -56,8 +58,13 @@ class CliInputError(Exception):
 
 
 def _report_lines(rep) -> list[str]:
-    return [f"{_mark(c.passed)}  {c.name}"
-            + (f"  [{c.detail}]" if c.detail else "") for c in rep.checks]
+    lines = []
+    for c in rep.checks:
+        line = f"{_mark(c.passed)}  {c.name}"
+        if c.detail:
+            line += f"  [{c.detail}]"
+        lines.append(line)
+    return lines
 
 
 def _emit(args, doc: dict, lines: list[str]) -> None:

@@ -218,9 +218,7 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
     den, rows = g.int_table
     scale, ints = f.int_values()
     out = f.copy_empty(n + 1)
-    like = next(iter(f.values.values()), None)
-    if like is None:
-        return out
+    like = next(iter(f.values.values()), None)  # None only if no term
 
     def stored(args):  # the integer value behind a tuple, and the sign
         key, sign = canonical_tuple(g.basis, args)

@@ -1,11 +1,10 @@
 """Exact sparse linear algebra over Z/2-graded bases.
 
-Values hold `fractions.Fraction`s, so all arithmetic is exact and equality
-of any two objects is structural (absent entry == zero entry).  Kernels that
-sum products sum integer numerators over one common denominator instead
-(`_denominator`, `_numerators`) and return Fractions (`_over`).  Values are
-immutable by convention: no operation mutates its inputs, and all
-constructors normalize by stripping zero coefficients.
+Values hold `fractions.Fraction`s: arithmetic is exact and equality is
+structural (absent entry == zero entry).  Kernels that sum products add
+integer numerators over one denominator (`_denominator`, `_numerators`,
+`_over`).  Values are immutable by convention: no operation mutates its
+inputs, and all constructors normalize by stripping zero coefficients.
 
 One sparse type, `Tensor`, holds every graded value: an element of g has
 rank 1, an r-matrix or a cobracket value rank 2, the coJacobi sum rank 3.

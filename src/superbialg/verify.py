@@ -51,22 +51,23 @@ class _Suite:
             try:
                 out = thunk()
             except Exception as e:  # a raising fixture is a failing fixture
-                passed, detail = False, f"{type(e).__name__}: {e}"
-            else:
-                passed, detail = _verdict(out)
-            results.append(FixtureResult(name, sec, citation, passed, detail))
+                results.append(FixtureResult(name, sec, citation, False,
+                                             f"{type(e).__name__}: {e}"))
+                continue
+            if out is True or out is None:
+                results.append(FixtureResult(name, sec, citation, True))
+            elif out is False:
+                results.append(FixtureResult(name, sec, citation, False))
+            else:  # a report or a detail string
+                passed = getattr(out, "passed", None)
+                if passed is None:
+                    results.append(FixtureResult(name, sec, citation, False,
+                                                 str(out)))
+                else:
+                    detail = "" if passed else str(out.first_failure())
+                    results.append(FixtureResult(name, sec, citation, passed,
+                                                 detail))
         return results
-
-
-def _verdict(out) -> tuple[bool, str]:
-    """A fixture's result: a bool (None passes), a report, or a detail
-    string, which fails."""
-    if out is None or isinstance(out, bool):
-        return out is not False, ""
-    passed = getattr(out, "passed", None)
-    if passed is None:
-        return False, str(out)
-    return passed, "" if passed else str(out.first_failure())
 
 
 def _delta_line(delta_fn, table_fn, label):

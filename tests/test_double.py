@@ -116,12 +116,16 @@ def test_dual_bialgebra_validates_its_algebra():
     delta.set_value((0,), Tensor2(b.basis, b.basis,
                                   {(1, 3): Q(1, 2), (3, 1): Q(-1, 2)}))
     b = Bialgebra(b.algebra, delta, check=False)
-    for derive in (dual_bracket, dual_bialgebra):
+    # dual_bialgebra validates g* once, as the first checks of
+    # Bialgebra.verify, so its text is that report's first failure
+    for derive, prefix in ((dual_bracket,
+                            "dual bracket is not a Lie superalgebra: "),
+                           (dual_bialgebra, "")):
         with pytest.raises(InvalidBialgebra) as err:
             derive(b)
-        assert str(err.value) == (
-            "dual bracket is not a Lie superalgebra: FAIL grading "
-            "consistency (C(x*,y2* -> h*) = 1/2 breaks the grading)")
+        assert str(err.value) == prefix + (
+            "FAIL grading consistency (C(x*,y2* -> h*) = 1/2 breaks the "
+            "grading)")
 
 
 def test_dual_bialgebra_validates_g_dual_once(monkeypatch):
