@@ -107,12 +107,14 @@ class Cochain:
     def set_value(self, args: tuple[int, ...], val):
         """Store a value given at an arbitrary tuple (sign applied).
 
-        The value must live over the algebra's basis: the checks read
-        stored values by index alone.
+        The value must live over the algebra's basis, and in the module of
+        the values already stored: the checks read values by index alone.
         """
         if len(args) != self.degree:
             raise ValueError("argument count must equal the cochain degree")
         _same_basis(val.basis, self.g.basis)
+        if next(iter(self.values.values()), val).rank != val.rank:
+            raise ValueError("every value of a cochain lies in one module")
         key, sign = canonical_tuple(self.g.basis, args)
         if key is None:
             if not val.is_zero():
@@ -138,8 +140,7 @@ class Cochain:
         return val if sign == 1 else val.scale(sign)
 
     def int_values(self) -> tuple[int, dict[tuple[int, ...], dict]]:
-        """(E, {args: {key: c E}}): every stored value's entries as ints
-        over one denominator E, the lcm of theirs."""
+        """(E, {args: {key: c E}}): every value in ints over one E."""
         den = _denominator(v.entries for v in self.values.values())
         return den, {args: _numerators(v.entries, den)
                      for args, v in self.values.items()}
@@ -193,14 +194,13 @@ def _act_value_into(acc: dict, g: Superalgebra, a: int, rank: int,
 
 
 def coboundary_0(g: Superalgebra, r: Tensor) -> Cochain:
-    """d of a homogeneous 0-cochain r in g (x) g.
+    """`coboundary` of the homogeneous 0-cochain r in g (x) g.
 
     For even r this is the plain action a -> [a(x)1 + 1(x)a, r]; for odd r
     the general differential prepends its s1 sign, giving
     a -> (-1)^{|a|} [a(x)1 + 1(x)a, r].  (Every cobracket built from an
     r-matrix is even, so the sign never shows up in those tables; it is
-    what keeps d o d = 0 on the odd part of the module.)  It is
-    `coboundary` of the 0-cochain with value r.
+    what keeps d o d = 0 on the odd part of the module.)
     """
     _same_basis(r.basis, g.basis)
     p = r.parity()
@@ -218,7 +218,7 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
     den, rows = g.int_table
     scale, ints = f.int_values()
     out = f.copy_empty(n + 1)
-    like = next(iter(f.values.values()), None)  # None only if no term
+    like = next(iter(f.values.values()), None)  # None: f = 0, no term reads it
 
     def stored(args):  # the integer value behind a tuple, and the sign
         key, sign = canonical_tuple(g.basis, args)

@@ -62,6 +62,13 @@ def test_write_at_repeated_even_tuple_requires_zero():
     assert c.is_zero()
 
 
+def test_values_of_one_cochain_lie_in_one_module():
+    # the checks read every value through the module of the first one
+    c = Cochain(cat.sl21(), 1, 0, {(0,): Element(B, {2: 1})})
+    with pytest.raises(ValueError, match="one module"):
+        c.set_value((1,), T({(2, 3): 1}))
+
+
 def test_canonical_tuples_degree2_count():
     # pairs i <= j minus the four even diagonals
     tuples = canonical_tuples(B, 2)
