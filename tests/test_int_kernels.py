@@ -24,16 +24,12 @@ from superbialg.graded import Q, Element, Tensor2, wedge
 import oracles
 from slmn import standard
 from test_reference_scans import (
-    cocycle_reference, cojacobi_reference, compatibility_reference,
+    _detail, cocycle_reference, cojacobi_reference, compatibility_reference,
 )
 
 RUNGS = [(3, 1), (3, 2)]
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
               "__rmul__", "__neg__")
-
-
-def _detail(rep):
-    return next((c.detail for c in rep.checks if not c.passed), None)
 
 
 @pytest.mark.parametrize("m,n", RUNGS)
