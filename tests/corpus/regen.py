@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/corpus/regen.py
 
-rebuilds every input of `inputs()` and rewrites two files, one line per
-input: its id, a description of how it was made, and an outcome.
+rebuilds every input of `inputs()` and `restrict_inputs()` and rewrites
+three files, one line per input: its id, a description of how it was made,
+and an outcome.
 
 * `build_double.jsonl`: the outcome of `double.build_double`.  An accepted
   input records the SHA-256 of its double's `serialize.double_to_json`
@@ -12,6 +13,10 @@ input: its id, a description of how it was made, and an outcome.
 * `verify.jsonl`: every check, as [name, passed, detail], of three
   reports: `Bialgebra.verify`, `bialgebra.check_compatibility`, and the
   `validate` of the dual table Superalgebra(dual_basis, exchange(D)).
+* `restrict.jsonl`: the outcome of `bialgebra.restrict` on a perturbed
+  span.  An accepted span records the SHA-256 of the restricted
+  bialgebra's `serialize.bialgebra_to_json` document (compact JSON, sorted
+  keys); a rejected one records the exception class and its message.
 
 `tests/test_corpus.py` rebuilds the same lines and compares them with the
 files.
@@ -31,6 +36,14 @@ judge.  One hand-built input follows them: the abelian algebra on (a | b, c)
 with delta(b) = c (x) c, a super-skew and cocycle value that breaks the
 grading.
 
+The spans start from the catalog's s1, s2, t1 and t2 spans in sl(2,1),
+each restricted from `bialgebra_f` or `bialgebra_s`.  Each gets one or two
+perturbations of one of its vectors v, drawn from a generator seeded by
+the span's id: v scaled by a rational; a multiple of another span vector
+of v's parity added to v (the span stays the same); a multiple of a basis
+vector of sl(2,1) added to v, of v's parity or of the other; or v
+replaced by a multiple of another span vector.
+
 A change that alters lines of a file on purpose lists them, by class, in
 CHANGES.md, as for the golden CLI files.
 """
@@ -47,14 +60,19 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "build_double.jsonl"
 VERIFY_CORPUS = HERE / "verify.jsonl"
+RESTRICT_CORPUS = HERE / "restrict.jsonl"
 SEED_INPUT = HERE.parent / "golden" / "inputs" / "sl21-seed1.json"
 PERTURBED = 400
+RESTRICTED = 100
 
 BASES = ("s_bialgebra_1", "s_bialgebra_2", "t_bialgebra_1", "t_bialgebra_2",
          "bialgebra_f", "bialgebra_s", "sl21-seed1")
 KINDS = ("scale delta", "scale bracket", "graded wedge", "ungraded wedge",
          "tensor entry", "bracket entry")
 SCALARS = tuple(Fraction(c) for c in ("-2", "-1", "1/2", "3", "-3/2"))
+SPANS = ("s1_span", "s2_span", "t1_span", "t2_span")
+SPAN_KINDS = {"scale": 2, "span vector": 3, "basis vector": 3,
+              "ungraded basis vector": 1, "replace": 1}  # kind: weight
 
 
 def _base(name: str):
@@ -139,6 +157,61 @@ def inputs():
     yield ("misgraded", *_misgraded())
 
 
+def _perturbed_span(rng: random.Random):
+    """One restriction: a catalog bialgebra and a perturbed catalog span."""
+    from superbialg import catalog
+    base, span = rng.choice(("bialgebra_f", "bialgebra_s")), rng.choice(SPANS)
+    sub = list(getattr(catalog, span)())
+    basis = catalog.sl21_basis()
+    steps = [f"{base}, {span}"]
+    kinds = rng.choices(list(SPAN_KINDS), list(SPAN_KINDS.values()),
+                        k=rng.choice((1, 2)))
+    for kind in kinds:
+        c, a = rng.choice(SCALARS), rng.randrange(len(sub))
+        par = sub[a].parity()
+        if kind == "scale":
+            sub[a] = sub[a].scale(c)
+            steps.append(f"v{a} scaled by {c}")
+        elif kind.endswith("basis vector"):
+            want = par if kind == "basis vector" else 1 - par
+            j = rng.choice([j for j in range(len(basis))
+                            if basis.parity(j) == want])
+            sub[a] = sub[a] + basis.vector(j).scale(c)
+            steps.append(f"{c} {basis.labels[j]} added to v{a}")
+        else:
+            b = rng.choice([b for b in range(len(sub)) if b != a
+                            and (kind == "replace" or sub[b].parity() == par)]
+                           or [a])
+            if kind == "replace":
+                sub[a] = sub[b].scale(c)
+                steps.append(f"v{a} replaced by {c} v{b}")
+            else:
+                sub[a] = sub[a] + sub[b].scale(c)
+                steps.append(f"{c} v{b} added to v{a}")
+    return "; ".join(steps), getattr(catalog, base)(), sub
+
+
+def restrict_inputs():
+    """(id, description, bialgebra, sub vectors) for every restriction."""
+    for i in range(RESTRICTED):
+        yield (f"r{i:03d}", *_perturbed_span(random.Random(f"restrict-{i}")))
+
+
+def _hashed(doc: dict) -> dict:
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def restrict_outcome(b, sub) -> dict:
+    """What `restrict` makes of the span: the hash of the restricted
+    bialgebra, or the exception it raises."""
+    from superbialg import restrict, serialize
+    try:
+        return _hashed(serialize.bialgebra_to_json(restrict(b, sub)))
+    except Exception as e:  # every rejection is recorded, whatever its class
+        return {"raises": type(e).__name__, "message": str(e)}
+
+
 def outcome(b) -> dict:
     """What `build_double` makes of b: the hash of its double, or the
     exception it raises."""
@@ -147,9 +220,7 @@ def outcome(b) -> dict:
         d = build_double(b)
     except Exception as e:  # every rejection is recorded, whatever its class
         return {"raises": type(e).__name__, "message": str(e)}
-    text = json.dumps(serialize.double_to_json(d), sort_keys=True,
-                      separators=(",", ":"))
-    return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
+    return _hashed(serialize.double_to_json(d))
 
 
 def reports(b) -> dict:
@@ -166,13 +237,19 @@ def reports(b) -> dict:
                               ("dual validate", dual.validate()))}
 
 
+def _line(name: str, what: str, result: dict) -> str:
+    return json.dumps({"id": name, "input": what, **result}, sort_keys=True)
+
+
 def lines() -> dict[Path, list[str]]:
-    """The lines of both corpus files, from one pass over the inputs."""
+    """The lines of the three corpus files; the first two come from one
+    pass over the inputs."""
     out: dict[Path, list[str]] = {CORPUS: [], VERIFY_CORPUS: []}
     for name, what, b in inputs():
         for path, result in ((CORPUS, outcome(b)), (VERIFY_CORPUS, reports(b))):
-            out[path].append(json.dumps({"id": name, "input": what, **result},
-                                        sort_keys=True))
+            out[path].append(_line(name, what, result))
+    out[RESTRICT_CORPUS] = [_line(name, what, restrict_outcome(b, sub))
+                            for name, what, b, sub in restrict_inputs()]
     return out
 
 

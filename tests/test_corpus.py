@@ -1,14 +1,15 @@
-"""The checks on the seeded corpus of perturbed bialgebras (see
-tests/corpus/regen.py): every outcome of `build_double`, hash or rejection
-message, and every check line of `verify`, `check_compatibility` and the
-dual table's `validate` must match the committed line."""
+"""The checks on the seeded corpus of perturbed bialgebras and spans (see
+tests/corpus/regen.py): every outcome of `build_double` and of `restrict`,
+hash or rejection message, and every check line of `verify`,
+`check_compatibility` and the dual table's `validate` must match the
+committed line."""
 
 import json
 from functools import cache
 
 import pytest
 
-from corpus.regen import CORPUS, VERIFY_CORPUS, lines
+from corpus.regen import CORPUS, RESTRICT_CORPUS, VERIFY_CORPUS, lines
 
 cached_lines = cache(lines)
 
@@ -27,3 +28,7 @@ def test_build_double_outcomes_match_the_corpus():
 
 def test_verify_reports_match_the_corpus():
     assert _changed(VERIFY_CORPUS) == []
+
+
+def test_restrict_outcomes_match_the_corpus():
+    assert _changed(RESTRICT_CORPUS) == []
