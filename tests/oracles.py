@@ -37,6 +37,10 @@ The library reads every coordinate in a span off one factorization of it
 compared with: one fresh row reduction of an augmented system per target.
 `restrict_reference` is `bialgebra.restrict` written on top of it, solving
 every bracket and every delta value on its own.
+
+The library's row reduction (`graded.rref`) is fraction-free on integer
+rows.  `rref_reference` is dense Gauss-Jordan in Fractions, sharing no code
+with it; `solve_exact` and the references above reduce through it.
 """
 
 from superbialg.algebra import DependentVectors, Superalgebra, koszul
@@ -45,7 +49,7 @@ from superbialg.bialgebra import (
 )
 from superbialg.cohomology import Cochain
 from superbialg.graded import (
-    EVEN, Q, GradedBasis, Tensor2, Tensor3, rank, rref, tensor, wedge,
+    EVEN, Q, GradedBasis, Tensor2, Tensor3, tensor, wedge,
 )
 
 
@@ -160,6 +164,30 @@ def supertrace_form(real, x, y):
                for i in range(len(a)) for j in range(len(a)))
 
 
+def rref_reference(rows):
+    """(reduced rows, pivot columns) by Gauss-Jordan on dense Fraction rows:
+    each pivot row is divided by its pivot, then subtracted from the rest."""
+    m = [[Q(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def rank(rows):
+    return len(rref_reference(rows)[1])
+
+
 def solve_exact(columns, target):
     """Solve sum_j x_j * columns[j] == target exactly; None if unsolvable."""
     if not columns:
@@ -167,7 +195,7 @@ def solve_exact(columns, target):
     n = len(target)
     aug = [[columns[j][i] for j in range(len(columns))] + [target[i]]
            for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots = rref_reference(aug)
     ncols = len(columns)
     if ncols in pivots:
         return None  # inconsistent system

@@ -7,6 +7,7 @@ uses a seeded RNG so the advertised 100-tensor run stays deterministic.
 import random
 from fractions import Fraction as Q
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,11 +16,11 @@ from superbialg import catalog as cat
 from superbialg.algebra import Superalgebra, adjoint_on_tensor2
 from superbialg.cohomology import Cochain, canonical_tuple, coboundary_0, is_cocycle_1
 from superbialg.graded import (
-    Element, LinearEndomorphism, Tensor2, Tensor3, image_basis, rank,
-    super_swap, wedge,
+    Element, LinearEndomorphism, Tensor2, Tensor3, image_basis, invert_matrix,
+    rank, rref, super_swap, wedge,
 )
 
-from oracles import alt_s
+from oracles import alt_s, rref_reference
 
 B = cat.sl21_basis()
 
@@ -114,6 +115,69 @@ def test_rank_matches_sympy(rows):
     theirs = sympy.Matrix([[sympy.Rational(c) for c in r]
                            for r in rows]).rank()
     assert ours == theirs
+
+
+entries = st.one_of(st.just(Q(0)), small_rationals)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=8, max_cols=12, square=False):
+    """Rational matrices, 1 x n and n x 1 included, with some rows replaced
+    by combinations of others (zero rows among them) and some columns
+    zeroed."""
+    nrows = draw(st.one_of(st.just(1), st.integers(1, max_rows)))
+    ncols = nrows if square else draw(st.one_of(st.just(1),
+                                                 st.integers(1, max_cols)))
+    m = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows // 2)):
+        a, b = draw(entries), draw(entries)
+        j, k = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 3)):
+        for row in m:
+            row[c] = Q(0)
+    return m
+
+
+def _sympy(rows):
+    return sympy.Matrix([[sympy.Rational(c) for c in r] for r in rows])
+
+
+def _fractions(rows):
+    return [[Q(int(x.p), int(x.q)) for x in r] for r in rows.tolist()]
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rref_matches_sympy_and_the_reference(rows):
+    red, pivots = rref(rows)
+    theirs, their_pivots = _sympy(rows).rref()
+    theirs = _fractions(theirs)
+    assert pivots == list(their_pivots)
+    assert red == theirs[:len(pivots)]
+    assert all(x == 0 for r in theirs[len(pivots):] for x in r)
+    assert (red, pivots) == rref_reference(rows)
+    assert all(type(x) is Q for r in red for x in r)
+
+
+@given(rational_matrices(max_rows=6, square=True))
+@settings(max_examples=60, deadline=None)
+def test_invert_matrix_matches_sympy(m):
+    theirs = _sympy(m)
+    if theirs.det() == 0:
+        with pytest.raises(ValueError, match="singular"):
+            invert_matrix(m)
+    else:
+        assert invert_matrix(m) == _fractions(theirs.inv())
+
+
+def test_invert_matrix_rejects_a_singular_matrix():
+    m = [[Q(1), Q(2), Q(0)], [Q(0), Q(1, 3), Q(1)], [Q(2), Q(13, 3), Q(1)]]
+    with pytest.raises(ValueError, match="singular"):
+        invert_matrix(m)  # row 3 = 2 row 1 + row 2
+    m[2][2] = Q(2)
+    assert invert_matrix(m) == _fractions(_sympy(m).inv())
 
 
 @given(st.dictionaries(st.tuples(indices, indices), small_rationals,
