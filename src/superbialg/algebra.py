@@ -253,15 +253,6 @@ Matrix = list[list[Fraction]]
 SparseMatrix = dict[int, dict[int, Fraction]]   # row -> {column: entry}
 
 
-def _sparse(mat: Matrix) -> SparseMatrix:
-    out: SparseMatrix = {}
-    for r, row in enumerate(mat):
-        nz = {c: x for c, x in enumerate(row) if x != 0}
-        if nz:
-            out[r] = nz
-    return out
-
-
 def _product_into(acc: dict, a: SparseMatrix, b: SparseMatrix,
                   sign: int) -> None:
     """acc[(r, s)] += sign * (AB)[r][s]."""
@@ -307,7 +298,8 @@ class MatrixRealization:
         for idx, mat in enumerate(self.images):
             if len(mat) != d or any(len(r) != d for r in mat):
                 raise ValueError("matrix size must be (m+n) x (m+n)")
-            sp = _sparse(mat)
+            sp = {r: nz for r, row in enumerate(mat)
+                  if (nz := {c: x for c, x in enumerate(row) if x})}
             self.sparse.append(sp)
             p = basis.parity(idx)
             for r, row in sp.items():

@@ -21,7 +21,9 @@ Sign conventions (used throughout the package):
 * signed cycle: A(a (x) b (x) c) = a(x)b(x)c + (-1)^{|a|(|b|+|c|)} b(x)c(x)a
                 + (-1)^{|c|(|a|+|b|)} c(x)a(x)b
 
-The linear-algebra kernel is `rref` on dense rows.  `factor_span` factors a
+The linear-algebra kernel is `rref`, fraction-free elimination on sparse
+integer rows: scaling a row leaves the RREF unchanged, so each row is scaled
+to integers and only the returned rows hold Fractions.  `factor_span` factors a
 span once: one `rref` for the pivot columns, one inverse of the pivot block
 P.  `span_coordinates` reads coordinates off it and rebuilds them to decide
 membership exactly; `square_span` gives the factorization of span (x) span,
@@ -31,7 +33,7 @@ P^{-1} (x) P^{-1} on the pivot pairs, with no second row reduction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 EVEN = 0
@@ -359,30 +361,36 @@ def _over(acc: Mapping, den: int) -> dict:
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot columns).
 
-    Input rows are copied, never mutated.  Fully exact.
+    Each row becomes {column: int}, scaled by the lcm of its denominators.
+    A step is row = a*row - b*pivot_row, with a, b the pivot and the row's
+    entry over their gcd; the new row is divided by the gcd of its entries.
+    Input rows are never mutated.  Fully exact.
     """
-    m = [list(map(as_scalar, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
+    m = [_numerators(row, _denominator([row])) for row in
+         ({k: c for k, c in enumerate(map(as_scalar, r)) if c} for r in rows)]
+    ncols = len(rows[0]) if m else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        prow, pv = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r and c in row:
+                g = gcd(pv, row[c])
+                a, b = pv // g, row[c] // g
+                new = {k: x for k in row.keys() | prow.keys()
+                       if (x := a * row.get(k, 0) - b * prow.get(k, 0))}
+                h = gcd(*new.values())  # 0 for a new zero row, then unused
+                m[i] = {k: x // h for k, x in new.items()}
         pivots.append(c)
-        r += 1
-        if r == len(m):
+        if len(pivots) == len(m):
             break
-    return m[:r], pivots
+    zero = Q(0)
+    return [[Q(row[k], row[p]) if k in row else zero for k in range(ncols)]
+            for row, p in zip(m, pivots)], pivots
 
 
 def rank(rows: list[list[Fraction]]) -> int:
@@ -431,10 +439,9 @@ def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
 def invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
     """Exact inverse of a square matrix; raises ValueError if singular."""
     n = len(m)
-    aug = [list(map(as_scalar, m[i])) + [Q(1) if j == i else Q(0)
-                                         for j in range(n)]
-           for i in range(n)]
-    red, pivots = rref(aug)
+    one, zero = Q(1), Q(0)
+    red, pivots = rref([list(row) + [one if j == i else zero for j in range(n)]
+                        for i, row in enumerate(m)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
@@ -580,16 +587,9 @@ def atom(label: str) -> str:
 
 def format_combination(terms: list[tuple[str, Fraction]]) -> str:
     """Render a signed sum like '2*a - b(x)c' in the given term order."""
-    if not terms:
-        return "0"
-    parts = []
+    out = ""
     for name, c in terms:
+        body = name if abs(c) == 1 else f"{format_scalar(abs(c))}*{name}"
         sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        body = name if mag == 1 else f"{format_scalar(mag)}*{name}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    s = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        s += f" {sign} {body}"
-    return s
+        out += (f" {sign} " if out else "-" * (c < 0)) + body
+    return out or "0"

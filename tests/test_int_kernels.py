@@ -5,31 +5,46 @@ on g (x) g sum integer numerators over one denominator per table.  Here
 they run on sl(3|1) and sl(3|2) (15 and 24 dims, see tests/slmn.py) and
 are compared with independent derivations: the super classical
 Yang-Baxter equation, the product-order reference scans and the Leibniz
-rule read off the Fraction rows (`oracles.adjoint_on_tensor2`).  The guard
-counts Fraction arithmetic inside passing checks: there must be none.
+rule read off the Fraction rows (`oracles.adjoint_on_tensor2`).  The guards
+count Fraction arithmetic inside passing checks and inside the fraction-free
+eliminations of `graded`: there must be none.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superbialg import catalog as cat
-from superbialg.algebra import Superalgebra, adjoint_on_tensor2
+from superbialg.algebra import Superalgebra, adjoint_on_tensor2, gram_matrix
 from superbialg.bialgebra import check_cojacobi, check_compatibility
 from superbialg.cohomology import Cochain, coboundary_0, is_cocycle_1
-from superbialg.graded import Q, Element, Tensor2, wedge
+from superbialg.graded import (
+    Q, Element, Tensor2, factor_span, invert_matrix, matmul, wedge,
+)
 
 import oracles
-from slmn import standard
+from slmn import realization, standard
 from test_reference_scans import (
     _detail, cocycle_reference, cojacobi_reference, compatibility_reference,
 )
 
 RUNGS = [(3, 1), (3, 2)]
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
-              "__rmul__", "__neg__")
+              "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+def count_fraction_arithmetic(monkeypatch) -> dict:
+    """Patch Fraction's arithmetic with counters; returns {name: calls}."""
+    calls = {}
+    for name in ARITHMETIC:
+        def counted(*args, real=getattr(Fraction, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("m,n", RUNGS)
@@ -97,12 +112,7 @@ def test_passing_checks_do_no_fraction_arithmetic(monkeypatch):
     g0, _, b = standard(3, 1)
     g = Superalgebra(g0.basis, g0.constants)
     delta = Cochain(g, 1, 0, b.delta.values)
-    calls = {}
-    for name in ARITHMETIC:
-        def counted(*args, real=getattr(Fraction, name), name=name):
-            calls[name] = calls.get(name, 0) + 1
-            return real(*args)
-        monkeypatch.setattr(Fraction, name, counted)
+    calls = count_fraction_arithmetic(monkeypatch)
     reports = [g.validate(), is_cocycle_1(g, delta),
                check_compatibility(g, delta), check_cojacobi(g, delta)]
     kernels = dict(calls)
@@ -111,3 +121,25 @@ def test_passing_checks_do_no_fraction_arithmetic(monkeypatch):
     assert all(rep.passed for rep in reports)
     assert kernels == {}
     assert calls.get("__mul__", 0) > 0
+
+
+def test_eliminations_do_no_fraction_arithmetic(monkeypatch):
+    # the two eliminations of the sl(3|2) ladder rung: the inverse of the
+    # supertrace Gram matrix (casimir) and the factored span of the
+    # flattened images (from_matrices)
+    real = realization(3, 2)
+    gram = gram_matrix(real).gram
+    flat = [{(r, c): x for r, row in sp.items() for c, x in row.items()}
+            for sp in real.sparse]
+    columns = list(product(range(5), repeat=2))
+    calls = count_fraction_arithmetic(monkeypatch)
+    inverse = invert_matrix(gram)
+    span = factor_span(flat, columns)
+    kernels = dict(calls)
+    oracles.rref_reference(gram)  # the counter counts
+    monkeypatch.undo()
+    assert kernels == {}
+    assert calls.get("__truediv__", 0) > 0
+    identity = [[Q(int(i == j)) for j in range(24)] for i in range(24)]
+    assert matmul(gram, inverse) == identity
+    assert span is not None and len(span[0]) == 24
