@@ -218,12 +218,14 @@ class Superalgebra:
         par = self.basis.parities
         rows = self.int_table[1]
         acc: dict[int, int] = {}
-        for x, y, z, sign in ((a, b, c, koszul(par[a], par[c])),
-                              (b, c, a, koszul(par[b], par[a])),
-                              (c, a, b, koszul(par[c], par[b]))):
-            rx = rows[x]
+        get = acc.get
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            rx, odd = rows[x], par[x] & par[z]  # the Koszul sign of x past z
             for k, ck in rows[y][z].items():
-                _add_into(acc, rx[k], ck if sign == 1 else -ck)
+                if odd:
+                    ck = -ck
+                for m, v in rx[k].items():
+                    acc[m] = get(m, 0) + ck * v
         return acc
 
     def is_solvable(self) -> bool:
