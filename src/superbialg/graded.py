@@ -364,6 +364,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     Each row becomes {column: int}, scaled by the lcm of its denominators.
     A step is row = a*row - b*pivot_row, with a, b the pivot and the row's
     entry over their gcd; the new row is divided by the gcd of its entries.
+    Only the returned rows, each over its pivot, are built as Fractions.
     Input rows are never mutated.  Fully exact.
     """
     m = [_numerators(row, _denominator([row])) for row in

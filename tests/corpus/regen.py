@@ -40,8 +40,8 @@ The spans start from the catalog's s1, s2, t1 and t2 spans in sl(2,1),
 each restricted from `bialgebra_f` or `bialgebra_s`.  Each gets one or two
 perturbations of one of its vectors v, drawn from a generator seeded by
 the span's id: v scaled by a rational; a multiple of another span vector
-of v's parity added to v (the span stays the same); a multiple of a basis
-vector of sl(2,1) added to v, of v's parity or of the other; or v
+of v's parity (of v itself if there is none) added to v; a multiple of a
+basis vector of sl(2,1) added to v, of v's parity or of the other; or v
 replaced by a multiple of another span vector.
 
 A change that alters lines of a file on purpose lists them, by class, in

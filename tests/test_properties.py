@@ -117,7 +117,7 @@ def test_rank_matches_sympy(rows):
     assert ours == theirs
 
 
-entries = st.one_of(st.just(Q(0)), small_rationals)
+matrix_entries = st.one_of(st.just(Q(0)), small_rationals)
 
 
 @st.composite
@@ -128,10 +128,10 @@ def rational_matrices(draw, max_rows=8, max_cols=12, square=False):
     nrows = draw(st.one_of(st.just(1), st.integers(1, max_rows)))
     ncols = nrows if square else draw(st.one_of(st.just(1),
                                                  st.integers(1, max_cols)))
-    m = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
-                      min_size=nrows, max_size=nrows))
+    one_row = st.lists(matrix_entries, min_size=ncols, max_size=ncols)
+    m = draw(st.lists(one_row, min_size=nrows, max_size=nrows))
     for i in draw(st.sets(st.integers(0, nrows - 1), max_size=nrows // 2)):
-        a, b = draw(entries), draw(entries)
+        a, b = draw(matrix_entries), draw(matrix_entries)
         j, k = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
         m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
     for c in draw(st.sets(st.integers(0, ncols - 1), max_size=ncols // 3)):
