@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .graded import GradedBasis, Tensor
 from .algebra import BilinearForm, Superalgebra
@@ -150,7 +151,6 @@ def tensor_from_json(d, basis: GradedBasis, rank: int) -> Tensor:
 
 def superalgebra_to_json(g: Superalgebra) -> dict:
     pairs: dict[tuple[int, int], list] = {}
-    par = g.basis.parity
     for (i, j, k), c in sorted(g.constants.items()):
         if i > j:
             continue  # rebuilt by super antisymmetry
@@ -323,8 +323,29 @@ def double_from_json(d) -> DoubleAlgebra:
         raise SchemaError(f"double JSON needs {e} field") from e
 
 
+_LEAVES = {dict: lambda _: "{}", list: lambda _: "[]", str: _quote,
+           int: int.__repr__, bool: lambda b: "true" if b else "false",
+           type(None): lambda _: "null"}
+
+
+def _encode(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), indented by `pad`."""
+    inner = pad + "  "
+    if type(obj) is dict and obj:
+        return ("{\n" + inner + (",\n" + inner).join(
+            [_quote(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)])
+            + "\n" + pad + "}")
+    if type(obj) is list and obj:
+        return ("[\n" + inner + (",\n" + inner).join(
+            [_encode(x, inner) for x in obj]) + "\n" + pad + "]")
+    leaf = _LEAVES.get(type(obj))
+    if leaf is None:
+        raise TypeError(f"a document cannot hold a {type(obj).__name__}")
+    return leaf(obj)
+
+
 def dump(obj: dict, path: str | None = None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = _encode(obj, "")
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -4,11 +4,16 @@ import json
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superbialg import build_double
 from superbialg import catalog as cat
 from superbialg import serialize as ser
 from superbialg.cohomology import Cochain
 from superbialg.graded import Tensor3
+from corpus.regen import CORPUS, inputs
+from slmn import standard
 
 B = cat.sl21_basis()
 V = cat.V
@@ -214,3 +219,61 @@ def test_tensor_module_refuses_element_values():
     doc = ser.cochain_to_json(Cochain(g, 1, 1, {(0,): V("E12")}))
     with pytest.raises(ser.SchemaError, match="2 slots"):
         ser.cochain_from_json(doc, g, arity=2)
+
+
+# -- the document writer ------------------------------------------------------
+
+def indented(doc):
+    """The reference `serialize.dump` reproduces byte for byte."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+_text = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", '\\"', "\x00\x1f\n\t\r\x7f", "ñ€", "\U0001d11e", ""])
+_leaf = (st.none() | st.booleans() | st.integers() | _text
+         | st.integers(min_value=10**49, max_value=10**70)
+         | st.integers(min_value=-10**70, max_value=-10**49))
+_tree = st.recursive(
+    _leaf, lambda kids: (st.lists(kids, max_size=4)
+                         | st.dictionaries(_text, kids, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tree)
+def test_dump_matches_json_dumps_on_random_trees(doc):
+    assert ser.dump(doc) == indented(doc)
+
+
+def test_dump_matches_json_dumps_on_empty_and_nested_containers():
+    doc = {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {"e": []}}], "": None}
+    assert ser.dump(doc) == indented(doc)
+
+
+def test_dump_matches_json_dumps_on_the_corpus_documents():
+    accepted = sum("sha256" in json.loads(line)
+                   for line in CORPUS.read_text().splitlines())
+    doubles = 0
+    for _, _, b in inputs():
+        doc = ser.bialgebra_to_json(b)
+        assert ser.dump(doc) == indented(doc)
+        try:
+            dd = build_double(b)
+        except ValueError:  # a rejected input has no double
+            continue
+        doc = ser.double_to_json(dd)
+        assert ser.dump(doc) == indented(doc)
+        doubles += 1
+    assert doubles == accepted
+
+
+def test_dump_matches_json_dumps_on_the_sl31_double():
+    doc = ser.double_to_json(build_double(standard(3, 1)[2]))
+    assert len(doc["algebra"]["basis"]) == 30
+    assert ser.dump(doc) == indented(doc)
+
+
+@pytest.mark.parametrize("value, name", [(1.5, "float"), ((1, 2), "tuple")])
+def test_dump_refuses_other_types(value, name):
+    with pytest.raises(TypeError, match=name):
+        ser.dump({"a": [value]})
