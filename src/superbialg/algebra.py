@@ -311,24 +311,15 @@ class MatrixRealization:
                             f"matrix for {basis.labels[idx]} violates the "
                             f"(m|n) block grading at entry {(r, c)}")
 
-    def image_of(self, x: Element) -> Matrix:
-        _same_basis(x.basis, self.basis)
-        d = self.m + self.n
-        out = [[Q(0)] * d for _ in range(d)]
-        for i, c in x.entries.items():
-            for r, row in self.sparse[i].items():
-                for s, v in row.items():
-                    out[r][s] += c * v
-        return out
-
 
 def from_matrices(real: MatrixRealization) -> Superalgebra:
     """Derive abstract structure constants from a faithful realization.
 
-    The flattened images are factored once (`graded.factor_span`), and the
-    coordinates of every graded commutator are read off that one
-    factorization.  Raises DependentVectors if the images are linearly
-    dependent, NotClosed if some graded commutator leaves their span.
+    The flattened images are factored once (`graded.factor_span`); the
+    coordinates of [e_i, e_j], i < j or i = j odd, are read off it.  Raises
+    DependentVectors if the images are linearly dependent, NotClosed on
+    the first commutator in product order that leaves their span (always
+    such a pair: [e_j, e_i] leaves it exactly when [e_i, e_j] does).
     """
     d = real.m + real.n
     flat = [{(r, c): x for r, row in sp.items() for c, x in row.items()}
@@ -341,19 +332,20 @@ def from_matrices(real: MatrixRealization) -> Superalgebra:
         raise DependentVectors("matrix images are linearly dependent")
     par = real.basis.parity
     sp = real.sparse
-    constants: dict[tuple[int, int, int], Fraction] = {}
-    for i, j in product(range(len(sp)), repeat=2):
-        acc: dict[tuple[int, int], Fraction] = {}
-        _product_into(acc, sp[i], sp[j], 1)
-        _product_into(acc, sp[j], sp[i], -koszul(par(i), par(j)))
-        coeffs = span_coordinates(span, _nonzero(acc))
-        if coeffs is None:
-            raise NotClosed(
-                f"[{real.basis.labels[i]}, {real.basis.labels[j]}] is not "
-                f"in the span of the images")
-        for k, c in coeffs.items():
-            constants[(i, j, k)] = c
-    return Superalgebra(real.basis, constants)
+    half: dict[tuple[int, int, int], Fraction] = {}
+    for i in range(len(sp)):
+        for j in range(i if par(i) == ODD else i + 1, len(sp)):
+            acc: dict[tuple[int, int], Fraction] = {}
+            _product_into(acc, sp[i], sp[j], 1)
+            _product_into(acc, sp[j], sp[i], -koszul(par(i), par(j)))
+            coeffs = span_coordinates(span, _nonzero(acc))
+            if coeffs is None:
+                raise NotClosed(
+                    f"[{real.basis.labels[i]}, {real.basis.labels[j]}] is "
+                    f"not in the span of the images")
+            for k, c in coeffs.items():
+                half[(i, j, k)] = c
+    return Superalgebra.from_half_table(real.basis, half)
 
 
 # ---------------------------------------------------------------------------

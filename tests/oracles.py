@@ -29,7 +29,8 @@ The library's adjoint action on g (x) g sums integer numerators
 (`algebra._act_into`); `adjoint_on_tensor2` here is the Leibniz rule on
 the Fraction rows, as `adjoint_on_tensor3` is on g (x) g (x) g.
 
-`alt_s` (the signed cycle of `graded`'s conventions) and `supertrace_form`
+`alt_s` (the signed cycle of `graded`'s conventions), `image_of` (the
+dense matrix of an element under a realization) and `supertrace_form`
 (str(rho(x) rho(y)) from dense matrix products) serve only the tests.
 
 The library reads every coordinate in a span off one factorization of it
@@ -156,10 +157,21 @@ def alt_s(t):
     return t._with(acc)
 
 
+def image_of(real, x):
+    """rho(x), the dense (m+n) x (m+n) matrix of `x` under `real`."""
+    d = real.m + real.n
+    out = [[Q(0)] * d for _ in range(d)]
+    for i, c in x.entries.items():
+        for r, row in real.sparse[i].items():
+            for s, v in row.items():
+                out[r][s] += c * v
+    return out
+
+
 def supertrace_form(real, x, y):
     """str(rho(x) rho(y)) relative to the (m|n) block grading, from the
     dense product of the two images."""
-    a, b = real.image_of(x), real.image_of(y)
+    a, b = image_of(real, x), image_of(real, y)
     return sum((1 if i < real.m else -1) * a[i][j] * b[j][i]
                for i in range(len(a)) for j in range(len(a)))
 

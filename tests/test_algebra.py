@@ -15,7 +15,7 @@ from superbialg.algebra import (
 )
 from superbialg.bialgebra import dual_bracket
 from superbialg.graded import GradedBasis, LinearMap, Tensor2, tensor
-from oracles import solve_exact, supertrace_form
+from oracles import image_of, solve_exact, supertrace_form
 
 B = cat.sl21_basis()
 V = cat.V
@@ -211,7 +211,7 @@ def test_from_matrices_on_embedded_s():
     # push s into sl(2,1) along the second embedding, read the constants back
     emb = cat.s2_embedding()
     real = cat.sl21_realization()
-    images = [real.image_of(v) for v in emb.images]
+    images = [image_of(real, v) for v in emb.images]
     sub = MatrixRealization(SB, 2, 1, images)
     assert from_matrices(sub).constants == cat.s_algebra().constants
 
