@@ -329,7 +329,7 @@ _LEAVES = {dict: lambda _: "{}", list: lambda _: "[]", str: _quote,
 
 
 def _encode(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), indented by `pad`."""
+    """json's dumps(obj, indent=2, sort_keys=True), indented by `pad`."""
     inner = pad + "  "
     if type(obj) is dict and obj:
         return ("{\n" + inner + (",\n" + inner).join(

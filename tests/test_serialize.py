@@ -4,7 +4,7 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superbialg import build_double
@@ -241,12 +241,8 @@ _tree = st.recursive(
 
 @settings(max_examples=200, deadline=None)
 @given(_tree)
+@example({"a": {}, "b": [], "c": [{}, [], [[]], {"d": {"e": []}}], "": None})
 def test_dump_matches_json_dumps_on_random_trees(doc):
-    assert ser.dump(doc) == indented(doc)
-
-
-def test_dump_matches_json_dumps_on_empty_and_nested_containers():
-    doc = {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {"e": []}}], "": None}
     assert ser.dump(doc) == indented(doc)
 
 
