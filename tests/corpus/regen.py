@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/corpus/regen.py
 
 rebuilds every input of `inputs()` and `restrict_inputs()` and rewrites
-three files, one line per input: its id, a description of how it was made,
+four files, one line per input: its id, a description of how it was made,
 and an outcome.
 
 * `build_double.jsonl`: the outcome of `double.build_double`.  An accepted
@@ -17,6 +17,11 @@ and an outcome.
   span.  An accepted span records the SHA-256 of the restricted
   bialgebra's `serialize.bialgebra_to_json` document (compact JSON, sorted
   keys); a rejected one records the exception class and its message.
+* `maps.jsonl`: every check, as [name, passed, detail], of the map and
+  form checks on a perturbed catalog map, Gram matrix or Manin span:
+  `check_f_equation`, `check_homomorphism`, `check_bialgebra_homomorphism`,
+  `double.identify`, `check_manin_triple` and `check_invariance`, as they
+  apply to it.
 
 `tests/test_corpus.py` rebuilds the same lines and compares them with the
 files.
@@ -44,6 +49,24 @@ of v's parity (of v itself if there is none) added to v; a multiple of a
 basis vector of sl(2,1) added to v, of v's parity or of the other; or v
 replaced by a multiple of another span vector.
 
+The map inputs start from a subject drawn by weight.  The maps are the
+catalog's f_map and f_standard (checked by the f-equation on sl(2,1)), i1
+and is1 (bialgebra maps into the f and the standard structure), i2 and is2
+(bracket maps from the duals of the second structures), the four
+self-duality maps, the negation map onto the opposite structure and both
+identifications of a double with sl(2,1).  Each gets one or two perturbations of its images, drawn from a generator
+seeded by the input's id: an image scaled by a rational; a multiple of a
+basis vector added to an image, of its parity or of the other; an image
+replaced by 0; or two images swapped.  The supertrace Gram matrix gets one
+or two of: a rational added to one entry, or to one entry and its
+super-symmetric mirror; the whole matrix scaled by a rational.  It is
+checked for invariance on sl(2,1), in the Manin triple (S2, S1), and as
+the target form of the identification of the double of s.  The pairing
+of each 16-dim double gets the same perturbations and is checked for
+invariance on the double and as the form that the identification pulls
+back.  The Manin triples (S2, S1) and (T2, T1) get one half perturbed as
+the spans above.
+
 A change that alters lines of a file on purpose lists them, by class, in
 CHANGES.md, as for the golden CLI files.
 """
@@ -61,9 +84,11 @@ HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "build_double.jsonl"
 VERIFY_CORPUS = HERE / "verify.jsonl"
 RESTRICT_CORPUS = HERE / "restrict.jsonl"
+MAPS_CORPUS = HERE / "maps.jsonl"
 SEED_INPUT = HERE.parent / "golden" / "inputs" / "sl21-seed1.json"
 PERTURBED = 400
 RESTRICTED = 100
+MAPPED = 200
 
 BASES = ("s_bialgebra_1", "s_bialgebra_2", "t_bialgebra_1", "t_bialgebra_2",
          "bialgebra_f", "bialgebra_s", "sl21-seed1")
@@ -73,6 +98,15 @@ SCALARS = tuple(Fraction(c) for c in ("-2", "-1", "1/2", "3", "-3/2"))
 SPANS = ("s1_span", "s2_span", "t1_span", "t2_span")
 SPAN_KINDS = {"scale": 2, "span vector": 3, "basis vector": 3,
               "ungraded basis vector": 1, "replace": 1}  # kind: weight
+MAP_SUBJECTS = ("f_map", "f_standard", "i1_map", "is1_map", "i2_map",
+                "is2_map", "dual_iso_1", "dual_iso_2", "dual_iso_t1",
+                "dual_iso_t2", "negation_map", "double_s_identification",
+                "double_t_identification")
+MAPS = dict.fromkeys(MAP_SUBJECTS, 1)
+MAPS.update(supertrace_gram=3, double_of_s=2, double_of_t=2,
+            manin_triple_s=2, manin_triple_t=2)  # subject: weight
+MAP_KINDS = ("scale", "basis vector", "ungraded basis vector", "zero", "swap")
+GRAM_KINDS = ("entry", "super-symmetric entry", "scale")
 
 
 def _base(name: str):
@@ -162,8 +196,15 @@ def _perturbed_span(rng: random.Random):
     from superbialg import catalog
     base, span = rng.choice(("bialgebra_f", "bialgebra_s")), rng.choice(SPANS)
     sub = list(getattr(catalog, span)())
-    basis = catalog.sl21_basis()
     steps = [f"{base}, {span}"]
+    _perturb_span(rng, sub, steps)
+    return "; ".join(steps), getattr(catalog, base)(), sub
+
+
+def _perturb_span(rng: random.Random, sub: list, steps: list) -> None:
+    """Perturb one or two vectors of a span of sl(2,1) in place."""
+    from superbialg import catalog
+    basis = catalog.sl21_basis()
     kinds = rng.choices(list(SPAN_KINDS), list(SPAN_KINDS.values()),
                         k=rng.choice((1, 2)))
     for kind in kinds:
@@ -188,13 +229,152 @@ def _perturbed_span(rng: random.Random):
             else:
                 sub[a] = sub[a] + sub[b].scale(c)
                 steps.append(f"{c} v{b} added to v{a}")
-    return "; ".join(steps), getattr(catalog, base)(), sub
 
 
 def restrict_inputs():
     """(id, description, bialgebra, sub vectors) for every restriction."""
     for i in range(RESTRICTED):
         yield (f"r{i:03d}", *_perturbed_span(random.Random(f"restrict-{i}")))
+
+
+def _perturb_map(rng: random.Random, phi, steps: list):
+    """phi with one or two of its images perturbed (same class)."""
+    from superbialg import LinearEndomorphism, LinearMap
+    src, tgt = phi.source, phi.target
+    images = list(phi.images)
+    for kind in rng.sample(MAP_KINDS, rng.choice((1, 2))):
+        c, a = rng.choice(SCALARS), rng.randrange(len(images))
+        if kind == "scale":
+            images[a] = images[a].scale(c)
+            steps.append(f"phi({src.labels[a]}) scaled by {c}")
+        elif kind.endswith("basis vector"):
+            want = src.parity(a) if kind == "basis vector" else 1 - src.parity(a)
+            j = rng.choice([j for j in range(len(tgt)) if tgt.parity(j) == want])
+            images[a] = images[a] + tgt.vector(j).scale(c)
+            steps.append(f"{c} {tgt.labels[j]} added to phi({src.labels[a]})")
+        elif kind == "zero":
+            images[a] = tgt.zero()
+            steps.append(f"phi({src.labels[a]}) replaced by 0")
+        else:
+            b = rng.choice([b for b in range(len(images)) if b != a])
+            images[a], images[b] = images[b], images[a]
+            steps.append(f"phi({src.labels[a]}) and phi({src.labels[b]}) "
+                         f"swapped")
+    if isinstance(phi, LinearEndomorphism):
+        return LinearEndomorphism(src, images)
+    return LinearMap(src, tgt, images)
+
+
+def _perturb_gram(rng: random.Random, form, steps: list):
+    """The form with one or two perturbations of its Gram matrix."""
+    from superbialg import BilinearForm
+    from superbialg.graded import koszul
+    gram = [list(row) for row in form.gram]
+    n, par = len(form.basis), form.basis.parity
+    for kind in rng.sample(GRAM_KINDS, rng.choice((1, 2))):
+        c, i, j = rng.choice(SCALARS), rng.randrange(n), rng.randrange(n)
+        lab = form.basis.labels
+        if kind == "scale":
+            gram = [[c * x for x in row] for row in gram]
+            steps.append(f"Gram matrix scaled by {c}")
+            continue
+        gram[i][j] += c
+        if kind == "entry":
+            steps.append(f"{c} added to G({lab[i]}, {lab[j]})")
+        elif i != j:
+            gram[j][i] += koszul(par(i), par(j)) * c
+            steps.append(f"{c} added to G({lab[i]}, {lab[j]}) and its mirror")
+        else:
+            steps.append(f"{c} added to G({lab[i]}, {lab[i]})")
+    return BilinearForm(form.basis, gram)
+
+
+def _map_reports(rng: random.Random, subject: str):
+    """(description, {report: check lines}) of one perturbed subject."""
+    from superbialg import (
+        DoubleAlgebra, ManinTriple, catalog as cat,
+        check_bialgebra_homomorphism, check_f_equation, check_homomorphism,
+        check_invariance, check_manin_triple, dual_bracket, identify,
+        opposite,
+    )
+    steps = [subject]
+    if subject == "negation_map":
+        phi = _perturb_map(rng, cat.negation_map(cat.s_basis()), steps)
+    elif subject in MAP_SUBJECTS:
+        phi = _perturb_map(rng, getattr(cat, subject)(), steps)
+    if subject in ("f_map", "f_standard"):
+        runs = {"f-equation": lambda: check_f_equation(cat.sl21(), phi)}
+    elif subject in ("i1_map", "is1_map", "negation_map"):
+        source, target = {
+            "i1_map": (cat.s_bialgebra_2, cat.bialgebra_f),
+            "is1_map": (cat.t_bialgebra_2, cat.bialgebra_s),
+            "negation_map": (cat.s_bialgebra_2,
+                             lambda: opposite(cat.s_bialgebra_1())),
+        }[subject]
+        runs = {"bialgebra homomorphism": lambda: check_bialgebra_homomorphism(
+            phi, source(), target())}
+    elif subject.startswith(("i2", "is2", "dual_iso")):
+        source, target = {
+            "i2_map": (cat.s_bialgebra_2, cat.sl21),
+            "is2_map": (cat.t_bialgebra_2, cat.sl21),
+            "dual_iso_1": (cat.s_bialgebra_1, cat.s_algebra),
+            "dual_iso_2": (cat.s_bialgebra_2, cat.s_algebra),
+            "dual_iso_t1": (cat.t_bialgebra_1, cat.t_algebra),
+            "dual_iso_t2": (cat.t_bialgebra_2, cat.t_algebra),
+        }[subject]
+        runs = {"homomorphism": lambda: check_homomorphism(
+            phi, dual_bracket(source()), target())}
+    elif subject.endswith("identification"):
+        d, target = ((cat.double_of_s, cat.bialgebra_f) if "_s_" in subject
+                     else (cat.double_of_t, cat.bialgebra_s))
+        runs = {"identify": lambda: identify(d(), target(), phi,
+                                             cat.supertrace_gram())}
+    elif subject.startswith("double_of"):
+        d = getattr(cat, subject)()
+        form = _perturb_gram(rng, d.form, steps)
+        moved = DoubleAlgebra(d.underlying, d.delta, form, d.canonical_r,
+                              d.primal_dim)
+        target, phi = ((cat.bialgebra_f(), cat.double_s_identification())
+                       if subject.endswith("s") else
+                       (cat.bialgebra_s(), cat.double_t_identification()))
+        runs = {
+            "invariance": lambda: check_invariance(d.underlying, form),
+            "identify": lambda: identify(moved, target, phi,
+                                         cat.supertrace_gram()),
+        }
+    elif subject == "supertrace_gram":
+        form = _perturb_gram(rng, cat.supertrace_gram(), steps)
+        runs = {
+            "invariance": lambda: check_invariance(cat.sl21(), form),
+            "manin triple": lambda: check_manin_triple(ManinTriple(
+                cat.sl21(), form, cat.s2_span(), cat.s1_span())),
+            "identify": lambda: identify(
+                cat.double_of_s(), cat.bialgebra_f(),
+                cat.double_s_identification(), form),
+        }
+    else:
+        t = getattr(cat, subject)()
+        halves = {"plus": list(t.plus), "minus": list(t.minus)}
+        half = rng.choice(sorted(halves))
+        steps.append(half)
+        _perturb_span(rng, halves[half], steps)
+        runs = {"manin triple": lambda: check_manin_triple(ManinTriple(
+            t.ambient, t.form, halves["plus"], halves["minus"]))}
+    out = {}
+    for name, run in runs.items():
+        try:
+            out[name] = [[c.name, c.passed, c.detail] for c in run().checks]
+        except Exception as e:  # a raising check is recorded, whatever its class
+            out[name] = {"raises": type(e).__name__, "message": str(e)}
+    return "; ".join(steps), out
+
+
+def map_inputs():
+    """(id, description, {report: check lines}) for every map input."""
+    for i in range(MAPPED):
+        rng = random.Random(f"maps-{i}")
+        subject = rng.choices(list(MAPS), list(MAPS.values()))[0]
+        yield (f"m{i:03d}", *_map_reports(rng, subject))
 
 
 def _hashed(doc: dict) -> dict:
@@ -242,7 +422,7 @@ def _line(name: str, what: str, result: dict) -> str:
 
 
 def lines() -> dict[Path, list[str]]:
-    """The lines of the three corpus files; the first two come from one
+    """The lines of the four corpus files; the first two come from one
     pass over the inputs."""
     out: dict[Path, list[str]] = {CORPUS: [], VERIFY_CORPUS: []}
     for name, what, b in inputs():
@@ -250,6 +430,8 @@ def lines() -> dict[Path, list[str]]:
             out[path].append(_line(name, what, result))
     out[RESTRICT_CORPUS] = [_line(name, what, restrict_outcome(b, sub))
                             for name, what, b, sub in restrict_inputs()]
+    out[MAPS_CORPUS] = [_line(name, what, result)
+                        for name, what, result in map_inputs()]
     return out
 
 

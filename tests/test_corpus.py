@@ -1,15 +1,17 @@
-"""The checks on the seeded corpus of perturbed bialgebras and spans (see
-tests/corpus/regen.py): every outcome of `build_double` and of `restrict`,
-hash or rejection message, and every check line of `verify`,
-`check_compatibility` and the dual table's `validate` must match the
-committed line."""
+"""The checks on the seeded corpus of perturbed bialgebras, spans, maps and
+forms (see tests/corpus/regen.py): every outcome of `build_double` and of
+`restrict`, hash or rejection message, every check line of `verify`,
+`check_compatibility` and the dual table's `validate`, and every check line
+of the map and form checks must match the committed line."""
 
 import json
 from functools import cache
 
 import pytest
 
-from corpus.regen import CORPUS, RESTRICT_CORPUS, VERIFY_CORPUS, lines
+from corpus.regen import (
+    CORPUS, MAPS_CORPUS, RESTRICT_CORPUS, VERIFY_CORPUS, lines,
+)
 
 cached_lines = cache(lines)
 
@@ -32,3 +34,7 @@ def test_verify_reports_match_the_corpus():
 
 def test_restrict_outcomes_match_the_corpus():
     assert _changed(RESTRICT_CORPUS) == []
+
+
+def test_map_and_form_checks_match_the_corpus():
+    assert _changed(MAPS_CORPUS) == []
