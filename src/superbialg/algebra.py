@@ -5,10 +5,15 @@ as sparse rows `rows[i][j] = {k: C(i,j,k)}`; each row is also the coefficient
 dict of the Element `bracket_basis(i, j)` returns.  Brackets, the adjoint
 action on g (x) g, super Jacobi and form invariance all sum products of
 these rows into one dict and build at most one result object.  Super
-antisymmetry, Jacobi and the action on g (x) g (`_act_into`, also called by
-`cohomology` and `bialgebra`) sum ints over `int_table`, D times the table:
-a sum is the true one times a positive integer, so "is zero" is exact, and
-Fractions (`graded._over`) come back only in results and counterexamples.
+antisymmetry, Jacobi, the action on g (x) g (`_act_into`, also called by
+`cohomology` and `bialgebra`), brackets of integer vectors (`_int_bracket`),
+form invariance, the pairing, `is_subalgebra` and `check_homomorphism` sum
+ints over `int_table`, D times the table, and over the integer forms of a
+Gram matrix (`BilinearForm.int_gram`) and of a map
+(`graded.LinearMap.int_images`): a sum is the true one times a known
+positive integer, so "is zero" and "equal" (cross-multiplied) are exact,
+and Fractions (`graded._over`) come back only in results and
+counterexamples.
 
 Each check here is a `VerificationReport.scan` over basis tuples.  Super
 antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted
@@ -39,8 +44,9 @@ from typing import Mapping, Sequence
 
 from .graded import (
     EVEN, ODD, Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
-    _add_into, _denominator, _numerators, _over, _same_basis, as_scalar,
-    factor_span, koszul, rank, rref, span_coordinates,
+    _add_into, _combine, _denominator, _numerators, _over, _proportional,
+    _same_basis, as_scalar, factor_span, koszul, rank, rref,
+    span_coordinates,
 )
 from .report import VerificationReport
 
@@ -113,6 +119,17 @@ class Superalgebra:
 
     def bracket_basis(self, i: int, j: int) -> Element:
         return self._table[i][j]
+
+    def _int_bracket(self, x: Mapping[int, int],
+                     y: Mapping[int, int]) -> dict[int, int]:
+        """D [x, y], nonzero entries, for integer coefficient dicts."""
+        rows = self.int_table[1]
+        acc: dict[int, int] = {}
+        for i, cx in x.items():
+            ri = rows[i]
+            for j, cy in y.items():
+                _add_into(acc, ri[j], cx * cy)
+        return _nonzero(acc)
 
     def bracket(self, x: Element, y: Element) -> Element:
         _same_basis(x.basis, self.basis)
@@ -362,20 +379,31 @@ class BilinearForm:
         self.basis = basis
         self.gram = [[as_scalar(x) for x in row] for row in gram]
 
+    @cached_property
+    def int_gram(self) -> tuple[int, list[dict[int, int]]]:
+        """(T, rows[i] = {j: G[i][j] T}): the Gram matrix as ints over one T."""
+        rows = [{j: x for j, x in enumerate(row) if x} for row in self.gram]
+        den = _denominator(rows)
+        return den, [_numerators(row, den) for row in rows]
+
+    def _int_pair(self, x: Mapping[int, int], y: Mapping[int, int]) -> int:
+        """T <x, y> for integer coefficient dicts x, y."""
+        return sum(c * y.get(j, 0)
+                   for j, c in _combine(self.int_gram[1], x).items())
+
     def pair(self, x: Element, y: Element) -> Fraction:
         _same_basis(x.basis, self.basis)
         _same_basis(y.basis, self.basis)
-        acc = Q(0)
-        for i, cx in x.entries.items():
-            for j, cy in y.entries.items():
-                acc += cx * self.gram[i][j] * cy
-        return acc
+        dx, dy = _denominator([x.entries]), _denominator([y.entries])
+        return Fraction(self._int_pair(_numerators(x.entries, dx),
+                                       _numerators(y.entries, dy)),
+                        self.int_gram[0] * dx * dy)
 
     def is_supersymmetric(self) -> bool:
-        n = len(self.basis)
-        par = self.basis.parity
-        return all(self.gram[i][j] == koszul(par(i), par(j)) * self.gram[j][i]
-                   for i in range(n) for j in range(n))
+        par = self.basis.parities
+        rows = self.int_gram[1]
+        return all(x == koszul(par[i], par[j]) * rows[j].get(i, 0)
+                   for i, row in enumerate(rows) for j, x in row.items())
 
     def is_nondegenerate(self) -> bool:
         return rank(self.gram) == len(self.basis)
@@ -433,57 +461,61 @@ def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor) -> Tensor:
 def is_subalgebra(g: Superalgebra, vectors: Sequence[Element]) -> bool:
     """Is the span of the (independent) vectors closed under the bracket?
 
-    The span is factored once, and each bracket [a, b], in (a, b) order, is
-    read off that one factorization.
+    The span is factored once (with the vectors as ints, s times their
+    values), and each bracket [a, b], in (a, b) order, adds ints over
+    `g.int_table` and is read off that one factorization.
     """
     span = factor_span([v.entries for v in vectors], range(g.dim()))
     if span is None:
         raise DependentVectors("subalgebra test needs independent vectors")
-    return all(span_coordinates(span, g.bracket(a, b).entries) is not None
-               for a in vectors for b in vectors)
+    ints = span[1]  # the vectors as ints, s times their values
+
+    def closed(a, b):
+        _same_basis(vectors[a].basis, g.basis)
+        _same_basis(vectors[b].basis, g.basis)
+        return span_coordinates(span, g._int_bracket(ints[a], ints[b]))
+    return all(closed(a, b) is not None
+               for a, b in product(range(len(vectors)), repeat=2))
 
 
 def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:
     """Check <[a,b],c> = <a,[b,c]> over all basis triples.
 
-    Both sides come straight from the rows and the Gram matrix G, each
-    summed once per basis pair: left[a][b] = {c: sum_k C(a,b,k) G[k][c]}
-    and right[b][c] = {a: sum_k G[a][k] C(b,c,k)}.  With right transposed
-    once to {c: ...} per pair (a, b), the two sides are compared one dict
-    per pair; only the first unequal pair is scanned over c, for the
-    counterexample.
+    Both sides add ints over `g.int_table` (D) and `form.int_gram` (T), D T
+    times their values, each summed once per basis pair:
+    left[a][b] = {c: sum_k C(a,b,k) G[k][c]}, and right[a][b] = {c: <a,[b,c]>}
+    gathers sum_k G[a][k] C(b,c,k) while the pair (b, c) is visited.  The
+    two sides are compared one dict per pair (a, b); only the first unequal
+    pair is scanned over c, for the counterexample.
     """
     _same_basis(form.basis, g.basis)
     rep = VerificationReport("form invariance")
     lab = g.basis.labels
     n = g.dim()
-    gram = form.gram
-    gram_rows = [{c: x for c, x in enumerate(row) if x != 0} for row in gram]
-    gram_cols = [{r: gram[r][c] for r in range(n) if gram[r][c] != 0}
-                 for c in range(n)]
+    den, num = g.int_table
+    t, rows = form.int_gram
+    cols = [{} for _ in range(n)]
+    for r, row in enumerate(rows):
+        for c, x in row.items():
+            cols[c][r] = x
     left = [[{} for _ in range(n)] for _ in range(n)]
     right = [[{} for _ in range(n)] for _ in range(n)]
     for a, b in product(range(n), repeat=2):
-        for k, c in g.rows[a][b].items():
-            _add_into(left[a][b], gram_rows[k], c)
-            _add_into(right[a][b], gram_cols[k], c)
-    # right_t[a][b] = {c: right[b][c][a]}, so both sides of the pair (a, b)
-    # are one dict over c
-    right_t = [[{} for _ in range(n)] for _ in range(n)]
-    for b, c in product(range(n), repeat=2):
-        for a, x in right[b][c].items():
-            right_t[a][b][c] = x
+        for k, c in num[a][b].items():
+            _add_into(left[a][b], rows[k], c)
+            for x, y in cols[k].items():  # G[x][k] C(a,b,k) into <x,[a,b]>
+                rx = right[x][a]
+                rx[b] = rx.get(b, 0) + c * y
 
     def unequal(i, j):
-        if _nonzero(left[i][j]) == _nonzero(right_t[i][j]):
+        if _nonzero(left[i][j]) == _nonzero(right[i][j]):
             return None
         for k in range(n):
-            lhs = left[i][j].get(k, Q(0))
-            rhs = right_t[i][j].get(k, Q(0))
+            lhs, rhs = left[i][j].get(k, 0), right[i][j].get(k, 0)
             if lhs != rhs:
                 break
-        return (f"<[{lab[i]},{lab[j]}],{lab[k]}> = {lhs} but "
-                f"<{lab[i]},[{lab[j]},{lab[k]}]> = {rhs}")
+        return (f"<[{lab[i]},{lab[j]}],{lab[k]}> = {Fraction(lhs, den * t)} "
+                f"but <{lab[i]},[{lab[j]},{lab[k]}]> = {Fraction(rhs, den * t)}")
     rep.scan("invariance <[a,b],c> = <a,[b,c]>", product(range(n), repeat=2),
              unequal)
     return rep
@@ -491,19 +523,26 @@ def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:
 
 def check_homomorphism(phi: LinearMap, source: Superalgebra,
                        target: Superalgebra) -> VerificationReport:
-    """Check phi([a,b]) = [phi(a), phi(b)] on all pairs, plus parity."""
+    """Check phi([a,b]) = [phi(a), phi(b)] on all pairs, plus parity; the
+    sides add ints over the `int_table`s (D, D') and `phi.int_images` (E),
+    D E and E^2 D' times their values."""
     if phi.source != source.basis or phi.target != target.basis:
         raise BasisMismatch("map does not connect the two algebras")
     rep = VerificationReport("bracket homomorphism")
     rep.add("parity preserving", phi.is_parity_preserving())
     lab = source.basis.labels
+    den, num = source.int_table
+    e, ims = phi.int_images
+    sl, sr = den * e, e * e * target.int_table[0]
 
     def breaks(i, j):
-        lhs = phi(source.bracket_basis(i, j))
-        rhs = target.bracket(phi.images[i], phi.images[j])
-        return (None if lhs == rhs else
-                f"phi[{lab[i]},{lab[j]}] = {lhs} but "
-                f"[phi {lab[i]}, phi {lab[j]}] = {rhs}")
+        lhs = _combine(ims, num[i][j])
+        rhs = target._int_bracket(ims[i], ims[j])
+        return (None if _proportional(lhs, sl, rhs, sr) else
+                f"phi[{lab[i]},{lab[j]}] = "
+                f"{Element.wrap(target.basis, _over(lhs, sl))} but "
+                f"[phi {lab[i]}, phi {lab[j]}] = "
+                f"{Element.wrap(target.basis, _over(rhs, sr))}")
     rep.scan("bracket preserved", product(range(source.dim()), repeat=2),
              breaks)
     return rep

@@ -25,6 +25,11 @@ pairs a <= b once the bracket is super antisymmetric and every pair in
 product order otherwise.  `check_cojacobi` adds the three cyclic terms of
 (delta (x) Id) delta(x) straight into one dict per basis vector x, as
 ints: E^2 times the sum, with E the one denominator of delta's values.
+The map and form checks add ints too, over `LinearMap.int_images`,
+`BilinearForm.int_gram` and `Superalgebra.int_table`: the f-equation,
+`check_bialgebra_homomorphism` and the isotropy scan of
+`check_manin_triple` (whose subalgebra, symmetry and invariance checks are
+the integer ones of `algebra`).
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ from typing import Sequence
 
 from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor2, Tensor3, _add_into, _over, _same_basis, factor_span,
+    LinearMap, Tensor2, Tensor3, _add_into, _combine, _denominator,
+    _numerators, _over, _proportional, _same_basis, factor_span,
     invert_matrix, is_super_skew, matmul, rank, span_coordinates,
     square_span, super_swap, tensor,
 )
@@ -168,17 +174,24 @@ def solve_f_from_r(r: Tensor2, omega: Tensor2) -> LinearEndomorphism:
 
 
 def check_f_equation(g: Superalgebra, f: LinearEndomorphism) -> VerificationReport:
-    """Check (f-1)[f(x), f(y)] = f([(f-1)(x), (f-1)(y)]) over all pairs."""
+    """Check (f-1)[f(x), f(y)] = f([(f-1)(x), (f-1)(y)]) over all pairs;
+    both sides add ints over `g.int_table` (D) and `f.int_images` (E), E^3 D
+    times their values."""
+    _same_basis(f.basis, g.basis)
     rep = VerificationReport("f-equation")
-    fm1 = f - LinearEndomorphism.identity(g.basis)
+    e, fi = f.int_images
+    fm1 = [{k: x for k, x in {**im, i: im.get(i, 0) - e}.items() if x}
+           for i, im in enumerate(fi)]
+    scale = e ** 3 * g.int_table[0]
     lab = g.basis.labels
 
     def breaks(i, j):
-        x, y = g.basis.vector(i), g.basis.vector(j)
-        lhs = fm1(g.bracket(f(x), f(y)))
-        rhs = f(g.bracket(fm1(x), fm1(y)))
+        lhs = _combine(fm1, g._int_bracket(fi[i], fi[j]))
+        rhs = _combine(fi, g._int_bracket(fm1[i], fm1[j]))
         return (None if lhs == rhs else
-                f"pair ({lab[i]}, {lab[j]}): {lhs} != {rhs}")
+                f"pair ({lab[i]}, {lab[j]}): "
+                f"{Element.wrap(g.basis, _over(lhs, scale))} != "
+                f"{Element.wrap(g.basis, _over(rhs, scale))}")
     rep.scan("(f-1)[fx,fy] = f([(f-1)x,(f-1)y])",
              product(range(g.dim()), repeat=2), breaks)
     return rep
@@ -366,14 +379,28 @@ def opposite(b: Bialgebra) -> Bialgebra:
 
 def check_bialgebra_homomorphism(phi: LinearMap, source: Bialgebra,
                                  target: Bialgebra) -> VerificationReport:
-    """Bracket homomorphism plus (phi (x) phi) o delta_src = delta_tgt o phi."""
+    """Bracket homomorphism plus (phi (x) phi) o delta_src = delta_tgt o phi.
+
+    The cobracket sides add ints over `phi.int_images` (E) and the deltas'
+    `int_values` (E_s, E_t): E_s E^2 and E E_t times their values.
+    """
     rep = check_homomorphism(phi, source.algebra, target.algebra)
+    es, src = source.delta.int_values()
+    et, tgt = target.delta.int_values()
+    e, ims = phi.int_images
+    tgt = [tgt.get((i,), {}) for i in range(len(target.basis))]
+    squares = {ij: {(a, b): x * y for a, x in ims[ij[0]].items()
+                    for b, y in ims[ij[1]].items()}
+               for v in src.values() for ij in v}  # phi e_i (x) phi e_j
+    sl, sr = es * e * e, e * et
 
     def breaks(k):
-        lhs = phi.apply_tensor2(source.delta_of(source.basis.vector(k)))
-        rhs = target.delta_of(phi.images[k])
-        return (None if lhs == rhs else
-                f"cobracket breaks on {source.basis.labels[k]}: {lhs} != {rhs}")
+        lhs = _combine(squares, src.get((k,), {}))
+        rhs = _combine(tgt, ims[k])
+        return (None if _proportional(lhs, sl, rhs, sr) else
+                f"cobracket breaks on {source.basis.labels[k]}: "
+                f"{Tensor2._of(target.basis, 2, _over(lhs, sl))} != "
+                f"{Tensor2._of(target.basis, 2, _over(rhs, sr))}")
     rep.scan("cobracket preserved", product(range(len(source.basis))), breaks)
     return rep
 
@@ -413,14 +440,21 @@ def check_manin_triple(t: ManinTriple) -> VerificationReport:
             ok = False
         rep.add(f"{name} is a subalgebra", ok)
 
-    def pairs_nonzero(a, bb):
-        val = t.form.pair(a, bb)
-        return None if val == 0 else f"<{a}, {bb}> = {val}"
+    form = t.form
     for name, part in (("plus", t.plus), ("minus", t.minus)):
-        rep.scan(f"{name} is isotropic", product(part, repeat=2),
+        s = _denominator(v.entries for v in part)  # <a, b> is T s^2 times
+        ints = [_numerators(v.entries, s) for v in part]
+
+        def pairs_nonzero(a, b):
+            _same_basis(part[a].basis, form.basis)
+            _same_basis(part[b].basis, form.basis)
+            val = form._int_pair(ints[a], ints[b])
+            return (None if val == 0 else f"<{part[a]}, {part[b]}> = "
+                    f"{Fraction(val, form.int_gram[0] * s * s)}")
+        rep.scan(f"{name} is isotropic", product(range(len(part)), repeat=2),
                  pairs_nonzero)
 
-    rep.add("form is super-symmetric", t.form.is_supersymmetric())
-    rep.add("form is nondegenerate", t.form.is_nondegenerate())
-    rep.merge(check_invariance(g, t.form))
+    rep.add("form is super-symmetric", form.is_supersymmetric())
+    rep.add("form is nondegenerate", form.is_nondegenerate())
+    rep.merge(check_invariance(g, form))
     return rep

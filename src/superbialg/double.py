@@ -27,6 +27,10 @@ grading and antisymmetry of C* are those of delta.  So `build_double` runs
 
 `identify` composes the existing checks: bijectivity, then
 `check_bialgebra_homomorphism` against the target, then the form pullback.
+Both sums are in ints: the homomorphism over the bracket tables, the
+cobrackets and `LinearMap.int_images` (E); the pullback <phi e_i, phi e_j>
+over E and the target form's `int_gram` (T), E^2 T times its value, against
+the double's pairing cross-multiplied.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from fractions import Fraction
 from itertools import product
 
 from .graded import (
-    EVEN, Q, GradedBasis, LinearMap, Tensor2, koszul, super_swap,
+    EVEN, Q, GradedBasis, LinearMap, Tensor2, _same_basis, koszul, super_swap,
 )
 from .algebra import BilinearForm, Superalgebra, adjoint_on_tensor2
 from .bialgebra import (
@@ -191,14 +195,17 @@ def identify(d: DoubleAlgebra, target: Bialgebra, phi: LinearMap,
     rep.merge(check_bialgebra_homomorphism(phi, d.as_bialgebra(), target))
 
     if target_form is not None:
+        _same_basis(phi.target, target_form.basis)
         lab = g.basis.labels
+        e, ims = phi.int_images
+        w, want = d.form.int_gram
+        t = e * e * target_form.int_gram[0]
 
         def breaks(i, j):
-            want = d.form.gram[i][j]
-            got = target_form.pair(phi.images[i], phi.images[j])
-            return (None if want == got else
+            got = target_form._int_pair(ims[i], ims[j])  # t times the value
+            return (None if got * w == want[i].get(j, 0) * t else
                     f"form pullback breaks at ({lab[i]}, {lab[j]}): "
-                    f"{got} != {want}")
+                    f"{Fraction(got, t)} != {d.form.gram[i][j]}")
         rep.scan("form pulls back to the target form",
                  product(range(g.dim()), repeat=2), breaks)
     return rep

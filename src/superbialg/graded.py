@@ -25,14 +25,18 @@ The linear-algebra kernel is `rref`, fraction-free elimination on sparse
 integer rows: scaling a row leaves the RREF unchanged, so each row is scaled
 to integers and only the returned rows hold Fractions.  `factor_span` factors a
 span once: one `rref` for the pivot columns, one inverse of the pivot block
-P.  `span_coordinates` reads coordinates off it and rebuilds them to decide
-membership exactly; `square_span` gives the factorization of span (x) span,
-P^{-1} (x) P^{-1} on the pivot pairs, with no second row reduction.
+P, both it and the vectors kept as ints over one denominator each.
+`span_coordinates` reads coordinates off it and rebuilds them in ints to
+decide membership exactly; `square_span` gives the factorization of
+span (x) span, P^{-1} (x) P^{-1} on the pivot pairs, with no second row
+reduction.  A `LinearMap` keeps its images as ints over one denominator too
+(`int_images`), for the map checks of `algebra` and `bialgebra`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -358,6 +362,20 @@ def _over(acc: Mapping, den: int) -> dict:
     return {k: Fraction(x, den) for k, x in acc.items() if x}
 
 
+def _combine(rows, coeffs: Mapping) -> dict:
+    """sum_k coeffs[k] rows[k], entry by entry; zero entries are dropped."""
+    acc: dict = {}
+    for k, c in coeffs.items():
+        _add_into(acc, rows[k], c)
+    return {k: x for k, x in acc.items() if x}
+
+
+def _proportional(x: Mapping, sx: int, y: Mapping, sy: int) -> bool:
+    """x / sx == y / sy entry for entry, for dicts of nonzero ints."""
+    return x.keys() == y.keys() and all(c * sy == y[k] * sx
+                                        for k, c in x.items())
+
+
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot columns).
 
@@ -399,42 +417,49 @@ def rank(rows: list[list[Fraction]]) -> int:
 
 
 def factor_span(vectors: Sequence[Mapping], columns: Sequence) -> tuple | None:
-    """(rows of P^{-1} by pivot key, vectors by index) for sparse vectors
-    over the keys in `columns`, where P[a][p] is vector a at pivot p; None
+    """(rows of q P^{-1} by pivot key, s times the vectors by index, q, s),
+    all ints, for sparse vectors over the keys in `columns`, where P[a][p]
+    is vector a at pivot p and q, s are the lcms of the denominators; None
     when the vectors are dependent."""
     zero = Q(0)
     _, pivots = rref([[v.get(k, zero) for k in columns] for v in vectors])
     if len(pivots) != len(vectors):
         return None
     keys = [columns[p] for p in pivots]
-    inv = invert_matrix([[v.get(k, zero) for k in keys] for v in vectors])
-    return ({k: {a: x for a, x in enumerate(row) if x}
-             for k, row in zip(keys, inv)}, dict(enumerate(vectors)))
+    inv = [{a: x for a, x in enumerate(row) if x} for row in
+           invert_matrix([[v.get(k, zero) for k in keys] for v in vectors])]
+    q, s = _denominator(inv), _denominator(vectors)
+    return ({k: _numerators(row, q) for k, row in zip(keys, inv)},
+            {a: _numerators(v, s) for a, v in enumerate(vectors)}, q, s)
 
 
 def square_span(span: tuple) -> tuple:
     """The factorization of span (x) span from that of the span: the pivots
     are the pivot pairs, the inverse is P^{-1} (x) P^{-1} and the vectors
     are the v_a (x) v_b, keyed by (a, b)."""
-    return tuple({(p, q): {(a, b): x * y for a, x in rows[p].items()
-                           for b, y in rows[q].items()}
-                  for p in rows for q in rows} for rows in span)
+    *parts, q, s = span
+    return (*({(p, r): {(a, b): x * y for a, x in rows[p].items()
+                        for b, y in rows[r].items()}
+               for p in rows for r in rows} for rows in parts), q * q, s * s)
 
 
 def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
     """Coordinates of a sparse vector (nonzero entries only) in a factored
     span, sorted by key, or None when it lies outside: w|pivots . P^{-1},
-    kept only if rebuilding them gives back `entries` entry for entry."""
-    inv, vecs = span
+    kept only if rebuilding them gives back `entries` entry for entry.  Both
+    steps add ints, over the lcm d of `entries`: q d times the coordinates,
+    q d s times the vector."""
+    inv, vecs, q, s = span
+    d = _denominator([entries])
+    w = _numerators(entries, d)
     acc: dict = {}
-    for key, c in entries.items():
+    for key, c in w.items():
         if key in inv:
             _add_into(acc, inv[key], c)
     coords = {a: acc[a] for a in sorted(acc) if acc[a]}
-    recon: dict = {}
-    for a, c in coords.items():
-        _add_into(recon, vecs[a], c)
-    return coords if {k: x for k, x in recon.items() if x} == entries else None
+    if _combine(vecs, coords) != {k: q * s * x for k, x in w.items()}:
+        return None
+    return {a: Fraction(c, q * d) for a, c in coords.items()}
 
 
 def invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -470,6 +495,12 @@ class LinearMap:
         self.target = target
         self.images = list(images)
 
+    @cached_property
+    def int_images(self) -> tuple[int, list[dict[int, int]]]:
+        """(E, [{i: c E} per image]): the images as ints over one E."""
+        den = _denominator(im.entries for im in self.images)
+        return den, [_numerators(im.entries, den) for im in self.images]
+
     def __call__(self, x: Element) -> Element:
         _same_basis(x.basis, self.source)
         return sum((self.images[i].scale(c) for i, c in x.entries.items()),
@@ -491,13 +522,6 @@ class LinearMap:
             if any(self.target.parity(i) != p for i in im.entries):
                 return False
         return True
-
-    def apply_tensor2(self, t: Tensor2) -> Tensor2:
-        """(phi (x) phi) t: both legs mapped, no sign (phi is even here)."""
-        _same_basis(t.basis, self.source)
-        return sum((tensor(self.images[i], self.images[j]).scale(c)
-                    for (i, j), c in t.entries.items()),
-                   Tensor2.zero(self.target))
 
 
 class LinearEndomorphism(LinearMap):

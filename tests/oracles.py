@@ -42,6 +42,11 @@ every bracket and every delta value on its own.
 The library's row reduction (`graded.rref`) is fraction-free on integer
 rows.  `rref_reference` is dense Gauss-Jordan in Fractions, sharing no code
 with it; `solve_exact` and the references above reduce through it.
+
+The library's map checks add integer numerators over the images of a map
+(`LinearMap.int_images`).  `apply_tensor2` is (phi (x) phi) on a rank-2
+tensor through the public tensor operations in Fractions, the reference
+that `check_bialgebra_homomorphism` is compared with.
 """
 
 from superbialg.algebra import DependentVectors, Superalgebra, koszul
@@ -263,6 +268,13 @@ def restrict_reference(b, sub, labels=None):
         if entries:
             delta_sub.set_value((s_idx,), Tensor2(sub_basis, sub_basis, entries))
     return Bialgebra(sub_alg, delta_sub)
+
+
+def apply_tensor2(phi, t: Tensor2) -> Tensor2:
+    """(phi (x) phi) t: both legs mapped, no sign (phi is even here)."""
+    return sum((tensor(phi.images[i], phi.images[j]).scale(c)
+                for (i, j), c in t.entries.items()),
+               Tensor2.zero(phi.target))
 
 
 def is_subalgebra_reference(g, vectors):

@@ -6,8 +6,12 @@ they run on sl(3|1) and sl(3|2) (15 and 24 dims, see tests/slmn.py) and
 are compared with independent derivations: the super classical
 Yang-Baxter equation, the product-order reference scans and the Leibniz
 rule read off the Fraction rows (`oracles.adjoint_on_tensor2`).  The guards
-count Fraction arithmetic inside passing checks and inside the fraction-free
-eliminations of `graded`: there must be none.
+count Fraction arithmetic inside passing checks, inside the fraction-free
+eliminations of `graded` and inside the paper's map and form checks, which
+add integer numerators over `LinearMap.int_images` and
+`BilinearForm.int_gram`: there must be none.  The integer paths keep the
+input contract of the Fraction code they replaced: a map or form over
+another basis raises BasisMismatch.
 """
 
 from fractions import Fraction
@@ -18,11 +22,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superbialg import catalog as cat
-from superbialg.algebra import Superalgebra, adjoint_on_tensor2, gram_matrix
-from superbialg.bialgebra import check_cojacobi, check_compatibility
+from superbialg.algebra import (
+    BilinearForm, Superalgebra, adjoint_on_tensor2, check_homomorphism,
+    check_invariance, gram_matrix,
+)
+from superbialg.bialgebra import (
+    check_bialgebra_homomorphism, check_cojacobi, check_compatibility,
+    check_f_equation, check_manin_triple,
+)
 from superbialg.cohomology import Cochain, coboundary_0, is_cocycle_1
+from superbialg.double import identify
 from superbialg.graded import (
-    Q, Element, Tensor2, factor_span, invert_matrix, matmul, wedge,
+    Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor2, factor_span,
+    invert_matrix, matmul, wedge,
 )
 
 import oracles
@@ -143,3 +155,65 @@ def test_eliminations_do_no_fraction_arithmetic(monkeypatch):
     identity = [[Q(int(i == j)) for j in range(24)] for i in range(24)]
     assert matmul(gram, inverse) == identity
     assert span is not None and len(span[0]) == 24
+
+
+PAPER_MAP_CHECKS = {
+    "f-equation of f": lambda: check_f_equation(cat.sl21(), cat.f_map()),
+    "f-equation of the standard f": lambda: check_f_equation(
+        cat.sl21(), cat.f_standard()),
+    "i1": lambda: check_bialgebra_homomorphism(
+        cat.i1_map(), cat.s_bialgebra_2(), cat.bialgebra_f()),
+    "double of s": lambda: identify(
+        cat.double_of_s(), cat.bialgebra_f(), cat.double_s_identification(),
+        cat.supertrace_gram()),
+    "Manin triple (S2, S1)": lambda: check_manin_triple(cat.manin_triple_s()),
+    "invariance on the double": lambda: check_invariance(
+        cat.double_of_s().underlying, cat.double_of_s().form),
+}
+
+
+@pytest.mark.parametrize("name", list(PAPER_MAP_CHECKS))
+def test_paper_map_checks_do_no_fraction_arithmetic(name, monkeypatch):
+    check = PAPER_MAP_CHECKS[name]
+    assert check().passed  # builds the catalog and the integer forms
+    calls = count_fraction_arithmetic(monkeypatch)
+    rep = check()
+    kernels = dict(calls)
+    cat.f_map()(cat.V("E12"))  # the counter counts
+    monkeypatch.undo()
+    assert rep.passed
+    assert kernels == {}
+    assert calls.get("__mul__", 0) > 0
+
+
+def _relabelled(basis: GradedBasis) -> GradedBasis:
+    """A basis of the same size and parities under other labels."""
+    return GradedBasis([lab + "'" for lab in basis.labels], basis.parities)
+
+
+def test_homomorphism_from_another_basis_raises():
+    phi = cat.i1_map()
+    other = LinearMap(_relabelled(phi.source), phi.target, phi.images)
+    with pytest.raises(BasisMismatch, match="map does not connect"):
+        check_homomorphism(other, cat.s_algebra(), cat.sl21())
+    with pytest.raises(BasisMismatch, match="map does not connect"):
+        check_homomorphism(phi, cat.s_algebra(), cat.s_algebra())
+
+
+def test_invariance_of_a_form_over_another_basis_raises():
+    gram = cat.supertrace_gram()
+    other = BilinearForm(_relabelled(gram.basis), gram.gram)
+    with pytest.raises(BasisMismatch) as raised:
+        check_invariance(cat.sl21(), other)
+    assert str(raised.value) == (
+        f"bases differ: {other.basis!r} vs {cat.sl21().basis!r}")
+
+
+def test_identify_with_a_target_form_over_another_basis_raises():
+    gram = cat.supertrace_gram()
+    other = BilinearForm(_relabelled(gram.basis), gram.gram)
+    with pytest.raises(BasisMismatch) as raised:
+        identify(cat.double_of_s(), cat.bialgebra_f(),
+                 cat.double_s_identification(), other)
+    assert str(raised.value) == (
+        f"bases differ: {gram.basis!r} vs {other.basis!r}")

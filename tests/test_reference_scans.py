@@ -1,8 +1,10 @@
-"""Cobracket and form checks against product-order reference scans.
+"""Cobracket, form and map checks against product-order reference scans.
 
 `is_cocycle_1`, `check_compatibility`, `check_cojacobi` and
 `check_invariance` add their terms into plain dicts and, on a super
-antisymmetric bracket, scan only the sorted pairs.  The references below
+antisymmetric bracket, scan only the sorted pairs; the map checks
+(`check_homomorphism`, `check_bialgebra_homomorphism`, `check_f_equation`)
+add integer numerators over the images of the map.  The references below
 scan every basis pair (or vector, or triple) in product order through the
 public tensor operations and the Fraction rows (the action on g (x) g is
 the oracle's, not the library's integer kernel); on perturbed cochains and
@@ -16,12 +18,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superbialg import catalog as cat
-from superbialg.algebra import BilinearForm, Superalgebra, check_invariance
-from superbialg.bialgebra import check_cojacobi, check_compatibility
+from superbialg.algebra import (
+    BilinearForm, Superalgebra, check_homomorphism, check_invariance,
+)
+from superbialg.bialgebra import (
+    check_bialgebra_homomorphism, check_cojacobi, check_compatibility,
+    check_f_equation,
+)
 from superbialg.cohomology import Cochain, coboundary, is_cocycle_1
-from superbialg.graded import Element, Tensor2, Tensor3
+from superbialg.graded import (
+    Element, LinearEndomorphism, LinearMap, Tensor2, Tensor3,
+)
 
-from oracles import adjoint_on_tensor2, alt_s
+from oracles import adjoint_on_tensor2, alt_s, apply_tensor2
 
 BASES = {
     "sl21": (cat.sl21, cat.delta_f, cat.supertrace_gram),
@@ -180,3 +189,89 @@ def test_invariance_matches_product_order_reference(name, changes, breaks):
     perturbed = BilinearForm(g.basis, gram)
     assert (_detail(check_invariance(g, perturbed))
             == invariance_reference(g, perturbed))
+
+
+def homomorphism_reference(phi, source, target) -> str | None:
+    """phi([a,b]) = [phi(a), phi(b)] through `LinearMap.__call__` and
+    `Superalgebra.bracket`, in Fractions."""
+    lab = source.basis.labels
+    for i, j in product(range(source.dim()), repeat=2):
+        lhs = phi(source.bracket_basis(i, j))
+        rhs = target.bracket(phi.images[i], phi.images[j])
+        if lhs != rhs:
+            return (f"phi[{lab[i]},{lab[j]}] = {lhs} but "
+                    f"[phi {lab[i]}, phi {lab[j]}] = {rhs}")
+    return None
+
+
+def cobracket_reference(phi, source, target) -> str | None:
+    """(phi (x) phi) delta_src(e_k) = delta_tgt(phi e_k), in Fractions."""
+    for k in range(len(source.basis)):
+        lhs = apply_tensor2(phi, source.delta_of(source.basis.vector(k)))
+        rhs = target.delta_of(phi.images[k])
+        if lhs != rhs:
+            return (f"cobracket breaks on {source.basis.labels[k]}: "
+                    f"{lhs} != {rhs}")
+    return None
+
+
+def f_equation_reference(g, f) -> str | None:
+    """(f-1)[f(x), f(y)] = f([(f-1)(x), (f-1)(y)]), in Fractions."""
+    fm1 = f - LinearEndomorphism.identity(g.basis)
+    lab = g.basis.labels
+    for i, j in product(range(g.dim()), repeat=2):
+        x, y = g.basis.vector(i), g.basis.vector(j)
+        lhs = fm1(g.bracket(f(x), f(y)))
+        rhs = f(g.bracket(fm1(x), fm1(y)))
+        if lhs != rhs:
+            return f"pair ({lab[i]}, {lab[j]}): {lhs} != {rhs}"
+    return None
+
+
+def _named(rep, name):
+    check = next(c for c in rep.checks if c.name == name)
+    return None if check.passed else check.detail
+
+
+MAPS = {  # name: (map, source bialgebra, target bialgebra)
+    "i1": (cat.i1_map, cat.s_bialgebra_2, cat.bialgebra_f),
+    "is1": (cat.is1_map, cat.t_bialgebra_2, cat.bialgebra_s),
+    "double of s": (cat.double_s_identification,
+                    lambda: cat.double_of_s().as_bialgebra(), cat.bialgebra_f),
+}
+image_change = st.tuples(st.integers(0, 15), index, coefficient)
+
+
+@given(name=st.sampled_from(sorted(MAPS)),
+       changes=st.lists(image_change, max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_map_checks_match_product_order_references(name, changes):
+    # c e_j added to the image of source vector i
+    phi, source, target = (make() for make in MAPS[name])
+    images = list(phi.images)
+    for i, j, c in changes:
+        i %= len(images)
+        images[i] = images[i] + phi.target.vector(j).scale(c)
+    phi = LinearMap(phi.source, phi.target, images)
+    rep = check_bialgebra_homomorphism(phi, source, target)
+    assert (_named(rep, "bracket preserved")
+            == homomorphism_reference(phi, source.algebra, target.algebra))
+    assert (_named(rep, "cobracket preserved")
+            == cobracket_reference(phi, source, target))
+    assert ([(c.name, c.passed, c.detail) for c in rep.checks[:2]]
+            == [(c.name, c.passed, c.detail) for c in
+                check_homomorphism(phi, source.algebra,
+                                   target.algebra).checks])
+
+
+@given(name=st.sampled_from(["f_map", "f_standard"]),
+       changes=st.lists(st.tuples(index, index, coefficient), max_size=2))
+@settings(max_examples=40, deadline=None)
+def test_f_equation_matches_the_product_order_reference(name, changes):
+    f = getattr(cat, name)()
+    images = list(f.images)
+    for i, j, c in changes:
+        images[i] = images[i] + f.basis.vector(j).scale(c)
+    f = LinearEndomorphism(f.basis, images)
+    g = cat.sl21()
+    assert (_detail(check_f_equation(g, f)) == f_equation_reference(g, f))
