@@ -449,6 +449,8 @@ def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
     kept only if rebuilding them gives back `entries` entry for entry.  Both
     steps add ints, over the lcm d of `entries`: q d times the coordinates,
     q d s times the vector."""
+    if not entries:  # the zero vector lies in every span
+        return {}
     inv, vecs, q, s = span
     d = _denominator([entries])
     w = _numerators(entries, d)
