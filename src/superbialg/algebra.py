@@ -6,14 +6,12 @@ dict of the Element `bracket_basis(i, j)` returns.  Brackets, the adjoint
 action on g (x) g, super Jacobi and form invariance all sum products of
 these rows into one dict and build at most one result object.  Super
 antisymmetry, Jacobi, the action on g (x) g (`_act_into`, also called by
-`cohomology` and `bialgebra`), brackets of integer vectors (`_int_bracket`),
-form invariance, the pairing, `is_subalgebra` and `check_homomorphism` sum
-ints over `int_table`, D times the table, and over the integer forms of a
-Gram matrix (`BilinearForm.int_gram`) and of a map
-(`graded.LinearMap.int_images`): a sum is the true one times a known
-positive integer, so "is zero" and "equal" (cross-multiplied) are exact,
-and Fractions (`graded._over`) come back only in results and
-counterexamples.
+`cohomology` and `bialgebra`), form invariance, the pairing, `is_subalgebra`
+and `check_homomorphism` sum ints over `int_table` (D times the table) and
+the integer forms of a Gram matrix and of a map (`BilinearForm.int_gram`,
+`LinearMap.int_images`): a sum is the true one times a known positive
+integer, so "is zero" and "equal" (cross-multiplied) are exact, and
+Fractions (`graded._over`) come back only in results and counterexamples.
 
 Each check here is a `VerificationReport.scan` over basis tuples.  Super
 antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted

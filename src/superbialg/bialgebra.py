@@ -25,11 +25,8 @@ pairs a <= b once the bracket is super antisymmetric and every pair in
 product order otherwise.  `check_cojacobi` adds the three cyclic terms of
 (delta (x) Id) delta(x) straight into one dict per basis vector x, as
 ints: E^2 times the sum, with E the one denominator of delta's values.
-The map and form checks add ints too, over `LinearMap.int_images`,
-`BilinearForm.int_gram` and `Superalgebra.int_table`: the f-equation,
-`check_bialgebra_homomorphism` and the isotropy scan of
-`check_manin_triple` (whose subalgebra, symmetry and invariance checks are
-the integer ones of `algebra`).
+The f-equation, `check_bialgebra_homomorphism` and `check_manin_triple`
+add ints too, over `LinearMap.int_images` and `BilinearForm.int_gram`.
 """
 
 from __future__ import annotations

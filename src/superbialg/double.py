@@ -26,11 +26,10 @@ grading and antisymmetry of C* are those of delta.  So `build_double` runs
 `validate`, `check_invariance` and `check_canonical_r` stay as oracles.
 
 `identify` composes the existing checks: bijectivity, then
-`check_bialgebra_homomorphism` against the target, then the form pullback.
-Both sums are in ints: the homomorphism over the bracket tables, the
-cobrackets and `LinearMap.int_images` (E); the pullback <phi e_i, phi e_j>
-over E and the target form's `int_gram` (T), E^2 T times its value, against
-the double's pairing cross-multiplied.
+`check_bialgebra_homomorphism` against the target, then the form pullback
+<phi e_i, phi e_j>, summed in ints over `LinearMap.int_images` (E) and the
+target form's `int_gram` (T), E^2 T times its value, and compared with the
+double's pairing cross-multiplied.
 """
 
 from __future__ import annotations

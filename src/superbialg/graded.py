@@ -25,12 +25,11 @@ The linear-algebra kernel is `rref`, fraction-free elimination on sparse
 integer rows: scaling a row leaves the RREF unchanged, so each row is scaled
 to integers and only the returned rows hold Fractions.  `factor_span` factors a
 span once: one `rref` for the pivot columns, one inverse of the pivot block
-P, both it and the vectors kept as ints over one denominator each.
-`span_coordinates` reads coordinates off it and rebuilds them in ints to
-decide membership exactly; `square_span` gives the factorization of
-span (x) span, P^{-1} (x) P^{-1} on the pivot pairs, with no second row
-reduction.  A `LinearMap` keeps its images as ints over one denominator too
-(`int_images`), for the map checks of `algebra` and `bialgebra`.
+P, kept as ints like the vectors.  `span_coordinates` reads coordinates off
+it and rebuilds them in ints to decide membership exactly; `square_span`
+gives the factorization of span (x) span, P^{-1} (x) P^{-1} on the pivot
+pairs, with no second row reduction.  `LinearMap.int_images` is a map's
+images as ints over one denominator, for the map checks.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
     PYTHONPATH=src python tests/corpus/regen.py
 
-rebuilds every input of `inputs()` and `restrict_inputs()` and rewrites
-four files, one line per input: its id, a description of how it was made,
-and an outcome.
+rebuilds every input of `inputs()`, `restrict_inputs()` and `map_inputs()`
+and rewrites four files, one line per input: its id, a description of how
+it was made, and an outcome.
 
 * `build_double.jsonl`: the outcome of `double.build_double`.  An accepted
   input records the SHA-256 of its double's `serialize.double_to_json`
@@ -49,15 +49,16 @@ of v's parity (of v itself if there is none) added to v; a multiple of a
 basis vector of sl(2,1) added to v, of v's parity or of the other; or v
 replaced by a multiple of another span vector.
 
-The map inputs start from a subject drawn by weight.  The maps are the
-catalog's f_map and f_standard (checked by the f-equation on sl(2,1)), i1
-and is1 (bialgebra maps into the f and the standard structure), i2 and is2
-(bracket maps from the duals of the second structures), the four
-self-duality maps, the negation map onto the opposite structure and both
-identifications of a double with sl(2,1).  Each gets one or two perturbations of its images, drawn from a generator
-seeded by the input's id: an image scaled by a rational; a multiple of a
-basis vector added to an image, of its parity or of the other; an image
-replaced by 0; or two images swapped.  The supertrace Gram matrix gets one
+The map inputs start from a subject drawn by weight from a generator
+seeded by the input's id.  The maps are the catalog's f_map and f_standard
+(checked by the f-equation on sl(2,1)), i1 and is1 (bialgebra maps into
+the f and the standard structure), i2 and is2 (bracket maps from the duals
+of the second structures), the four self-duality maps, the negation map
+onto the opposite structure and both identifications of a double with
+sl(2,1).  Each gets one or two perturbations of its images: an image
+scaled by a rational; a multiple of a basis vector added to an image, of
+its parity or of the other; an image replaced by 0; or two images
+swapped.  The supertrace Gram matrix gets one
 or two of: a rational added to one entry, or to one entry and its
 super-symmetric mirror; the whole matrix scaled by a rational.  It is
 checked for invariance on sl(2,1), in the Manin triple (S2, S1), and as
@@ -248,8 +249,11 @@ def _perturb_map(rng: random.Random, phi, steps: list):
             images[a] = images[a].scale(c)
             steps.append(f"phi({src.labels[a]}) scaled by {c}")
         elif kind.endswith("basis vector"):
-            want = src.parity(a) if kind == "basis vector" else 1 - src.parity(a)
-            j = rng.choice([j for j in range(len(tgt)) if tgt.parity(j) == want])
+            want = src.parity(a)
+            if kind != "basis vector":
+                want = 1 - want
+            j = rng.choice([j for j in range(len(tgt))
+                            if tgt.parity(j) == want])
             images[a] = images[a] + tgt.vector(j).scale(c)
             steps.append(f"{c} {tgt.labels[j]} added to phi({src.labels[a]})")
         elif kind == "zero":
@@ -270,10 +274,9 @@ def _perturb_gram(rng: random.Random, form, steps: list):
     from superbialg import BilinearForm
     from superbialg.graded import koszul
     gram = [list(row) for row in form.gram]
-    n, par = len(form.basis), form.basis.parity
+    n, par, lab = len(form.basis), form.basis.parity, form.basis.labels
     for kind in rng.sample(GRAM_KINDS, rng.choice((1, 2))):
         c, i, j = rng.choice(SCALARS), rng.randrange(n), rng.randrange(n)
-        lab = form.basis.labels
         if kind == "scale":
             gram = [[c * x for x in row] for row in gram]
             steps.append(f"Gram matrix scaled by {c}")
