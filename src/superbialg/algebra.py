@@ -249,17 +249,17 @@ class Superalgebra:
         Each step either stops shrinking (the series stabilizes above zero)
         or drops the dimension, so at most dim g steps are taken.
         """
-        n = self.dim()
+        columns = range(self.dim())
         current = self.basis.vectors()
         while True:
             brackets = [self.bracket(a, b) for a in current for b in current]
-            brackets = [v for v in brackets if not v.is_zero()]
+            brackets = [v.entries for v in brackets if not v.is_zero()]
             if not brackets:
                 return True
-            red, _ = rref([[v[k] for k in range(n)] for v in brackets])
+            red, _ = rref(brackets, columns)
             if len(red) == len(current):
                 return False
-            current = [Element(self.basis, dict(enumerate(r))) for r in red]
+            current = [Element.wrap(self.basis, row) for row in red]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
     LinearMap, Tensor2, Tensor3, _add_into, _combine, _denominator,
     _numerators, _over, _proportional, _same_basis, factor_span,
-    invert_matrix, is_super_skew, matmul, rank, span_coordinates,
+    invert_matrix, is_super_skew, rref, span_coordinates,
     square_span, super_swap, tensor,
 )
 from .algebra import (
@@ -138,12 +138,12 @@ def casimir(real: MatrixRealization, g: Superalgebra | None = None) -> Tensor2:
     is verified before returning.
     """
     try:
-        inv = invert_matrix(gram_matrix(real).gram)
+        inv = invert_matrix([{j: x for j, x in enumerate(row) if x}
+                             for row in gram_matrix(real).gram])
     except ValueError:
         raise DegenerateForm("supertrace form is degenerate") from None
-    n = len(real.basis)
-    omega = Tensor2(real.basis, real.basis,
-                    {(i, j): inv[i][j] for i in range(n) for j in range(n)})
+    omega = Tensor2._of(real.basis, 2, {(i, j): x for i, row in enumerate(inv)
+                                        for j, x in row.items()})
     if g is None:
         from .algebra import from_matrices
         g = from_matrices(real)
@@ -162,12 +162,17 @@ def r_of_f(f: LinearEndomorphism, omega: Tensor2) -> Tensor2:
 
 
 def solve_f_from_r(r: Tensor2, omega: Tensor2) -> LinearEndomorphism:
-    """The unique f with (f (x) 1) omega = r, for invertible omega."""
-    n = len(omega.basis)
-    om = [[omega[(i, j)] for j in range(n)] for i in range(n)]
-    rm = [[r[(i, j)] for j in range(n)] for i in range(n)]
-    fmat = matmul(rm, invert_matrix(om))
-    return LinearEndomorphism.from_matrix(omega.basis, fmat)
+    """The unique f with (f (x) 1) omega = r, for invertible omega:
+    f(e_i) = sum_j (omega^{-1})_{ji} r_j, r_j the left legs of r at e_j."""
+    basis = omega.basis
+    _same_basis(r.basis, basis)
+    omega_t, legs = [{} for _ in basis.labels], [{} for _ in basis.labels]
+    for (i, j), c in omega.entries.items():
+        omega_t[j][i] = c
+    for (k, j), c in r.entries.items():
+        legs[j][k] = c
+    return LinearEndomorphism(basis, [Element.wrap(basis, _combine(legs, row))
+                                      for row in invert_matrix(omega_t)])
 
 
 def check_f_equation(g: Superalgebra, f: LinearEndomorphism) -> VerificationReport:
@@ -423,12 +428,12 @@ def check_manin_triple(t: ManinTriple) -> VerificationReport:
     g = t.ambient
     n = g.dim()
 
-    rows = [[v[k] for k in range(n)] for v in t.plus + t.minus]
-    direct = (len(t.plus) + len(t.minus) == n and rank(rows) == n)
+    rows = [v.entries for v in t.plus + t.minus]
+    combined = len(rref(rows, range(n))[1])
+    direct = len(rows) == combined == n
     rep.add("ambient = plus -o- minus (direct sum)", direct,
-            None if direct else
-            f"dim plus + dim minus = {len(t.plus) + len(t.minus)}, "
-            f"combined rank = {rank(rows)}, dim ambient = {n}")
+            None if direct else f"dim plus + dim minus = {len(rows)}, "
+            f"combined rank = {combined}, dim ambient = {n}")
 
     for name, part in (("plus", t.plus), ("minus", t.minus)):
         try:

@@ -21,15 +21,17 @@ Sign conventions (used throughout the package):
 * signed cycle: A(a (x) b (x) c) = a(x)b(x)c + (-1)^{|a|(|b|+|c|)} b(x)c(x)a
                 + (-1)^{|c|(|a|+|b|)} c(x)a(x)b
 
-The linear-algebra kernel is `rref`, fraction-free elimination on sparse
-integer rows: scaling a row leaves the RREF unchanged, so each row is scaled
-to integers and only the returned rows hold Fractions.  `factor_span` factors a
-span once: one `rref` for the pivot columns, one inverse of the pivot block
-P, kept as ints like the vectors.  `span_coordinates` reads coordinates off
-it and rebuilds them in ints to decide membership exactly; `square_span`
-gives the factorization of span (x) span, P^{-1} (x) P^{-1} on the pivot
-pairs, with no second row reduction.  `LinearMap.int_images` is a map's
-images as ints over one denominator, for the map checks.
+The linear-algebra kernel is `rref`, fraction-free elimination of sparse
+rows {column key: value} over an ordered list of keys: each row is scaled
+to integers, and the reduced rows come out sparse, in Fractions.
+`invert_matrix` takes and returns sparse rows; only `rank` reads a dense
+matrix.  `factor_span` factors a span once: one `rref` for the pivot keys,
+one inverse of the pivot block P, kept as ints like the vectors.
+`span_coordinates` reads coordinates off it and rebuilds them in ints to
+decide membership exactly; `square_span` gives the factorization of
+span (x) span, P^{-1} (x) P^{-1} on the pivot pairs, with no second row
+reduction.  `LinearMap.int_images` is a map's images as ints over one
+denominator, for the map checks.
 """
 
 from __future__ import annotations
@@ -375,21 +377,20 @@ def _proportional(x: Mapping, sx: int, y: Mapping, sy: int) -> bool:
                                         for k, c in x.items())
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (reduced rows, pivot columns).
-
-    Each row becomes {column: int}, scaled by the lcm of its denominators.
-    A step is row = a*row - b*pivot_row, with a, b the pivot and the row's
-    entry over their gcd; the new row is divided by the gcd of its entries.
-    Only the returned rows, each over its pivot, are built as Fractions.
-    Input rows are never mutated.  Fully exact.
-    """
-    m = [_numerators(row, _denominator([row])) for row in
-         ({k: c for k, c in enumerate(map(as_scalar, r)) if c} for r in rows)]
-    ncols = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    for c in range(ncols):
+def rref(rows: Sequence[Mapping], columns: Sequence) -> tuple[list[dict], list]:
+    """Reduced row echelon form of sparse rows {column key: nonzero int or
+    Fraction}; returns (reduced rows, pivot keys), pivots sought in the
+    order of `columns`.  Each row is scaled to ints by the lcm of its
+    denominators; a step is row = a*row - b*pivot_row, with a, b the pivot
+    and the row's entry over their gcd, and the new row is divided by the
+    gcd of its entries.  Only the returned rows, each over its pivot, hold
+    Fractions.  Input rows are never mutated."""
+    m = [_numerators(row, _denominator([row])) for row in rows]
+    pivots: list = []
+    for c in columns:
         r = len(pivots)
+        if r == len(m):
+            break
         pivot = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pivot is None:
             continue
@@ -404,15 +405,13 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
                 h = gcd(*new.values())  # 0 for a new zero row, then unused
                 m[i] = {k: x // h for k, x in new.items()}
         pivots.append(c)
-        if len(pivots) == len(m):
-            break
-    zero = Q(0)
-    return [[Q(row[k], row[p]) if k in row else zero for k in range(ncols)]
+    return [{k: Fraction(x, row[p]) for k, x in row.items()}
             for row, p in zip(m, pivots)], pivots
 
 
 def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(rref([{k: c for k, c in enumerate(row) if c} for row in rows],
+                    range(len(rows[0]) if rows else 0))[1])
 
 
 def factor_span(vectors: Sequence[Mapping], columns: Sequence) -> tuple | None:
@@ -420,13 +419,12 @@ def factor_span(vectors: Sequence[Mapping], columns: Sequence) -> tuple | None:
     all ints, for sparse vectors over the keys in `columns`, where P[a][p]
     is vector a at pivot p and q, s are the lcms of the denominators; None
     when the vectors are dependent."""
-    zero = Q(0)
-    _, pivots = rref([[v.get(k, zero) for k in columns] for v in vectors])
-    if len(pivots) != len(vectors):
+    _, keys = rref(vectors, columns)
+    if len(keys) != len(vectors):
         return None
-    keys = [columns[p] for p in pivots]
-    inv = [{a: x for a, x in enumerate(row) if x} for row in
-           invert_matrix([[v.get(k, zero) for k in keys] for v in vectors])]
+    at = {k: p for p, k in enumerate(keys)}
+    inv = invert_matrix([{at[k]: c for k, c in v.items() if k in at}
+                         for v in vectors])
     q, s = _denominator(inv), _denominator(vectors)
     return ({k: _numerators(row, q) for k, row in zip(keys, inv)},
             {a: _numerators(v, s) for a, v in enumerate(vectors)}, q, s)
@@ -463,20 +461,15 @@ def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
     return {a: Fraction(c, q * d) for a, c in coords.items()}
 
 
-def invert_matrix(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
-    n = len(m)
-    one, zero = Q(1), Q(0)
-    red, pivots = rref([list(row) + [one if j == i else zero for j in range(n)]
-                        for i, row in enumerate(m)])
+def invert_matrix(rows: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Inverse of a square matrix, sparse rows in and out; ValueError if
+    singular.  Row i is {column j: value}, 0 <= j < n."""
+    n = len(rows)
+    red, pivots = rref([{**row, n + i: 1} for i, row in enumerate(rows)],
+                       range(2 * n))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
-
-
-def matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)]
-            for row in a]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +500,10 @@ class LinearMap:
         return sum((self.images[i].scale(c) for i, c in x.entries.items()),
                    self.target.zero())
 
-    def matrix(self) -> list[list[Fraction]]:
-        """Dense matrix, column j = image of source vector j."""
-        return [[self.images[j][i] for j in range(len(self.source))]
-                for i in range(len(self.target))]
-
     def is_bijective(self) -> bool:
-        if len(self.source) != len(self.target):
-            return False
-        return rank(self.matrix()) == len(self.source)
+        n = len(self.target)
+        return len(self.source) == n and len(
+            rref([im.entries for im in self.images], range(n))[1]) == n
 
     def is_parity_preserving(self) -> bool:
         for j, im in enumerate(self.images):
@@ -540,13 +528,6 @@ class LinearEndomorphism(LinearMap):
     def zero(cls, basis: GradedBasis) -> "LinearEndomorphism":
         return cls(basis, [basis.zero()] * len(basis))
 
-    @classmethod
-    def from_matrix(cls, basis: GradedBasis,
-                    m: list[list[Fraction]]) -> "LinearEndomorphism":
-        images = [Element(basis, {i: m[i][j] for i in range(len(basis))})
-                  for j in range(len(basis))]
-        return cls(basis, images)
-
     def __sub__(self, other: "LinearEndomorphism") -> "LinearEndomorphism":
         _same_basis(self.basis, other.basis)
         return LinearEndomorphism(
@@ -568,15 +549,14 @@ def image_basis(m: LinearEndomorphism) -> list[Element]:
     odd generators are reduced separately so the returned basis is itself
     homogeneous: even vectors first, then odd, each block in echelon order.
     """
-    n = len(m.basis)
+    columns = range(len(m.basis))
     nonzero = [im for im in m.images if not im.is_zero()]
     if not nonzero:
         return []
 
     def reduce_group(els: list[Element]) -> list[Element]:
-        rows = [[e[i] for i in range(n)] for e in els]
-        red, _ = rref(rows)
-        return [Element(m.basis, {i: r[i] for i in range(n)}) for r in red]
+        return [Element.wrap(m.basis, row)
+                for row in rref([e.entries for e in els], columns)[0]]
 
     if all(e.is_homogeneous() for e in nonzero):
         evens = [e for e in nonzero if e.parity() == EVEN]
@@ -586,15 +566,14 @@ def image_basis(m: LinearEndomorphism) -> list[Element]:
 
 
 def span_equal(a: Iterable[Element], b: Iterable[Element]) -> bool:
-    """Do two families of elements span the same subspace?"""
+    """Do two families of elements over one basis span the same subspace?"""
     a, b = list(a), list(b)
-    if not a and not b:
-        return True
-    basis = (a or b)[0].basis
-    n = len(basis)
-    ra = [[e[i] for i in range(n)] for e in a]
-    rb = [[e[i] for i in range(n)] for e in b]
-    return rref(ra)[0] == rref(rb)[0]
+    both = a + b
+    for e in both:
+        _same_basis(e.basis, both[0].basis)
+    columns = sorted({k for e in both for k in e.entries})
+    return (rref([e.entries for e in a], columns)[0]
+            == rref([e.entries for e in b], columns)[0])
 
 
 # ---------------------------------------------------------------------------

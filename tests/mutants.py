@@ -96,6 +96,20 @@ MUTANTS = [
     Mutant("grading-detail-character", "bialgebra.py",
            "{lab[j]} -> {lab[k]}",
            "{lab[j]} => {lab[k]}"),
+    # the sparse elimination kernel and its callers
+    Mutant("rref-step-swapped", "graded.py",
+           "a, b = pv // g, row[c] // g",
+           "b, a = pv // g, row[c] // g"),
+    Mutant("solve-f-omega-untransposed", "bialgebra.py",
+           "omega_t[j][i] = c",
+           "omega_t[i][j] = c"),
+    Mutant("invert-matrix-no-singular-check", "graded.py",
+           "    if pivots[:n] != list(range(n)):\n"
+           "        raise ValueError(\"matrix is singular\")\n",
+           ""),
+    Mutant("span-equal-no-basis-check", "graded.py",
+           "_same_basis(e.basis, both[0].basis)",
+           "pass"),
     # the JSON writer
     Mutant("writer-unsorted-keys", "serialize.py",
            "for k in sorted(obj)",
@@ -126,7 +140,8 @@ def tier1(src: Path, timeout: float | None) -> tuple[str, float, str]:
     seconds = time.monotonic() - start
     if done.returncode == 0:
         return "passed", seconds, ""
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
+    failed = re.search(r"^(?:FAILED|ERROR) (?:\S*?/)?(tests/\S+)", done.stdout,
+                       re.M)
     tail = done.stdout.strip().splitlines()[-1:] or [done.stderr.strip()]
     return "failed", seconds, failed.group(1) if failed else tail[0]
 

@@ -39,9 +39,12 @@ compared with: one fresh row reduction of an augmented system per target.
 `restrict_reference` is `bialgebra.restrict` written on top of it, solving
 every bracket and every delta value on its own.
 
-The library's row reduction (`graded.rref`) is fraction-free on integer
-rows.  `rref_reference` is dense Gauss-Jordan in Fractions, sharing no code
-with it; `solve_exact` and the references above reduce through it.
+The library's row reduction (`graded.rref`) is fraction-free on sparse
+integer rows.  `rref_reference` is dense Gauss-Jordan in Fractions, sharing
+no code with it; `solve_exact` and the references above reduce through it.
+`sparse` and `dense` convert the rows of a dense matrix at the edges of a
+test of the sparse kernels, and `matmul` is the dense product their
+results are checked with.
 
 The library's map checks add integer numerators over the images of a map
 (`LinearMap.int_images`).  `apply_tensor2` is (phi (x) phi) on a rank-2
@@ -203,6 +206,22 @@ def rref_reference(rows):
 
 def rank(rows):
     return len(rref_reference(rows)[1])
+
+
+def sparse(rows):
+    """The rows of a dense matrix as {column: Fraction}, zeros dropped."""
+    return [{k: Q(x) for k, x in enumerate(row) if x} for row in rows]
+
+
+def dense(rows, ncols):
+    """Sparse {column: value} rows as dense Fraction rows of ncols entries."""
+    return [[row.get(k, Q(0)) for k in range(ncols)] for row in rows]
+
+
+def matmul(a, b):
+    """The product of two dense matrices."""
+    return [[sum((x * y for x, y in zip(row, col)), Q(0)) for col in zip(*b)]
+            for row in a]
 
 
 def solve_exact(columns, target):

@@ -15,7 +15,7 @@ from superbialg.algebra import (
 )
 from superbialg.bialgebra import dual_bracket
 from superbialg.graded import GradedBasis, LinearMap, Tensor2, tensor
-from oracles import image_of, solve_exact, supertrace_form
+from oracles import image_of, rank, solve_exact, supertrace_form
 
 B = cat.sl21_basis()
 V = cat.V
@@ -295,6 +295,13 @@ def test_supertrace_gram_supersymmetric_nondegenerate():
     form = cat.supertrace_gram()
     assert form.is_supersymmetric()
     assert form.is_nondegenerate()
+
+
+def test_a_form_with_dependent_gram_rows_is_degenerate():
+    gram = [list(row) for row in cat.supertrace_gram().gram]
+    gram[-1] = [a + b for a, b in zip(gram[0], gram[1])]
+    assert rank(gram) == 7
+    assert not BilinearForm(cat.sl21_basis(), gram).is_nondegenerate()
 
 
 # -- subalgebras --------------------------------------------------------------

@@ -8,10 +8,10 @@ from superbialg import catalog as cat
 from superbialg.algebra import Superalgebra
 from superbialg.graded import (
     BasisMismatch, Element, GradedBasis, LinearEndomorphism, Tensor, Tensor2,
-    Tensor3, image_basis, invert_matrix, is_super_skew, koszul, matmul,
-    rref, span_equal, super_swap, tensor, wedge,
+    Tensor3, image_basis, invert_matrix, is_super_skew, koszul, rref,
+    span_equal, super_swap, tensor, wedge,
 )
-from oracles import alt_s, solve_exact
+from oracles import alt_s, dense, matmul, solve_exact, sparse
 
 B = cat.sl21_basis()
 V = cat.V
@@ -260,6 +260,23 @@ def test_image_basis_of_f_spans_S2():
     assert span_equal(image_basis(cat.f_map()), cat.s2_span())
 
 
+def test_span_equal_refuses_families_over_different_bases():
+    # same size, other labels; and two bases of different sizes
+    with pytest.raises(BasisMismatch):
+        span_equal(cat.s_basis().vectors(), cat.dual_s_basis().vectors())
+    with pytest.raises(BasisMismatch):
+        span_equal(cat.s1_span(), cat.s_basis().vectors())
+    with pytest.raises(BasisMismatch):
+        span_equal([V("E12"), cat.s_basis().vector(0)], [V("E12")])
+
+
+def test_is_bijective_is_false_on_the_singular_f():
+    # f is square (8 x 8) but S2 = Im(f) is a proper subspace
+    assert not cat.f_map().is_bijective()
+    assert (cat.f_map() - LinearEndomorphism.identity(B)).is_bijective() is False
+    assert LinearEndomorphism.identity(B).is_bijective()
+
+
 def test_image_basis_zero_map():
     assert image_basis(LinearEndomorphism.zero(B)) == []
 
@@ -273,8 +290,8 @@ def test_image_basis_homogeneous_for_even_maps():
 
 def test_rref_idempotent():
     rows = [[Q(2), Q(4), Q(1)], [Q(1), Q(2), Q(3)], [Q(0), Q(1), Q(0)]]
-    red, piv = rref(rows)
-    again, piv2 = rref(red)
+    red, piv = rref(sparse(rows), range(3))
+    again, piv2 = rref(red, range(3))
     assert red == again and piv == piv2
 
 
@@ -290,10 +307,10 @@ def test_solve_exact_inconsistent():
 
 def test_invert_matrix_roundtrip():
     m = [[Q(2), Q(1)], [Q(7), Q(4)]]
-    inv = invert_matrix(m)
+    inv = dense(invert_matrix(sparse(m)), 2)
     assert matmul(m, inv) == [[Q(1), Q(0)], [Q(0), Q(1)]]
 
 
 def test_invert_singular_raises():
     with pytest.raises(ValueError):
-        invert_matrix([[Q(1), Q(2)], [Q(2), Q(4)]])
+        invert_matrix(sparse([[Q(1), Q(2)], [Q(2), Q(4)]]))

@@ -15,12 +15,14 @@ from hypothesis import strategies as st
 from superbialg import catalog as cat
 from superbialg.algebra import Superalgebra, adjoint_on_tensor2
 from superbialg.cohomology import Cochain, canonical_tuple, coboundary_0, is_cocycle_1
+from superbialg.bialgebra import r_of_f, solve_f_from_r
 from superbialg.graded import (
-    Element, LinearEndomorphism, Tensor2, Tensor3, image_basis, invert_matrix,
-    rank, rref, super_swap, wedge,
+    Element, LinearEndomorphism, LinearMap, Tensor2, Tensor3, image_basis,
+    invert_matrix, rank, rref, super_swap, wedge,
 )
 
-from oracles import alt_s, rref_reference
+import oracles
+from oracles import alt_s, dense, matmul, rref_reference, sparse
 
 B = cat.sl21_basis()
 
@@ -151,14 +153,31 @@ def _fractions(rows):
 @given(rational_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rref_matches_sympy_and_the_reference(rows):
-    red, pivots = rref(rows)
+    red, pivots = rref(sparse(rows), range(len(rows[0])))
+    assert all(type(x) is Q for r in red for x in r.values())
+    red = dense(red, len(rows[0]))
     theirs, their_pivots = _sympy(rows).rref()
     theirs = _fractions(theirs)
     assert pivots == list(their_pivots)
     assert red == theirs[:len(pivots)]
     assert all(x == 0 for r in theirs[len(pivots):] for x in r)
     assert (red, pivots) == rref_reference(rows)
-    assert all(type(x) is Q for r in red for x in r)
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_rref_over_shuffled_tuple_keys_matches_the_reference(rows, data):
+    # the columns are keyed (c // 3, c % 3) and sought in a shuffled order:
+    # the reduction is that of the dense matrix with its columns permuted
+    ncols = len(rows[0])
+    keys = [divmod(c, 3) for c in range(ncols)]
+    order = data.draw(st.permutations(range(ncols)))
+    red, pivots = rref([{keys[c]: x for c, x in enumerate(r) if x}
+                        for r in rows], [keys[c] for c in order])
+    theirs, their_pivots = rref_reference([[r[c] for c in order]
+                                           for r in rows])
+    assert pivots == [keys[order[p]] for p in their_pivots]
+    assert [[row.get(keys[c], Q(0)) for c in order] for row in red] == theirs
 
 
 @given(rational_matrices(max_rows=6, square=True))
@@ -167,17 +186,96 @@ def test_invert_matrix_matches_sympy(m):
     theirs = _sympy(m)
     if theirs.det() == 0:
         with pytest.raises(ValueError, match="singular"):
-            invert_matrix(m)
+            invert_matrix(sparse(m))
     else:
-        assert invert_matrix(m) == _fractions(theirs.inv())
+        assert dense(invert_matrix(sparse(m)), len(m)) == _fractions(
+            theirs.inv())
 
 
 def test_invert_matrix_rejects_a_singular_matrix():
     m = [[Q(1), Q(2), Q(0)], [Q(0), Q(1, 3), Q(1)], [Q(2), Q(13, 3), Q(1)]]
     with pytest.raises(ValueError, match="singular"):
-        invert_matrix(m)  # row 3 = 2 row 1 + row 2
+        invert_matrix(sparse(m))  # row 3 = 2 row 1 + row 2
     m[2][2] = Q(2)
-    assert invert_matrix(m) == _fractions(_sympy(m).inv())
+    assert dense(invert_matrix(sparse(m)), 3) == _fractions(_sympy(m).inv())
+
+
+def _map_of(m) -> LinearMap:
+    """The map of B whose image of e_j is column j of the dense m."""
+    return LinearMap(B, B, [Element(B, dict(enumerate(col)))
+                            for col in zip(*m)])
+
+
+# 8 x 8 matrices come from a seeded generator: hypothesis spends most of
+# such a test drawing 64 fractions
+
+def _random_matrix(rng, n=8):
+    """A sparse-ish n x n rational matrix; in about half the draws one row
+    is a combination of two others, so it is singular."""
+    m = [[Q(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.6
+          else Q(0) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        i, j, k = rng.sample(range(n), 3)
+        a = rng.randint(-3, 3)
+        m[i] = [a * x + y for x, y in zip(m[j], m[k])]
+    return m
+
+
+def _random_invertible(rng, n=8):
+    """L U, L unit lower triangular and U upper triangular with a nonzero
+    diagonal, both read off one random matrix."""
+    m = _random_matrix(rng, n)
+    lower = [[Q(1) if i == j else m[i][j] if j < i else Q(0)
+              for j in range(n)] for i in range(n)]
+    upper = [[Q(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)) if i == j
+              else m[j][i] if j > i else Q(0)
+              for j in range(n)] for i in range(n)]
+    return matmul(lower, upper)
+
+
+def _map_of(m) -> LinearMap:
+    """The map of B whose image of e_j is column j of the dense m."""
+    return LinearMap(B, B, [Element(B, dict(enumerate(col)))
+                            for col in zip(*m)])
+
+
+def test_is_bijective_agrees_with_the_reference_rank():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(60):
+        m = _random_matrix(rng)
+        bijective = oracles.rank(m) == 8
+        assert _map_of(m).is_bijective() == bijective
+        seen.add(bijective)
+    assert seen == {True, False}
+
+
+def _inverse_reference(m):
+    """m^{-1} from one Gauss-Jordan reduction of [m | 1], m invertible."""
+    n = len(m)
+    red, pivots = rref_reference([list(row) + [Q(int(i == j))
+                                               for j in range(n)]
+                                  for i, row in enumerate(m)])
+    assert pivots[:n] == list(range(n))
+    return [row[n:] for row in red]
+
+
+def _tensor_of(m) -> Tensor2:
+    return Tensor2(B, B, {(i, j): x for i, row in enumerate(m)
+                          for j, x in enumerate(row)})
+
+
+def test_solve_f_from_r_matches_a_dense_product():
+    # (f (x) 1) omega = r reads R = F Omega with F[k][i] the e_k entry of
+    # f(e_i), so F = R Omega^{-1}
+    rng = random.Random(9)
+    for _ in range(30):
+        om, rm = _random_invertible(rng), _random_matrix(rng)
+        omega, r = _tensor_of(om), _tensor_of(rm)
+        f = solve_f_from_r(r, omega)
+        assert dense([im.entries for im in f.images], 8) == [
+            list(col) for col in zip(*matmul(rm, _inverse_reference(om)))]
+        assert r_of_f(f, omega) == r
 
 
 @given(st.dictionaries(st.tuples(indices, indices), small_rationals,
@@ -187,7 +285,7 @@ def test_image_basis_dimension_matches_rank(entries):
     m = [[Q(0)] * 8 for _ in range(8)]
     for (i, j), c in entries.items():
         m[i][j] = c
-    endo = LinearEndomorphism.from_matrix(B, m)
+    endo = LinearEndomorphism(B, _map_of(m).images)
     vecs = image_basis(endo)
     cols = [[endo.images[j][i] for j in range(8)] for i in range(8)]
     assert len(vecs) == rank(cols)
