@@ -1,6 +1,6 @@
 """The mutation gate: one-line mutants of `src/superbialg` that tier-1 must kill.
 
-    python tests/mutants.py [--timeout SECONDS] [--only NAME ...] [--list]
+    python tests/mutants.py [--timeout SECONDS] [--only NAME ...]
 
 Each mutant names a file under `src/superbialg`, an exact old string, which
 must occur there exactly once, and its replacement.  The runner first runs
@@ -167,15 +167,10 @@ def main(argv=None) -> int:
                     help="seconds per mutant (default: twice the unmutated "
                          "run plus 30)")
     ap.add_argument("--only", nargs="+", metavar="NAME",
+                    choices=[m.name for m in MUTANTS],
                     help="run only these mutants")
-    ap.add_argument("--list", action="store_true",
-                    help="list the mutants and exit")
     args = ap.parse_args(argv)
     mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-    if args.list or not mutants:
-        for m in MUTANTS:
-            print(f"{m.name:34} {m.file}")
-        return 0 if args.list else 2
 
     outcome, seconds, where = tier1(ROOT / "src", None)
     print(f"{'unmutated':34} {outcome:10} {seconds:6.1f}s {where}", flush=True)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from superbialg import catalog as cat
@@ -265,6 +265,7 @@ def test_from_matrices_matches_per_pair_solve():
 
 @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=8)
                 .filter(lambda q: q != 0), min_size=8, max_size=8))
+@example([Q(1, 2)] * 8)  # an explicit example fails without a shrink phase
 @settings(max_examples=25, deadline=None)
 def test_from_matrices_matches_per_pair_solve_rescaled(scales):
     base = cat.sl21_realization()
