@@ -1,6 +1,6 @@
 """The mutation gate: one-line mutants of `src/superbialg` that tier-1 must kill.
 
-    python tests/mutants.py [--timeout SECONDS] [--only NAME ...]
+    python tests/mutants.py
 
 Each mutant names a file under `src/superbialg`, an exact old string, which
 must occur there exactly once, and its replacement.  The runner first runs
@@ -17,14 +17,13 @@ per mutant:
 
 The exit status is 1 when a mutant that is not marked equivalent survives
 or when an old string does not occur exactly once, and 0 otherwise.  The
-default time limit is twice the unmutated run plus 30 s, so a surviving
+time limit is twice the unmutated run plus 30 s, so a surviving
 mutant, which runs the whole suite, finishes inside it.  This file is not
 collected by tier-1 (its name does not match `test_*.py`).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import shutil
@@ -161,26 +160,16 @@ def mutated_copy(mutant: Mutant, into: Path) -> Path:
     return src
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--timeout", type=float, default=None,
-                    help="seconds per mutant (default: twice the unmutated "
-                         "run plus 30)")
-    ap.add_argument("--only", nargs="+", metavar="NAME",
-                    choices=[m.name for m in MUTANTS],
-                    help="run only these mutants")
-    args = ap.parse_args(argv)
-    mutants = [m for m in MUTANTS if not args.only or m.name in args.only]
-
+def main() -> int:
     outcome, seconds, where = tier1(ROOT / "src", None)
     print(f"{'unmutated':34} {outcome:10} {seconds:6.1f}s {where}", flush=True)
     if outcome != "passed":
         print("tier-1 fails without a mutant; nothing to measure")
         return 1
-    timeout = args.timeout or 2 * seconds + 30
+    timeout = 2 * seconds + 30
 
     bad = 0
-    for m in mutants:
+    for m in MUTANTS:
         if m.equivalent:
             print(f"{m.name:34} {'equivalent':10} {'':7} {m.equivalent}")
             continue
@@ -196,7 +185,7 @@ def main(argv=None) -> int:
                                                                  outcome)
         bad += result == "SURVIVED"
         print(f"{m.name:34} {result:10} {seconds:6.1f}s {where}", flush=True)
-    print(f"{len(mutants)} mutants, {bad} survived or unusable")
+    print(f"{len(MUTANTS)} mutants, {bad} survived or unusable")
     return 1 if bad else 0
 
 

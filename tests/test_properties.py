@@ -200,12 +200,6 @@ def test_invert_matrix_rejects_a_singular_matrix():
     assert dense(invert_matrix(sparse(m)), 3) == _fractions(_sympy(m).inv())
 
 
-def _map_of(m) -> LinearMap:
-    """The map of B whose image of e_j is column j of the dense m."""
-    return LinearMap(B, B, [Element(B, dict(enumerate(col)))
-                            for col in zip(*m)])
-
-
 # 8 x 8 matrices come from a seeded generator: hypothesis spends most of
 # such a test drawing 64 fractions
 
