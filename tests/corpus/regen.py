@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/corpus/regen.py
 
 rebuilds every input of `inputs()`, `restrict_inputs()` and `map_inputs()`
-and rewrites four files, one line per input: its id, a description of how
+and rewrites five files, one line per input: its id, a description of how
 it was made, and an outcome.
 
 * `build_double.jsonl`: the outcome of `double.build_double`.  An accepted
@@ -22,6 +22,11 @@ it was made, and an outcome.
   `check_f_equation`, `check_homomorphism`, `check_bialgebra_homomorphism`,
   `double.identify`, `check_manin_triple` and `check_invariance`, as they
   apply to it.
+* `dual.jsonl`: the outcomes of `bialgebra.dual_bracket` and of
+  `double.dual_bialgebra` on every input of `build_double.jsonl`.  An
+  accepted input records the SHA-256 of `serialize.superalgebra_to_json`
+  or `serialize.bialgebra_to_json` of the dual (compact JSON, sorted
+  keys); a rejected one records the exception class and its message.
 
 `tests/test_corpus.py` rebuilds the same lines and compares them with the
 files.
@@ -86,6 +91,7 @@ CORPUS = HERE / "build_double.jsonl"
 VERIFY_CORPUS = HERE / "verify.jsonl"
 RESTRICT_CORPUS = HERE / "restrict.jsonl"
 MAPS_CORPUS = HERE / "maps.jsonl"
+DUAL_CORPUS = HERE / "dual.jsonl"
 SEED_INPUT = HERE.parent / "golden" / "inputs" / "sl21-seed1.json"
 PERTURBED = 400
 RESTRICTED = 100
@@ -385,14 +391,30 @@ def _hashed(doc: dict) -> dict:
     return {"sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
+def _hashed_or_raised(build, to_json) -> dict:
+    """The hash of to_json(build()), or the exception build() raises."""
+    try:
+        return _hashed(to_json(build()))
+    except Exception as e:  # every rejection is recorded, whatever its class
+        return {"raises": type(e).__name__, "message": str(e)}
+
+
 def restrict_outcome(b, sub) -> dict:
     """What `restrict` makes of the span: the hash of the restricted
     bialgebra, or the exception it raises."""
     from superbialg import restrict, serialize
-    try:
-        return _hashed(serialize.bialgebra_to_json(restrict(b, sub)))
-    except Exception as e:  # every rejection is recorded, whatever its class
-        return {"raises": type(e).__name__, "message": str(e)}
+    return _hashed_or_raised(lambda: restrict(b, sub),
+                             serialize.bialgebra_to_json)
+
+
+def dual_outcomes(b) -> dict:
+    """What `dual_bracket` and `dual_bialgebra` make of b: each a hash of
+    the dual, or the exception it raises."""
+    from superbialg import dual_bialgebra, dual_bracket, serialize
+    return {"dual_bracket": _hashed_or_raised(
+                lambda: dual_bracket(b), serialize.superalgebra_to_json),
+            "dual_bialgebra": _hashed_or_raised(
+                lambda: dual_bialgebra(b), serialize.bialgebra_to_json)}
 
 
 def outcome(b) -> dict:
@@ -425,11 +447,13 @@ def _line(name: str, what: str, result: dict) -> str:
 
 
 def lines() -> dict[Path, list[str]]:
-    """The lines of the four corpus files; the first two come from one
-    pass over the inputs."""
-    out: dict[Path, list[str]] = {CORPUS: [], VERIFY_CORPUS: []}
+    """The lines of the five corpus files; `build_double.jsonl`,
+    `verify.jsonl` and `dual.jsonl` come from one pass over the inputs."""
+    out: dict[Path, list[str]] = {CORPUS: [], VERIFY_CORPUS: [],
+                                  DUAL_CORPUS: []}
     for name, what, b in inputs():
-        for path, result in ((CORPUS, outcome(b)), (VERIFY_CORPUS, reports(b))):
+        for path, result in ((CORPUS, outcome(b)), (VERIFY_CORPUS, reports(b)),
+                             (DUAL_CORPUS, dual_outcomes(b))):
             out[path].append(_line(name, what, result))
     out[RESTRICT_CORPUS] = [_line(name, what, restrict_outcome(b, sub))
                             for name, what, b, sub in restrict_inputs()]

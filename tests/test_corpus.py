@@ -1,8 +1,9 @@
 """The checks on the seeded corpus of perturbed bialgebras, spans, maps and
-forms (see tests/corpus/regen.py): every outcome of `build_double` and of
-`restrict`, hash or rejection message, every check line of `verify`,
-`check_compatibility` and the dual table's `validate`, and every check line
-of the map and form checks must match the committed line."""
+forms (see tests/corpus/regen.py): every outcome of `build_double`, of
+`restrict`, of `dual_bracket` and of `dual_bialgebra`, hash or rejection
+message, every check line of `verify`, `check_compatibility` and the dual
+table's `validate`, and every check line of the map and form checks must
+match the committed line."""
 
 import json
 from functools import cache
@@ -10,7 +11,7 @@ from functools import cache
 import pytest
 
 from corpus.regen import (
-    CORPUS, MAPS_CORPUS, RESTRICT_CORPUS, VERIFY_CORPUS, lines,
+    CORPUS, DUAL_CORPUS, MAPS_CORPUS, RESTRICT_CORPUS, VERIFY_CORPUS, lines,
 )
 
 cached_lines = cache(lines)
@@ -38,3 +39,7 @@ def test_restrict_outcomes_match_the_corpus():
 
 def test_map_and_form_checks_match_the_corpus():
     assert _changed(MAPS_CORPUS) == []
+
+
+def test_dual_outcomes_match_the_corpus():
+    assert _changed(DUAL_CORPUS) == []
