@@ -1,17 +1,17 @@
 """Lie superalgebras presented by exact structure constants.
 
-A `Superalgebra` stores the full table [e_i, e_j] = sum_k C(i,j,k) e_k once,
-as sparse rows `rows[i][j] = {k: C(i,j,k)}`; each row is also the coefficient
-dict of the Element `bracket_basis(i, j)` returns.  Brackets, the adjoint
-action on g (x) g, super Jacobi and form invariance all sum products of
-these rows into one dict and build at most one result object.  Super
-antisymmetry, Jacobi, the action on g (x) g (`_act_into`, also called by
-`cohomology` and `bialgebra`), form invariance, the pairing, `is_subalgebra`
-and `check_homomorphism` sum ints over `int_table` (D times the table) and
-the integer forms of a Gram matrix and of a map (`BilinearForm.int_gram`,
-`LinearMap.int_images`): a sum is the true one times a known positive
-integer, so "is zero" and "equal" (cross-multiplied) are exact, and
-Fractions (`graded._over`) come back only in results and counterexamples.
+A `Superalgebra` stores one table, [e_i, e_j] = sum_k C(i,j,k) e_k as ints:
+`int_table` = (D, num), num[i][j] = {k: C(i,j,k) D}, D the lcm of the
+denominators.  Every constructor builds it in ints, and `constants`,
+`rows` and the Elements of `bracket_basis` are Fraction views derived from
+it on first use.  Super antisymmetry, Jacobi, the action on g (x) g
+(`_act_into`, also called by `cohomology` and `bialgebra`), form
+invariance, the pairing, `is_subalgebra` and `check_homomorphism` sum ints
+over it and over the integer forms of a Gram matrix and of a map
+(`BilinearForm.int_gram`, `LinearMap.int_images`): a sum is the true one
+times a known positive integer, so "is zero" and "equal" (cross-multiplied)
+are exact, and Fractions (`graded._over`) come back only in results and
+counterexamples.
 
 Each check here is a `VerificationReport.scan` over basis tuples.  Super
 antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted
@@ -24,13 +24,13 @@ pairwise checks the same shortcut over a <= b.  When antisymmetry fails,
 every tuple is scanned in product order instead.  `check_invariance`
 compares the two sides of <[a,b],c> = <a,[b,c]> one dict over c per pair.
 
-Matrix realizations act as independent oracles: `from_matrices` re-derives
-the constants from sparse graded commutators.  It, `is_subalgebra` and
-`bialgebra.restrict` each factor their span once with `graded.factor_span`
-and read every bracket off that one factorization; each coordinate vector
-is checked exactly against its reconstruction, entry for entry.  The supertrace
-form str(rho(x) rho(y)) gives the invariant bilinear form used for Casimir
-elements and Manin triples.
+A `MatrixRealization` keeps its images as ints over one denominator E.
+`from_matrices` re-derives the constants from their integer commutators,
+and `gram_matrix` the supertrace form str(rho(x) rho(y)), used for Casimir
+elements and Manin triples, from integer products.  `from_matrices`,
+`is_subalgebra` and `bialgebra.restrict` each factor their span once with
+`graded.factor_span` and read every bracket off it in ints; each
+coordinate vector is checked exactly against its reconstruction.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd
 from typing import Mapping, Sequence
 
 from .graded import (
-    EVEN, ODD, Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
-    _add_into, _combine, _denominator, _numerators, _over, _proportional,
-    _same_basis, as_scalar, factor_span, koszul, rank, rref,
-    span_coordinates,
+    EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
+    _add_into, _combine, _denominator, _int_coordinates, _numerators, _over,
+    _proportional, _same_basis, as_scalar, factor_span, koszul, rank, rref,
 )
 from .report import VerificationReport
 
@@ -62,25 +62,46 @@ def _nonzero(acc: dict) -> dict:
 
 
 class Superalgebra:
-    """A finite-dimensional Lie superalgebra over the rationals."""
+    """A finite-dimensional Lie superalgebra over the rationals, stored as
+    `int_table` (see the module docstring)."""
 
     def __init__(self, basis: GradedBasis,
                  constants: Mapping[tuple[int, int, int], Fraction]):
-        self.basis = basis
         n = len(basis)
-        self.constants: dict[tuple[int, int, int], Fraction] = {}
-        self.rows: list[list[dict[int, Fraction]]] = [
-            [{} for _ in range(n)] for _ in range(n)]
+        entries = {}
         for (i, j, k), c in constants.items():
             # an index is an int proper: 1.0 and True hash like 1
             if not all(type(x) is int and 0 <= x < n for x in (i, j, k)):
                 raise IndexError(f"index {(i, j, k)} out of range for basis")
-            c = as_scalar(c)
+            c = c if type(c) is int else as_scalar(c)
             if c != 0:
-                self.constants[(i, j, k)] = c
-                self.rows[i][j][k] = c
-        self._table = [[Element.wrap(basis, row) for row in rs]
-                       for rs in self.rows]
+                entries[(i, j, k)] = c
+        den = _denominator([entries])
+        num = [[{} for _ in range(n)] for _ in range(n)]
+        for (i, j, k), c in entries.items():
+            num[i][j][k] = c.numerator * (den // c.denominator)
+        self.basis, self.int_table = basis, (den, num)
+
+    @classmethod
+    def _of(cls, basis: GradedBasis, den: int, num: list[list[dict[int, int]]],
+            half: bool = False) -> "Superalgebra":
+        """The algebra of the table num over den (nonzero ints, in range),
+        with den reduced to the lcm of the denominators; nothing is checked.
+        A `half` table lists i <= j only: each row [e_j, e_i], i < j, is set
+        in place to the super-antisymmetric mirror of [e_i, e_j]."""
+        par = basis.parities
+        for i, rs in enumerate(num if half else ()):
+            for j in range(i + 1, len(rs)):
+                keep = par[i] and par[j]
+                num[j][i] = {k: x if keep else -x for k, x in rs[j].items()}
+        g = gcd(den, *(x for rs in num for row in rs for x in row.values()))
+        if g > 1:
+            den //= g
+            num = [[{k: x // g for k, x in row.items()} for row in rs]
+                   for rs in num]
+        alg = cls.__new__(cls)
+        alg.basis, alg.int_table = basis, (den, num)
+        return alg
 
     @classmethod
     def from_half_table(cls, basis: GradedBasis,
@@ -90,33 +111,36 @@ class Superalgebra:
 
         Diagonal entries (i, i) are only accepted for odd e_i.
         """
-        constants: dict[tuple[int, int, int], Fraction] = {}
+        par = basis.parities
+        entries = {}
         for (i, j, k), c in half.items():
             if i > j:
                 raise ValueError(f"half table may only list i <= j, got {(i, j)}")
-            c = as_scalar(c)
+            c = c if type(c) is int else as_scalar(c)
             if c == 0:
                 continue
-            pi, pj = basis.parity(i), basis.parity(j)
-            if i == j:
-                if pi == EVEN:
-                    raise ValueError(
-                        f"[e_{i}, e_{i}] must vanish for even e_{i}")
-                constants[(i, i, k)] = constants.get((i, i, k), Q(0)) + c
-            else:
-                constants[(i, j, k)] = constants.get((i, j, k), Q(0)) + c
-                constants[(j, i, k)] = (constants.get((j, i, k), Q(0))
-                                        - koszul(pi, pj) * c)
-        return cls(basis, constants)
+            # the lookups raise on an index out of range
+            if par[i] + par[j] == EVEN and i == j:
+                raise ValueError(
+                    f"[e_{i}, e_{i}] must vanish for even e_{i}")
+            entries[(i, j, k)] = c
+        return cls._of(basis, *cls(basis, entries).int_table, half=True)
 
     @cached_property
-    def int_table(self) -> tuple[int, list[list[dict[int, int]]]]:
-        """(D, num[i][j] = {k: C(i,j,k) D}): the table as ints over one D."""
-        den = _denominator(row for rs in self.rows for row in rs)
-        return den, [[_numerators(row, den) for row in rs] for rs in self.rows]
+    def constants(self) -> dict[tuple[int, int, int], Fraction]:
+        """{(i, j, k): C(i,j,k)}, the nonzero constants as Fractions."""
+        den, num = self.int_table
+        return {(i, j, k): Fraction(x, den) for i, rs in enumerate(num)
+                for j, row in enumerate(rs) for k, x in row.items()}
+
+    @cached_property
+    def rows(self) -> list[list[dict[int, Fraction]]]:
+        """rows[i][j] = {k: C(i,j,k)}, the table as sparse Fraction rows."""
+        den, num = self.int_table
+        return [[_over(row, den) for row in rs] for rs in num]
 
     def bracket_basis(self, i: int, j: int) -> Element:
-        return self._table[i][j]
+        return Element.wrap(self.basis, self.rows[i][j])
 
     def _int_bracket(self, x: Mapping[int, int],
                      y: Mapping[int, int]) -> dict[int, int]:
@@ -154,14 +178,16 @@ class Superalgebra:
         rep = VerificationReport("superalgebra axioms")
         par = self.basis.parities
         lab = self.basis.labels
-        rows = self.rows
+        den, num = self.int_table
         n = self.dim()
 
-        def misgraded(key, c):
-            i, j, k = key
+        def misgraded(i, j, k, x):
             return (None if par[k] == (par[i] + par[j]) % 2 else
-                    f"C({lab[i]},{lab[j]} -> {lab[k]}) = {c} breaks the grading")
-        rep.scan("grading consistency", sorted(self.constants.items()),
+                    f"C({lab[i]},{lab[j]} -> {lab[k]}) = {Fraction(x, den)} "
+                    f"breaks the grading")
+        rep.scan("grading consistency",
+                 ((i, j, k, row[k]) for i, rs in enumerate(num)
+                  for j, row in enumerate(rs) for k in sorted(row)),
                  misgraded)
 
         antisymmetric = rep.scan("super antisymmetry", self._sorted_pairs(),
@@ -169,8 +195,8 @@ class Superalgebra:
 
         # even self-brackets must vanish (odd ones may not)
         rep.scan("even self-brackets vanish", product(range(n)),
-                 lambda i: (f"[{lab[i]},{lab[i]}] = {self._table[i][i]} != 0"
-                            if par[i] == EVEN and rows[i][i] else None))
+                 lambda i: (f"[{lab[i]},{lab[i]}] = {self.bracket_basis(i, i)}"
+                            f" != 0" if par[i] == EVEN and num[i][i] else None))
 
         # With antisymmetry, J on a permuted triple is +-J on the sorted
         # one, so J vanishes everywhere iff it does on a <= b <= c, and the
@@ -182,7 +208,7 @@ class Superalgebra:
         else:
             triples = product(range(n), repeat=3)
 
-        scale = self.int_table[0] ** 2
+        scale = den ** 2
 
         def jacobi_fails(a, b, c):
             acc = self._jacobi_sum(a, b, c)
@@ -207,12 +233,13 @@ class Superalgebra:
 
         def mirror(row):
             return row if keep else {k: -c for k, c in row.items()}
-        num = self.int_table[1]
+        den, num = self.int_table
         if num[j][i] == mirror(num[i][j]):
             return None
         lab = self.basis.labels
-        return (f"[{lab[j]},{lab[i]}] = {self._table[j][i]} but sign rule "
-                f"wants {Element.wrap(self.basis, mirror(self.rows[i][j]))}")
+        want = Element.wrap(self.basis, _over(mirror(num[i][j]), den))
+        return (f"[{lab[j]},{lab[i]}] = {self.bracket_basis(j, i)} but sign "
+                f"rule wants {want}")
 
     def pairs_to_scan(self):
         """Basis pairs that decide a pairwise condition R(a, b) = 0 whose
@@ -252,8 +279,8 @@ class Superalgebra:
         columns = range(self.dim())
         current = self.basis.vectors()
         while True:
-            brackets = [self.bracket(a, b) for a in current for b in current]
-            brackets = [v.entries for v in brackets if not v.is_zero()]
+            brackets = [v.entries for a in current for b in current
+                         if not (v := self.bracket(a, b)).is_zero()]
             if not brackets:
                 return True
             red, _ = rref(brackets, columns)
@@ -267,7 +294,7 @@ class Superalgebra:
 # ---------------------------------------------------------------------------
 
 Matrix = list[list[Fraction]]
-SparseMatrix = dict[int, dict[int, Fraction]]   # row -> {column: entry}
+SparseMatrix = dict[int, dict[int, int]]   # row -> {column: entry}
 
 
 def _product_into(acc: dict, a: SparseMatrix, b: SparseMatrix,
@@ -278,13 +305,12 @@ def _product_into(acc: dict, a: SparseMatrix, b: SparseMatrix,
             brow = b.get(t)
             if brow:
                 for s, y in brow.items():
-                    acc[(r, s)] = acc.get((r, s), 0) + (x * y if sign == 1
-                                                        else -x * y)
+                    acc[(r, s)] = acc.get((r, s), 0) + sign * x * y
 
 
-def _supertrace_product(m: int, a: SparseMatrix, b: SparseMatrix) -> Fraction:
+def _supertrace_product(m: int, a: SparseMatrix, b: SparseMatrix) -> int:
     """str(AB): the even diagonal block counts +, the odd block -."""
-    acc = Q(0)
+    acc = 0
     for r, arow in a.items():
         for t, x in arow.items():
             y = b.get(t, {}).get(r)
@@ -297,26 +323,28 @@ class MatrixRealization:
     """Images of the basis vectors as (m+n) x (m+n) block-graded matrices.
 
     Even vectors must be block diagonal, odd vectors block off-diagonal,
-    relative to the (m|n) splitting.  `sparse[i]` holds the nonzero
-    entries of the i-th image by row.
+    relative to the (m|n) splitting.  `sparse[i]` holds the nonzero entries
+    of the i-th image by row, as ints over one denominator E (`den`); the
+    dense Fraction `images` are derived on demand.
     """
 
     def __init__(self, basis: GradedBasis, m: int, n: int,
                  images: Sequence[Matrix]):
         if len(images) != len(basis):
             raise ValueError("need one matrix per basis vector")
-        self.basis = basis
-        self.m = m
-        self.n = n
-        self.images = [[[as_scalar(x) for x in row] for row in mat]
-                       for mat in images]
+        self.basis, self.m, self.n = basis, m, n
+        # every entry is read (a float raises) before any size is checked
+        rows = [[(len(row), {c: x for c, v in enumerate(row)
+                             if (x := v if type(v) is int else as_scalar(v))})
+                 for row in mat] for mat in images]
+        self.den = _denominator(nz for mat in rows for _, nz in mat)
         d = m + n
         self.sparse: list[SparseMatrix] = []
-        for idx, mat in enumerate(self.images):
-            if len(mat) != d or any(len(r) != d for r in mat):
+        for idx, mat in enumerate(rows):
+            if len(mat) != d or any(width != d for width, _ in mat):
                 raise ValueError("matrix size must be (m+n) x (m+n)")
-            sp = {r: nz for r, row in enumerate(mat)
-                  if (nz := {c: x for c, x in enumerate(row) if x})}
+            sp = {r: _numerators(nz, self.den)
+                  for r, (_, nz) in enumerate(mat) if nz}
             self.sparse.append(sp)
             p = basis.parity(idx)
             for r, row in sp.items():
@@ -326,41 +354,51 @@ class MatrixRealization:
                             f"matrix for {basis.labels[idx]} violates the "
                             f"(m|n) block grading at entry {(r, c)}")
 
+    @property
+    def images(self) -> list[Matrix]:
+        """The images as dense Fraction matrices."""
+        d = range(self.m + self.n)
+        return [[[Fraction(sp.get(r, {}).get(c, 0), self.den) for c in d]
+                 for r in d] for sp in self.sparse]
+
 
 def from_matrices(real: MatrixRealization) -> Superalgebra:
     """Derive abstract structure constants from a faithful realization.
 
-    The flattened images are factored once (`graded.factor_span`); the
-    coordinates of [e_i, e_j], i < j or i = j odd, are read off it.  Raises
-    DependentVectors if the images are linearly dependent, NotClosed on
-    the first commutator in product order that leaves their span (always
-    such a pair: [e_j, e_i] leaves it exactly when [e_i, e_j] does).
+    The integer images (E times the images) are factored once
+    (`graded.factor_span`); the commutator of those of e_i, e_j, i < j or
+    i = j odd, is E^2 [e_i, e_j], so its integer coordinates read off the
+    factorization are q E times the constants, and the half table is
+    mirrored as ints over q E.  Raises DependentVectors if the images are
+    linearly dependent, NotClosed on the first commutator in product order
+    that leaves their span (always such a pair: [e_j, e_i] leaves it
+    exactly when [e_i, e_j] does).
     """
     d = real.m + real.n
+    n = len(real.basis)
     flat = [{(r, c): x for r, row in sp.items() for c, x in row.items()}
             for sp in real.sparse]
+    num = [[{} for _ in range(n)] for _ in range(n)]
     if not any(flat):
         # an all-zero realization still pins down the abelian algebra
-        return Superalgebra(real.basis, {})
+        return Superalgebra._of(real.basis, 1, num)
     span = factor_span(flat, list(product(range(d), repeat=2)))
     if span is None:
         raise DependentVectors("matrix images are linearly dependent")
-    par = real.basis.parity
+    par = real.basis.parities
     sp = real.sparse
-    half: dict[tuple[int, int, int], Fraction] = {}
-    for i in range(len(sp)):
-        for j in range(i if par(i) == ODD else i + 1, len(sp)):
-            acc: dict[tuple[int, int], Fraction] = {}
+    for i in range(n):
+        for j in range(i if par[i] == ODD else i + 1, n):
+            acc: dict[tuple[int, int], int] = {}
             _product_into(acc, sp[i], sp[j], 1)
-            _product_into(acc, sp[j], sp[i], -koszul(par(i), par(j)))
-            coeffs = span_coordinates(span, _nonzero(acc))
-            if coeffs is None:
+            _product_into(acc, sp[j], sp[i], -koszul(par[i], par[j]))
+            coords = _int_coordinates(span, _nonzero(acc))
+            if coords is None:
                 raise NotClosed(
                     f"[{real.basis.labels[i]}, {real.basis.labels[j]}] is "
                     f"not in the span of the images")
-            for k, c in coeffs.items():
-                half[(i, j, k)] = c
-    return Superalgebra.from_half_table(real.basis, half)
+            num[i][j] = coords
+    return Superalgebra._of(real.basis, span[2] * real.den, num, half=True)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +446,12 @@ class BilinearForm:
 
 
 def gram_matrix(real: MatrixRealization) -> BilinearForm:
-    """Gram matrix of the supertrace form in the realization's basis."""
-    sp = real.sparse
-    gram = [[_supertrace_product(real.m, a, b) for b in sp] for a in sp]
-    return BilinearForm(real.basis, gram)
+    """Gram matrix of the supertrace form in the realization's basis; each
+    product of integer images sums ints, E^2 times its value."""
+    sp, scale = real.sparse, real.den ** 2
+    return BilinearForm(real.basis, [
+        [Fraction(_supertrace_product(real.m, a, b), scale) for b in sp]
+        for a in sp])
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +511,7 @@ def is_subalgebra(g: Superalgebra, vectors: Sequence[Element]) -> bool:
     def closed(a, b):
         _same_basis(vectors[a].basis, g.basis)
         _same_basis(vectors[b].basis, g.basis)
-        return span_coordinates(span, g._int_bracket(ints[a], ints[b]))
+        return _int_coordinates(span, g._int_bracket(ints[a], ints[b]))
     return all(closed(a, b) is not None
                for a, b in product(range(len(vectors)), repeat=2))
 

@@ -38,8 +38,8 @@ from typing import Sequence
 from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
     LinearMap, Tensor2, Tensor3, _add_into, _combine, _denominator,
-    _numerators, _over, _proportional, _same_basis, factor_span,
-    invert_matrix, is_super_skew, rref, span_coordinates,
+    _int_coordinates, _numerators, _over, _proportional, _same_basis,
+    factor_span, invert_matrix, is_super_skew, rref, span_coordinates,
     square_span, super_swap, tensor,
 )
 from .algebra import (
@@ -343,16 +343,18 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
         labels = [f"v{i}" for i in range(len(sub))]
     sub_basis = GradedBasis(labels, [v.parity() for v in sub])
 
-    constants: dict[tuple[int, int, int], Fraction] = {}
-    for i, vi in enumerate(sub):
-        for j, vj in enumerate(sub):
-            coeffs = span_coordinates(span, g.bracket(vi, vj).entries)
-            if coeffs is None:
-                raise NotClosedUnderCobracket(
-                    f"bracket [{vi}, {vj}] leaves the span")
-            for k, c in coeffs.items():
-                constants[(i, j, k)] = c
-    sub_alg = Superalgebra(sub_basis, constants)
+    # with the vectors as ints (s times their values), D s^2 [v_i, v_j] has
+    # coordinates q D s^2 times the constants
+    _, ints, q, s = span
+    num = [[{} for _ in sub] for _ in sub]
+    for (i, vi), (j, vj) in product(enumerate(sub), repeat=2):
+        _same_basis(vi.basis, g.basis)
+        _same_basis(vj.basis, g.basis)
+        num[i][j] = _int_coordinates(span, g._int_bracket(ints[i], ints[j]))
+        if num[i][j] is None:
+            raise NotClosedUnderCobracket(
+                f"bracket [{vi}, {vj}] leaves the span")
+    sub_alg = Superalgebra._of(sub_basis, q * g.int_table[0] * s * s, num)
 
     pairs = square_span(span)
     delta_sub = Cochain(sub_alg, 1, b.delta.parity)

@@ -7,7 +7,6 @@ compared against the stored table; any mismatch raises FixtureMismatch.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .graded import (
@@ -37,16 +36,6 @@ SL21_LABELS = ("E11+E33", "E22+E33", "E12", "E21", "E13", "E31", "E23", "E32")
 SL21_PARITIES = (EVEN, EVEN, EVEN, EVEN, ODD, ODD, ODD, ODD)
 
 
-def _elementary(i: int, j: int) -> list[list[Fraction]]:
-    m = [[Q(0)] * 3 for _ in range(3)]
-    m[i - 1][j - 1] = Q(1)
-    return m
-
-
-def _madd(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _validated(g: Superalgebra, name: str) -> Superalgebra:
     rep = g.validate()
     if not rep.passed:
@@ -61,17 +50,11 @@ def sl21_basis() -> GradedBasis:
 
 @cache
 def sl21_realization() -> MatrixRealization:
-    images = [
-        _madd(_elementary(1, 1), _elementary(3, 3)),
-        _madd(_elementary(2, 2), _elementary(3, 3)),
-        _elementary(1, 2),
-        _elementary(2, 1),
-        _elementary(1, 3),
-        _elementary(3, 1),
-        _elementary(2, 3),
-        _elementary(3, 2),
-    ]
-    return MatrixRealization(sl21_basis(), 2, 1, images)
+    def unit(*cells):  # the 3x3 integer matrix with 1 at each (i, j), 1-based
+        return [[int((i, j) in cells) for j in (1, 2, 3)] for i in (1, 2, 3)]
+    return MatrixRealization(sl21_basis(), 2, 1, [
+        unit((1, 1), (3, 3)), unit((2, 2), (3, 3)), unit((1, 2)),
+        unit((2, 1)), unit((1, 3)), unit((3, 1)), unit((2, 3)), unit((3, 2))])
 
 
 @cache
@@ -371,9 +354,10 @@ def delta_s2_table() -> Cochain:
     return -delta_s1_table()
 
 
-def _restricted(bi: Bialgebra, emb: LinearMap,
-                target: Superalgebra) -> Bialgebra:
-    """Restrict bi to emb's image, re-expressed on the abstract algebra."""
+def _restricted(bi: Bialgebra, emb: LinearMap, target: Superalgebra,
+                table: Cochain, name: str) -> Bialgebra:
+    """Restrict bi to emb's image, re-expressed on the abstract algebra, and
+    compare its cobracket with the table."""
     sub = restrict(bi, emb.images, labels=list(emb.source.labels))
     if (sub.basis != target.basis
             or sub.algebra.constants != target.constants):
@@ -381,39 +365,33 @@ def _restricted(bi: Bialgebra, emb: LinearMap,
             "restricted basis or bracket differs from the abstract relations")
     # `restrict` verified this bialgebra; only its algebra object changes
     delta = Cochain(target, 1, sub.delta.parity, sub.delta.values)
+    if delta != table:
+        raise FixtureMismatch(f"{name} differs from its table")
     return Bialgebra(target, delta, check=False)
 
 
 @cache
 def s_bialgebra_1() -> Bialgebra:
-    b = _restricted(bialgebra_f(), s1_embedding(), s_algebra())
-    if b.delta != delta_1_table():
-        raise FixtureMismatch("delta_1 differs from its table")
-    return b
+    return _restricted(bialgebra_f(), s1_embedding(), s_algebra(),
+                       delta_1_table(), "delta_1")
 
 
 @cache
 def s_bialgebra_2() -> Bialgebra:
-    b = _restricted(bialgebra_f(), s2_embedding(), s_algebra())
-    if b.delta != delta_2_table():
-        raise FixtureMismatch("delta_2 differs from its table")
-    return b
+    return _restricted(bialgebra_f(), s2_embedding(), s_algebra(),
+                       delta_2_table(), "delta_2")
 
 
 @cache
 def t_bialgebra_1() -> Bialgebra:
-    b = _restricted(bialgebra_s(), t1_embedding(), t_algebra())
-    if b.delta != delta_s1_table():
-        raise FixtureMismatch("delta_s1 differs from its table")
-    return b
+    return _restricted(bialgebra_s(), t1_embedding(), t_algebra(),
+                       delta_s1_table(), "delta_s1")
 
 
 @cache
 def t_bialgebra_2() -> Bialgebra:
-    b = _restricted(bialgebra_s(), t2_embedding(), t_algebra())
-    if b.delta != delta_s2_table():
-        raise FixtureMismatch("delta_s2 differs from its table")
-    return b
+    return _restricted(bialgebra_s(), t2_embedding(), t_algebra(),
+                       delta_s2_table(), "delta_s2")
 
 
 def deltas() -> dict[str, Cochain]:
@@ -601,19 +579,10 @@ def dual_matches_table(dual: Superalgebra,
     match exactly (the table lists each unordered pair once).
     """
     b = dual.basis
-    listed = set()
-    for (la, lb), terms in table.items():
-        expected = b.zero()
-        for c, lc in terms:
-            expected = expected + b.vector(lc).scale(c)
-        got = dual.bracket(b.vector(la), b.vector(lb))
-        if got != expected:
-            return False
-        listed.add((b.index(la), b.index(lb)))
-    for i in range(len(b)):
-        for j in range(i, len(b)):
-            if (i, j) in listed or (j, i) in listed:
-                continue
-            if not dual.bracket_basis(i, j).is_zero():
-                return False
-    return True
+    listed = {(b.index(la), b.index(lb)): sum(
+        (b.vector(lc).scale(c) for c, lc in terms), b.zero())
+        for (la, lb), terms in table.items()}
+    return (all(dual.bracket_basis(i, j) == v for (i, j), v in listed.items())
+            and all(dual.bracket_basis(i, j).is_zero()
+                    for i in range(len(b)) for j in range(i, len(b))
+                    if (i, j) not in listed and (j, i) not in listed))

@@ -130,14 +130,9 @@ def cmd_double(args) -> int:
 def cmd_dual(args) -> int:
     b = ser.bialgebra_from_json(_load(args.bialgebra))
     dual = dual_bracket(b)
-    lines = []
-    n = len(dual.basis)
-    for i in range(n):
-        for j in range(i, n):
-            v = dual.bracket_basis(i, j)
-            if not v.is_zero():
-                lines.append(f"[{dual.basis.labels[i]}, {dual.basis.labels[j]}]"
-                             f" = {v}")
+    lab, num = dual.basis.labels, dual.int_table[1]
+    lines = [f"[{lab[i]}, {lab[j]}] = {dual.bracket_basis(i, j)}"
+             for i, rs in enumerate(num) for j in range(i, len(rs)) if rs[j]]
     _emit(args, ser.superalgebra_to_json(dual),
           lines or ["abelian: all brackets vanish"])
     return PASS
@@ -174,14 +169,10 @@ def cmd_verify(args) -> int:
         raise CliInputError("only 'verify paper' is available")
     results = run_fixtures(args.section)
     ok = all(r.passed for r in results)
-    lines = []
-    for r in results:
-        line = f"{_mark(r.passed)}  {r.name}  ({r.citation})"
-        if r.detail:
-            line += f"  [{r.detail}]"
-        lines.append(line)
-    npass = sum(1 for r in results if r.passed)
-    lines.append(f"{npass}/{len(results)} fixtures pass")
+    lines = [f"{_mark(r.passed)}  {r.name}  ({r.citation})"
+             + (f"  [{r.detail}]" if r.detail else "") for r in results]
+    lines.append(f"{sum(r.passed for r in results)}/{len(results)} "
+                 f"fixtures pass")
     _emit(args, {"passed": ok,
                  "fixtures": [{"name": r.name, "section": r.section,
                                "citation": r.citation, "passed": r.passed,

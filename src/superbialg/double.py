@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .graded import (
     EVEN, Q, GradedBasis, LinearMap, Tensor2, _same_basis, koszul, super_swap,
@@ -102,41 +103,44 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     if not axioms.passed:
         raise InvalidBialgebra(str(axioms.first_failure()))
     basis = b.basis
-    C = b.algebra.constants
-    Cd = exchange(basis, delta_constants(b))  # the dual bracket C*
     n = len(basis)
     par = basis.parity
     labels = list(basis.labels) + [lab + "*" for lab in basis.labels]
     dbasis = GradedBasis(labels, list(basis.parities) * 2)
 
-    constants = dict(C)
-    for (i, j, k), c in Cd.items():
-        constants[(n + i, n + j, n + k)] = c
+    # the double's table in ints over lcm(D, E): C over D from g's table,
+    # the dual bracket C* = exchange(D) over E from delta's values
+    den, num = b.algebra.int_table
+    e, values = b.delta.int_values()
+    C = {(i, j, k): x for i, rs in enumerate(num) for j, row in enumerate(rs)
+         for k, x in row.items()}
+    Cd = exchange(basis, {(i, j, k): x for (k,), ent in values.items()
+                          for (i, j), x in ent.items()})
+    common = lcm(den, e)
+    table = [[{} for _ in range(2 * n)] for _ in range(2 * n)]
 
     # mixed block: [e_i*, e_j] has c e_k where [e_k*, e_i*] has c e_j*, and
     # c e_k* where [e_j, e_k] has c e_i; then its super-antisymmetric mirror.
     # Each C or C* entry gives one key, and no key of the four blocks repeats.
-    mixed: dict[tuple[int, int, int], Fraction] = {}
-    for (k, i, j), c in Cd.items():
-        mixed[(i, j, k)] = c
-    for (j, k, i), c in C.items():
-        mixed[(i, j, n + k)] = c
+    mixed: dict[tuple[int, int, int], int] = {}
+    for (i, j, k), x in C.items():
+        table[i][j][k] = mixed[(k, i, n + j)] = x * (common // den)
+    for (k, i, j), x in Cd.items():
+        table[n + k][n + i][n + j] = mixed[(i, j, k)] = x * (common // e)
     for (i, j, k), c in mixed.items():
-        constants[(n + i, j, k)] = c
-        constants[(j, n + i, k)] = -koszul(par(i), par(j)) * c
-    underlying = Superalgebra(dbasis, constants)
+        table[n + i][j][k] = c
+        table[j][n + i][k] = -koszul(par(i), par(j)) * c
+    underlying = Superalgebra._of(dbasis, common, table)
 
     # cobracket: delta on the primal block, minus the dual cobracket
     # D* = exchange(C) on the dual block (the dual half sits inside the
     # double co-oppositely)
     delta = Cochain(underlying, 1, EVEN)
-    for k in range(n):
-        t = b.delta.value(k)
-        if t is not None:
-            delta.set_value((k,), Tensor2(dbasis, dbasis, dict(t.entries)))
+    for k, t in sorted(b.delta.values.items()):
+        delta.set_value(k, Tensor2(dbasis, dbasis, dict(t.entries)))
     dual_delta: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for (i, j, k), c in exchange(basis, C).items():
-        dual_delta.setdefault(n + k, {})[(n + i, n + j)] = -c
+    for (i, j, k), x in exchange(basis, C).items():
+        dual_delta.setdefault(n + k, {})[(n + i, n + j)] = Fraction(-x, den)
     for k, ent in sorted(dual_delta.items()):
         delta.set_value((k,), Tensor2(dbasis, dbasis, ent))
 

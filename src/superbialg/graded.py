@@ -27,8 +27,9 @@ to integers, and the reduced rows come out sparse, in Fractions.
 `invert_matrix` takes and returns sparse rows; only `rank` reads a dense
 matrix.  `factor_span` factors a span once: one `rref` for the pivot keys,
 one inverse of the pivot block P, kept as ints like the vectors.
-`span_coordinates` reads coordinates off it and rebuilds them in ints to
-decide membership exactly; `square_span` gives the factorization of
+`_int_coordinates` reads the coordinates of an integer vector off it and
+rebuilds them to decide membership exactly (`span_coordinates` for a
+Fraction vector); `square_span` gives the factorization of
 span (x) span, P^{-1} (x) P^{-1} on the pivot pairs, with no second row
 reduction.  `LinearMap.int_images` is a map's images as ints over one
 denominator, for the map checks.
@@ -319,8 +320,10 @@ def super_swap(t: Tensor) -> Tensor:
 
 
 def is_super_skew(t: Tensor) -> bool:
-    """T(t) = -t for a rank-2 tensor t."""
-    return super_swap(t) == -t
+    """T(t) = -t for a rank-2 tensor t, compared in integer numerators."""
+    par, x = t.basis.parities, _numerators(t.entries, _denominator([t.entries]))
+    return all(x.get((j, i)) == (c if par[i] and par[j] else -c)
+               for (i, j), c in x.items())
 
 
 # ---------------------------------------------------------------------------
@@ -440,17 +443,11 @@ def square_span(span: tuple) -> tuple:
                for p in rows for r in rows} for rows in parts), q * q, s * s)
 
 
-def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
-    """Coordinates of a sparse vector (nonzero entries only) in a factored
-    span, sorted by key, or None when it lies outside: w|pivots . P^{-1},
-    kept only if rebuilding them gives back `entries` entry for entry.  Both
-    steps add ints, over the lcm d of `entries`: q d times the coordinates,
-    q d s times the vector."""
-    if not entries:  # the zero vector lies in every span
-        return {}
+def _int_coordinates(span: tuple, w: Mapping) -> dict | None:
+    """q times the coordinates of a sparse integer vector w (nonzero
+    entries) in a factored span, sorted by key, or None when it lies
+    outside: w|pivots . q P^{-1}, if their rebuild is q s w."""
     inv, vecs, q, s = span
-    d = _denominator([entries])
-    w = _numerators(entries, d)
     acc: dict = {}
     for key, c in w.items():
         if key in inv:
@@ -458,7 +455,16 @@ def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
     coords = {a: acc[a] for a in sorted(acc) if acc[a]}
     if _combine(vecs, coords) != {k: q * s * x for k, x in w.items()}:
         return None
-    return {a: Fraction(c, q * d) for a, c in coords.items()}
+    return coords
+
+
+def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
+    """`_int_coordinates` of a sparse Fraction vector, as Fractions: those
+    of d times it, d the lcm of its denominators, over q d."""
+    d = _denominator([entries])
+    coords = _int_coordinates(span, _numerators(entries, d))
+    return None if coords is None else {a: Fraction(c, span[2] * d)
+                                        for a, c in coords.items()}
 
 
 def invert_matrix(rows: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
@@ -532,11 +538,6 @@ class LinearEndomorphism(LinearMap):
         _same_basis(self.basis, other.basis)
         return LinearEndomorphism(
             self.basis, [a - b for a, b in zip(self.images, other.images)])
-
-    def __add__(self, other: "LinearEndomorphism") -> "LinearEndomorphism":
-        _same_basis(self.basis, other.basis)
-        return LinearEndomorphism(
-            self.basis, [a + b for a, b in zip(self.images, other.images)])
 
     def is_even(self) -> bool:
         return self.is_parity_preserving()

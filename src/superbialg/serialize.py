@@ -150,13 +150,13 @@ def tensor_from_json(d, basis: GradedBasis, rank: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def superalgebra_to_json(g: Superalgebra) -> dict:
-    pairs: dict[tuple[int, int], list] = {}
-    for (i, j, k), c in sorted(g.constants.items()):
-        if i > j:
-            continue  # rebuilt by super antisymmetry
-        pairs.setdefault((i, j), []).append({"k": k, **scalar_to_json(c)})
-    brackets = [{"i": i, "j": j, "terms": terms}
-                for (i, j), terms in sorted(pairs.items())]
+    """The pairs i <= j of the integer table; i > j is rebuilt on reading."""
+    den, num = g.int_table
+    brackets = [{"i": i, "j": j, "terms": [
+                    {"k": k, **scalar_to_json(Fraction(row[k], den))}
+                    for k in sorted(row)]}
+                for i, rs in enumerate(num) for j in range(i, len(rs))
+                if (row := rs[j])]
     return {**basis_to_json(g.basis), "brackets": brackets}
 
 

@@ -51,22 +51,14 @@ class _Suite:
             try:
                 out = thunk()
             except Exception as e:  # a raising fixture is a failing fixture
-                results.append(FixtureResult(name, sec, citation, False,
-                                             f"{type(e).__name__}: {e}"))
-                continue
-            if out is True or out is None:
-                results.append(FixtureResult(name, sec, citation, True))
-            elif out is False:
-                results.append(FixtureResult(name, sec, citation, False))
-            else:  # a report or a detail string
-                passed = getattr(out, "passed", None)
-                if passed is None:
-                    results.append(FixtureResult(name, sec, citation, False,
-                                                 str(out)))
-                else:
-                    detail = "" if passed else str(out.first_failure())
-                    results.append(FixtureResult(name, sec, citation, passed,
-                                                 detail))
+                out = f"{type(e).__name__}: {e}"
+            # True or None passes; a report carries its own verdict; False
+            # and a detail string fail
+            passed = getattr(out, "passed", out is True or out is None)
+            detail = ("" if passed or out is False else
+                      str(out.first_failure()) if hasattr(out, "passed")
+                      else str(out))
+            results.append(FixtureResult(name, sec, citation, passed, detail))
         return results
 
 

@@ -169,9 +169,10 @@ def image_of(real, x):
     """rho(x), the dense (m+n) x (m+n) matrix of `x` under `real`."""
     d = real.m + real.n
     out = [[Q(0)] * d for _ in range(d)]
+    images = real.images
     for i, c in x.entries.items():
-        for r, row in real.sparse[i].items():
-            for s, v in row.items():
+        for r, row in enumerate(images[i]):
+            for s, v in enumerate(row):
                 out[r][s] += c * v
     return out
 
