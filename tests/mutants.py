@@ -83,15 +83,15 @@ MUTANTS = [
            "_over(acc, den * den)",
            "_over(acc, den)"),
     Mutant("span-coordinates-no-denominator", "graded.py",
-           "Fraction(c, q * d)",
-           "Fraction(c, q)"),
+           "Fraction(c, span[2] * d)",
+           "Fraction(c, span[2])"),
     # the dual and the double
     Mutant("exchange-no-koszul", "bialgebra.py",
            "-c if par[i] and par[j] else c",
            "c"),
     Mutant("double-mixed-mirror-sign", "double.py",
-           "constants[(j, n + i, k)] = -koszul(par(i), par(j)) * c",
-           "constants[(j, n + i, k)] = koszul(par(i), par(j)) * c"),
+           "table[j][n + i][k] = -koszul(par(i), par(j)) * c",
+           "table[j][n + i][k] = koszul(par(i), par(j)) * c"),
     Mutant("grading-detail-character", "bialgebra.py",
            "{lab[j]} -> {lab[k]}",
            "{lab[j]} => {lab[k]}"),
@@ -109,6 +109,16 @@ MUTANTS = [
     Mutant("span-equal-no-basis-check", "graded.py",
            "_same_basis(e.basis, both[0].basis)",
            "pass"),
+    # the integer tables of from_half_table, from_matrices and gram_matrix
+    Mutant("half-table-mirror-no-koszul", "algebra.py",
+           "{k: x if keep else -x for k, x in rs[j].items()}",
+           "{k: -x for k, x in rs[j].items()}"),
+    Mutant("from-matrices-denominator-no-e", "algebra.py",
+           "span[2] * real.den, num, half=True",
+           "span[2], num, half=True"),
+    Mutant("gram-matrix-over-e", "algebra.py",
+           "real.sparse, real.den ** 2",
+           "real.sparse, real.den"),
     # the JSON writer
     Mutant("writer-unsorted-keys", "serialize.py",
            "for k in sorted(obj)",

@@ -46,6 +46,12 @@ no code with it; `solve_exact` and the references above reduce through it.
 test of the sparse kernels, and `matmul` is the dense product their
 results are checked with.
 
+A `Superalgebra` stores its table as ints over one denominator
+(`int_table`) and derives `constants`, `rows` and `bracket_basis` from it;
+`from_half_table` mirrors a half table by super antisymmetry in ints.
+`mirror_half_table` is that mirror written in Fractions, straight from
+[e_j, e_i] = -(-1)^{|e_i||e_j|} [e_i, e_j].
+
 The library's map checks add integer numerators over the images of a map
 (`LinearMap.int_images`).  `apply_tensor2` is (phi (x) phi) on a rank-2
 tensor through the public tensor operations in Fractions, the reference
@@ -305,3 +311,19 @@ def is_subalgebra_reference(g, vectors):
         raise DependentVectors("subalgebra test needs independent vectors")
     return all(solve_exact(cols, [w[k] for k in range(n)]) is not None
                for w in (g.bracket(a, b) for a in vectors for b in vectors))
+
+
+def mirror_half_table(basis, half):
+    """The full table {(i, j, k): Fraction} of a half table (i <= j), zero
+    entries dropped: each (i, j, k), i < j, also gives (j, i, k) with
+    -(-1)^{|e_i||e_j|} times its value."""
+    par = basis.parities
+    full = {}
+    for (i, j, k), c in half.items():
+        c = Q(c)
+        if c == 0:
+            continue
+        full[(i, j, k)] = c
+        if i != j:
+            full[(j, i, k)] = c if par[i] == par[j] == 1 else -c
+    return full

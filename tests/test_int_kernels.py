@@ -7,9 +7,11 @@ are compared with independent derivations: the super classical
 Yang-Baxter equation, the product-order reference scans and the Leibniz
 rule read off the Fraction rows (`oracles.adjoint_on_tensor2`).  The guards
 count Fraction arithmetic inside passing checks, inside the fraction-free
-eliminations of `graded` and inside the paper's map and form checks, which
+eliminations of `graded`, inside the paper's map and form checks, which
 add integer numerators over `LinearMap.int_images` and
-`BilinearForm.int_gram`: there must be none.  The integer paths keep the
+`BilinearForm.int_gram`, and inside the builders of a table (integer
+realizations, `from_matrices`, `gram_matrix`, `from_half_table` and
+`build_double`): there must be none.  The integer paths keep the
 input contract of the Fraction code they replaced: a map or form over
 another basis raises BasisMismatch.
 """
@@ -24,14 +26,14 @@ from hypothesis import strategies as st
 from superbialg import catalog as cat
 from superbialg.algebra import (
     BilinearForm, Superalgebra, adjoint_on_tensor2, check_homomorphism,
-    check_invariance, gram_matrix,
+    check_invariance, from_matrices, gram_matrix,
 )
 from superbialg.bialgebra import (
     check_bialgebra_homomorphism, check_cojacobi, check_compatibility,
     check_f_equation, check_manin_triple,
 )
 from superbialg.cohomology import Cochain, coboundary_0, is_cocycle_1
-from superbialg.double import identify
+from superbialg.double import build_double, identify
 from superbialg.graded import (
     Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor2, factor_span,
     invert_matrix, wedge,
@@ -156,6 +158,31 @@ def test_eliminations_do_no_fraction_arithmetic(monkeypatch):
     identity = [[Q(int(i == j)) for j in range(24)] for i in range(24)]
     assert oracles.matmul(gram, oracles.dense(inverse, 24)) == identity
     assert span is not None and len(span[0]) == 24
+
+
+def test_table_builds_do_no_fraction_arithmetic(monkeypatch):
+    # the layers that build a table: sl(3|2) from its integer matrices and
+    # its supertrace Gram matrix, an integer half table, and the double of
+    # the sl(3|1) standard bialgebra (its verify included)
+    g32 = standard(3, 2)[0]
+    half = {(i, j, k): int(c) for (i, j, k), c in g32.constants.items()
+            if i <= j}
+    assert all(c.denominator == 1 for c in g32.constants.values())
+    b = standard(3, 1)[2]
+    calls = count_fraction_arithmetic(monkeypatch)
+    real = realization(3, 2)
+    g = from_matrices(real)
+    form = gram_matrix(real)
+    h = Superalgebra.from_half_table(g32.basis, half)
+    d = build_double(b)
+    kernels = dict(calls)
+    g.bracket(g.basis.vector(3), g.basis.vector(4))  # the counter counts
+    monkeypatch.undo()
+    assert kernels == {}
+    assert calls.get("__mul__", 0) > 0
+    assert g.int_table == h.int_table == g32.int_table
+    assert form.is_nondegenerate()
+    assert d.axioms.passed and d.underlying.dim() == 30
 
 
 PAPER_MAP_CHECKS = {

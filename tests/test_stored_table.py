@@ -1,0 +1,255 @@
+"""The one stored table of a Superalgebra and the integer realizations.
+
+A `Superalgebra` stores `int_table` = (D, num), num[i][j] = {k: C(i,j,k) D}
+with D the lcm of the denominators, and derives `constants`, `rows` and
+`bracket_basis` from it.  Here the views of `from_half_table` are compared
+with `oracles.mirror_half_table`, the super-antisymmetric mirror written in
+Fractions, and every builder's table with the one the public constructor
+makes from the same constants.  A `MatrixRealization` keeps its nonzero
+entries as ints over one denominator; its dense `images` must be the
+Fraction matrices of its input.  The input checks of both keep the
+exceptions and messages they raised when the tables were Fractions.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from superbialg import catalog as cat
+from superbialg.algebra import (
+    MatrixRealization, Superalgebra, from_matrices, gram_matrix,
+)
+from superbialg.double import build_double
+from superbialg.graded import Element, GradedBasis
+
+import oracles
+from slmn import realization, standard
+
+Q = Fraction
+# coprime denominators, and two large primes
+DENOMINATORS = (1, 2, 3, 5, 7, 12, 2 ** 61 - 1, 10 ** 20 + 39)
+
+
+@st.composite
+def half_tables(draw):
+    """(basis, half table): odd diagonals, zero entries (which must vanish
+    from the table), ints and Fractions over coprime and large
+    denominators."""
+    n = draw(st.integers(1, 6))
+    par = draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+    basis = GradedBasis([f"e{i}" for i in range(n)], par)
+    keys = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)
+            if i != j or par[i]]
+    value = st.one_of(
+        st.integers(-4, 4),
+        st.builds(Q, st.integers(-10 ** 25, 10 ** 25),
+                  st.sampled_from(DENOMINATORS)),
+        st.sampled_from((0, Q(0), Q(3, 7) - Q(6, 14))))
+    if not keys:
+        return basis, {}
+    return basis, draw(st.dictionaries(st.sampled_from(keys), value,
+                                       max_size=12))
+
+
+def _check_views(g: Superalgebra, full: dict) -> None:
+    """The views of g against the full Fraction table, and its int_table
+    against D = the lcm of the denominators."""
+    n = g.dim()
+    assert g.constants == full
+    for i in range(n):
+        for j in range(n):
+            row = {k: c for (a, b, k), c in full.items() if (a, b) == (i, j)}
+            assert g.rows[i][j] == row
+            assert g.bracket_basis(i, j) == Element(g.basis, row)
+    den = lcm(*(c.denominator for c in full.values()))
+    num = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j, k), c in full.items():
+        num[i][j][k] = int(c * den)
+    assert g.int_table == (den, num)
+
+
+@given(half_tables())
+@example((GradedBasis(["a", "b"], [1, 1]),
+          {(0, 0, 1): Q(1, 2 ** 61 - 1), (0, 1, 0): Q(-3, 10 ** 20 + 39),
+           (1, 1, 0): 0, (0, 1, 1): Q(2, 6)}))
+@settings(max_examples=150, deadline=None)
+def test_half_table_views_match_the_fraction_mirror(case):
+    basis, half = case
+    full = oracles.mirror_half_table(basis, half)
+    g = Superalgebra.from_half_table(basis, half)
+    _check_views(g, full)
+    assert Superalgebra(basis, full).int_table == g.int_table
+
+
+@pytest.mark.parametrize("name", ["sl21", "s", "t", "sl(3|2)", "double of s",
+                                  "double of sl(3|1)"])
+def test_each_builder_stores_the_table_the_constructor_makes(name):
+    # from_matrices, from_half_table and build_double hand their integer
+    # table over unchecked; it must be the table, D reduced to the lcm of
+    # the denominators, that the public constructor makes of the constants
+    g = {"sl21": cat.sl21, "s": cat.s_algebra, "t": cat.t_algebra,
+         "sl(3|2)": lambda: standard(3, 2)[0],
+         "double of s": lambda: cat.double_of_s().underlying,
+         "double of sl(3|1)": lambda: build_double(standard(3, 1)[2]).underlying,
+         }[name]()
+    _check_views(g, dict(g.constants))
+    assert Superalgebra(g.basis, g.constants).int_table == g.int_table
+
+
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=9)
+                .filter(lambda q: q != 0), min_size=8, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_rescaled_realization_table_is_reduced(scales):
+    base = cat.sl21_realization()
+    real = MatrixRealization(base.basis, base.m, base.n,
+                             [[[s * x for x in row] for row in mat]
+                              for s, mat in zip(scales, base.images)])
+    g = from_matrices(real)
+    assert g.int_table == Superalgebra(g.basis, g.constants).int_table
+
+
+def _realizations():
+    """(name, basis, m, n, input matrices): integer and rational inputs."""
+    sl32 = realization(3, 2)
+    int32 = [[[int(x) for x in row] for row in mat] for mat in sl32.images]
+    sl21 = cat.sl21_realization()
+    scales = [Q(1, 2), Q(-3), Q(2, 7), 1, Q(5, 3), Q(-1, 11), 4, Q(7, 2)]
+    rational = [[[s * x for x in row] for row in mat]
+                for s, mat in zip(scales, sl21.images)]
+    strings = [[[str(x) for x in row] for row in mat] for mat in rational]
+    mixed = [[[int(x) if x.denominator == 1 else x for x in row]
+              for row in mat] for mat in rational]
+    return [("integer sl(3|2)", sl32.basis, 3, 2, int32),
+            ("rational sl(2|1)", sl21.basis, 2, 1, rational),
+            ("strings", sl21.basis, 2, 1, strings),
+            ("ints and Fractions", sl21.basis, 2, 1, mixed)]
+
+
+@pytest.mark.parametrize("case", _realizations(), ids=lambda c: c[0])
+def test_realization_images_are_the_fraction_matrices_of_the_input(case):
+    _, basis, m, n, images = case
+    real = MatrixRealization(basis, m, n, images)
+    want = [[[Q(x) for x in row] for row in mat] for mat in images]
+    assert real.images == want
+    assert all(type(x) is Fraction
+               for mat in real.images for row in mat for x in row)
+    assert real.den == lcm(*(x.denominator for mat in want for row in mat
+                             for x in row))
+
+
+@pytest.mark.parametrize("case", _realizations(), ids=lambda c: c[0])
+def test_gram_matrix_is_the_supertrace_of_the_input_products(case):
+    _, basis, m, n, images = case
+    dense = [[[Q(x) for x in row] for row in mat] for mat in images]
+
+    def supertrace(a, b):
+        p = oracles.matmul(a, b)
+        return sum(p[r][r] if r < m else -p[r][r] for r in range(m + n))
+    want = [[supertrace(a, b) for b in dense] for a in dense]
+    assert gram_matrix(MatrixRealization(basis, m, n, images)).gram == want
+
+
+B = GradedBasis(["h", "e", "x", "y"], [0, 0, 1, 1])
+
+
+def _matrix(cells=(), rows=3, cols=3):
+    out = [[0] * cols for _ in range(rows)]
+    for (r, c), v in cells:
+        out[r][c] = v
+    return out
+
+
+ZERO = _matrix()
+FLOAT = ("TypeError", "floating point is not allowed; use Fraction or int")
+SIZE = ("ValueError", "matrix size must be (m+n) x (m+n)")
+REJECTED = {
+    # the public constructor: floats, index type and range
+    "float": (lambda: Superalgebra(B, {(0, 1, 1): 1.0}), FLOAT),
+    "float zero": (lambda: Superalgebra(B, {(0, 1, 1): 0.0}), FLOAT),
+    "bool index": (lambda: Superalgebra(B, {(True, 1, 1): 1}),
+                   ("IndexError", "index (True, 1, 1) out of range for basis")),
+    "float index": (lambda: Superalgebra(B, {(0, 1.0, 1): 1}),
+                    ("IndexError", "index (0, 1.0, 1) out of range for basis")),
+    "index out of range": (
+        lambda: Superalgebra(B, {(0, 1, 4): 1}),
+        ("IndexError", "index (0, 1, 4) out of range for basis")),
+    "negative index": (
+        lambda: Superalgebra(B, {(-1, 1, 1): 1}),
+        ("IndexError", "index (-1, 1, 1) out of range for basis")),
+    "zero at a bad index": (
+        lambda: Superalgebra(B, {(0, 1, 9): 0}),
+        ("IndexError", "index (0, 1, 9) out of range for basis")),
+    # the half table: i <= j, no even diagonal, and the same index checks
+    "half float": (lambda: Superalgebra.from_half_table(B, {(0, 1, 1): 0.5}),
+                   FLOAT),
+    "half i > j": (lambda: Superalgebra.from_half_table(B, {(1, 0, 1): 1}),
+                   ("ValueError", "half table may only list i <= j, got (1, 0)")),
+    "even diagonal": (
+        lambda: Superalgebra.from_half_table(B, {(1, 1, 0): 1}),
+        ("ValueError", "[e_1, e_1] must vanish for even e_1")),
+    "half bool index": (
+        lambda: Superalgebra.from_half_table(B, {(True, 2, 2): 1}),
+        ("IndexError", "index (True, 2, 2) out of range for basis")),
+    "half k out of range": (
+        lambda: Superalgebra.from_half_table(B, {(0, 1, 7): 1}),
+        ("IndexError", "index (0, 1, 7) out of range for basis")),
+    "half j out of range": (
+        lambda: Superalgebra.from_half_table(B, {(0, 5, 1): 1}),
+        ("IndexError", "tuple index out of range")),
+    "half negative indices": (
+        lambda: Superalgebra.from_half_table(B, {(-2, -1, 0): 1}),
+        ("IndexError", "index (-2, -1, 0) out of range for basis")),
+    "half float index": (
+        lambda: Superalgebra.from_half_table(B, {(1.0, 2, 2): 1}),
+        ("TypeError", "tuple indices must be integers or slices, not float")),
+    # realizations: one matrix per vector, entries, sizes, block grading
+    "matrix count": (lambda: MatrixRealization(B, 2, 1, [ZERO] * 3),
+                     ("ValueError", "need one matrix per basis vector")),
+    "float entry": (lambda: MatrixRealization(
+        B, 2, 1, [_matrix([((0, 1), 1)]), ZERO, ZERO,
+                  _matrix([((0, 2), 0.5)])]), FLOAT),
+    "float zero entry": (lambda: MatrixRealization(
+        B, 2, 1, [ZERO, ZERO, ZERO, _matrix([((0, 2), 0.0)])]), FLOAT),
+    "short row": (lambda: MatrixRealization(
+        B, 2, 1, [ZERO, [[0, 0], [0, 0, 0], [0, 0, 0]], ZERO, ZERO]), SIZE),
+    "short matrix": (lambda: MatrixRealization(
+        B, 2, 1, [ZERO, _matrix(rows=2), ZERO, ZERO]), SIZE),
+    "even off the diagonal blocks": (
+        lambda: MatrixRealization(B, 2, 1, [_matrix([((0, 2), 1)]), ZERO,
+                                            ZERO, ZERO]),
+        ("ValueError", "matrix for h violates the (m|n) block grading at "
+                       "entry (0, 2)")),
+    "odd on a diagonal block": (
+        lambda: MatrixRealization(B, 2, 1, [ZERO, ZERO,
+                                            _matrix([((2, 2), Q(1, 2))]),
+                                            ZERO]),
+        ("ValueError", "matrix for x violates the (m|n) block grading at "
+                       "entry (2, 2)")),
+    "grading before a later size": (
+        lambda: MatrixRealization(B, 2, 1, [_matrix([((0, 2), 1)]),
+                                            _matrix(rows=2), ZERO, ZERO]),
+        ("ValueError", "matrix for h violates the (m|n) block grading at "
+                       "entry (0, 2)")),
+    "a float before any size": (
+        lambda: MatrixRealization(B, 2, 1, [_matrix(rows=2), ZERO, ZERO,
+                                            _matrix([((0, 2), 2.5)])]),
+        FLOAT),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED))
+def test_bad_input_raises_what_it_raised(name):
+    build, (cls, message) = REJECTED[name]
+    with pytest.raises(Exception) as raised:
+        build()
+    assert (type(raised.value).__name__, str(raised.value)) == (cls, message)
+
+
+def test_zero_half_table_entries_are_dropped_unchecked():
+    # a zero entry is dropped before its indices or its diagonal are read
+    g = Superalgebra.from_half_table(B, {(0, 1, 9): 0, (0, 0, 1): Q(0),
+                                         (0, 1, 1): 1})
+    assert g.constants == {(0, 1, 1): 1, (1, 0, 1): -1}
