@@ -94,8 +94,8 @@ class Superalgebra:
             for j in range(i + 1, len(rs)):
                 keep = par[i] and par[j]
                 num[j][i] = {k: x if keep else -x for k, x in rs[j].items()}
-        g = gcd(den, *(x for rs in num for row in rs for x in row.values()))
-        if g > 1:
+        if den > 1 and (g := gcd(den, *(x for rs in num for row in rs
+                                         for x in row.values()))) > 1:
             den //= g
             num = [[{k: x // g for k, x in row.items()} for row in rs]
                    for rs in num]
@@ -448,10 +448,10 @@ class BilinearForm:
 def gram_matrix(real: MatrixRealization) -> BilinearForm:
     """Gram matrix of the supertrace form in the realization's basis; each
     product of integer images sums ints, E^2 times its value."""
-    sp, scale = real.sparse, real.den ** 2
+    sp, scale, zero = real.sparse, real.den ** 2, Fraction(0)
     return BilinearForm(real.basis, [
-        [Fraction(_supertrace_product(real.m, a, b), scale) for b in sp]
-        for a in sp])
+        [Fraction(x, scale) if (x := _supertrace_product(real.m, a, b))
+         else zero for b in sp] for a in sp])
 
 
 # ---------------------------------------------------------------------------
