@@ -124,6 +124,7 @@ class Superalgebra:
                 raise ValueError(
                     f"[e_{i}, e_{i}] must vanish for even e_{i}")
             entries[(i, j, k)] = c
+        # the public constructor checks the indices and scales to ints
         return cls._of(basis, *cls(basis, entries).int_table, half=True)
 
     @cached_property

@@ -136,8 +136,8 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     # D* = exchange(C) on the dual block (the dual half sits inside the
     # double co-oppositely)
     delta = Cochain(underlying, 1, EVEN)
-    for k, t in sorted(b.delta.values.items()):
-        delta.set_value(k, Tensor2(dbasis, dbasis, dict(t.entries)))
+    for args, t in sorted(b.delta.values.items()):
+        delta.set_value(args, Tensor2(dbasis, dbasis, dict(t.entries)))
     dual_delta: dict[int, dict[tuple[int, int], Fraction]] = {}
     for (i, j, k), x in exchange(basis, C).items():
         dual_delta.setdefault(n + k, {})[(n + i, n + j)] = Fraction(-x, den)
