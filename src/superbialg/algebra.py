@@ -15,7 +15,8 @@ counterexamples.
 
 Each check here is a `VerificationReport.scan` over basis tuples.  Super
 antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted
-pair, which both `validate` and `pairs_to_scan` scan.  Once it holds,
+pair, and decided once per algebra: its first failure, or None, is cached
+for both `validate` and `pairs_to_scan`.  Once it holds,
 `validate` scans super Jacobi over sorted triples a <= b <= c only: the
 signed cyclic sum is invariant under rotation and changes by a sign under
 a transposition, so the sorted scan decides the axiom and its first
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, starmap
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -61,6 +62,11 @@ def _nonzero(acc: dict) -> dict:
     return {k: c for k, c in acc.items() if c != 0}
 
 
+def _check_index(n: int, key: tuple) -> None:
+    if not all(type(x) is int and 0 <= x < n for x in key):  # not 1.0, True
+        raise IndexError(f"index {key} out of range for basis")
+
+
 class Superalgebra:
     """A finite-dimensional Lie superalgebra over the rationals, stored as
     `int_table` (see the module docstring)."""
@@ -70,9 +76,7 @@ class Superalgebra:
         n = len(basis)
         entries = {}
         for (i, j, k), c in constants.items():
-            # an index is an int proper: 1.0 and True hash like 1
-            if not all(type(x) is int and 0 <= x < n for x in (i, j, k)):
-                raise IndexError(f"index {(i, j, k)} out of range for basis")
+            _check_index(n, (i, j, k))
             c = c if type(c) is int else as_scalar(c)
             if c != 0:
                 entries[(i, j, k)] = c
@@ -109,22 +113,23 @@ class Superalgebra:
                         ) -> "Superalgebra":
         """Build from entries with i <= j; i > j follows by antisymmetry.
 
-        Diagonal entries (i, i) are only accepted for odd e_i.
+        Diagonal entries (i, i) are only accepted for odd e_i; the indices
+        of every entry, zero or not, are checked as in the public constructor.
         """
         par = basis.parities
         entries = {}
         for (i, j, k), c in half.items():
             if i > j:
                 raise ValueError(f"half table may only list i <= j, got {(i, j)}")
+            _check_index(len(basis), (i, j, k))
             c = c if type(c) is int else as_scalar(c)
             if c == 0:
                 continue
-            # the lookups raise on an index out of range
             if par[i] + par[j] == EVEN and i == j:
                 raise ValueError(
                     f"[e_{i}, e_{i}] must vanish for even e_{i}")
             entries[(i, j, k)] = c
-        # the public constructor checks the indices and scales to ints
+        # the public constructor scales to ints
         return cls._of(basis, *cls(basis, entries).int_table, half=True)
 
     @cached_property
@@ -191,8 +196,8 @@ class Superalgebra:
                   for j, row in enumerate(rs) for k in sorted(row)),
                  misgraded)
 
-        antisymmetric = rep.scan("super antisymmetry", self._sorted_pairs(),
-                                 self._antisymmetry_failure)
+        failure = self._first_antisymmetry_failure
+        antisymmetric = rep.add("super antisymmetry", failure is None, failure)
 
         # even self-brackets must vanish (odd ones may not)
         rep.scan("even self-brackets vanish", product(range(n)),
@@ -242,6 +247,13 @@ class Superalgebra:
         return (f"[{lab[j]},{lab[i]}] = {self.bracket_basis(j, i)} but sign "
                 f"rule wants {want}")
 
+    @cached_property
+    def _first_antisymmetry_failure(self) -> str | None:
+        """The first sorted pair's antisymmetry detail, or None; the table
+        never changes, so `validate` and `pairs_to_scan` share one scan."""
+        return next(filter(None, starmap(self._antisymmetry_failure,
+                                         self._sorted_pairs())), None)
+
     def pairs_to_scan(self):
         """Basis pairs that decide a pairwise condition R(a, b) = 0 whose
         residual obeys R(b, a) = +-R(a, b) under super antisymmetry.
@@ -250,7 +262,7 @@ class Superalgebra:
         failing set is closed under swapping, so its first member in product
         order is sorted.  Otherwise every pair, in product order.
         """
-        if any(self._antisymmetry_failure(i, j) for i, j in self._sorted_pairs()):
+        if self._first_antisymmetry_failure is not None:
             return product(range(self.dim()), repeat=2)
         return self._sorted_pairs()
 

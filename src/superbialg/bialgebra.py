@@ -27,6 +27,11 @@ product order otherwise.  `check_cojacobi` adds the three cyclic terms of
 ints: E^2 times the sum, with E the one denominator of delta's values.
 The f-equation, `check_bialgebra_homomorphism` and `check_manin_triple`
 add ints too, over `LinearMap.int_images` and `BilinearForm.int_gram`.
+
+`Bialgebra.verify` is the one complete check, run where input enters: the
+default `Bialgebra(...)`, `serialize.bialgebra_from_json` and
+`double.build_double`.  `restrict` and `opposite` do not verify again what
+their verified input decides, and `cocommutator` checks nothing.
 """
 
 from __future__ import annotations
@@ -73,7 +78,8 @@ class Bialgebra:
 
     `check=True` runs `verify` on construction and raises InvalidBialgebra
     naming its first failure; pass False when the caller verifies later
-    (`double.build_double` does) or already knows.
+    (`double.build_double` does) or a verified input decides the axioms
+    (`restrict` and `opposite`).
     """
 
     def __init__(self, algebra: Superalgebra, delta: Cochain, check: bool = True):
@@ -208,19 +214,10 @@ def check_unitarity(r: Tensor2, omega: Tensor2) -> VerificationReport:
     return rep
 
 
-def cocommutator(g: Superalgebra, r: Tensor2,
-                 omega: Tensor2 | None = None) -> Cochain:
-    """The cobracket d(r): a -> [a (x) 1 + 1 (x) a, r].
-
-    When omega is supplied and r + T(r) = omega holds, every value is
-    checked to be super-skew (a unitary r must produce a skew cobracket).
-    """
-    delta = coboundary_0(g, r)
-    if omega is not None and check_unitarity(r, omega).passed:
-        for args, v in delta.values.items():
-            if not is_super_skew(v):
-                raise ValueError(f"cobracket value at {args} is not super-skew")
-    return delta
+def cocommutator(g: Superalgebra, r: Tensor2) -> Cochain:
+    """The cobracket d(r): a -> [a (x) 1 + 1 (x) a, r], the paper's name for
+    `coboundary_0`; `Bialgebra.verify` decides whether it is a cobracket."""
+    return coboundary_0(g, r)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +328,9 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
     factorization, and every delta(v) off its tensor square, which factors
     span (x) span.  Raises NotClosedUnderCobracket when some bracket leaves
     the span or some delta(v) leaves span (x) span.
+
+    The result is not verified again: a subspace closed under bracket and
+    cobracket inherits every axiom that b satisfies.
     """
     g = b.algebra
     for v in sub:
@@ -365,7 +365,7 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
                 f"delta({v}) does not lie in span (x) span")
         if entries:
             delta_sub.set_value((s_idx,), Tensor2(sub_basis, sub_basis, entries))
-    return Bialgebra(sub_alg, delta_sub)
+    return Bialgebra(sub_alg, delta_sub, check=False)
 
 
 def opposite(b: Bialgebra) -> Bialgebra:
@@ -373,12 +373,13 @@ def opposite(b: Bialgebra) -> Bialgebra:
 
     Negating the bracket is the graded-safe way to reverse it: transposing
     arguments instead would leave odd-odd brackets untouched and does not
-    yield the structure dual to -delta.
+    yield the structure dual to -delta.  It is not verified again: every
+    axiom is homogeneous in the bracket, so it holds for -[,] as for b.
     """
     neg = Superalgebra(b.basis, {k: -c for k, c in b.algebra.constants.items()})
     delta = Cochain(neg, 1, b.delta.parity,
                     {args: v for args, v in b.delta.values.items()})
-    return Bialgebra(neg, delta)
+    return Bialgebra(neg, delta, check=False)
 
 
 def check_bialgebra_homomorphism(phi: LinearMap, source: Bialgebra,

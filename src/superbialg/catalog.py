@@ -1,8 +1,10 @@
 """Concrete objects for the sl(2,1) study and their reference tables.
 
 Everything displayed in the source tables is either an input (the matrix
-realization, the map f, the standard r-matrix) or is recomputed here and
-compared against the stored table; any mismatch raises FixtureMismatch.
+realization, the map f, the standard r-matrix) or is recomputed here.  The
+constructors only build; the fixtures of `verify paper` make the checks.
+The one check here, which no fixture makes, is that a restricted bracket
+equals the abstract relations of s or t; a mismatch raises FixtureMismatch.
 """
 
 from __future__ import annotations
@@ -36,13 +38,6 @@ SL21_LABELS = ("E11+E33", "E22+E33", "E12", "E21", "E13", "E31", "E23", "E32")
 SL21_PARITIES = (EVEN, EVEN, EVEN, EVEN, ODD, ODD, ODD, ODD)
 
 
-def _validated(g: Superalgebra, name: str) -> Superalgebra:
-    rep = g.validate()
-    if not rep.passed:
-        raise FixtureMismatch(f"{name} fails its axioms: {rep.first_failure()}")
-    return g
-
-
 @cache
 def sl21_basis() -> GradedBasis:
     return GradedBasis(SL21_LABELS, SL21_PARITIES)
@@ -59,7 +54,7 @@ def sl21_realization() -> MatrixRealization:
 
 @cache
 def sl21() -> Superalgebra:
-    return _validated(from_matrices(sl21_realization()), "sl(2,1)")
+    return from_matrices(sl21_realization())
 
 
 def V(label: str) -> Element:
@@ -111,10 +106,7 @@ def _omega_expected() -> Tensor2:
 
 @cache
 def omega() -> Tensor2:
-    om = casimir(sl21_realization(), sl21())
-    if om != _omega_expected():
-        raise FixtureMismatch("invariant tensor differs from its display")
-    return om
+    return casimir(sl21_realization(), sl21())
 
 
 def _r_f_expected() -> Tensor2:
@@ -130,10 +122,7 @@ def _r_f_expected() -> Tensor2:
 
 @cache
 def r_f() -> Tensor2:
-    r = r_of_f(f_map(), omega())
-    if r != _r_f_expected():
-        raise FixtureMismatch("r(f) differs from its display")
-    return r
+    return r_of_f(f_map(), omega())
 
 
 @cache
@@ -197,28 +186,14 @@ def delta_s_table() -> dict[str, Tensor2]:
     }
 
 
-def _check_delta_against(delta: Cochain, table: dict[str, Tensor2], tag: str):
-    b = sl21_basis()
-    for lab, expected in table.items():
-        got = delta.value(b.index(lab))
-        got = got if got is not None else Tensor2.zero(b)
-        if got != expected:
-            raise FixtureMismatch(
-                f"{tag}({lab}) = {got} differs from the table value {expected}")
-
-
 @cache
 def delta_f() -> Cochain:
-    d = cocommutator(sl21(), r_f(), omega())
-    _check_delta_against(d, delta_f_table(), "delta_f")
-    return d
+    return cocommutator(sl21(), r_f())
 
 
 @cache
 def delta_s() -> Cochain:
-    d = cocommutator(sl21(), r_standard(), omega())
-    _check_delta_against(d, delta_s_table(), "delta_s")
-    return d
+    return cocommutator(sl21(), r_standard())
 
 
 @cache
@@ -247,25 +222,23 @@ def s_basis() -> GradedBasis:
 @cache
 def s_algebra() -> Superalgebra:
     # [h,x] = -x, [h,y1] = -y1, [x,y2] = y1, [y1,y2] = x, [y2,y2] = 2h
-    g = Superalgebra.from_half_table(s_basis(), {
+    return Superalgebra.from_half_table(s_basis(), {
         (0, 1, 1): Q(-1),
         (0, 2, 2): Q(-1),
         (1, 3, 2): Q(1),
         (2, 3, 1): Q(1),
         (3, 3, 0): Q(2),
     })
-    return _validated(g, "s")
 
 
 @cache
 def t_algebra() -> Superalgebra:
     # [h,x] = -x, [h,y1] = -y1, [y1,y2] = x
-    g = Superalgebra.from_half_table(s_basis(), {
+    return Superalgebra.from_half_table(s_basis(), {
         (0, 1, 1): Q(-1),
         (0, 2, 2): Q(-1),
         (2, 3, 1): Q(1),
     })
-    return _validated(g, "t")
 
 
 @cache
@@ -354,48 +327,41 @@ def delta_s2_table() -> Cochain:
     return -delta_s1_table()
 
 
-def _restricted(bi: Bialgebra, emb: LinearMap, target: Superalgebra,
-                table: Cochain, name: str) -> Bialgebra:
-    """Restrict bi to emb's image, re-expressed on the abstract algebra, and
-    compare its cobracket with the table."""
+def _restricted(bi: Bialgebra, emb: LinearMap,
+                target: Superalgebra) -> Bialgebra:
+    """Restrict bi to emb's image, labelled as the abstract algebra, whose
+    bracket it must equal."""
     sub = restrict(bi, emb.images, labels=list(emb.source.labels))
     if (sub.basis != target.basis
             or sub.algebra.constants != target.constants):
         raise FixtureMismatch(
             "restricted basis or bracket differs from the abstract relations")
-    # `restrict` verified this bialgebra; only its algebra object changes
-    delta = Cochain(target, 1, sub.delta.parity, sub.delta.values)
-    if delta != table:
-        raise FixtureMismatch(f"{name} differs from its table")
-    return Bialgebra(target, delta, check=False)
+    return sub
 
 
 @cache
 def s_bialgebra_1() -> Bialgebra:
-    return _restricted(bialgebra_f(), s1_embedding(), s_algebra(),
-                       delta_1_table(), "delta_1")
+    return _restricted(bialgebra_f(), s1_embedding(), s_algebra())
 
 
 @cache
 def s_bialgebra_2() -> Bialgebra:
-    return _restricted(bialgebra_f(), s2_embedding(), s_algebra(),
-                       delta_2_table(), "delta_2")
+    return _restricted(bialgebra_f(), s2_embedding(), s_algebra())
 
 
 @cache
 def t_bialgebra_1() -> Bialgebra:
-    return _restricted(bialgebra_s(), t1_embedding(), t_algebra(),
-                       delta_s1_table(), "delta_s1")
+    return _restricted(bialgebra_s(), t1_embedding(), t_algebra())
 
 
 @cache
 def t_bialgebra_2() -> Bialgebra:
-    return _restricted(bialgebra_s(), t2_embedding(), t_algebra(),
-                       delta_s2_table(), "delta_s2")
+    return _restricted(bialgebra_s(), t2_embedding(), t_algebra())
 
 
 def deltas() -> dict[str, Cochain]:
-    """All six named cobrackets, each recomputed and fixture-checked."""
+    """All six named cobrackets, each recomputed; the fixtures compare them
+    with their tables."""
     return {
         "delta_f": delta_f(),
         "delta_s": delta_s(),

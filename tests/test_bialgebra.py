@@ -256,7 +256,26 @@ def test_restrict_checks_homogeneity():
         restrict(cat.bialgebra_f(), [V("E12") + V("E13")])
 
 
+def test_catalog_restrictions_pass_verify():
+    # `restrict` does not verify its result: a subspace closed under the
+    # bracket and the cobracket of a verified bialgebra inherits its axioms
+    for sub in (cat.s_bialgebra_1(), cat.s_bialgebra_2(),
+                cat.t_bialgebra_1(), cat.t_bialgebra_2()):
+        rep = sub.verify()
+        assert rep.passed, rep.first_failure()
+
+
 # -- opposite ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["bialgebra_f", "bialgebra_s",
+                                  "s_bialgebra_1", "s_bialgebra_2",
+                                  "t_bialgebra_1", "t_bialgebra_2"])
+def test_opposite_of_a_catalog_bialgebra_passes_verify(name):
+    # `opposite` does not verify its result: each axiom is homogeneous in
+    # the bracket, so negating it keeps them all
+    rep = opposite(getattr(cat, name)()).verify()
+    assert rep.passed, rep.first_failure()
+
 
 def test_opposite_of_first_is_second():
     rep = check_bialgebra_homomorphism(

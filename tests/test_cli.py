@@ -343,13 +343,15 @@ def test_double_validates_the_double_once(files, capsys, monkeypatch):
 
 
 def test_verify_paper_counts_each_verification(capsys, monkeypatch):
-    # from cold caches: the restricted bialgebras keep the report `restrict`
-    # made instead of verifying again, each double verifies its bialgebra
-    # once (7 + 2 verify), every verify validates its algebra, the two
-    # double fixtures validate their double and the two canonical_r
-    # fixtures check its r, each dual bracket is derived once per run,
-    # every span is factored once and casimir inverts its Gram matrix
-    # without a separate rank test
+    # from cold caches: the catalog only builds, so the two sl(2,1)
+    # bialgebras verify once each and each double verifies its bialgebra
+    # once (2 + 2 verify), while `restrict` and `opposite` verify nothing
+    # again; every verify validates its algebra, the s and t axiom
+    # fixtures and the two double fixtures validate theirs, each of the
+    # four dual brackets is derived and validated once per run (4 + 2 + 2
+    # + 4 validate), the two canonical_r fixtures check its r, every span
+    # is factored once and casimir inverts its Gram matrix without a
+    # separate rank test
     calls = {"verify": 0, "validate": 0, "check_canonical_r": 0, "rref": 0}
     for cls, name in ((Bialgebra, "verify"), (Superalgebra, "validate")):
         def counted(self, real=getattr(cls, name), name=name):
@@ -371,7 +373,7 @@ def test_verify_paper_counts_each_verification(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "paper")
     assert code == 0
     assert out.endswith("70/70 fixtures pass\n")
-    assert calls == {"verify": 9, "validate": 20, "check_canonical_r": 2,
+    assert calls == {"verify": 4, "validate": 12, "check_canonical_r": 2,
                      "rref": 55}
     # the reference solver lives in tests/oracles.py only
     assert not any(hasattr(m, "solve_exact") for m in modules)

@@ -12,6 +12,7 @@ import pytest
 
 from corpus.regen import (
     CORPUS, DUAL_CORPUS, MAPS_CORPUS, RESTRICT_CORPUS, VERIFY_CORPUS, lines,
+    restrict_inputs,
 )
 
 cached_lines = cache(lines)
@@ -35,6 +36,21 @@ def test_verify_reports_match_the_corpus():
 
 def test_restrict_outcomes_match_the_corpus():
     assert _changed(RESTRICT_CORPUS) == []
+
+
+def test_every_restriction_the_corpus_accepts_passes_verify():
+    # `restrict` does not verify its result; a verified input decides it
+    from superbialg import restrict
+    accepted = []
+    for _, _, b, sub in restrict_inputs():
+        try:
+            accepted.append(restrict(b, sub))
+        except ValueError:  # each rejection is pinned by the corpus file
+            continue
+    assert len(accepted) == RESTRICT_CORPUS.read_text().count('"sha256"')
+    for sub in accepted:
+        rep = sub.verify()
+        assert rep.passed, rep.first_failure()
 
 
 def test_map_and_form_checks_match_the_corpus():

@@ -318,7 +318,7 @@ def test_unitary_r_matrices_give_skew_cobrackets():
         t = Tensor2(B, B, entries)
         r = om.scale(Q(1, 2)) + (t - super_swap(t))
         assert check_unitarity(r, om).passed
-        delta = cocommutator(g, r, om)
+        delta = cocommutator(g, r)
         for v in delta.values.values():
             assert super_swap(v) == v.scale(-1)
 

@@ -198,13 +198,16 @@ REJECTED = {
         ("IndexError", "index (0, 1, 7) out of range for basis")),
     "half j out of range": (
         lambda: Superalgebra.from_half_table(B, {(0, 5, 1): 1}),
-        ("IndexError", "tuple index out of range")),
+        ("IndexError", "index (0, 5, 1) out of range for basis")),
     "half negative indices": (
         lambda: Superalgebra.from_half_table(B, {(-2, -1, 0): 1}),
         ("IndexError", "index (-2, -1, 0) out of range for basis")),
     "half float index": (
         lambda: Superalgebra.from_half_table(B, {(1.0, 2, 2): 1}),
-        ("TypeError", "tuple indices must be integers or slices, not float")),
+        ("IndexError", "index (1.0, 2, 2) out of range for basis")),
+    "half zero at a bad index": (
+        lambda: Superalgebra.from_half_table(B, {(0, 9, 1): 0}),
+        ("IndexError", "index (0, 9, 1) out of range for basis")),
     # realizations: one matrix per vector, entries, sizes, block grading
     "matrix count": (lambda: MatrixRealization(B, 2, 1, [ZERO] * 3),
                      ("ValueError", "need one matrix per basis vector")),
@@ -249,7 +252,40 @@ def test_bad_input_raises_what_it_raised(name):
 
 
 def test_zero_half_table_entries_are_dropped_unchecked():
-    # a zero entry is dropped before its indices or its diagonal are read
-    g = Superalgebra.from_half_table(B, {(0, 1, 9): 0, (0, 0, 1): Q(0),
-                                         (0, 1, 1): 1})
+    # a zero entry at indices in range is dropped before its diagonal is
+    # read (a zero at a bad index raises, as "half zero at a bad index")
+    g = Superalgebra.from_half_table(B, {(0, 0, 1): Q(0), (0, 1, 1): 1})
     assert g.constants == {(0, 1, 1): 1, (1, 0, 1): -1}
+
+
+def test_antisymmetry_is_scanned_once_per_algebra(monkeypatch):
+    # validate, is_cocycle_1 and check_compatibility share one scan of the
+    # 300 sorted pairs of sl(3|2), each pair once
+    from superbialg.bialgebra import check_compatibility
+    from superbialg.cohomology import coboundary_0, is_cocycle_1
+    r = standard(3, 2)[1]
+    g = from_matrices(realization(3, 2))  # fresh: nothing scanned yet
+    delta = coboundary_0(g, r)
+    calls = []
+    real = Superalgebra._antisymmetry_failure
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+    monkeypatch.setattr(Superalgebra, "_antisymmetry_failure", counted)
+    for rep in (g.validate(), is_cocycle_1(g, delta),
+                check_compatibility(g, delta)):
+        assert rep.passed
+    n = g.dim()
+    assert calls == [(i, j) for i in range(n) for j in range(i, n)]
+    assert len(calls) == 300
+
+
+def test_a_table_that_is_not_antisymmetric_scans_every_pair():
+    g = Superalgebra(B, {(0, 1, 1): 1})  # [h, e] = e, [e, h] = 0
+    n = g.dim()
+    assert list(g.pairs_to_scan()) == [(i, j) for i in range(n)
+                                       for j in range(n)]
+    first = g.validate().first_failure()
+    assert (first.name, first.detail) == (
+        "super antisymmetry", "[e,h] = 0 but sign rule wants -e")
