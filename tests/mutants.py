@@ -119,6 +119,22 @@ MUTANTS = [
     Mutant("gram-matrix-over-e", "algebra.py",
            "real.sparse, real.den ** 2",
            "real.sparse, real.den"),
+    # one check, in one place
+    Mutant("validate-antisymmetry-passes", "algebra.py",
+           'rep.add("super antisymmetry", failure is None, failure)',
+           'rep.add("super antisymmetry", True, failure)'),
+    Mutant("r-of-f-legs-swapped", "bialgebra.py",
+           "tensor(f.images[i], omega.basis.vector(j))",
+           "tensor(omega.basis.vector(j), f.images[i])"),
+    Mutant("half-table-zero-index-unchecked", "algebra.py",
+           "            _check_index(len(basis), (i, j, k))\n"
+           "            c = c if type(c) is int else as_scalar(c)\n"
+           "            if c == 0:\n"
+           "                continue\n",
+           "            c = c if type(c) is int else as_scalar(c)\n"
+           "            if c == 0:\n"
+           "                continue\n"
+           "            _check_index(len(basis), (i, j, k))\n"),
     # the JSON writer
     Mutant("writer-unsorted-keys", "serialize.py",
            "for k in sorted(obj)",
