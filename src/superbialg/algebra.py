@@ -63,7 +63,8 @@ def _nonzero(acc: dict) -> dict:
 
 
 def _check_index(n: int, key: tuple) -> None:
-    if not all(type(x) is int and 0 <= x < n for x in key):  # not 1.0, True
+    """Each index must be an int proper in range: 1.0 and True hash like 1."""
+    if not all(type(x) is int and 0 <= x < n for x in key):
         raise IndexError(f"index {key} out of range for basis")
 
 

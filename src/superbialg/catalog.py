@@ -360,8 +360,7 @@ def t_bialgebra_2() -> Bialgebra:
 
 
 def deltas() -> dict[str, Cochain]:
-    """All six named cobrackets, each recomputed; the fixtures compare them
-    with their tables."""
+    """All six named cobrackets, recomputed; the fixtures check the tables."""
     return {
         "delta_f": delta_f(),
         "delta_s": delta_s(),
