@@ -136,12 +136,12 @@ class Bialgebra:
 # invariant tensors and r-matrices
 # ---------------------------------------------------------------------------
 
-def casimir(real: MatrixRealization, g: Superalgebra | None = None) -> Tensor2:
-    """The invariant tensor dual to the supertrace form.
+def casimir(real: MatrixRealization, g: Superalgebra) -> Tensor2:
+    """The invariant tensor dual to the supertrace form of `real`.
 
     With G the Gram matrix of the form, the result is
     sum_{ij} (G^{-1})_{ij} e_i (x) e_j; invariance under the adjoint action
-    is verified before returning.
+    of g, the algebra `real` realizes, is verified before returning.
     """
     try:
         inv = invert_matrix([{j: x for j, x in enumerate(row) if x}
@@ -150,9 +150,6 @@ def casimir(real: MatrixRealization, g: Superalgebra | None = None) -> Tensor2:
         raise DegenerateForm("supertrace form is degenerate") from None
     omega = Tensor2._of(real.basis, 2, {(i, j): x for i, row in enumerate(inv)
                                         for j, x in row.items()})
-    if g is None:
-        from .algebra import from_matrices
-        g = from_matrices(real)
     if not coboundary_0(g, omega).is_zero():  # d(omega)(a) = a . omega
         raise ValueError("constructed tensor is not adjoint-invariant")
     return omega

@@ -1,4 +1,4 @@
-"""Super cochain complexes with values in g or in g (x) g.
+"""Super cochain complexes with values in g (x) g.
 
 An n-cochain is super alternating: swapping adjacent arguments x, y costs
 -(-1)^{|x||y|}.  Values are stored only at canonical argument tuples
@@ -23,10 +23,9 @@ into one plain dict per argument tuple, in integers: the bracket rows of
 `Superalgebra.int_table` (denominator D) times the stored values scaled
 once per call to one denominator E (`Cochain.int_values`), so each sum is
 D E times its value and "is zero" is decided exactly.  The action on
-g (x) g goes through `algebra._act_into`, the action on g and the
-bracket-insertion terms through `_add_into`.  A value (a `graded.Tensor` of
-rank 1 or 2, one rank per cochain) is built, over D E, only for a nonzero
-result or to render a counterexample.
+g (x) g goes through `algebra._act_into`, the bracket-insertion terms
+through `_add_into`.  A value (a rank-2 `graded.Tensor`) is built, over
+D E, only for a nonzero result or to render a counterexample.
 
 The pairwise condition (`is_cocycle_1`, `bialgebra.check_compatibility`)
 is scanned over `g.pairs_to_scan()`: under super antisymmetry its residual
@@ -40,7 +39,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .graded import (
-    EVEN, BasisMismatch, GradedBasis, Tensor, _add_into, _denominator,
+    EVEN, ODD, GradedBasis, Tensor, Tensor2, _add_into, _denominator,
     _numerators, _over, _same_basis, as_scalar, koszul,
 )
 from .algebra import Superalgebra, _act_into
@@ -74,47 +73,49 @@ def canonical_tuples(basis: GradedBasis, degree: int) -> list[tuple[int, ...]]:
     n = len(basis)
     out: list[tuple[int, ...]] = []
 
-    def grow(prefix: tuple[int, ...], start: int):
-        if len(prefix) == degree:
-            out.append(prefix)
+    def grow(head: tuple[int, ...], start: int):
+        if len(head) == degree:
+            out.append(head)
             return
         for i in range(start, n):
             # repeated indices only for odd vectors
-            if prefix and prefix[-1] == i and basis.parity(i) == EVEN:
+            if head and head[-1] == i and basis.parity(i) == EVEN:
                 continue
-            grow(prefix + (i,), i)
+            grow(head + (i,), i)
     grow((), 0)
     return out
 
 
 class Cochain:
-    """A super-alternating n-cochain on g with values in g or g (x) g."""
+    """A super-alternating n-cochain on g with values in g (x) g.
+
+    The degree is a nonnegative int and the parity the int 0 or 1.
+    """
 
     def __init__(self, g: Superalgebra, degree: int, parity: int,
-                 values: Mapping[tuple[int, ...], object] | None = None):
+                 values: Mapping[tuple[int, ...], Tensor] | None = None):
+        if not (type(degree) is int and degree >= 0):
+            raise ValueError(f"cochain degree {degree!r} is not an int >= 0")
+        if not (type(parity) is int and parity in (EVEN, ODD)):
+            raise ValueError(f"cochain parity {parity!r} is not 0 or 1")
         self.g = g
-        self.degree = int(degree)
-        self.parity = int(parity)
-        self.values: dict[tuple[int, ...], object] = {}
+        self.degree = degree
+        self.parity = parity
+        self.values: dict[tuple[int, ...], Tensor] = {}
         if values:
             for args, val in values.items():
                 self.set_value(tuple(args), val)
 
-    def copy_empty(self, degree: int | None = None) -> "Cochain":
-        return Cochain(self.g, self.degree if degree is None else degree,
-                       self.parity)
-
-    def set_value(self, args: tuple[int, ...], val):
+    def set_value(self, args: tuple[int, ...], val: Tensor):
         """Store a value given at an arbitrary tuple (sign applied).
 
-        The value must live over the algebra's basis, and in the module of
-        the values already stored: the checks read values by index alone.
+        The value must be a rank-2 tensor over the algebra's basis.
         """
         if len(args) != self.degree:
             raise ValueError("argument count must equal the cochain degree")
         _same_basis(val.basis, self.g.basis)
-        if next(iter(self.values.values()), val).rank != val.rank:
-            raise ValueError("every value of a cochain lies in one module")
+        if val.rank != 2:
+            raise ValueError(f"a cochain value has rank 2, not {val.rank}")
         key, sign = canonical_tuple(self.g.basis, args)
         if key is None:
             if not val.is_zero():
@@ -129,14 +130,14 @@ class Cochain:
         else:
             self.values[key] = signed
 
-    def value(self, *args: int):
+    def value(self, *args: int) -> Tensor | None:
         """Value at an arbitrary argument tuple, Koszul sign included."""
         if len(args) != self.degree:
             raise ValueError("argument count must equal the cochain degree")
         key, sign = canonical_tuple(self.g.basis, args)
         val = self.values.get(key)
         if val is None:
-            return None  # caller decides the zero of the right module
+            return None
         return val if sign == 1 else val.scale(sign)
 
     def int_values(self) -> tuple[int, dict[tuple[int, ...], dict]]:
@@ -155,42 +156,16 @@ class Cochain:
                 and self.parity == other.parity
                 and self.values == other.values)
 
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if (self.g.basis != other.g.basis or self.degree != other.degree
-                or self.parity != other.parity):
-            raise BasisMismatch("cochain degree/parity/basis mismatch")
-        out = self.copy_empty()
-        for args, v in self.values.items():
-            out.set_value(args, v)
-        for args, v in other.values.items():
-            out.set_value(args, v)
-        return out
-
     def __neg__(self) -> "Cochain":
         return self.scale(-1)
 
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
     def scale(self, s) -> "Cochain":
         s = as_scalar(s)
-        out = self.copy_empty()
+        out = Cochain(self.g, self.degree, self.parity)
         if s != 0:
             for args, v in self.values.items():
                 out.set_value(args, v.scale(s))
         return out
-
-
-def _act_value_into(acc: dict, g: Superalgebra, a: int, rank: int,
-                    entries: Mapping, c: int) -> None:
-    """acc += c * (e_a . v) for the value v of this rank with these integer
-    entries: adjoint on g, Leibniz on g (x) g; acc gains D times it."""
-    if rank == 1:
-        ra = g.int_table[1][a]
-        for j, x in entries.items():
-            _add_into(acc, ra[j], c * x)
-    else:
-        _act_into(acc, g, a, entries, c)
 
 
 def coboundary_0(g: Superalgebra, r: Tensor) -> Cochain:
@@ -217,17 +192,16 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
     par = g.basis.parity
     den, rows = g.int_table
     scale, ints = f.int_values()
-    out = f.copy_empty(n + 1)
-    like = next(iter(f.values.values()), None)  # None: f = 0, no term reads it
+    out = Cochain(g, n + 1, f.parity)
 
     def stored(args):  # the integer value behind a tuple, and the sign
         key, sign = canonical_tuple(g.basis, args)
         return ints.get(key), sign
     for args in canonical_tuples(g.basis, n + 1):
         ps = [par(a) for a in args]
-        prefix = [0] * (n + 2)  # prefix[i] = |x_1| + .. + |x_{i-1}|, 1-based i
+        before = [0] * (n + 2)  # before[i] = |x_1| + .. + |x_{i-1}|, 1-based i
         for i in range(1, n + 2):
-            prefix[i] = prefix[i - 1] + ps[i - 1]
+            before[i] = before[i - 1] + ps[i - 1]
         acc: dict = {}
 
         # first sum: the module action terms
@@ -235,8 +209,8 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
             fv, sign = stored(args[:i - 1] + args[i:])
             if fv is None:
                 continue
-            s1 = ((-1) ** (i + 1)) * ((-1) ** (ps[i - 1] * (f.parity + prefix[i - 1])))
-            _act_value_into(acc, g, args[i - 1], like.rank, fv, s1 * sign)
+            s1 = ((-1) ** (i + 1)) * ((-1) ** (ps[i - 1] * (f.parity + before[i - 1])))
+            _act_into(acc, g, args[i - 1], fv, s1 * sign)
 
         # second sum: the bracket-insertion terms
         for i in range(1, n + 2):
@@ -247,15 +221,16 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
                 rest = tuple(a for t, a in enumerate(args, start=1)
                              if t not in (i, j))
                 s2 = ((-1) ** (i + j)) * koszul(ps[i - 1], ps[j - 1]) \
-                    * ((-1) ** (ps[i - 1] * prefix[i - 1])) \
-                    * ((-1) ** (ps[j - 1] * prefix[j - 1]))
+                    * ((-1) ** (ps[i - 1] * before[i - 1])) \
+                    * ((-1) ** (ps[j - 1] * before[j - 1]))
                 for k, c in br.items():
                     fv, sign = stored((k,) + rest)
                     if fv is not None:
                         _add_into(acc, fv, s2 * sign * c)
 
         if any(acc.values()):
-            out.set_value(args, like._with(_over(acc, scale * den)))
+            out.set_value(args, Tensor2._of(g.basis, 2,
+                                            _over(acc, scale * den)))
     return out
 
 
@@ -266,7 +241,7 @@ def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
         f([a,b]) = (-1)^{|a| p} a . f(b) - (-1)^{|b|(p + |a|)} b . f(a):
 
     None where it holds at (a, b), else "pair (a, b): " and the format
-    string `sides` filled with both sides as values of f's module.  Both
+    string `sides` filled with both sides as values in g (x) g.  Both
     sides are summed in integers, D E times their values.
     """
     _same_basis(delta.g.basis, g.basis)
@@ -276,7 +251,6 @@ def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
     par = g.basis.parities
     den, rows = g.int_table
     scale, vals = delta.int_values()  # f(e_k) at (k,), sign 1
-    like = next(iter(delta.values.values()), None)
 
     def sides_into(lhs: dict, rhs: dict, a: int, b: int, s: int) -> None:
         """lhs += f([a,b]); rhs += s * (the action side)."""
@@ -286,12 +260,11 @@ def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
                 _add_into(lhs, v, c)
         fb = vals.get((b,))
         if fb is not None:
-            _act_value_into(rhs, g, a, like.rank, fb,
-                            s * koszul(par[a], parity))
+            _act_into(rhs, g, a, fb, s * koszul(par[a], parity))
         fa = vals.get((a,))
         if fa is not None:
-            _act_value_into(rhs, g, b, like.rank, fa,
-                            -s * koszul(par[b], (parity + par[a]) % 2))
+            _act_into(rhs, g, b, fa,
+                      -s * koszul(par[b], (parity + par[a]) % 2))
 
     def breaks(a, b):
         diff: dict = {}
@@ -302,8 +275,8 @@ def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
         rhs: dict = {}
         sides_into(lhs, rhs, a, b, 1)
         return (f"pair ({lab[a]}, {lab[b]}): " + sides.format(
-            like._with(_over(lhs, den * scale)),
-            like._with(_over(rhs, den * scale))))
+            Tensor2._of(g.basis, 2, _over(lhs, den * scale)),
+            Tensor2._of(g.basis, 2, _over(rhs, den * scale))))
     return breaks
 
 

@@ -75,15 +75,15 @@ class GradedBasis:
 
     def __init__(self, labels: Sequence[str], parities: Sequence[int]):
         labels = tuple(labels)
-        parities = tuple(int(p) for p in parities)
+        parities = tuple(parities)
         if len(labels) == 0:
             raise ValueError("basis must contain at least one vector")
         if len(labels) != len(parities):
             raise ValueError("labels and parities must have equal length")
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be distinct")
-        if any(p not in (EVEN, ODD) for p in parities):
-            raise ValueError("parities must be 0 (even) or 1 (odd)")
+        if not all(type(p) is int and p in (EVEN, ODD) for p in parities):
+            raise ValueError("parities must be the ints 0 (even) or 1 (odd)")
         self.labels = labels
         self.parities = parities
         self._index = {lab: i for i, lab in enumerate(labels)}
@@ -538,9 +538,6 @@ class LinearEndomorphism(LinearMap):
         _same_basis(self.basis, other.basis)
         return LinearEndomorphism(
             self.basis, [a - b for a, b in zip(self.images, other.images)])
-
-    def is_even(self) -> bool:
-        return self.is_parity_preserving()
 
 
 def image_basis(m: LinearEndomorphism) -> list[Element]:

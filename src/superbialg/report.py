@@ -32,7 +32,7 @@ class VerificationReport:
     `.failures` and decide what to do.
     """
 
-    def __init__(self, title: str = ""):
+    def __init__(self, title: str):
         self.title = title
         self.checks: list[Check] = []
 
@@ -55,9 +55,8 @@ class VerificationReport:
                 return self.add(name, False, detail)
         return self.add(name, True)
 
-    def merge(self, other: "VerificationReport", prefix: str = ""):
-        for c in other.checks:
-            self.add(prefix + c.name, c.passed, c.detail)
+    def merge(self, other: "VerificationReport"):
+        self.checks += other.checks
 
     @property
     def passed(self) -> bool:
@@ -71,8 +70,7 @@ class VerificationReport:
         return self.failures[0] if self.failures else None
 
     def __str__(self):
-        head = self.title or "report"
-        lines = [f"{head}: {'PASS' if self.passed else 'FAIL'}"]
+        lines = [f"{self.title}: {'PASS' if self.passed else 'FAIL'}"]
         lines += [f"  {c!r}" for c in self.checks]
         return "\n".join(lines)
 

@@ -6,9 +6,10 @@ Every integer is read exactly: a JSON integer (never a float or a bool),
 or for "num"/"den" also a string of decimal digits.  Parities are 0 or 1.
 One pair, `tensor_to_json` / `tensor_from_json(d, basis, rank)`, carries a
 `graded.Tensor` of any rank: elements, r-matrices, cobracket values and
-rank-3 tensors alike.  A cochain's values all lie in one module, g or
-g (x) g; a cobracket's lie in g (x) g.  Every document root, and every
-Gram matrix, is checked for its shape before it is read.
+rank-3 tensors alike.  A cochain's values lie in g (x) g, so each is read
+as a rank-2 tensor.  Every document root, and every Gram matrix, is
+checked for its shape before it is read.  A double's `primal_dim` is half
+the size of its basis.
 Bracket tables list only pairs with i <= j; the i > j half is rebuilt by
 super antisymmetry, and diagonal pairs are only accepted for odd vectors.
 All round trips are bit-exact.
@@ -124,13 +125,13 @@ def _index(x, size: int, what: str, shown=None) -> int:
     return x
 
 
-def _read_entries(d, arity: int, size: int):
+def _read_entries(d, rank: int, size: int):
     """Entries keyed by index tuples, each index in range(size)."""
     out = {}
     for ent in _objects(d, "entries"):
         idx = ent.get("idx")
-        if not isinstance(idx, list) or len(idx) != arity:
-            raise SchemaError(f"entry index {idx!r} must have {arity} slots")
+        if not isinstance(idx, list) or len(idx) != rank:
+            raise SchemaError(f"entry index {idx!r} must have {rank} slots")
         key = tuple(_index(i, size, "entry index", idx) for i in idx)
         out[key] = scalar_from_json(ent)
     return out
@@ -197,23 +198,8 @@ def cochain_to_json(c: Cochain) -> dict:
     return {"degree": c.degree, "parity": c.parity, "values": values}
 
 
-def _first_arity(vj) -> int | None:
-    """Indices per entry of a cochain value, from its first entry; None
-    for a value without entries (zero in either module)."""
-    try:
-        idx = vj["entries"][0]["idx"]
-    except (KeyError, IndexError, TypeError):
-        return None
-    if not isinstance(idx, list) or len(idx) not in (1, 2):
-        raise SchemaError(f"cochain value index {idx!r} must have 1 slot "
-                          f"(a value in g) or 2 (in g (x) g)")
-    return len(idx)
-
-
-def cochain_from_json(d, g: Superalgebra, arity: int | None = None) -> Cochain:
-    """Read a cochain whose values all lie in one module: g when `arity` is
-    1, g (x) g when it is 2; by default the first value with entries
-    decides, and every later value must have as many indices per entry."""
+def cochain_from_json(d, g: Superalgebra) -> Cochain:
+    """Read a cochain on g; each value is a rank-2 tensor, in g (x) g."""
     try:
         degree, parity = d["degree"], d["parity"]
     except (KeyError, TypeError) as e:
@@ -232,9 +218,7 @@ def cochain_from_json(d, g: Superalgebra, arity: int | None = None) -> Cochain:
             raise SchemaError(f"cochain args {args!r} must list "
                               f"{out.degree} indices")
         args = tuple(_index(a, n, "cochain argument") for a in args)
-        if arity is None:
-            arity = _first_arity(vj)
-        val = tensor_from_json(vj, g.basis, arity or 2)
+        val = tensor_from_json(vj, g.basis, 2)
         try:
             out.set_value(args, val)
         except ValueError as e:
@@ -250,7 +234,7 @@ def bialgebra_to_json(b: Bialgebra) -> dict:
 def bialgebra_from_json(d, check: bool = True) -> Bialgebra:
     try:
         alg = superalgebra_from_json(_root(d, "bialgebra")["algebra"])
-        delta = cochain_from_json(d["delta"], alg, arity=2)
+        delta = cochain_from_json(d["delta"], alg)
     except KeyError as e:
         raise SchemaError(f"bialgebra JSON needs {e} field") from e
     return Bialgebra(alg, delta, check=check)
@@ -312,15 +296,19 @@ def double_from_json(d) -> DoubleAlgebra:
         raise SchemaError("expected a document with type = 'double'")
     try:
         alg = superalgebra_from_json(d["algebra"])
-        return DoubleAlgebra(
+        dd = DoubleAlgebra(
             underlying=alg,
-            delta=cochain_from_json(d["delta"], alg, arity=2),
+            delta=cochain_from_json(d["delta"], alg),
             form=gram_from_json(d["gram"], alg.basis),
             canonical_r=tensor_from_json(d["canonical_r"], alg.basis, 2),
             primal_dim=_integer(d["primal_dim"], "primal_dim"),
         )
     except KeyError as e:
         raise SchemaError(f"double JSON needs {e} field") from e
+    if 2 * dd.primal_dim != len(alg.basis):
+        raise SchemaError(f"primal_dim {dd.primal_dim} is not half of the "
+                          f"{len(alg.basis)} basis vectors")
+    return dd
 
 
 _LEAVES = {dict: lambda _: "{}", list: lambda _: "[]", str: _quote,

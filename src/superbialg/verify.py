@@ -85,7 +85,7 @@ def _build_suite() -> _Suite:
 
     # -- section 2 ----------------------------------------------------------
     s.add("paper.s2.f_even", "2", "s2: the eight displayed images of f",
-          lambda: cat.f_map().is_even())
+          lambda: cat.f_map().is_parity_preserving())
     s.add("paper.s2.omega", "2", "s2: invariant tensor display",
           lambda: cat.omega() == cat._omega_expected())
     s.add("paper.s2.r_f", "2", "s2: r(f) = (f x 1) omega display",

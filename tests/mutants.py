@@ -135,6 +135,23 @@ MUTANTS = [
            "            if c == 0:\n"
            "                continue\n"
            "            _check_index(len(basis), (i, j, k))\n"),
+    # cochains hold values in g (x) g
+    Mutant("pairwise-action-side-no-koszul", "cohomology.py",
+           "_act_into(rhs, g, a, fb, s * koszul(par[a], parity))",
+           "_act_into(rhs, g, a, fb, s)"),
+    Mutant("set-value-no-rank-check", "cohomology.py",
+           "        if val.rank != 2:\n"
+           "            raise ValueError(f\"a cochain value has rank 2, "
+           "not {val.rank}\")\n",
+           ""),
+    Mutant("canonical-r-counts-equal-values", "double.py",
+           "dr.values.get(a) != d.delta.values.get(a)",
+           "dr.values.get(a) == d.delta.values.get(a)"),
+    Mutant("double-primal-dim-unchecked", "serialize.py",
+           "    if 2 * dd.primal_dim != len(alg.basis):\n"
+           "        raise SchemaError(",
+           "    if False:\n"
+           "        raise SchemaError("),
     # the JSON writer
     Mutant("writer-unsorted-keys", "serialize.py",
            "for k in sorted(obj)",

@@ -249,8 +249,9 @@ def solve_exact(columns, target):
 
 
 def restrict_reference(b, sub, labels=None):
-    """`bialgebra.restrict` with one `solve_exact` per bracket and per
-    delta value, the latter over the 64 entries of g (x) g."""
+    """`bialgebra.restrict` with one `solve_exact` per bracket, and per
+    delta value one per column of its n x n matrix, then one per row of
+    those column coordinates."""
     g = b.algebra
     n = g.dim()
     for v in sub:
@@ -277,20 +278,28 @@ def restrict_reference(b, sub, labels=None):
                     constants[(i, j, k)] = c
     sub_alg = Superalgebra(sub_basis, constants)
 
-    pairs = [(a, bb) for a in range(len(sub)) for bb in range(len(sub))]
-    pair_cols = []
-    for a, bb in pairs:
-        t = tensor(sub[a], sub[bb])
-        pair_cols.append([t[(i, j)] for i in range(n) for j in range(n)])
+    # delta(v) = sum x_ab sub[a] (x) sub[b]: column j of its matrix is
+    # sum_a y_aj sub[a] with y_aj = sum_b x_ab sub[b][j], so the columns
+    # give y and the rows of y give x
+    def coordinates(targets):  # in the span, each; None at the first miss
+        out = []
+        for t in targets:  # the vectors are independent: 0 has coordinates 0
+            out.append(solve_exact(cols, t) if any(t) else [0] * len(cols))
+            if out[-1] is None:
+                return None
+        return out
+
     delta_sub = Cochain(sub_alg, 1, b.delta.parity)
     for s_idx, v in enumerate(sub):
         total = b.delta_of(v)
-        target = [total[(i, j)] for i in range(n) for j in range(n)]
-        sol = solve_exact(pair_cols, target)
-        if sol is None:
+        ys = coordinates([total[(i, j)] for i in range(n)] for j in range(n))
+        xs = None if ys is None else coordinates(
+            [y[a] for y in ys] for a in range(len(sub)))
+        if xs is None:
             raise NotClosedUnderCobracket(
                 f"delta({v}) does not lie in span (x) span")
-        entries = {pairs[t_idx]: c for t_idx, c in enumerate(sol) if c != 0}
+        entries = {(a, bb): c for a, row in enumerate(xs)
+                   for bb, c in enumerate(row) if c != 0}
         if entries:
             delta_sub.set_value((s_idx,), Tensor2(sub_basis, sub_basis, entries))
     return Bialgebra(sub_alg, delta_sub)

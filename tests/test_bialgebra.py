@@ -35,12 +35,12 @@ def test_casimir_has_displayed_odd_terms():
 
 
 def test_casimir_degenerate_form_raises():
-    from superbialg.algebra import MatrixRealization
+    from superbialg.algebra import MatrixRealization, from_matrices
     one = GradedBasis(["z"], [0])
     nilpotent = [[Q(0), Q(1)], [Q(0), Q(0)]]  # squares to zero
     real = MatrixRealization(one, 2, 0, [nilpotent])
     with pytest.raises(DegenerateForm):
-        casimir(real)
+        casimir(real, from_matrices(real))
 
 
 # -- r(f) ------------------------------------------------------------------------

@@ -220,13 +220,6 @@ def test_double_of_the_full_eight_dimensional_bialgebra():
     assert check_canonical_r(d).passed
 
 
-def test_identify_without_a_target_form():
-    rep = identify(cat.double_of_s(), cat.bialgebra_f(),
-                   cat.double_s_identification())
-    assert rep.passed
-    assert not any("form" in c.name for c in rep.checks)
-
-
 def test_double_of_trivial_abelian_bialgebra():
     one = GradedBasis(["z"], [0])
     g = Superalgebra(one, {})

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from superbialg import build_double
 from superbialg import catalog as cat
 from superbialg import serialize as ser
-from superbialg.cohomology import Cochain
 from superbialg.graded import Tensor3
 from corpus.regen import CORPUS, inputs
 from slmn import standard
@@ -88,14 +87,6 @@ def test_cochain_roundtrip_tensor_values():
     d = cat.delta_f()
     doc = roundtrip(ser.cochain_to_json(d))
     assert ser.cochain_from_json(doc, cat.sl21()) == d
-
-
-def test_cochain_roundtrip_element_values():
-    g = cat.s_algebra()
-    c = Cochain(g, 1, 0)
-    c.set_value((0,), g.basis.vector(1).scale(Q(3, 4)))
-    doc = roundtrip(ser.cochain_to_json(c))
-    assert ser.cochain_from_json(doc, g) == c
 
 
 def test_bialgebra_roundtrip():
@@ -206,19 +197,24 @@ def test_double_primal_dim_must_be_an_integer():
         ser.double_from_json(doc)
 
 
+@pytest.mark.parametrize("half", [-2, 0, 3, 5, 8, 4])
+def test_double_primal_dim_is_half_the_basis(half):
+    doc = ser.double_to_json(cat.double_of_s())
+    doc["primal_dim"] = half
+    if half == 4:
+        assert ser.double_from_json(doc).primal_dim == 4
+        return
+    with pytest.raises(ser.SchemaError, match=f"primal_dim {half} is not "
+                                              f"half of the 8 basis"):
+        ser.double_from_json(doc)
+
+
 def test_cochain_values_share_one_module():
     # the first value is in g (x) g, so an element of g later is refused
     doc = ser.cochain_to_json(cat.delta_f())
     doc["values"][-1]["value"] = ser.tensor_to_json(V("E12"))
     with pytest.raises(ser.SchemaError, match="2 slots"):
         ser.cochain_from_json(doc, cat.sl21())
-
-
-def test_tensor_module_refuses_element_values():
-    g = cat.sl21()
-    doc = ser.cochain_to_json(Cochain(g, 1, 1, {(0,): V("E12")}))
-    with pytest.raises(ser.SchemaError, match="2 slots"):
-        ser.cochain_from_json(doc, g, arity=2)
 
 
 # -- the document writer ------------------------------------------------------
