@@ -210,7 +210,7 @@ def test_double_primal_dim_is_half_the_basis(half):
 
 
 def test_cochain_values_share_one_module():
-    # the first value is in g (x) g, so an element of g later is refused
+    # every value is read in g (x) g, so an element of g is refused
     doc = ser.cochain_to_json(cat.delta_f())
     doc["values"][-1]["value"] = ser.tensor_to_json(V("E12"))
     with pytest.raises(ser.SchemaError, match="2 slots"):
