@@ -17,7 +17,7 @@ The package is organized bottom-up:
 
 from .graded import (
     EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor, Tensor2, Tensor3, image_basis, is_super_skew, koszul,
+    LinearMap, Tensor, Tensor2, image_basis, is_super_skew, koszul,
     span_equal, super_swap, tensor, wedge,
 )
 from .report import VerificationReport

@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor2, Tensor3, _add_into, _combine, _denominator,
+    LinearMap, Tensor, Tensor2, _add_into, _combine, _denominator,
     _int_coordinates, _numerators, _over, _proportional, _same_basis,
     factor_span, invert_matrix, is_super_skew, rref, span_coordinates,
     square_span, super_swap, tensor,
@@ -229,7 +229,7 @@ def check_cojacobi(g: Superalgebra, delta: Cochain) -> VerificationReport:
     extra sign.  Each term i (x) j (x) v of it is added straight into one
     dict at its three cyclic positions, (i,j,v), (j,v,i) with sign
     (-1)^{|i|(|j|+|v|)} and (v,i,j) with sign (-1)^{|v|(|i|+|j|)}; a
-    Tensor3 is built only to render a failure.
+    rank-3 Tensor is built only to render a failure.
     """
     _same_basis(delta.g.basis, g.basis)
     if delta.degree != 1:
@@ -258,7 +258,7 @@ def check_cojacobi(g: Superalgebra, delta: Cochain) -> VerificationReport:
                                   ((v, i, j), pv and (pi + pj) % 2)):
                     acc[key] = get(key, 0) + (-x if flip else x)
         return (f"at {lab[a]}: cyclic sum = "
-                f"{Tensor3((g.basis,) * 3, _over(acc, den * den))}"
+                f"{Tensor._of(g.basis, 3, _over(acc, den * den))}"
                 if any(acc.values()) else None)
     rep.scan("Alt(delta (x) Id) delta = 0", product(range(g.dim())), breaks)
     return rep

@@ -40,7 +40,7 @@ from typing import Mapping
 
 from .graded import (
     EVEN, ODD, GradedBasis, Tensor, Tensor2, _add_into, _denominator,
-    _numerators, _over, _same_basis, as_scalar, koszul,
+    _numerators, _over, _same_basis, koszul,
 )
 from .algebra import Superalgebra, _act_into
 from .report import VerificationReport
@@ -157,14 +157,8 @@ class Cochain:
                 and self.values == other.values)
 
     def __neg__(self) -> "Cochain":
-        return self.scale(-1)
-
-    def scale(self, s) -> "Cochain":
-        s = as_scalar(s)
         out = Cochain(self.g, self.degree, self.parity)
-        if s != 0:
-            for args, v in self.values.items():
-                out.set_value(args, v.scale(s))
+        out.values = {args: -v for args, v in self.values.items()}
         return out
 
 

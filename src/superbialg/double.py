@@ -14,7 +14,8 @@ where the mixed bracket is the unique one making the pairing
 and its super-antisymmetric mirror are read off the nonzero C and C*
 entries.  The cobracket is delta on the primal block and minus the dual
 cobracket, -D*, on the dual block; the canonical r-matrix is
-sum_i e_i (x) e_i*.
+sum_i e_i (x) e_i*.  A `DoubleAlgebra` holds only its bracket and
+cobracket: the pairing, r and n are fixed by the basis and derived from it.
 
 Verification happens once, on g.  By Drinfeld's Manin-triple theorem
 (Andruskiewitsch for the super case), g (+) g* with this bracket is a Lie
@@ -35,6 +36,7 @@ double's pairing cross-multiplied.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import lcm
 
@@ -68,22 +70,40 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
 
 
 class DoubleAlgebra:
-    """The double: algebra, cobracket, pairing and canonical r-matrix.
+    """The double: its algebra and cobracket over (e_1..e_n, e_1*..e_n*).
 
-    `axioms` is the `Bialgebra.verify` report of the bialgebra
-    `build_double` doubled, or None for a double that was not built here
-    (e.g. one read from JSON).
+    The pairing, the canonical r-matrix and n are fixed by that basis and
+    derived on first use; a test may assign a wrong `form` or `canonical_r`
+    to an instance.  `axioms` is the `Bialgebra.verify` report of the
+    bialgebra `build_double` doubled, or None for a double that was not
+    built here (e.g. one read from JSON).
     """
 
     def __init__(self, underlying: Superalgebra, delta: Cochain,
-                 form: BilinearForm, canonical_r: Tensor2, primal_dim: int,
                  axioms: VerificationReport | None = None):
         self.underlying = underlying
         self.delta = delta
-        self.form = form
-        self.canonical_r = canonical_r
-        self.primal_dim = primal_dim
         self.axioms = axioms
+
+    @property
+    def primal_dim(self) -> int:
+        return self.underlying.dim() // 2
+
+    @cached_property
+    def form(self) -> BilinearForm:
+        """<e_i*, e_j> = delta_ij, <e_i, e_j*> = (-1)^{|e_i|} delta_ij."""
+        basis, n = self.underlying.basis, self.primal_dim
+        gram = [[Q(0)] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            gram[i][n + i] = Q(koszul(basis.parity(i), basis.parity(i)))
+            gram[n + i][i] = Q(1)
+        return BilinearForm(basis, gram)
+
+    @cached_property
+    def canonical_r(self) -> Tensor2:
+        """sum_i e_i (x) e_i*."""
+        basis, n = self.underlying.basis, self.primal_dim
+        return Tensor2(basis, basis, {(i, n + i): Q(1) for i in range(n)})
 
     def as_bialgebra(self) -> Bialgebra:
         """The double as an unchecked bialgebra (see `build_double`)."""
@@ -144,15 +164,7 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     for k, ent in sorted(dual_delta.items()):
         delta.set_value((k,), Tensor2(dbasis, dbasis, ent))
 
-    gram = [[Q(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        gram[i][n + i] = Q(koszul(par(i), par(i)))  # (-1)^{|e_i|}
-        gram[n + i][i] = Q(1)
-    form = BilinearForm(dbasis, gram)
-
-    canonical_r = Tensor2(dbasis, dbasis, {(i, n + i): Q(1) for i in range(n)})
-    return DoubleAlgebra(underlying, delta, form, canonical_r, n,
-                         axioms=axioms)
+    return DoubleAlgebra(underlying, delta, axioms=axioms)
 
 
 def check_canonical_r(d: DoubleAlgebra) -> VerificationReport:

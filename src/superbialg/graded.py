@@ -9,8 +9,8 @@ inputs, and all constructors normalize by stripping zero coefficients.
 One sparse type, `Tensor`, holds every graded value: an element of g has
 rank 1, an r-matrix or a cobracket value rank 2, the coJacobi sum rank 3.
 All legs of a tensor lie over one basis.  Arithmetic, equality, parity and
-rendering are written once; `Element`, `Tensor2` and `Tensor3` only fix the
-rank and keep their constructor signatures.
+rendering are written once; `Element` and `Tensor2` only fix the rank and
+keep their constructor signatures, and a rank-3 value is a plain `Tensor`.
 
 Sign conventions (used throughout the package):
 
@@ -267,23 +267,6 @@ class Tensor2(Tensor):
         return self.basis
 
     right = left
-
-
-class Tensor3(Tensor):
-    """A sparse rank-3 tensor; all three legs lie over one basis."""
-
-    rank = 3
-
-    def __init__(self, bases: tuple[GradedBasis, GradedBasis, GradedBasis],
-                 entries: Mapping[tuple[int, int, int], Fraction]):
-        b0, b1, b2 = bases
-        _same_basis(b0, b1)
-        _same_basis(b0, b2)
-        super().__init__(b0, entries, 3)
-
-    @property
-    def bases(self) -> tuple[GradedBasis, GradedBasis, GradedBasis]:
-        return (self.basis,) * 3
 
 
 # ---------------------------------------------------------------------------

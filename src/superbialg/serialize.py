@@ -8,8 +8,10 @@ One pair, `tensor_to_json` / `tensor_from_json(d, basis, rank)`, carries a
 `graded.Tensor` of any rank: elements, r-matrices, cobracket values and
 rank-3 tensors alike.  A cochain's values lie in g (x) g, so each is read
 as a rank-2 tensor.  Every document root, and every Gram matrix, is
-checked for its shape before it is read.  A double's `primal_dim` is half
-the size of its basis.
+checked for its shape before it is read.  A double document holds only its
+algebra and cobracket: the reader checks that the basis is e_1..e_n,
+e_1*..e_n* with |e_i*| = |e_i|, and the pairing and canonical r follow
+from that.  Keys a reader does not use are ignored.
 Bracket tables list only pairs with i <= j; the i > j half is rebuilt by
 super antisymmetry, and diagonal pairs are only accepted for odd vectors.
 All round trips are bit-exact.
@@ -22,7 +24,7 @@ import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
-from .graded import GradedBasis, Tensor
+from .graded import Element, GradedBasis, Tensor, Tensor2
 from .algebra import BilinearForm, Superalgebra
 from .bialgebra import Bialgebra, ManinTriple
 from .cohomology import Cochain
@@ -138,11 +140,14 @@ def _read_entries(d, rank: int, size: int):
 
 
 def tensor_from_json(d, basis: GradedBasis, rank: int) -> Tensor:
-    """A rank-`rank` tensor with every leg over `basis`."""
+    """A rank-`rank` tensor with every leg over `basis`, of the class the
+    package builds: `Element`, `Tensor2`, or `Tensor` from rank 3."""
     _check_labels(d, basis)
     entries = _read_entries(d, rank, len(basis))
     if rank == 1:
-        entries = {i: c for (i,), c in entries.items()}
+        return Element(basis, {i: c for (i,), c in entries.items()})
+    if rank == 2:
+        return Tensor2(basis, basis, entries)
     return Tensor(basis, entries, rank)
 
 
@@ -281,34 +286,26 @@ def manin_from_json(d) -> ManinTriple:
 
 
 def double_to_json(dd: DoubleAlgebra) -> dict:
-    return {
-        "type": "double",
-        "algebra": superalgebra_to_json(dd.underlying),
-        "delta": cochain_to_json(dd.delta),
-        "gram": gram_to_json(dd.form),
-        "canonical_r": tensor_to_json(dd.canonical_r),
-        "primal_dim": dd.primal_dim,
-    }
+    return {"type": "double", "algebra": superalgebra_to_json(dd.underlying),
+            "delta": cochain_to_json(dd.delta)}
 
 
 def double_from_json(d) -> DoubleAlgebra:
+    """Read a double's algebra and cobracket; its basis must be e_1..e_n,
+    e_1*..e_n* with |e_i*| = |e_i|, which fixes the pairing and r."""
     if _root(d, "double").get("type") != "double":
         raise SchemaError("expected a document with type = 'double'")
     try:
         alg = superalgebra_from_json(d["algebra"])
-        dd = DoubleAlgebra(
-            underlying=alg,
-            delta=cochain_from_json(d["delta"], alg),
-            form=gram_from_json(d["gram"], alg.basis),
-            canonical_r=tensor_from_json(d["canonical_r"], alg.basis, 2),
-            primal_dim=_integer(d["primal_dim"], "primal_dim"),
-        )
+        delta = cochain_from_json(d["delta"], alg)
     except KeyError as e:
         raise SchemaError(f"double JSON needs {e} field") from e
-    if 2 * dd.primal_dim != len(alg.basis):
-        raise SchemaError(f"primal_dim {dd.primal_dim} is not half of the "
-                          f"{len(alg.basis)} basis vectors")
-    return dd
+    par = alg.basis.parities
+    n = len(par) // 2
+    if 2 * n != len(par) or par[:n] != par[n:]:
+        raise SchemaError(f"a double's basis is e_1..e_n, e_1*..e_n* with "
+                          f"|e_i*| = |e_i|, not parities {list(par)}")
+    return DoubleAlgebra(alg, delta)
 
 
 _LEAVES = {dict: lambda _: "{}", list: lambda _: "[]", str: _quote,

@@ -341,8 +341,8 @@ def _map_reports(rng: random.Random, subject: str):
     elif subject.startswith("double_of"):
         d = getattr(cat, subject)()
         form = _perturb_gram(rng, d.form, steps)
-        moved = DoubleAlgebra(d.underlying, d.delta, form, d.canonical_r,
-                              d.primal_dim)
+        moved = DoubleAlgebra(d.underlying, d.delta)
+        moved.form = form
         target, phi = ((cat.bialgebra_f(), cat.double_s_identification())
                        if subject.endswith("s") else
                        (cat.bialgebra_s(), cat.double_t_identification()))

@@ -6,8 +6,11 @@ Each mutant names a file under `src/superbialg`, an exact old string, which
 must occur there exactly once, and its replacement.  The runner first runs
 tier-1 on an unmutated copy of `src/` (it must pass), then, for each
 mutant, copies `src/` to a temporary directory, applies the mutant and runs
-tier-1 on the copy with `pytest -x` under a time limit.  It prints one row
-per mutant:
+tier-1 on the copy with `pytest -x` under a time limit.  The mutated
+module's own test file, `tests/test_<module>.py` where it exists, runs
+first and the other test files after it, each once, so most mutants fall
+to the first tests they meet.  It prints one row per mutant, then the
+count and the whole gate's time:
 
 * `killed`: a test failed;
 * `timeout`: the run passed the time limit, which counts as killed (a
@@ -148,10 +151,17 @@ MUTANTS = [
            "dr.values.get(a) != d.delta.values.get(a)",
            "dr.values.get(a) == d.delta.values.get(a)"),
     Mutant("double-primal-dim-unchecked", "serialize.py",
-           "    if 2 * dd.primal_dim != len(alg.basis):\n"
+           "    if 2 * n != len(par) or par[:n] != par[n:]:\n"
            "        raise SchemaError(",
            "    if False:\n"
            "        raise SchemaError("),
+    # the pairing and the canonical r a double derives from its basis
+    Mutant("double-pairing-no-sign", "double.py",
+           "gram[i][n + i] = Q(koszul(basis.parity(i), basis.parity(i)))",
+           "gram[i][n + i] = Q(1)"),
+    Mutant("double-r-dual-index", "double.py",
+           "{(i, n + i): Q(1) for i in range(n)}",
+           "{(i, i): Q(1) for i in range(n)}"),
     # the JSON writer
     Mutant("writer-unsorted-keys", "serialize.py",
            "for k in sorted(obj)",
@@ -165,12 +175,24 @@ MUTANTS = [
 ]
 
 
-def tier1(src: Path, timeout: float | None) -> tuple[str, float, str]:
-    """Run tier-1 with -x on the package under `src`; returns (outcome,
-    seconds, the first failing test or the tail of the output)."""
+def test_files(first: Path | None = None) -> list[str]:
+    """Every tier-1 test file once, `first` (if given) ahead of the rest.
+
+    The files are listed one by one: given a file and a directory that
+    holds it, pytest runs the file once, in the directory's order."""
+    files = sorted((ROOT / "tests").rglob("test_*.py"))
+    return [str(p) for p in ([first] if first else [])
+            + [p for p in files if p != first]]
+
+
+def tier1(src: Path, timeout: float | None,
+          first: Path | None = None) -> tuple[str, float, str]:
+    """Run tier-1 with -x on the package under `src`, the test file `first`
+    ahead of the others; returns (outcome, seconds, the first failing test
+    or the tail of the output)."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "--continue-on-collection-errors", str(ROOT / "tests")]
+           "--continue-on-collection-errors", *test_files(first)]
     start = time.monotonic()
     # the working directory holds hypothesis's example database
     with tempfile.TemporaryDirectory() as cwd:
@@ -204,6 +226,7 @@ def mutated_copy(mutant: Mutant, into: Path) -> Path:
 
 
 def main() -> int:
+    start = time.monotonic()
     outcome, seconds, where = tier1(ROOT / "src", None)
     print(f"{'unmutated':34} {outcome:10} {seconds:6.1f}s {where}", flush=True)
     if outcome != "passed":
@@ -223,12 +246,15 @@ def main() -> int:
                 print(f"{m.name:34} {'BAD':10} {'':7} {e}", flush=True)
                 bad += 1
                 continue
-            outcome, seconds, where = tier1(src, timeout)
+            own = ROOT / "tests" / f"test_{Path(m.file).stem}.py"
+            outcome, seconds, where = tier1(
+                src, timeout, own if own.exists() else None)
         result = {"failed": "killed", "passed": "SURVIVED"}.get(outcome,
                                                                  outcome)
         bad += result == "SURVIVED"
         print(f"{m.name:34} {result:10} {seconds:6.1f}s {where}", flush=True)
-    print(f"{len(MUTANTS)} mutants, {bad} survived or unusable")
+    print(f"{len(MUTANTS)} mutants, {bad} survived or unusable, "
+          f"{time.monotonic() - start:.0f}s in all")
     return 1 if bad else 0
 
 

@@ -64,7 +64,7 @@ from superbialg.bialgebra import (
 )
 from superbialg.cohomology import Cochain
 from superbialg.graded import (
-    EVEN, Q, GradedBasis, Tensor2, Tensor3, tensor, wedge,
+    EVEN, Q, GradedBasis, Tensor, Tensor2, tensor, wedge,
 )
 
 
@@ -96,7 +96,7 @@ def pairing_dual_bracket(b: Bialgebra) -> Superalgebra:
     return Superalgebra(dual_basis(basis), constants)
 
 
-def super_cybe(g: Superalgebra, r: Tensor2) -> Tensor3:
+def super_cybe(g: Superalgebra, r: Tensor2) -> Tensor:
     """[[r,r]] = [r12,r13] + [r12,r23] + [r13,r23] for an even r."""
     if r.parity() not in (EVEN, None):
         raise ValueError("super_cybe takes an even r")
@@ -115,10 +115,10 @@ def super_cybe(g: Superalgebra, r: Tensor2) -> Tensor3:
                 add((p, k, t), c * z)
             for k, z in g.rows[q][t].items():
                 add((p, s, k), sign * c * z)
-    return Tensor3((g.basis,) * 3, acc)
+    return Tensor(g.basis, acc, 3)
 
 
-def adjoint_on_tensor3(g: Superalgebra, a: int, t: Tensor3) -> Tensor3:
+def adjoint_on_tensor3(g: Superalgebra, a: int, t: Tensor) -> Tensor:
     """e_a . (u (x) v (x) w) = [e_a,u] (x) v (x) w
     + (-1)^{|a||u|} u (x) [e_a,v] (x) w + (-1)^{|a|(|u|+|v|)} u (x) v (x) [e_a,w]."""
     par = g.basis.parities
@@ -133,7 +133,7 @@ def adjoint_on_tensor3(g: Superalgebra, a: int, t: Tensor3) -> Tensor3:
         s = koszul(par[a], par[u] + par[v]) * c
         for k, z in row[w].items():
             acc[(u, v, k)] = acc.get((u, v, k), 0) + s * z
-    return Tensor3((g.basis,) * 3, acc)
+    return Tensor(g.basis, acc, 3)
 
 
 def adjoint_on_tensor2(g: Superalgebra, a: int, t: Tensor2) -> Tensor2:
@@ -151,7 +151,7 @@ def adjoint_on_tensor2(g: Superalgebra, a: int, t: Tensor2) -> Tensor2:
     return Tensor2(g.basis, g.basis, acc)
 
 
-def is_ad_invariant3(g: Superalgebra, t: Tensor3) -> bool:
+def is_ad_invariant3(g: Superalgebra, t: Tensor) -> bool:
     return all(adjoint_on_tensor3(g, a, t).is_zero() for a in range(g.dim()))
 
 

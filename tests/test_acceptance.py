@@ -206,19 +206,19 @@ def test_criterion_14_property_suite():
 
 
 def _triple(rng):
-    from superbialg.graded import Tensor3
+    from superbialg.graded import Tensor
     entries = {}
     for _ in range(3):
         key = (rng.randrange(8), rng.randrange(8), rng.randrange(8))
         entries[key] = Q(rng.randint(-3, 3))
-    return Tensor3((B, B, B), entries)
+    return Tensor(B, entries, 3)
 
 
 def _cycle_fixed(s):
-    from superbialg.graded import Tensor3
+    from superbialg.graded import Tensor
     shifted = {}
     for (i, j, k), c in s.entries.items():
         sign = (-1) ** (B.parity(i) * (B.parity(j) + B.parity(k)))
         key = (j, k, i)
         shifted[key] = shifted.get(key, Q(0)) + sign * c
-    return Tensor3((B, B, B), shifted) == s
+    return Tensor(B, shifted, 3) == s

@@ -242,8 +242,9 @@ def test_canonical_r_names_a_vector_that_moves_the_symmetric_part():
     d = cat.double_of_s()
     basis = d.underlying.basis
     r = d.canonical_r + Tensor2(basis, basis, {(0, 0): Q(1)})  # + h (x) h
-    rep = check_canonical_r(DoubleAlgebra(d.underlying, d.delta, d.form, r,
-                                          d.primal_dim))
+    moved = DoubleAlgebra(d.underlying, d.delta)
+    moved.canonical_r = r
+    rep = check_canonical_r(moved)
     assert [(c.name, c.detail) for c in rep.failures] == [
         ("d(canonical r) = delta", "d(r) - delta has 4 nonzero values"),
         ("r + T(r) is adjoint-invariant", "a = x moves r + T(r)"),

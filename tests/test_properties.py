@@ -17,7 +17,7 @@ from superbialg.algebra import Superalgebra, adjoint_on_tensor2
 from superbialg.cohomology import Cochain, canonical_tuple, coboundary_0, is_cocycle_1
 from superbialg.bialgebra import r_of_f, solve_f_from_r
 from superbialg.graded import (
-    Element, LinearEndomorphism, LinearMap, Tensor2, Tensor3, image_basis,
+    Element, LinearEndomorphism, LinearMap, Tensor, Tensor2, image_basis,
     invert_matrix, rank, rref, super_swap, wedge,
 )
 
@@ -80,7 +80,7 @@ def test_wedge_like_skew_part(t):
 def tensors3():
     triple = st.tuples(indices, indices, indices)
     return st.dictionaries(triple, small_rationals, max_size=5).map(
-        lambda d: Tensor3((B, B, B), d))
+        lambda d: Tensor(B, d, 3))
 
 
 @given(tensors3())
@@ -91,7 +91,7 @@ def test_alt_fixed_by_signed_cycle(t):
         sign = (-1) ** (B.parity(i) * (B.parity(j) + B.parity(k)))
         key = (j, k, i)
         shifted[key] = shifted.get(key, Q(0)) + sign * c
-    assert Tensor3((B, B, B), shifted) == s
+    assert Tensor(B, shifted, 3) == s
 
 
 @given(st.lists(st.tuples(indices, indices), min_size=1, max_size=3))

@@ -25,7 +25,7 @@ from superbialg.bialgebra import (
 )
 from superbialg.cohomology import Cochain, coboundary, is_cocycle_1
 from superbialg.graded import (
-    Element, LinearEndomorphism, LinearMap, Tensor2, Tensor3,
+    Element, LinearEndomorphism, LinearMap, Tensor, Tensor2,
 )
 
 from oracles import adjoint_on_tensor2, alt_s, apply_tensor2
@@ -83,7 +83,6 @@ def compatibility_reference(g: Superalgebra, d: Cochain) -> str | None:
 
 def cojacobi_reference(g: Superalgebra, d: Cochain) -> str | None:
     """Alt of (delta (x) Id) delta(x), one basis vector x at a time."""
-    bases = (g.basis,) * 3
     for x in range(g.dim()):
         dx = d.value(x)
         if dx is None:
@@ -94,7 +93,7 @@ def cojacobi_reference(g: Superalgebra, d: Cochain) -> str | None:
             if du is not None:
                 for (i, j), y in du.entries.items():
                     entries[(i, j, v)] = entries.get((i, j, v), 0) + c * y
-        s = alt_s(Tensor3(bases, entries))
+        s = alt_s(Tensor(g.basis, entries, 3))
         if not s.is_zero():
             return f"at {g.basis.labels[x]}: cyclic sum = {s}"
     return None
