@@ -16,14 +16,16 @@ counterexamples.
 Each check here is a `VerificationReport.scan` over basis tuples.  Super
 antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted
 pair, and decided once per algebra: its first failure, or None, is cached
-for both `validate` and `pairs_to_scan`.  Once it holds,
-`validate` scans super Jacobi over sorted triples a <= b <= c only: the
-signed cyclic sum is invariant under rotation and changes by a sign under
-a transposition, so the sorted scan decides the axiom and its first
-failure is also the first in product order.  `pairs_to_scan` gives the
-pairwise checks the same shortcut over a <= b.  When antisymmetry fails,
-every tuple is scanned in product order instead.  `check_invariance`
-compares the two sides of <[a,b],c> = <a,[b,c]> one dict over c per pair.
+for both `validate` and `pairs_to_scan`.  Once it holds, super Jacobi's
+signed cyclic sum J(a,b,c) changes at most by a sign under a permutation,
+so its first failure in product order is a sorted triple, which
+`_first_jacobi_failure` finds from the nonzero constants: for each a in
+turn, it adds the rotations of every a <= b <= c into one integer
+accumulator keyed (b, c, m), and stops at the first a with a nonzero sum,
+at its least (b, c).  `pairs_to_scan` gives the pairwise checks the same
+shortcut over a <= b.  When antisymmetry fails, every tuple is scanned in
+product order instead.  `check_invariance` compares the two sides of
+<[a,b],c> = <a,[b,c]> one dict over c per pair.
 
 A `MatrixRealization` keeps its images as ints over one denominator E.
 `from_matrices` re-derives the constants from their integer commutators,
@@ -178,9 +180,10 @@ class Superalgebra:
     def validate(self) -> VerificationReport:
         """Check grading consistency, super antisymmetry and super Jacobi.
 
-        Exhaustive over all basis pairs and (up to the symmetry of the
-        cyclic sum) all triples; the first counterexample of each axiom, in
-        product order, is recorded in the report.
+        Each axiom is decided exhaustively and reports its first
+        counterexample in product order.  Jacobi's comes from
+        `_first_jacobi_failure` on an antisymmetric table, and from a scan
+        of every triple otherwise; `_jacobi_sum` renders it.
         """
         rep = VerificationReport("superalgebra axioms")
         par = self.basis.parities
@@ -205,23 +208,15 @@ class Superalgebra:
                  lambda i: (f"[{lab[i]},{lab[i]}] = {self.bracket_basis(i, i)}"
                             f" != 0" if par[i] == EVEN and num[i][i] else None))
 
-        # With antisymmetry, J on a permuted triple is +-J on the sorted
-        # one, so J vanishes everywhere iff it does on a <= b <= c, and the
-        # first failure in product order is a sorted triple.  Without it,
-        # every triple is scanned in product order.
-        if antisymmetric:
-            triples = ((a, b, c) for a in range(n) for b in range(a, n)
-                       for c in range(b, n))
-        else:
-            triples = product(range(n), repeat=3)
-
-        scale = den ** 2
-
         def jacobi_fails(a, b, c):
             acc = self._jacobi_sum(a, b, c)
             return (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}): cyclic "
-                    f"sum = {Element.wrap(self.basis, _over(acc, scale))}"
+                    f"sum = {Element.wrap(self.basis, _over(acc, den ** 2))}"
                     if any(acc.values()) else None)
+        if antisymmetric:  # at most one triple: the kernel's first failure
+            triples = filter(None, [self._first_jacobi_failure()])
+        else:
+            triples = product(range(n), repeat=3)
         rep.scan("super Jacobi", triples, jacobi_fails)
         return rep
 
@@ -283,6 +278,53 @@ class Superalgebra:
                 for m, v in rx[k].items():
                     acc[m] = get(m, 0) + ck * v
         return acc
+
+    def _first_jacobi_failure(self) -> tuple[int, int, int] | None:
+        """The first sorted triple with a nonzero Jacobi sum, or None, on an
+        antisymmetric table (see the module docstring).  `nz[i]` lists the
+        nonzero rows [e_i, e_j] by j, `cols[k]` the rows [e_x, e_k] by x,
+        and `into[m]` the constants C(i,j,m) with i <= j; each term is
+        signed as in `_jacobi_sum`, so acc[b, c, m] is D^2 J(a,b,c)_m."""
+        par = self.basis.parities
+        nz = [[(j, row) for j, row in enumerate(rs) if row]
+              for rs in self.int_table[1]]
+        cols, into = [[] for _ in nz], [[] for _ in nz]
+        for x, rx in enumerate(nz):
+            for k, row in rx:
+                cols[k].append((x, row))
+                if k >= x:
+                    for m, v in row.items():
+                        into[m].append((x, k, v))
+        for a, pa in enumerate(par):
+            acc: dict[tuple[int, int, int], int] = {}
+            get = acc.get
+            for k, ra in nz[a]:  # s(a,c) [e_a, [e_b, e_c]]
+                for b, c, y in into[k]:
+                    if b >= a:
+                        y = -y if pa & par[c] else y
+                        for m, v in ra.items():
+                            acc[b, c, m] = get((b, c, m), 0) + y * v
+            for c, row in cols[a]:  # s(b,a) [e_b, [e_c, e_a]]
+                if c >= a:
+                    for k, y in row.items():
+                        for b, rb in cols[k]:
+                            if b > c:
+                                break
+                            if b >= a:
+                                yb = -y if par[b] & pa else y
+                                for m, v in rb.items():
+                                    acc[b, c, m] = get((b, c, m), 0) + yb * v
+            for b, row in nz[a]:  # s(c,b) [e_c, [e_a, e_b]]
+                if b >= a:
+                    for k, y in row.items():
+                        for c, rc in cols[k]:
+                            if c >= b:
+                                yc = -y if par[c] & par[b] else y
+                                for m, v in rc.items():
+                                    acc[b, c, m] = get((b, c, m), 0) + yc * v
+            if failing := [key[:2] for key, v in acc.items() if v]:
+                return (a, *min(failing))
+        return None
 
     def is_solvable(self) -> bool:
         """Does the derived series reach zero?

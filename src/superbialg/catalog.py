@@ -446,15 +446,6 @@ def negation_map(basis: GradedBasis) -> LinearMap:
                                     for i in range(len(basis))])
 
 
-def paper_maps() -> dict[str, LinearMap]:
-    return {
-        "i1": i1_map(), "i2": i2_map(),
-        "is1": is1_map(), "is2": is2_map(),
-        "dual_iso_1": dual_iso_1(), "dual_iso_2": dual_iso_2(),
-        "dual_iso_t1": dual_iso_t1(), "dual_iso_t2": dual_iso_t2(),
-    }
-
-
 # ---------------------------------------------------------------------------
 # doubles and their identifications
 # ---------------------------------------------------------------------------
@@ -525,14 +516,6 @@ def dual_bracket_table_t1() -> dict[tuple[str, str], list[tuple[int, str]]]:
         ("h*", "x*"): [(-1, "x*")],
         ("h*", "y2*"): [(-1, "y2*")],
         ("y1*", "y2*"): [(1, "x*")],
-    }
-
-
-def dual_bracket_table_t2() -> dict[tuple[str, str], list[tuple[int, str]]]:
-    return {
-        ("h*", "x*"): [(1, "x*")],
-        ("h*", "y2*"): [(1, "y2*")],
-        ("y1*", "y2*"): [(-1, "x*")],
     }
 
 

@@ -9,7 +9,8 @@ mutant, copies `src/` to a temporary directory, applies the mutant and runs
 tier-1 on the copy with `pytest -x` under a time limit.  The mutated
 module's own test file, `tests/test_<module>.py` where it exists, runs
 first and the other test files after it, each once, so most mutants fall
-to the first tests they meet.  It prints one row per mutant, then the
+to the first tests they meet; a mutant that only a later file kills names
+that file as its `first`.  It prints one row per mutant, then the
 count and the whole gate's time:
 
 * `killed`: a test failed;
@@ -22,7 +23,9 @@ The exit status is 1 when a mutant that is not marked equivalent survives
 or when an old string does not occur exactly once, and 0 otherwise.  The
 time limit is twice the unmutated run plus 30 s, so a surviving
 mutant, which runs the whole suite, finishes inside it.  This file is not
-collected by tier-1 (its name does not match `test_*.py`).
+collected by tier-1 (its name does not match `test_*.py`), but
+`tests/test_mutants.py` checks in tier-1 that every old string occurs
+exactly once.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ class Mutant:
     old: str
     new: str
     equivalent: str | None = None  # the reason, for a mutant not run
+    first: str | None = None  # the test file to run first, under tests/
 
 
 MUTANTS = [
@@ -59,7 +63,30 @@ MUTANTS = [
            "keep = self.basis.parities[i] or self.basis.parities[j]"),
     Mutant("jacobi-koszul-xy", "algebra.py",
            "rows[x], par[x] & par[z]",
-           "rows[x], par[x] & par[y]"),
+           "rows[x], par[x] & par[y]", first="test_int_kernels.py"),
+    # the Jacobi kernel, one sign and one index bound per rotation; for
+    # these and the sum above, the kernel's tests on perturbed sl(m|n)
+    # run first
+    Mutant("jacobi-kernel-abc-koszul", "algebra.py",
+           "y = -y if pa & par[c] else y",
+           "y = -y if pa & par[b] else y", first="test_int_kernels.py"),
+    Mutant("jacobi-kernel-abc-bound", "algebra.py",
+           "                    if b >= a:\n"
+           "                        y = -y",
+           "                    if b > a:\n"
+           "                        y = -y", first="test_int_kernels.py"),
+    Mutant("jacobi-kernel-bca-koszul", "algebra.py",
+           "yb = -y if par[b] & pa else y",
+           "yb = -y if par[c] & pa else y", first="test_int_kernels.py"),
+    Mutant("jacobi-kernel-bca-bound", "algebra.py",
+           "if b > c:",
+           "if b >= c:", first="test_int_kernels.py"),
+    Mutant("jacobi-kernel-cab-koszul", "algebra.py",
+           "yc = -y if par[c] & par[b] else y",
+           "yc = -y if par[c] & pa else y", first="test_int_kernels.py"),
+    Mutant("jacobi-kernel-cab-bound", "algebra.py",
+           "if c >= b:",
+           "if c > b:", first="test_int_kernels.py"),
     Mutant("verify-grading-no-mod", "bialgebra.py",
            "(par[i] + par[j]) % 2 == par[k]",
            "(par[i] + par[j]) == par[k]"),
@@ -121,7 +148,7 @@ MUTANTS = [
            "span[2], num, half=True"),
     Mutant("gram-matrix-over-e", "algebra.py",
            "real.sparse, real.den ** 2",
-           "real.sparse, real.den"),
+           "real.sparse, real.den", first="test_stored_table.py"),
     # one check, in one place
     Mutant("validate-antisymmetry-passes", "algebra.py",
            'rep.add("super antisymmetry", failure is None, failure)',
@@ -137,7 +164,8 @@ MUTANTS = [
            "            c = c if type(c) is int else as_scalar(c)\n"
            "            if c == 0:\n"
            "                continue\n"
-           "            _check_index(len(basis), (i, j, k))\n"),
+           "            _check_index(len(basis), (i, j, k))\n",
+           first="test_stored_table.py"),
     # cochains hold values in g (x) g
     Mutant("pairwise-action-side-no-koszul", "cohomology.py",
            "_act_into(rhs, g, a, fb, s * koszul(par[a], parity))",
@@ -246,9 +274,10 @@ def main() -> int:
                 print(f"{m.name:34} {'BAD':10} {'':7} {e}", flush=True)
                 bad += 1
                 continue
-            own = ROOT / "tests" / f"test_{Path(m.file).stem}.py"
+            first = ROOT / "tests" / (m.first
+                                      or f"test_{Path(m.file).stem}.py")
             outcome, seconds, where = tier1(
-                src, timeout, own if own.exists() else None)
+                src, timeout, first if first.exists() else None)
         result = {"failed": "killed", "passed": "SURVIVED"}.get(outcome,
                                                                  outcome)
         bad += result == "SURVIVED"

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from superbialg import catalog as cat
@@ -149,14 +149,13 @@ def _jacobi_reference(g: Superalgebra) -> str | None:
 
 PERTURBED = {"sl21": lambda: cat.sl21(),
              "double of s": lambda: cat.double_of_s().underlying}
+# (i, j, k, c): add c to C(i,j,k) of an 8-dim table
+CHANGE = st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=3))
 
 
 @given(st.sampled_from(sorted(PERTURBED)),
-       st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
-                          st.integers(0, 7),
-                          st.fractions(min_value=-3, max_value=3,
-                                       max_denominator=3)),
-                max_size=3))
+       st.lists(CHANGE, max_size=3))
 @settings(max_examples=40, deadline=None)
 def test_validate_jacobi_matches_product_order_reference(name, changes):
     g = PERTURBED[name]()
@@ -174,6 +173,25 @@ def test_validate_jacobi_matches_product_order_reference(name, changes):
     rep = h.validate()
     checks = {ch.name: ch for ch in rep.checks}
     assert checks["super antisymmetry"].passed
+    want = _jacobi_reference(h)
+    assert checks["super Jacobi"].passed == (want is None)
+    assert checks["super Jacobi"].detail == want
+
+
+@given(st.sampled_from(sorted(PERTURBED)),
+       st.lists(CHANGE, min_size=1, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_validate_one_sided_change_scans_jacobi_in_product_order(name,
+                                                                  changes):
+    # add c to C(i,j,k) alone: without antisymmetry, every triple is
+    # scanned in product order
+    g = PERTURBED[name]()
+    consts = dict(g.constants)
+    for i, j, k, c in changes:
+        consts[(i, j, k)] = consts.get((i, j, k), 0) + c
+    h = Superalgebra(g.basis, consts)
+    checks = {ch.name: ch for ch in h.validate().checks}
+    assume(not checks["super antisymmetry"].passed)
     want = _jacobi_reference(h)
     assert checks["super Jacobi"].passed == (want is None)
     assert checks["super Jacobi"].detail == want

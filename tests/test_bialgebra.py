@@ -198,9 +198,17 @@ def test_dual_bracket_second_structure():
     assert cat.dual_matches_table(d, cat.dual_bracket_table_2())
 
 
+# the nonzero brackets on the dual of the second structure on t
+DUAL_BRACKET_TABLE_T2 = {
+    ("h*", "x*"): [(1, "x*")],
+    ("h*", "y2*"): [(1, "y2*")],
+    ("y1*", "y2*"): [(-1, "x*")],
+}
+
+
 def test_dual_bracket_t_structures():
     for bial, table in ((cat.t_bialgebra_1(), cat.dual_bracket_table_t1()),
-                        (cat.t_bialgebra_2(), cat.dual_bracket_table_t2())):
+                        (cat.t_bialgebra_2(), DUAL_BRACKET_TABLE_T2)):
         assert cat.dual_matches_table(dual_bracket(bial), table)
 
 

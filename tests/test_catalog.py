@@ -50,7 +50,12 @@ def test_delta_tables_collection():
 
 
 def test_paper_maps_fixture_values():
-    maps = cat.paper_maps()
+    maps = {
+        "i1": cat.i1_map(), "i2": cat.i2_map(),
+        "is1": cat.is1_map(), "is2": cat.is2_map(),
+        "dual_iso_1": cat.dual_iso_1(), "dual_iso_2": cat.dual_iso_2(),
+        "dual_iso_t1": cat.dual_iso_t1(), "dual_iso_t2": cat.dual_iso_t2(),
+    }
     assert maps["i2"].images[0] == -1 * V("E11+E33")       # h*
     assert maps["is1"].images[3] == V("E32")               # y2
     assert maps["dual_iso_2"].images[3] == -1 * cat.s_basis().vector("y1")

@@ -2,10 +2,14 @@
 
 Super Jacobi, the pairwise cocycle scan, coJacobi and the adjoint action
 on g (x) g sum integer numerators over one denominator per table.  Here
-they run on sl(3|1) and sl(3|2) (15 and 24 dims, see tests/slmn.py) and
-are compared with independent derivations: the super classical
-Yang-Baxter equation, the product-order reference scans and the Leibniz
-rule read off the Fraction rows (`oracles.adjoint_on_tensor2`).  The guards
+they run on sl(3|1), sl(3|2) and sl(4|2) (15, 24 and 35 dims, see
+tests/slmn.py) and are compared with independent derivations: the super
+classical Yang-Baxter equation, the product-order reference scans and the
+Leibniz rule read off the Fraction rows (`oracles.adjoint_on_tensor2`).
+The Jacobi kernel of `validate` is compared with a scan of the sorted
+triples through `_jacobi_sum`, whose detail sums the public bracket, on
+perturbed, reordered sl(3|1) and sl(3|2), the repeated-index triples
+(a,a,c), (a,c,c) and (a,a,a) among them.  The guards
 count Fraction arithmetic inside passing checks, inside the fraction-free
 eliminations of `graded`, inside the paper's map and form checks, which
 add integer numerators over `LinearMap.int_images` and
@@ -45,7 +49,7 @@ from test_reference_scans import (
     _detail, cocycle_reference, cojacobi_reference, compatibility_reference,
 )
 
-RUNGS = [(3, 1), (3, 2)]
+RUNGS = [(3, 1), (3, 2), (4, 2)]
 ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
               "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
 
@@ -103,6 +107,96 @@ def test_perturbed_delta_names_the_reference_counterexample(m, n):
 
 
 coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+def _perturbed(m: int, n: int, order, changes) -> Superalgebra:
+    """sl(m|n) with the basis vectors in `order` (labels, or indices of
+    `standard(m, n)`) first and the rest after them, then c added to
+    C(i,j,k) for each (i, j, k, c) of `changes` (labels, or indices in
+    the new order) and the mirror kept super-antisymmetric; an even
+    self-bracket stays zero."""
+    g = standard(m, n)[0]
+    B = g.basis
+    order = [B.index(x) if isinstance(x, str) else x for x in order]
+    order += [i for i in range(g.dim()) if i not in order]
+    at = {old: new for new, old in enumerate(order)}
+    basis = GradedBasis([B.labels[i] for i in order],
+                        [B.parities[i] for i in order])
+    par = basis.parities
+    consts = {(at[i], at[j], at[k]): c for (i, j, k), c in g.constants.items()}
+    for i, j, k, c in changes:
+        i, j, k = (basis.index(x) if isinstance(x, str) else x
+                   for x in (i, j, k))
+        if i == j and not par[i]:
+            continue
+        consts[(i, j, k)] = consts.get((i, j, k), 0) + c
+        if i != j:
+            consts[(j, i, k)] = (consts.get((j, i, k), 0)
+                                 - (-1 if par[i] and par[j] else 1) * c)
+    return Superalgebra(basis, consts)
+
+
+def _sorted_jacobi_scan(g: Superalgebra):
+    """(the first sorted triple a <= b <= c whose `_jacobi_sum` is
+    nonzero, the detail `validate` must give it), or (None, None); the
+    detail's cyclic sum goes through the public bracket."""
+    n, lab, par, e = g.dim(), g.basis.labels, g.basis.parities, g.basis.vector
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(b, n):
+                if any(g._jacobi_sum(a, b, c).values()):
+                    total = g.basis.zero()
+                    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+                        sign = -1 if par[x] and par[z] else 1
+                        total = total + g.bracket(
+                            e(x), g.bracket(e(y), e(z))).scale(sign)
+                    return (a, b, c), (f"Jacobi fails on ({lab[a]},{lab[b]},"
+                                       f"{lab[c]}): cyclic sum = {total}")
+    return None, None
+
+
+def _assert_jacobi_matches_the_sorted_scan(g: Superalgebra):
+    triple, detail = _sorted_jacobi_scan(g)
+    checks = {ch.name: ch for ch in g.validate().checks}
+    assert checks["super antisymmetry"].passed
+    assert g._first_jacobi_failure() == triple
+    assert checks["super Jacobi"].passed == (triple is None)
+    assert checks["super Jacobi"].detail == detail
+    return triple
+
+
+# an odd a: E14 is odd in sl(3|1) and in sl(3|2)
+REPEATED = {
+    # [E14, E14] = E41 puts -3 [E14, E41] into J(a, a, a), a first
+    "(a,a,a)": (["E14"], [("E14", "E14", "E41", 1)]),
+    # [E14, E14] = E24 commutes with E14: J(a, a, a) = 0, J(a, a, h) != 0
+    "(a,a,c)": (["E14"], [("E14", "E14", "E24", 1)]),
+    # [E14, E14] = E12 moves J(h, E14, E14) only, h the first Cartan
+    "(a,c,c)": ([], [("E14", "E14", "E12", 1)]),
+}
+
+
+@pytest.mark.parametrize("m,n", [(3, 1), (3, 2)])
+@pytest.mark.parametrize("shape", list(REPEATED))
+def test_jacobi_kernel_on_repeated_indices(m, n, shape):
+    a, b, c = _assert_jacobi_matches_the_sorted_scan(
+        _perturbed(m, n, *REPEATED[shape]))
+    assert shape == f"(a,{'a' if b == a else 'c'},{'a' if c == a else 'c'})"
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_jacobi_kernel_matches_the_sorted_scan(data):
+    # sl(3|1) and sl(3|2) on a drawn basis order, with antisymmetric
+    # changes: the first failing triple and its detail are the sorted
+    # scan's
+    m, n = data.draw(st.sampled_from([(3, 1), (3, 2)]))
+    size = (m + n) ** 2 - 1
+    index = st.integers(0, size - 1)
+    order = data.draw(st.permutations(range(size)))
+    changes = data.draw(st.lists(st.tuples(index, index, index, coefficient),
+                                 max_size=3))
+    _assert_jacobi_matches_the_sorted_scan(_perturbed(m, n, order, changes))
 
 
 @given(name=st.sampled_from(["sl21", "double of s"]),
