@@ -30,10 +30,11 @@ product order instead.  `check_invariance` compares the two sides of
 A `MatrixRealization` keeps its images as ints over one denominator E.
 `from_matrices` re-derives the constants from their integer commutators,
 and `gram_matrix` the supertrace form str(rho(x) rho(y)), used for Casimir
-elements and Manin triples, from integer products.  `from_matrices`,
-`is_subalgebra` and `bialgebra.restrict` each factor their span once with
-`graded.factor_span` and read every bracket off it in ints; each
-coordinate vector is checked exactly against its reconstruction.
+elements and Manin triples, from integer products.  `from_matrices` and
+`_span_brackets` (for `is_subalgebra` and `bialgebra.restrict`) factor a
+span once with `graded.factor_span` and read every bracket off it in ints,
+each checked exactly against its reconstruction.  `is_solvable` and
+`BilinearForm.is_nondegenerate` reduce sparse integer rows with `rref`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Mapping, Sequence
 from .graded import (
     EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
     _add_into, _combine, _denominator, _int_coordinates, _numerators, _over,
-    _proportional, _same_basis, as_scalar, factor_span, koszul, rank, rref,
+    _proportional, _same_basis, as_scalar, factor_span, koszul, rref,
 )
 from .report import VerificationReport
 
@@ -333,16 +334,16 @@ class Superalgebra:
         or drops the dimension, so at most dim g steps are taken.
         """
         columns = range(self.dim())
-        current = self.basis.vectors()
+        current = [{i: 1} for i in columns]
         while True:
-            brackets = [v.entries for a in current for b in current
-                         if not (v := self.bracket(a, b)).is_zero()]
+            brackets = [v for a in current for b in current
+                        if (v := self._int_bracket(a, b))]
             if not brackets:
                 return True
             red, _ = rref(brackets, columns)
             if len(red) == len(current):
                 return False
-            current = [Element.wrap(self.basis, row) for row in red]
+            current = [_numerators(row, _denominator([row])) for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +499,8 @@ class BilinearForm:
                    for i, row in enumerate(rows) for j, x in row.items())
 
     def is_nondegenerate(self) -> bool:
-        return rank(self.gram) == len(self.basis)
+        n = len(self.basis)
+        return len(rref(self.int_gram[1], range(n))[1]) == n
 
 
 def gram_matrix(real: MatrixRealization) -> BilinearForm:
@@ -552,24 +554,28 @@ def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor) -> Tensor:
     return t._with(_over(acc, g.int_table[0] * da * dt))
 
 
-def is_subalgebra(g: Superalgebra, vectors: Sequence[Element]) -> bool:
-    """Is the span of the (independent) vectors closed under the bracket?
-
-    The span is factored once (with the vectors as ints, s times their
-    values), and each bracket [a, b], in (a, b) order, adds ints over
-    `g.int_table` and is read off that one factorization.
-    """
+def _span_brackets(g: Superalgebra, vectors: Sequence[Element],
+                   what: str) -> tuple:
+    """The span of the vectors factored once (`graded.factor_span`, s times
+    the vectors as ints) and a lazy scan of their brackets in product order:
+    (a, b, q D s^2 times the coordinates of [v_a, v_b], None outside the
+    span).  Dependent vectors raise DependentVectors at once."""
     span = factor_span([v.entries for v in vectors], range(g.dim()))
     if span is None:
-        raise DependentVectors("subalgebra test needs independent vectors")
-    ints = span[1]  # the vectors as ints, s times their values
+        raise DependentVectors(f"{what} needs independent vectors")
+    ints = span[1]
 
-    def closed(a, b):
+    def coordinates(a, b):
         _same_basis(vectors[a].basis, g.basis)
         _same_basis(vectors[b].basis, g.basis)
-        return _int_coordinates(span, g._int_bracket(ints[a], ints[b]))
-    return all(closed(a, b) is not None
-               for a, b in product(range(len(vectors)), repeat=2))
+        return a, b, _int_coordinates(span, g._int_bracket(ints[a], ints[b]))
+    return span, starmap(coordinates, product(range(len(vectors)), repeat=2))
+
+
+def is_subalgebra(g: Superalgebra, vectors: Sequence[Element]) -> bool:
+    """Is the span of the (independent) vectors closed under the bracket?"""
+    _, brackets = _span_brackets(g, vectors, "subalgebra test")
+    return all(coords is not None for _, _, coords in brackets)
 
 
 def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:

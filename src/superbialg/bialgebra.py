@@ -43,13 +43,13 @@ from typing import Sequence
 from .graded import (
     EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
     LinearMap, Tensor, Tensor2, _add_into, _combine, _denominator,
-    _int_coordinates, _numerators, _over, _proportional, _same_basis,
-    factor_span, invert_matrix, is_super_skew, rref, span_coordinates,
-    square_span, super_swap, tensor,
+    _numerators, _over, _proportional, _same_basis, invert_matrix,
+    is_super_skew, rref, span_coordinates, square_span, super_swap, tensor,
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
-    check_homomorphism, check_invariance, gram_matrix, is_subalgebra,
+    _span_brackets, check_homomorphism, check_invariance, gram_matrix,
+    is_subalgebra,
 )
 from .cohomology import (
     Cochain, coboundary_0, is_cocycle_1, pairwise_failure,
@@ -321,10 +321,10 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
 
     Every sub vector must be homogeneous and independent; the bracket and
     delta must both close on the span (exact membership, no projection).
-    The span is factored once: every [v_i, v_j] is read off that
-    factorization, and every delta(v) off its tensor square, which factors
-    span (x) span.  Raises NotClosedUnderCobracket when some bracket leaves
-    the span or some delta(v) leaves span (x) span.
+    The span is factored once, by `algebra._span_brackets`, which reads
+    every [v_i, v_j] off it; every delta(v) is read off its tensor square,
+    which factors span (x) span.  Raises NotClosedUnderCobracket when some
+    bracket leaves the span or some delta(v) leaves span (x) span.
 
     The result is not verified again: a subspace closed under bracket and
     cobracket inherits every axiom that b satisfies.
@@ -333,24 +333,18 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
     for v in sub:
         if not v.is_homogeneous() or v.is_zero():
             raise InhomogeneousInput(f"sub vector {v} is not homogeneous")
-    span = factor_span([v.entries for v in sub], range(g.dim()))
-    if span is None:
-        raise DependentVectors("restriction needs independent vectors")
+    span, brackets = _span_brackets(g, sub, "restriction")
     if labels is None:
         labels = [f"v{i}" for i in range(len(sub))]
     sub_basis = GradedBasis(labels, [v.parity() for v in sub])
 
-    # with the vectors as ints (s times their values), D s^2 [v_i, v_j] has
-    # coordinates q D s^2 times the constants
-    _, ints, q, s = span
-    num = [[{} for _ in sub] for _ in sub]
-    for (i, vi), (j, vj) in product(enumerate(sub), repeat=2):
-        _same_basis(vi.basis, g.basis)
-        _same_basis(vj.basis, g.basis)
-        num[i][j] = _int_coordinates(span, g._int_bracket(ints[i], ints[j]))
-        if num[i][j] is None:
+    num = [[{} for _ in sub] for _ in sub]  # q D s^2 times the constants
+    for i, j, coords in brackets:
+        if coords is None:
             raise NotClosedUnderCobracket(
-                f"bracket [{vi}, {vj}] leaves the span")
+                f"bracket [{sub[i]}, {sub[j]}] leaves the span")
+        num[i][j] = coords
+    *_, q, s = span
     sub_alg = Superalgebra._of(sub_basis, q * g.int_table[0] * s * s, num)
 
     pairs = square_span(span)

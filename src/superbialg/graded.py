@@ -24,9 +24,10 @@ Sign conventions (used throughout the package):
 The linear-algebra kernel is `rref`, fraction-free elimination of sparse
 rows {column key: value} over an ordered list of keys: each row is scaled
 to integers, and the reduced rows come out sparse, in Fractions.
-`invert_matrix` takes and returns sparse rows; only `rank` reads a dense
-matrix.  `factor_span` factors a span once: one `rref` for the pivot keys,
-one inverse of the pivot block P, kept as ints like the vectors.
+`invert_matrix` takes and returns sparse rows; `rank`, on a dense matrix,
+serves only the tests and the benchmark.  `factor_span` factors a span
+once: one `rref` for the pivot keys, one inverse of the pivot block P,
+kept as ints like the vectors.
 `_int_coordinates` reads the coordinates of an integer vector off it and
 rebuilds them to decide membership exactly (`span_coordinates` for a
 Fraction vector); `square_span` gives the factorization of

@@ -300,11 +300,14 @@ def double_from_json(d) -> DoubleAlgebra:
         delta = cochain_from_json(d["delta"], alg)
     except KeyError as e:
         raise SchemaError(f"double JSON needs {e} field") from e
-    par = alg.basis.parities
+    par, lab = alg.basis.parities, alg.basis.labels
     n = len(par) // 2
     if 2 * n != len(par) or par[:n] != par[n:]:
         raise SchemaError(f"a double's basis is e_1..e_n, e_1*..e_n* with "
                           f"|e_i*| = |e_i|, not parities {list(par)}")
+    if lab[n:] != tuple(x + "*" for x in lab[:n]):
+        raise SchemaError(f"a double's basis is e_1..e_n, e_1*..e_n*, not "
+                          f"{list(lab)}")
     return DoubleAlgebra(alg, delta)
 
 

@@ -166,6 +166,22 @@ MUTANTS = [
            "                continue\n"
            "            _check_index(len(basis), (i, j, k))\n",
            first="test_stored_table.py"),
+    # one span-closure scan for is_subalgebra and restrict, the fixture
+    # rule of verify paper, the integer rank of a form
+    Mutant("subalgebra-closure-no-none-test", "algebra.py",
+           "return all(coords is not None for",
+           "return all(True for"),
+    Mutant("restrict-closure-no-none-test", "bialgebra.py",
+           "        if coords is None:\n"
+           "            raise NotClosedUnderCobracket(",
+           "        if False:\n"
+           "            raise NotClosedUnderCobracket("),
+    Mutant("fixture-none-passes", "verify.py",
+           "passed = out.passed if report else out is True",
+           "passed = out.passed if report else out is True or out is None"),
+    Mutant("nondegenerate-rank-off-by-one", "algebra.py",
+           "return len(rref(self.int_gram[1], range(n))[1]) == n",
+           "return len(rref(self.int_gram[1], range(n))[1]) >= n - 1"),
     # cochains hold values in g (x) g
     Mutant("pairwise-action-side-no-koszul", "cohomology.py",
            "_act_into(rhs, g, a, fb, s * koszul(par[a], parity))",
@@ -183,6 +199,9 @@ MUTANTS = [
            "        raise SchemaError(",
            "    if False:\n"
            "        raise SchemaError("),
+    Mutant("double-dual-labels-unchecked", "serialize.py",
+           '    if lab[n:] != tuple(x + "*" for x in lab[:n]):',
+           "    if False:"),
     # the pairing and the canonical r a double derives from its basis
     Mutant("double-pairing-no-sign", "double.py",
            "gram[i][n + i] = Q(koszul(basis.parity(i), basis.parity(i)))",

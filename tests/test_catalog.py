@@ -1,7 +1,9 @@
 """The shipped objects reproduce every reference table."""
 
 from superbialg import catalog as cat
+from superbialg import verify
 from superbialg.graded import Tensor2
+from superbialg.report import VerificationReport
 from superbialg.verify import SECTIONS, run_fixtures
 
 B = cat.sl21_basis()
@@ -17,6 +19,31 @@ def test_full_reproduction_suite_passes():
 def test_every_section_has_fixtures():
     for sec in SECTIONS:
         assert run_fixtures(sec), f"no fixtures for section {sec}"
+
+
+def test_a_fixture_passes_only_on_true_or_a_passing_report(monkeypatch):
+    # a fixture that forgets to return (None), a detail string and a
+    # failing report fail and say why; a raising fixture fails with
+    # `Type: message`, and False fails without a detail
+    failing, passing = VerificationReport("f"), VerificationReport("p")
+    failing.add("closure", False, "[x, y] leaves the span")
+    passing.add("closure", True)
+
+    def raises():
+        raise ValueError("no such table")
+    thunks = {"none": lambda: None, "text": lambda: "tables differ",
+              "failing": lambda: failing, "raises": raises,
+              "false": lambda: False, "true": lambda: True,
+              "passing": lambda: passing}
+    monkeypatch.setattr(verify, "_build_suite", lambda: [
+        (name, "2", "a stand-in", thunk) for name, thunk in thunks.items()])
+    results = {r.name: (r.passed, r.detail) for r in run_fixtures("2")}
+    assert results == {
+        "none": (False, "None"), "text": (False, "tables differ"),
+        "failing": (False, "FAIL closure ([x, y] leaves the span)"),
+        "raises": (False, "ValueError: no such table"),
+        "false": (False, ""), "true": (True, ""), "passing": (True, "")}
+    assert run_fixtures("3.1") == []
 
 
 def test_delta_f_expanded_entries():

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,29 @@ def test_verify_paper_counts_each_verification(capsys, monkeypatch):
                      "rref": 55}
     # the reference solver lives in tests/oracles.py only
     assert not any(hasattr(m, "solve_exact") for m in modules)
+
+
+def test_cold_verify_paper_builds_few_fractions(capsys, monkeypatch):
+    # the kernels add ints and build Fractions only for results and their
+    # rendering; the bound is the count of a cold `verify paper` under
+    # Python 3.10 and 3.11 (3.12 builds arithmetic results without calling
+    # `Fraction.__new__`, so it counts fewer)
+    made = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+    for f in vars(cat).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    code, out, _ = run(capsys, "verify", "paper")
+    monkeypatch.undo()
+    assert code == 0
+    assert out.endswith("70/70 fixtures pass\n")
+    assert 0 < made <= 1208
 
 
 def test_dual_prints_bracket_table(files, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from superbialg import catalog as cat
 from superbialg import serialize as ser
 from superbialg.graded import Element, Tensor, Tensor2
 from corpus.regen import CORPUS, inputs
+from golden.regen import HERE as GOLDEN
 from slmn import standard
 
 B = cat.sl21_basis()
@@ -157,16 +158,28 @@ def test_cochain_value_missing_field_is_named(field):
         ser.bialgebra_from_json(doc)
 
 
-@pytest.mark.parametrize("parities, error", [
-    ([0, 1, 0], "not parities [0, 1, 0]"),
-    ([0, 1, 1, 0], "not parities [0, 1, 1, 0]"),
-    ([0, 1, 0, 1], None),
-], ids=["odd size", "flipped dual parity", "valid"])
-def test_double_basis_is_a_basis_then_its_dual(parities, error):
-    labels = [f"e{i}" for i in range(len(parities))]
-    doc = {"type": "double",
-           "algebra": {"basis": labels, "parities": parities, "brackets": []},
-           "delta": {"degree": 1, "parity": 0, "values": []}}
+def basis_document(parities):
+    return {"type": "double",
+            "algebra": {"basis": ["e0", "e1", "e0*", "e1*"][:len(parities)],
+                        "parities": parities, "brackets": []},
+            "delta": {"degree": 1, "parity": 0, "values": []}}
+
+
+def swapped_golden_double():
+    # the double of sl(2,1) that `superbialg double` writes, with the labels
+    # E12* and E21* swapped everywhere: every parity still matches
+    text = (GOLDEN / "double-sl21-seed1.json").read_text()
+    return json.loads(text.replace("E12*", "E@*").replace("E21*", "E12*")
+                      .replace("E@*", "E21*"))
+
+
+@pytest.mark.parametrize("doc, error", [
+    (basis_document([0, 1, 0]), "not parities [0, 1, 0]"),
+    (basis_document([0, 1, 1, 0]), "not parities [0, 1, 1, 0]"),
+    (swapped_golden_double(), "'E21*', 'E12*', 'E13*'"),
+    (basis_document([0, 1, 0, 1]), None),
+], ids=["odd size", "flipped dual parity", "swapped dual labels", "valid"])
+def test_double_basis_is_a_basis_then_its_dual(doc, error):
     if error:
         with pytest.raises(ser.SchemaError, match=re.escape(error)):
             ser.double_from_json(doc)
