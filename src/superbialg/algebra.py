@@ -340,10 +340,9 @@ class Superalgebra:
                         if (v := self._int_bracket(a, b))]
             if not brackets:
                 return True
-            red, _ = rref(brackets, columns)
-            if len(red) == len(current):
+            if len(red := rref(brackets, columns)[0]) == len(current):
                 return False
-            current = [_numerators(row, _denominator([row])) for row in red]
+            current = red
 
 
 # ---------------------------------------------------------------------------

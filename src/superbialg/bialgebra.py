@@ -49,7 +49,6 @@ from .graded import (
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
     _span_brackets, check_homomorphism, check_invariance, gram_matrix,
-    is_subalgebra,
 )
 from .cohomology import (
     Cochain, coboundary_0, is_cocycle_1, pairwise_failure,
@@ -431,10 +430,12 @@ def check_manin_triple(t: ManinTriple) -> VerificationReport:
 
     for name, part in (("plus", t.plus), ("minus", t.minus)):
         try:
-            ok = is_subalgebra(g, part)
-        except DependentVectors:
-            ok = False
-        rep.add(f"{name} is a subalgebra", ok)
+            rep.scan(f"{name} is a subalgebra",
+                     _span_brackets(g, part, name)[1],
+                     lambda a, b, coords: None if coords is not None
+                     else f"[{part[a]}, {part[b]}] leaves the span")
+        except DependentVectors as e:
+            rep.add(f"{name} is a subalgebra", False, str(e))
 
     form = t.form
     for name, part in (("plus", t.plus), ("minus", t.minus)):

@@ -22,18 +22,17 @@ Sign conventions (used throughout the package):
                 + (-1)^{|c|(|a|+|b|)} c(x)a(x)b
 
 The linear-algebra kernel is `rref`, fraction-free elimination of sparse
-rows {column key: value} over an ordered list of keys: each row is scaled
-to integers, and the reduced rows come out sparse, in Fractions.
-`invert_matrix` takes and returns sparse rows; `rank`, on a dense matrix,
-serves only the tests and the benchmark.  `factor_span` factors a span
-once: one `rref` for the pivot keys, one inverse of the pivot block P,
-kept as ints like the vectors.
-`_int_coordinates` reads the coordinates of an integer vector off it and
-rebuilds them to decide membership exactly (`span_coordinates` for a
-Fraction vector); `square_span` gives the factorization of
-span (x) span, P^{-1} (x) P^{-1} on the pivot pairs, with no second row
-reduction.  `LinearMap.int_images` is a map's images as ints over one
-denominator, for the map checks.
+rows {column key: value}; its reduced rows are ints in one canonical form.
+`factor_span` factors a span in one `rref` of the vectors, tagged by index:
+the pivot keys and q P^{-1} (P the pivot block), as ints like the vectors.
+`invert_matrix` reads a square matrix's inverse off it; it and
+`image_basis` alone build Fractions from a reduction, and `rank`, on a
+dense matrix, serves only the tests and the benchmark.  `_int_coordinates`
+reads an integer vector's coordinates off a factored span and rebuilds
+them to decide membership exactly (`span_coordinates` for a Fraction
+vector); `square_span` factors span (x) span, P^{-1} (x) P^{-1} on the
+pivot pairs, with no second row reduction.  `LinearMap.int_images` is a
+map's images as ints over one denominator, for the map checks.
 """
 
 from __future__ import annotations
@@ -364,14 +363,20 @@ def _proportional(x: Mapping, sx: int, y: Mapping, sy: int) -> bool:
                                         for k, c in x.items())
 
 
+def _primitive(row: dict, sign: int = 1) -> dict:
+    """An integer row over the gcd of its entries, negated if sign < 0."""
+    h = gcd(*row.values())  # 0 for a zero row, then unused
+    return {k: x // (h if sign > 0 else -h) for k, x in row.items()}
+
+
 def rref(rows: Sequence[Mapping], columns: Sequence) -> tuple[list[dict], list]:
     """Reduced row echelon form of sparse rows {column key: nonzero int or
     Fraction}; returns (reduced rows, pivot keys), pivots sought in the
-    order of `columns`.  Each row is scaled to ints by the lcm of its
-    denominators; a step is row = a*row - b*pivot_row, with a, b the pivot
-    and the row's entry over their gcd, and the new row is divided by the
-    gcd of its entries.  Only the returned rows, each over its pivot, hold
-    Fractions.  Input rows are never mutated."""
+    order of `columns` (other keys are carried along).  Each row is scaled
+    to ints; a step is row = a*row - b*pivot_row, with a, b the pivot and
+    the row's entry over their gcd, made primitive.  Each reduced row is
+    the RREF row times the lcm of its denominators, so it is unique: ints
+    of gcd 1, pivot positive.  Input rows are never mutated."""
     m = [_numerators(row, _denominator([row])) for row in rows]
     pivots: list = []
     for c in columns:
@@ -389,11 +394,9 @@ def rref(rows: Sequence[Mapping], columns: Sequence) -> tuple[list[dict], list]:
                 a, b = pv // g, row[c] // g
                 new = {k: x for k in row.keys() | prow.keys()
                        if (x := a * row.get(k, 0) - b * prow.get(k, 0))}
-                h = gcd(*new.values())  # 0 for a new zero row, then unused
-                m[i] = {k: x // h for k, x in new.items()}
+                m[i] = _primitive(new)
         pivots.append(c)
-    return [{k: Fraction(x, row[p]) for k, x in row.items()}
-            for row, p in zip(m, pivots)], pivots
+    return [_primitive(row, row[p]) for row, p in zip(m, pivots)], pivots
 
 
 def rank(rows: list[list[Fraction]]) -> int:
@@ -403,17 +406,16 @@ def rank(rows: list[list[Fraction]]) -> int:
 
 def factor_span(vectors: Sequence[Mapping], columns: Sequence) -> tuple | None:
     """(rows of q P^{-1} by pivot key, s times the vectors by index, q, s),
-    all ints, for sparse vectors over the keys in `columns`, where P[a][p]
-    is vector a at pivot p and q, s are the lcms of the denominators; None
-    when the vectors are dependent."""
-    _, keys = rref(vectors, columns)
+    all ints, or None for dependent vectors: P[a][p] is vector a at pivot p,
+    q the lcm of the pivots, s of the vectors' denominators.  In the one
+    `rref`, vector a has 1 at the tag ~a (no column is a negative int: they
+    are range(n) or (r, c) pairs), so row p is its pivot times P^{-1} there."""
+    red, keys = rref([{**v, ~a: 1} for a, v in enumerate(vectors)], columns)
     if len(keys) != len(vectors):
         return None
-    at = {k: p for p, k in enumerate(keys)}
-    inv = invert_matrix([{at[k]: c for k, c in v.items() if k in at}
-                         for v in vectors])
-    q, s = _denominator(inv), _denominator(vectors)
-    return ({k: _numerators(row, q) for k, row in zip(keys, inv)},
+    q, s = lcm(*(row[k] for row, k in zip(red, keys))), _denominator(vectors)
+    return ({k: {~t: x * (q // row[k]) for t, x in row.items()
+                 if type(t) is int and t < 0} for row, k in zip(red, keys)},
             {a: _numerators(v, s) for a, v in enumerate(vectors)}, q, s)
 
 
@@ -453,13 +455,12 @@ def span_coordinates(span: tuple, entries: Mapping) -> dict | None:
 
 def invert_matrix(rows: Sequence[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
     """Inverse of a square matrix, sparse rows in and out; ValueError if
-    singular.  Row i is {column j: value}, 0 <= j < n."""
-    n = len(rows)
-    red, pivots = rref([{**row, n + i: 1} for i, row in enumerate(rows)],
-                       range(2 * n))
-    if pivots[:n] != list(range(n)):
+    singular.  Row i is {column j: value}, 0 <= j < n.  The matrix is the
+    P of its own `factor_span`, so its inverse is q P^{-1} over q."""
+    span = factor_span(rows, range(len(rows)))
+    if span is None:
         raise ValueError("matrix is singular")
-    return [{j - n: x for j, x in row.items() if j >= n} for row in red]
+    return [_over(span[0][p], span[2]) for p in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +538,8 @@ def image_basis(m: LinearEndomorphism) -> list[Element]:
         return []
 
     def reduce_group(els: list[Element]) -> list[Element]:
-        return [Element.wrap(m.basis, row)
-                for row in rref([e.entries for e in els], columns)[0]]
+        return [Element.wrap(m.basis, _over(row, row[p])) for row, p
+                in zip(*rref([e.entries for e in els], columns))]
 
     if all(e.is_homogeneous() for e in nonzero):
         evens = [e for e in nonzero if e.parity() == EVEN]

@@ -6,7 +6,8 @@ as (name, section, citation, thunk), and `run_fixtures` runs them in one
 loop under one rule: a fixture passes only when it returns True or a
 passing report.  Results are plain data so the CLI can render them.  A
 failure's detail is a failing report's first failure, a raising fixture's
-`Type: message` or the value returned (None included); False has none.
+`Type: message` or the value returned (None included; `_same` returns
+"got ..., displayed ..." on a mismatch); False has none.
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ class FixtureResult:
 
 def _delta_line(delta_fn, table_fn, label):
     def thunk():
-        d = delta_fn()
-        table = table_fn()
-        got = d.value(cat.sl21_basis().index(label))
-        got = got if got is not None else Tensor2.zero(cat.sl21_basis())
-        return got == table[label]
+        got = delta_fn().value(cat.sl21_basis().index(label))
+        zero = Tensor2.zero(cat.sl21_basis())
+        return _same(zero if got is None else got, table_fn()[label])
     return thunk
+
+
+def _same(got, want):  # True, or a detail that names both sides
+    return got == want or f"got {got}, displayed {want}"
 
 
 def _double_axioms(d):  # checked on the double itself, not on g
@@ -68,9 +71,9 @@ def _build_suite():
     yield ("paper.s2.f_even", "2", "s2: the eight displayed images of f",
            lambda: cat.f_map().is_parity_preserving())
     yield ("paper.s2.omega", "2", "s2: invariant tensor display",
-           lambda: cat.omega() == cat._omega_expected())
+           lambda: _same(cat.omega(), cat._omega_expected()))
     yield ("paper.s2.r_f", "2", "s2: r(f) = (f x 1) omega display",
-           lambda: cat.r_f() == cat._r_f_expected())
+           lambda: _same(cat.r_f(), cat._r_f_expected()))
     yield ("paper.s2.f_equation", "2", "s2: the functional equation for f",
            lambda: check_f_equation(cat.sl21(), cat.f_map()))
     yield ("paper.s2.unitarity_r_f", "2", "s2: eqn (1) for r(f)",
@@ -117,11 +120,11 @@ def _build_suite():
     yield ("paper.s3_2.delta1_minus_delta2", "3.2", "s3.2: delta_1 = -delta_2",
            lambda: cat.s_bialgebra_1().delta == -cat.s_bialgebra_2().delta)
     yield ("paper.s3_2.dual_y1y1", "3.2", "s3.2: [y1*, y1*]_1 = 2h*",
-           lambda: dual(cat.s_bialgebra_1).bracket_basis(2, 2)
-           == cat.dual_s_basis().vector("h*").scale(2))
+           lambda: _same(dual(cat.s_bialgebra_1).bracket_basis(2, 2),
+                         cat.dual_s_basis().vector("h*").scale(2)))
     yield ("paper.s3_2.dual_y1y2", "3.2", "s3.2: [y1*, y2*]_1 = x*",
-           lambda: dual(cat.s_bialgebra_1).bracket_basis(2, 3)
-           == cat.dual_s_basis().vector("x*"))
+           lambda: _same(dual(cat.s_bialgebra_1).bracket_basis(2, 3),
+                         cat.dual_s_basis().vector("x*")))
     yield ("paper.s3_2.dual_bracket_1", "3.2", "s3.2: bracket table on s*",
            lambda: cat.dual_matches_table(dual(cat.s_bialgebra_1),
                                           cat.dual_bracket_table_1()))
@@ -153,10 +156,10 @@ def _build_suite():
            lambda: identify(cat.double_of_s(), cat.bialgebra_f(),
                             cat.double_s_identification(),
                             cat.supertrace_gram()))
-    yield ("paper.s3_3.supertrace_E23_E32", "3.3", "s3.3: <E23, E32> = 1",
-           lambda: cat.supertrace_gram().pair(cat.V("E23"), cat.V("E32")) == 1)
-    yield ("paper.s3_3.supertrace_E13_E31", "3.3", "s3.3: <E13, E31> = 1",
-           lambda: cat.supertrace_gram().pair(cat.V("E13"), cat.V("E31")) == 1)
+    for a, b in (("E23", "E32"), ("E13", "E31")):
+        yield (f"paper.s3_3.supertrace_{a}_{b}", "3.3", f"s3.3: <{a}, {b}> = 1",
+               lambda a=a, b=b: _same(
+                   cat.supertrace_gram().pair(cat.V(a), cat.V(b)), 1))
     yield ("paper.s3_3.manin_triple", "3.3", "s3.3: S_i isotropic halves",
            lambda: check_manin_triple(cat.manin_triple_s()))
     yield ("paper.s3_3.canonical_r", "3.3", "s1.3: quasitriangular r of d",
@@ -195,8 +198,8 @@ def _build_suite():
            lambda: cat.dual_matches_table(dual(cat.t_bialgebra_1),
                                           cat.dual_bracket_table_t1()))
     yield ("paper.s3_4.dual_y1y2", "3.4", "s3.4: [y1*, y2*]_1 = x*",
-           lambda: dual(cat.t_bialgebra_1).bracket_basis(2, 3)
-           == cat.dual_s_basis().vector("x*"))
+           lambda: _same(dual(cat.t_bialgebra_1).bracket_basis(2, 3),
+                         cat.dual_s_basis().vector("x*")))
     yield ("paper.s3_4.dual_iso_t1", "3.4", "s3.4: self-duality map for delta_s1",
            lambda: self_dual(cat.dual_iso_t1, cat.t_bialgebra_1, cat.t_algebra))
     yield ("paper.s3_4.dual_iso_t2", "3.4", "s3.4: self-duality for delta_s2",

@@ -133,9 +133,18 @@ MUTANTS = [
            "omega_t[j][i] = c",
            "omega_t[i][j] = c"),
     Mutant("invert-matrix-no-singular-check", "graded.py",
-           "    if pivots[:n] != list(range(n)):\n"
+           "    if span is None:\n"
            "        raise ValueError(\"matrix is singular\")\n",
            ""),
+    Mutant("rref-pivot-sign-kept", "graded.py",
+           "x // (h if sign > 0 else -h)",
+           "x // h"),
+    Mutant("factor-span-tag-negated", "graded.py",
+           "{~t: x * (q // row[k])",
+           "{-t: x * (q // row[k])"),
+    Mutant("factor-span-q-max-pivot", "graded.py",
+           "q, s = lcm(*(row[k]",
+           "q, s = max(*(row[k]", first="test_span_coordinates.py"),
     Mutant("span-equal-no-basis-check", "graded.py",
            "_same_basis(e.basis, both[0].basis)",
            "pass"),

@@ -350,6 +350,22 @@ def test_manin_triple_names_a_nonisotropic_pair():
     assert details["minus is isotropic"] == "<E23, E23 + E32> = 1"
 
 
+def test_manin_triple_names_the_bracket_that_leaves_a_half():
+    # (S2, S1) with E21 added to E12 in S2, and E13 + E31 in S1 replaced by
+    # twice E21: the first bracket in product order that leaves S2 is
+    # [E22+E33, E12 + E21] = -E12 + E21, and S1 is no longer independent
+    t = cat.manin_triple_s()
+    plus, minus = list(t.plus), list(t.minus)
+    plus[1] = V("E12") + V("E21")
+    minus[3] = V("E21").scale(2)
+    details = {c.name: c.detail for c in check_manin_triple(
+        ManinTriple(t.ambient, t.form, plus, minus)).checks}
+    assert details["plus is a subalgebra"] == (
+        "[(E22+E33), E12 + E21] leaves the span")
+    assert details["minus is a subalgebra"] == (
+        "minus needs independent vectors")
+
+
 def test_compatibility_needs_a_1_cochain():
     g = cat.sl21()
     c = Cochain(g, 2, 0)

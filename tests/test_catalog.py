@@ -46,6 +46,18 @@ def test_a_fixture_passes_only_on_true_or_a_passing_report(monkeypatch):
     assert run_fixtures("3.1") == []
 
 
+def test_a_display_fixture_names_both_sides(monkeypatch):
+    # one displayed cocommutator row with its sign flipped: that row's
+    # fixture fails with the computed and the displayed tensor, and only it
+    table = dict(cat.delta_f_table())
+    got = table["E32"]
+    table["E32"] = -got
+    monkeypatch.setattr(cat, "delta_f_table", lambda: table)
+    failures = {r.name: r.detail for r in run_fixtures("3.1") if not r.passed}
+    assert failures == {"paper.s3_1.delta_f.E32":
+                        f"got {got}, displayed {-got}"}
+
+
 def test_delta_f_expanded_entries():
     # hand-expanded values: the wedge of equal odd vectors doubles
     d = cat.delta_f()

@@ -6,6 +6,7 @@ uses a seeded RNG so the advertised 100-tensor run stays deterministic.
 
 import random
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -150,18 +151,35 @@ def _fractions(rows):
     return [[Q(int(x.p), int(x.q)) for x in r] for r in rows.tolist()]
 
 
+def _canonical(row):
+    """A dense row as ints of gcd 1 with a positive leading entry."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [int(x * den) for x in row]
+    h = gcd(*ints)
+    return [x // (-h if next(x for x in ints if x) < 0 else h) for x in ints]
+
+
+def _is_canonical(red, pivots):
+    """Integer rows, each of gcd 1 with a positive pivot."""
+    return (all(type(x) is int for r in red for x in r.values())
+            and all(gcd(*r.values()) == 1 and r[p] > 0
+                    for r, p in zip(red, pivots)))
+
+
 @given(rational_matrices())
 @settings(max_examples=80, deadline=None)
 def test_rref_matches_sympy_and_the_reference(rows):
     red, pivots = rref(sparse(rows), range(len(rows[0])))
-    assert all(type(x) is Q for r in red for x in r.values())
+    assert _is_canonical(red, pivots)
     red = dense(red, len(rows[0]))
     theirs, their_pivots = _sympy(rows).rref()
     theirs = _fractions(theirs)
     assert pivots == list(their_pivots)
-    assert red == theirs[:len(pivots)]
+    assert red == [_canonical(r) for r in theirs[:len(pivots)]]
     assert all(x == 0 for r in theirs[len(pivots):] for x in r)
-    assert (red, pivots) == rref_reference(rows)
+    reference, reference_pivots = rref_reference(rows)
+    assert (red, pivots) == ([_canonical(r) for r in reference],
+                             reference_pivots)
 
 
 @given(rational_matrices(), st.data())
@@ -176,8 +194,10 @@ def test_rref_over_shuffled_tuple_keys_matches_the_reference(rows, data):
                         for r in rows], [keys[c] for c in order])
     theirs, their_pivots = rref_reference([[r[c] for c in order]
                                            for r in rows])
+    assert _is_canonical(red, pivots)
     assert pivots == [keys[order[p]] for p in their_pivots]
-    assert [[row.get(keys[c], Q(0)) for c in order] for row in red] == theirs
+    assert [[row.get(keys[c], 0) for c in order] for row in red] == [
+        _canonical(r) for r in theirs]
 
 
 @given(rational_matrices(max_rows=6, square=True))

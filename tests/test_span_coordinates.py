@@ -164,5 +164,5 @@ def test_each_caller_factors_its_span_once(call, monkeypatch):
             return real(*args)
         monkeypatch.setattr(graded, name, counted)
     call()
-    # one rref for the pivots, one inside the inverse of the pivot block
-    assert calls == {"rref": 2, "invert_matrix": 1}
+    # one rref of the tagged vectors gives the pivots and P^{-1} at once
+    assert calls == {"rref": 1, "invert_matrix": 0}
