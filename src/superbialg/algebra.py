@@ -13,17 +13,18 @@ times a known positive integer, so "is zero" and "equal" (cross-multiplied)
 are exact, and Fractions (`graded._over`) come back only in results and
 counterexamples.
 
-Each check here is a `VerificationReport.scan` over basis tuples.  Super
-antisymmetry is tested in one place, `_antisymmetry_failure` on a sorted
-pair, and decided once per algebra: its first failure, or None, is cached
-for both `validate` and `pairs_to_scan`.  Once it holds, super Jacobi's
-signed cyclic sum J(a,b,c) changes at most by a sign under a permutation,
-so its first failure in product order is a sorted triple, which
-`_first_jacobi_failure` finds from the nonzero constants: for each a in
-turn, it adds the rotations of every a <= b <= c into one integer
+Each check here is a `VerificationReport.scan` over basis tuples, or
+finds its first counterexample in one loop and renders only that.  Grading
+compares each row's keys with the basis vectors of its parity, as sets.
+Super antisymmetry is decided once per algebra, in one loop over the
+sorted pairs, and its first failure, or None, is cached for `validate`
+and for the pairwise kernel of `cohomology`.  Once it holds, super
+Jacobi's signed cyclic sum J(a,b,c) changes at most by a sign under a
+permutation, so its first failure in product order is a sorted triple,
+which `_first_jacobi_failure` finds from the nonzero constants: for each a
+in turn, it adds the rotations of every a <= b <= c into one integer
 accumulator keyed (b, c, m), and stops at the first a with a nonzero sum,
-at its least (b, c).  `pairs_to_scan` gives the pairwise checks the same
-shortcut over a <= b.  When antisymmetry fails, every tuple is scanned in
+at its least (b, c).  When antisymmetry fails, every triple is scanned in
 product order instead.  `check_invariance` compares the two sides of
 <[a,b],c> = <a,[b,c]> one dict over c per pair.
 
@@ -192,14 +193,15 @@ class Superalgebra:
         den, num = self.int_table
         n = self.dim()
 
-        def misgraded(i, j, k, x):
-            return (None if par[k] == (par[i] + par[j]) % 2 else
-                    f"C({lab[i]},{lab[j]} -> {lab[k]}) = {Fraction(x, den)} "
-                    f"breaks the grading")
-        rep.scan("grading consistency",
-                 ((i, j, k, row[k]) for i, rs in enumerate(num)
-                  for j, row in enumerate(rs) for k in sorted(row)),
-                 misgraded)
+        def misgraded(i, j, k):
+            return (f"C({lab[i]},{lab[j]} -> {lab[k]}) = "
+                    f"{Fraction(num[i][j][k], den)} breaks the grading")
+        # the basis vectors of each parity; a row lies in one of them
+        within = [{k for k, p in enumerate(par) if p == q} for q in (EVEN, ODD)]
+        bad = next(((i, j, min(row.keys() - within[par[i] ^ par[j]]))
+                    for i, rs in enumerate(num) for j, row in enumerate(rs)
+                    if not row.keys() <= within[par[i] ^ par[j]]), None)
+        rep.add("grading consistency", bad is None, bad and misgraded(*bad))
 
         failure = self._first_antisymmetry_failure
         antisymmetric = rep.add("super antisymmetry", failure is None, failure)
@@ -221,47 +223,36 @@ class Superalgebra:
         rep.scan("super Jacobi", triples, jacobi_fails)
         return rep
 
-    def _sorted_pairs(self):
-        n = self.dim()
-        return ((i, j) for i in range(n) for j in range(i, n))
-
-    def _antisymmetry_failure(self, i: int, j: int) -> str | None:
-        """None when the row [e_j, e_i] is the mirror super antisymmetry
-        derives from [e_i, e_j]; otherwise a detail naming both rows.
-
-        Mirroring is an involution, so (i, j) fails iff (j, i) does, and the
-        first failure in product order has i <= j: only those need a scan.
-        """
+    def _antisymmetry_failure(self, i: int, j: int) -> str:
+        """The detail of a pair whose row [e_j, e_i] is not the mirror
+        super antisymmetry derives from [e_i, e_j], naming both rows."""
         keep = self.basis.parities[i] and self.basis.parities[j]
-
-        def mirror(row):
-            return row if keep else {k: -c for k, c in row.items()}
         den, num = self.int_table
-        if num[j][i] == mirror(num[i][j]):
-            return None
         lab = self.basis.labels
-        want = Element.wrap(self.basis, _over(mirror(num[i][j]), den))
+        want = Element.wrap(self.basis, _over(
+            num[i][j] if keep else {k: -c for k, c in num[i][j].items()}, den))
         return (f"[{lab[j]},{lab[i]}] = {self.bracket_basis(j, i)} but sign "
                 f"rule wants {want}")
 
     @cached_property
     def _first_antisymmetry_failure(self) -> str | None:
-        """The first sorted pair's antisymmetry detail, or None; the table
-        never changes, so `validate` and `pairs_to_scan` share one scan."""
-        return next(filter(None, starmap(self._antisymmetry_failure,
-                                         self._sorted_pairs())), None)
-
-    def pairs_to_scan(self):
-        """Basis pairs that decide a pairwise condition R(a, b) = 0 whose
-        residual obeys R(b, a) = +-R(a, b) under super antisymmetry.
-
-        For an antisymmetric table these are the sorted pairs a <= b: the
-        failing set is closed under swapping, so its first member in product
-        order is sorted.  Otherwise every pair, in product order.
-        """
-        if self._first_antisymmetry_failure is not None:
-            return product(range(self.dim()), repeat=2)
-        return self._sorted_pairs()
+        """The detail of the first sorted pair i <= j that breaks super
+        antisymmetry, or None.  Mirroring is an involution, so (i, j) fails
+        iff (j, i) does, and the first failure in product order is sorted.
+        The table never changes, so `validate` and the pairwise kernel of
+        `cohomology` share one loop."""
+        par = self.basis.parities
+        num = self.int_table[1]
+        for i, rs in enumerate(num):
+            for j in range(i, len(rs)):
+                row, back = rs[j], num[j][i]
+                if len(row) != len(back):
+                    return self._antisymmetry_failure(i, j)
+                s = 1 if par[i] & par[j] else -1
+                for k, c in row.items():
+                    if back.get(k) != s * c:
+                        return self._antisymmetry_failure(i, j)
+        return None
 
     def _jacobi_sum(self, a: int, b: int, c: int) -> dict[int, int]:
         """Signed cyclic sum of [x,[y,z]] over (a,b,c), (b,c,a), (c,a,b),

@@ -18,20 +18,24 @@ with
 
 (1-based i, j; the j-sum in s2 includes |x_i| since i < j).
 
-`coboundary` and the pairwise kernel `pairwise_failure` add every term
-into one plain dict per argument tuple, in integers: the bracket rows of
-`Superalgebra.int_table` (denominator D) times the stored values scaled
-once per call to one denominator E (`Cochain.int_values`), so each sum is
-D E times its value and "is zero" is decided exactly.  The action on
-g (x) g goes through `algebra._act_into`, the bracket-insertion terms
-through `_add_into`.  A value (a rank-2 `graded.Tensor`) is built, over
-D E, only for a nonzero result or to render a counterexample.
+`coboundary` adds every term into one plain dict per argument tuple, in
+integers: the bracket rows of `Superalgebra.int_table` (denominator D)
+times the stored values scaled once per call to one denominator E
+(`Cochain.int_values`), so each sum is D E times its value and "is zero"
+is decided exactly.  The action on g (x) g goes through
+`algebra._act_into`, the bracket-insertion terms through `_add_into`.  A
+value (a rank-2 `graded.Tensor`) is built, over D E, only for a nonzero
+result or to render a counterexample.
 
 The pairwise condition (`is_cocycle_1`, `bialgebra.check_compatibility`)
-is scanned over `g.pairs_to_scan()`: under super antisymmetry its residual
-at (b, a) is -(-1)^{|a||b|} times the one at (a, b), for either parity, so
-the sorted pairs a <= b decide it and name the first failing pair in
-product order.  Other tables are scanned over every pair in product order.
+is decided by one integer kernel over the nonzero constants and the
+nonzero entries of f, `_pairwise_residuals`: every term of every residual
+goes into one dict keyed by a packed int ((a n + b) n + k) n + v, so the
+least nonzero key names the first failing pair (a, b) in product order.
+Under super antisymmetry the residual at (b, a) is -(-1)^{|a||b|} times
+the one at (a, b), for either parity, so the kernel sums the sorted pairs
+a <= b only; on other tables it sums every pair.  Only the failing pair's
+two sides are rendered.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from .graded import (
-    EVEN, ODD, GradedBasis, Tensor, Tensor2, _add_into, _denominator,
-    _numerators, _over, _same_basis, koszul,
+    EVEN, ODD, GradedBasis, Tensor, Tensor2, _add_into, _combine,
+    _denominator, _numerators, _over, _same_basis, koszul,
 )
 from .algebra import Superalgebra, _act_into
 from .report import VerificationReport
@@ -156,6 +160,13 @@ class Cochain:
                 and self.parity == other.parity
                 and self.values == other.values)
 
+    def __str__(self):
+        lab = self.g.basis.labels
+        return "{" + ", ".join(f"{','.join(lab[i] for i in args)}: {v}"
+                               for args, v in sorted(self.values.items())) + "}"
+
+    __repr__ = __str__
+
     def __neg__(self) -> "Cochain":
         out = Cochain(self.g, self.degree, self.parity)
         out.values = {args: -v for args, v in self.values.items()}
@@ -228,55 +239,115 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
     return out
 
 
+def _pairwise_residuals(g: Superalgebra, delta: Cochain,
+                        parity: int) -> dict[int, int]:
+    """D E times the residual of the pairwise condition (`pairwise_failure`)
+
+        R(a, b) = f([a,b]) - s a.f(b) + s' b.f(a),
+        s = (-1)^{|a| p},  s' = (-1)^{|b|(p + |a|)},
+
+    its e_k (x) e_v entry at the key ((a n + b) n + k) n + v, over the
+    sorted pairs of an antisymmetric table and every pair of another.
+    `left[u]` and `right[|u|][v]` list the nonzero C(z,u,k) and
+    (-1)^{|z||u|} C(z,v,k), the two legs of e_z . (u (x) v); each entry of
+    each f(e_y) is visited once, and e_z . f(e_y) enters R(z, y) times -s
+    and R(y, z) times s'.
+    """
+    n = g.dim()
+    nn = n * n
+    par = g.basis.parities
+    num = g.int_table[1]
+    vals = delta.int_values()[1]  # f(e_y) at (y,), E times its value
+    f = [vals.get((y,), {}) for y in range(n)]
+    every = g._first_antisymmetry_failure is not None
+    acc: dict[int, int] = {}
+    get = acc.get
+    left: list[list] = [[] for _ in range(n)]
+    right: list[list] = [[[] for _ in range(n)] for _ in (EVEN, ODD)]
+    for z, rs in enumerate(num):
+        for u, row in enumerate(rs):
+            if not row:
+                continue
+            for k, c in row.items():
+                left[u].append((z, k * n, c))
+                right[EVEN][u].append((z, k, c))
+                right[ODD][u].append((z, k, -c if par[z] else c))
+            if every or z <= u:  # f([e_z, e_u])
+                base = (z * n + u) * nn
+                for m, c in row.items():
+                    for (k, v), x in f[m].items():
+                        key = base + k * n + v
+                        acc[key] = get(key, 0) + c * x
+    for y, fy in enumerate(f):
+        if not fy:
+            continue
+        at_zy = [((z * n + y) * nn, 1 if par[z] & parity else -1)
+                 for z in range(n)]
+        at_yz = [((y * n + z) * nn, -1 if par[z] & (parity ^ par[y]) else 1)
+                 for z in range(n)]
+        if every:
+            legs = at_zy, at_yz
+        else:  # (z, y) for z < y, (y, z) for z > y, both at (y, y)
+            legs = (at_zy[:y] + [(at_zy[y][0], at_zy[y][1] + at_yz[y][1])]
+                    + at_yz[y + 1:],)
+        for to in legs:
+            for (u, v), x in fy.items():
+                for z, kn, c in left[u]:  # [e_z,u] (x) v
+                    base, s = to[z]
+                    key = base + kn + v
+                    acc[key] = get(key, 0) + s * x * c
+                un = u * n
+                for z, k, c in right[par[u]][v]:  # u (x) [e_z,v]
+                    base, s = to[z]
+                    key = base + un + k
+                    acc[key] = get(key, 0) + s * x * c
+    return acc
+
+
+def _first_pairwise_failure(g: Superalgebra, delta: Cochain,
+                            parity: int) -> tuple[int, int] | None:
+    """The first pair (a, b) in product order at which the pairwise
+    condition fails, or None: the least nonzero key of
+    `_pairwise_residuals`."""
+    n = g.dim()
+    least = min((key for key, x in _pairwise_residuals(g, delta, parity).items()
+                 if x), default=None)
+    return None if least is None else divmod(least // (n * n), n)
+
+
 def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
-                     sides: str):
-    """The scan function of the pairwise condition on a 1-cochain f,
+                     sides: str) -> str | None:
+    """The pairwise condition on a 1-cochain f,
 
         f([a,b]) = (-1)^{|a| p} a . f(b) - (-1)^{|b|(p + |a|)} b . f(a):
 
-    None where it holds at (a, b), else "pair (a, b): " and the format
-    string `sides` filled with both sides as values in g (x) g.  Both
-    sides are summed in integers, D E times their values.
+    None where it holds at every pair, else "pair (a, b): " at the first
+    failing pair (`_first_pairwise_failure`) and the format string `sides`
+    filled with both sides as values in g (x) g.  Both sides are summed in
+    integers, D E times their values.
     """
     _same_basis(delta.g.basis, g.basis)
     if delta.degree != 1:
         raise ValueError("argument count must equal the cochain degree")
-    lab = g.basis.labels
-    par = g.basis.parities
+    pair = _first_pairwise_failure(g, delta, parity)
+    if pair is None:
+        return None
+    a, b = pair
+    par, lab = g.basis.parities, g.basis.labels
     den, rows = g.int_table
-    scale, vals = delta.int_values()  # f(e_k) at (k,), sign 1
-
-    def sides_into(lhs: dict, rhs: dict, a: int, b: int, s: int) -> None:
-        """lhs += f([a,b]); rhs += s * (the action side)."""
-        for k, c in rows[a][b].items():
-            v = vals.get((k,))
-            if v is not None:
-                _add_into(lhs, v, c)
-        fb = vals.get((b,))
-        if fb is not None:
-            _act_into(rhs, g, a, fb, s * koszul(par[a], parity))
-        fa = vals.get((a,))
-        if fa is not None:
-            _act_into(rhs, g, b, fa,
-                      -s * koszul(par[b], (parity + par[a]) % 2))
-
-    def breaks(a, b):
-        diff: dict = {}
-        sides_into(diff, diff, a, b, -1)
-        if not any(diff.values()):
-            return None
-        lhs: dict = {}
-        rhs: dict = {}
-        sides_into(lhs, rhs, a, b, 1)
-        return (f"pair ({lab[a]}, {lab[b]}): " + sides.format(
-            Tensor2._of(g.basis, 2, _over(lhs, den * scale)),
-            Tensor2._of(g.basis, 2, _over(rhs, den * scale))))
-    return breaks
+    scale, vals = delta.int_values()
+    f = [vals.get((y,), {}) for y in range(g.dim())]
+    rhs: dict = {}
+    _act_into(rhs, g, a, f[b], koszul(par[a], parity))
+    _act_into(rhs, g, b, f[a], -koszul(par[b], (parity + par[a]) % 2))
+    return f"pair ({lab[a]}, {lab[b]}): " + sides.format(*(
+        Tensor2._of(g.basis, 2, _over(side, den * scale))
+        for side in (_combine(f, rows[a][b]), rhs)))
 
 
 def is_cocycle_1(g: Superalgebra, delta: Cochain) -> VerificationReport:
     """Check a 1-cochain f against the super cocycle condition: the
-    pairwise condition at p = |f| over `g.pairs_to_scan()`.  On a canonical
+    pairwise condition at p = |f| (`pairwise_failure`).  On a canonical
     pair, d(f)(a, b) is minus its residual term for term, so the pairs
     decide d(f) = 0 without building the degree-2 coboundary.
     """
@@ -285,7 +356,7 @@ def is_cocycle_1(g: Superalgebra, delta: Cochain) -> VerificationReport:
     if delta.degree != 1:
         rep.add("degree is 1", False, f"degree = {delta.degree}")
         return rep
-    rep.scan("pairwise super cocycle condition", g.pairs_to_scan(),
-             pairwise_failure(g, delta, delta.parity,
-                              "f([a,b]) = {} but action side = {}"))
+    failure = pairwise_failure(g, delta, delta.parity,
+                               "f([a,b]) = {} but action side = {}")
+    rep.add("pairwise super cocycle condition", failure is None, failure)
     return rep

@@ -1,8 +1,9 @@
 """The mutation gate: one-line mutants of `src/superbialg` that tier-1 must kill.
 
-    python tests/mutants.py
+    python tests/mutants.py [NAME ...]
 
-Each mutant names a file under `src/superbialg`, an exact old string, which
+With names, only those mutants run (after the unmutated run); an unknown
+name exits 2 with an `error:` line before anything runs.  Each mutant names a file under `src/superbialg`, an exact old string, which
 must occur there exactly once, and its replacement.  The runner first runs
 tier-1 on an unmutated copy of `src/` (it must pass), then, for each
 mutant, copies `src/` to a temporary directory, applies the mutant and runs
@@ -59,8 +60,11 @@ MUTANTS = [
            "return x.keys() == y.keys() and all(",
            "return all("),
     Mutant("antisymmetry-mirror-or", "algebra.py",
-           "keep = self.basis.parities[i] and self.basis.parities[j]",
-           "keep = self.basis.parities[i] or self.basis.parities[j]"),
+           "s = 1 if par[i] & par[j] else -1",
+           "s = 1 if par[i] | par[j] else -1"),
+    Mutant("grading-parity-of-first-index", "algebra.py",
+           "if not row.keys() <= within[par[i] ^ par[j]]",
+           "if not row.keys() <= within[par[i]]"),
     Mutant("jacobi-koszul-xy", "algebra.py",
            "rows[x], par[x] & par[z]",
            "rows[x], par[x] & par[y]", first="test_int_kernels.py"),
@@ -90,10 +94,27 @@ MUTANTS = [
     Mutant("verify-grading-no-mod", "bialgebra.py",
            "(par[i] + par[j]) % 2 == par[k]",
            "(par[i] + par[j]) == par[k]"),
-    Mutant("pairs-to-scan-always-sorted", "algebra.py",
-           "return product(range(self.dim()), repeat=2)\n"
-           "        return self._sorted_pairs()",
-           "return self._sorted_pairs()"),
+    # the pairwise kernel: its pair set, and one Koszul sign and one index
+    # bound per action side, e_a . f(e_b) at (a, b) = (z, y) and
+    # e_b . f(e_a) at (a, b) = (y, z), and the Leibniz sign
+    Mutant("kernel-always-sorted", "cohomology.py",
+           "every = g._first_antisymmetry_failure is not None",
+           "every = False", first="test_stored_table.py"),
+    Mutant("pairwise-kernel-zy-koszul", "cohomology.py",
+           "1 if par[z] & parity else -1",
+           "1 if parity else -1"),
+    Mutant("pairwise-kernel-yz-koszul", "cohomology.py",
+           "-1 if par[z] & (parity ^ par[y]) else 1",
+           "-1 if par[z] & parity else 1", first="test_int_kernels.py"),
+    Mutant("pairwise-kernel-zy-bound", "cohomology.py",
+           "(at_zy[y][0], at_zy[y][1] + at_yz[y][1])",
+           "(at_zy[y][0], at_yz[y][1])"),
+    Mutant("pairwise-kernel-yz-bound", "cohomology.py",
+           "(at_zy[y][0], at_zy[y][1] + at_yz[y][1])",
+           "(at_zy[y][0], at_zy[y][1])"),
+    Mutant("pairwise-kernel-leibniz-koszul", "cohomology.py",
+           "(z, k, -c if par[z] else c)",
+           "(z, k, c)", first="test_int_kernels.py"),
     Mutant("canonical-tuple-repeated-even", "cohomology.py",
            "return None, 0",
            "pass"),
@@ -193,8 +214,8 @@ MUTANTS = [
            "return len(rref(self.int_gram[1], range(n))[1]) >= n - 1"),
     # cochains hold values in g (x) g
     Mutant("pairwise-action-side-no-koszul", "cohomology.py",
-           "_act_into(rhs, g, a, fb, s * koszul(par[a], parity))",
-           "_act_into(rhs, g, a, fb, s)"),
+           "_act_into(rhs, g, a, f[b], koszul(par[a], parity))",
+           "_act_into(rhs, g, a, f[b], 1)"),
     Mutant("set-value-no-rank-check", "cohomology.py",
            "        if val.rank != 2:\n"
            "            raise ValueError(f\"a cochain value has rank 2, "
@@ -281,7 +302,22 @@ def mutated_copy(mutant: Mutant, into: Path) -> Path:
     return src
 
 
-def main() -> int:
+def select(names: list[str]) -> list[Mutant]:
+    """The mutants with these names, in this order; every mutant for none.
+    Raises ValueError naming each unknown name."""
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [x for x in names if x not in by_name]
+    if unknown:
+        raise ValueError(f"no mutant named {', '.join(unknown)}")
+    return [by_name[x] for x in names] if names else MUTANTS
+
+
+def main(argv: list[str]) -> int:
+    try:
+        chosen = select(argv)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     start = time.monotonic()
     outcome, seconds, where = tier1(ROOT / "src", None)
     print(f"{'unmutated':34} {outcome:10} {seconds:6.1f}s {where}", flush=True)
@@ -291,7 +327,7 @@ def main() -> int:
     timeout = 2 * seconds + 30
 
     bad = 0
-    for m in MUTANTS:
+    for m in chosen:
         if m.equivalent:
             print(f"{m.name:34} {'equivalent':10} {'':7} {m.equivalent}")
             continue
@@ -310,10 +346,10 @@ def main() -> int:
                                                                  outcome)
         bad += result == "SURVIVED"
         print(f"{m.name:34} {result:10} {seconds:6.1f}s {where}", flush=True)
-    print(f"{len(MUTANTS)} mutants, {bad} survived or unusable, "
+    print(f"{len(chosen)} mutants, {bad} survived or unusable, "
           f"{time.monotonic() - start:.0f}s in all")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

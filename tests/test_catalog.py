@@ -58,6 +58,16 @@ def test_a_display_fixture_names_both_sides(monkeypatch):
                         f"got {got}, displayed {-got}"}
 
 
+def test_a_cobracket_table_fixture_names_both_cochains(monkeypatch):
+    # delta_s2 displayed with the sign of delta_s1: its fixture names the
+    # computed and the displayed cochain, value by value, and only it fails
+    monkeypatch.setattr(cat, "delta_s2_table", cat.delta_s1_table)
+    failures = {r.name: r.detail for r in run_fixtures("3.4") if not r.passed}
+    assert failures == {"paper.s3_4.delta_s2": (
+        "got {x: h⊗x - x⊗h + y1⊗y2 + y2⊗y1, y2: h⊗y2 - y2⊗h}, "
+        "displayed {x: -h⊗x + x⊗h - y1⊗y2 - y2⊗y1, y2: -h⊗y2 + y2⊗h}")}
+
+
 def test_delta_f_expanded_entries():
     # hand-expanded values: the wedge of equal odd vectors doubles
     d = cat.delta_f()

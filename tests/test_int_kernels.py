@@ -1,6 +1,6 @@
 """The integer kernels above 16 dimensions, and a guard on their arithmetic.
 
-Super Jacobi, the pairwise cocycle scan, coJacobi and the adjoint action
+Super Jacobi, the pairwise cocycle kernel, coJacobi and the adjoint action
 on g (x) g sum integer numerators over one denominator per table.  Here
 they run on sl(3|1), sl(3|2) and sl(4|2) (15, 24 and 35 dims, see
 tests/slmn.py) and are compared with independent derivations: the super
@@ -9,7 +9,12 @@ Leibniz rule read off the Fraction rows (`oracles.adjoint_on_tensor2`).
 The Jacobi kernel of `validate` is compared with a scan of the sorted
 triples through `_jacobi_sum`, whose detail sums the public bracket, on
 perturbed, reordered sl(3|1) and sl(3|2), the repeated-index triples
-(a,a,c), (a,c,c) and (a,a,a) among them.  The guards
+(a,a,c), (a,c,c) and (a,a,a) among them.  The pairwise kernel
+(`cohomology._first_pairwise_failure`) and the details of `is_cocycle_1`
+and `check_compatibility` are compared with the product-order reference
+scan, at both parities, on perturbed cochains over reordered, perturbed
+and non-antisymmetric tables, and on a first failure at a diagonal pair
+(a, a) at every rung.  The guards
 count Fraction arithmetic inside passing checks, inside the fraction-free
 eliminations of `graded`, inside the paper's map and form checks, which
 add integer numerators over `LinearMap.int_images` and
@@ -36,7 +41,9 @@ from superbialg.bialgebra import (
     check_bialgebra_homomorphism, check_cojacobi, check_compatibility,
     check_f_equation, check_manin_triple,
 )
-from superbialg.cohomology import Cochain, coboundary_0, is_cocycle_1
+from superbialg.cohomology import (
+    Cochain, _first_pairwise_failure, coboundary_0, is_cocycle_1,
+)
 from superbialg.double import build_double, identify
 from superbialg.graded import (
     Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor2, factor_span,
@@ -47,6 +54,7 @@ import oracles
 from slmn import realization, standard
 from test_reference_scans import (
     _detail, cocycle_reference, cojacobi_reference, compatibility_reference,
+    pairwise_reference,
 )
 
 RUNGS = [(3, 1), (3, 2), (4, 2)]
@@ -212,6 +220,73 @@ def test_adjoint_action_matches_the_leibniz_oracle(name, a, t):
     for i, c in Element(B, a).entries.items():
         want = want + oracles.adjoint_on_tensor2(g, i, t).scale(c)
     assert adjoint_on_tensor2(g, Element(B, a), t) == want
+
+
+def _reindexed(g: Superalgebra, delta: Cochain, parity: int) -> Cochain:
+    """delta carried to g, whose basis holds the same labels in another
+    order, and declared of the given parity."""
+    B = g.basis
+    at = [B.index(lab) for lab in delta.g.basis.labels]
+    return Cochain(g, 1, parity, {
+        (at[k],): Tensor2(B, B, {(at[i], at[j]): c
+                                 for (i, j), c in v.entries.items()})
+        for (k,), v in delta.values.items()})
+
+
+def _assert_pairwise_matches_the_reference(g: Superalgebra, f: Cochain):
+    found = pairwise_reference(g, f, f.parity)
+    assert _first_pairwise_failure(g, f, f.parity) == (found and found[0])
+    assert _detail(is_cocycle_1(g, f)) == cocycle_reference(g, f)
+    assert (_detail(check_compatibility(g, f))
+            == compatibility_reference(g, f))
+    return found and found[0]
+
+
+@pytest.mark.parametrize("m,n", RUNGS)
+@pytest.mark.parametrize("parity", [0, 1])
+def test_pairwise_kernel_on_a_diagonal_pair(m, n, parity):
+    # the odd E1N first, and E_N1 (x) e_1 added to its value: the first
+    # failing pair is (E1N, E1N), where s and s' add up
+    N = m + n
+    g = _perturbed(m, n, [f"E1{N}"], [])
+    f = _reindexed(g, standard(m, n)[2].delta, parity)
+    f.set_value((0,), Tensor2(g.basis, g.basis,
+                              {(g.basis.index(f"E{N}1"), 1): 1}))
+    assert _assert_pairwise_matches_the_reference(g, f) == (0, 0)
+
+
+SPARSE = GradedBasis(["h", "e", "x", "y"], [0, 0, 1, 1])
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pairwise_kernel_matches_the_product_order_scan(data):
+    # sl(2|1) or sl(3|1) on a drawn basis order, with antisymmetric changes
+    # to the table and at most one that breaks antisymmetry; or a sparse
+    # table on (h, e | x, y) under no sign rule, where the first failing
+    # pair is often unsorted.  Then c e_i (x) e_j is added to f(e_k), at
+    # either parity: the kernel's pair and both reports' details are the
+    # reference scan's
+    if data.draw(st.booleans()):
+        m, n = data.draw(st.sampled_from([(2, 1), (3, 1)]))
+        size = (m + n) ** 2 - 1
+        change = st.tuples(*[st.integers(0, size - 1)] * 3, coefficient)
+        order = data.draw(st.permutations(range(size)))
+        g = _perturbed(m, n, order, data.draw(st.lists(change, max_size=2)))
+        consts = dict(g.constants)
+        for i, j, k, c in data.draw(st.lists(change, max_size=1)):
+            consts[(i, j, k)] = consts.get((i, j, k), 0) + c
+        g = Superalgebra(g.basis, consts)
+        f = _reindexed(g, standard(m, n)[2].delta,
+                       data.draw(st.integers(0, 1)))
+    else:
+        change = st.tuples(*[st.integers(0, 3)] * 3, coefficient)
+        g = Superalgebra(SPARSE, {(i, j, k): c for i, j, k, c in data.draw(
+            st.lists(change, max_size=4))})
+        f = Cochain(g, 1, data.draw(st.integers(0, 1)))
+    for k, i, j, c in data.draw(st.lists(change, max_size=3)):
+        f.set_value((k,), Tensor2(g.basis, g.basis, {(i, j): c}))
+    _assert_pairwise_matches_the_reference(g, f)
 
 
 def test_passing_checks_do_no_fraction_arithmetic(monkeypatch):

@@ -9,6 +9,7 @@ test file a mutant runs first exists.
 
 import pytest
 
+import mutants
 from mutants import MUTANTS, ROOT
 
 
@@ -17,3 +18,18 @@ def test_each_mutant_applies_exactly_once(mutant):
     text = (ROOT / "src" / "superbialg" / mutant.file).read_text()
     assert text.count(mutant.old) == 1
     assert mutant.first is None or (ROOT / "tests" / mutant.first).is_file()
+
+
+def test_named_mutants_run_alone_and_an_unknown_name_exits_2(monkeypatch,
+                                                             capsys):
+    first, second = MUTANTS[3], MUTANTS[0]
+    assert mutants.select([first.name, second.name]) == [first, second]
+    assert mutants.select([]) == MUTANTS
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("tier-1 ran")
+    monkeypatch.setattr(mutants, "tier1", no_run)
+    assert mutants.main([first.name, "no-such-mutant", "nor-this"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no mutant named no-such-mutant, nor-this\n"

@@ -1,8 +1,9 @@
 """Cobracket, form and map checks against product-order reference scans.
 
 `is_cocycle_1`, `check_compatibility`, `check_cojacobi` and
-`check_invariance` add their terms into plain dicts and, on a super
-antisymmetric bracket, scan only the sorted pairs; the map checks
+`check_invariance` add their terms into plain dicts, the first two in one
+integer kernel that sums only the sorted pairs of a super antisymmetric
+bracket; the map checks
 (`check_homomorphism`, `check_bialgebra_homomorphism`, `check_f_equation`)
 add integer numerators over the images of the map.  The references below
 scan every basis pair (or vector, or triple) in product order through the
@@ -53,9 +54,11 @@ def _f_of(f: Cochain, x: Element) -> Tensor2:
     return out
 
 
-def cocycle_reference(g: Superalgebra, f: Cochain) -> str | None:
-    """f([a,b]) = (-1)^{|a||f|} a.f(b) - (-1)^{|b|(|f|+|a|)} b.f(a)."""
-    par, lab, p = g.basis.parities, g.basis.labels, f.parity
+def pairwise_reference(g: Superalgebra, f: Cochain, p: int):
+    """((a, b), lhs, rhs) at the first pair in product order with
+    f([a,b]) = lhs != rhs = (-1)^{|a|p} a.f(b) - (-1)^{|b|(p+|a|)} b.f(a),
+    or None."""
+    par = g.basis.parities
     for a, b in product(range(g.dim()), repeat=2):
         lhs = _f_of(f, g.bracket_basis(a, b))
         rhs = (adjoint_on_tensor2(g, a, _value(f, b)).scale(
@@ -63,22 +66,29 @@ def cocycle_reference(g: Superalgebra, f: Cochain) -> str | None:
                - adjoint_on_tensor2(g, b, _value(f, a)).scale(
                    (-1) ** (par[b] * (p + par[a]))))
         if lhs != rhs:
-            return (f"pair ({lab[a]}, {lab[b]}): f([a,b]) = {lhs} but "
-                    f"action side = {rhs}")
+            return (a, b), lhs, rhs
     return None
+
+
+def cocycle_reference(g: Superalgebra, f: Cochain) -> str | None:
+    """The pairwise condition at p = |f|."""
+    found = pairwise_reference(g, f, f.parity)
+    if found is None:
+        return None
+    (a, b), lhs, rhs = found
+    lab = g.basis.labels
+    return (f"pair ({lab[a]}, {lab[b]}): f([a,b]) = {lhs} but "
+            f"action side = {rhs}")
 
 
 def compatibility_reference(g: Superalgebra, d: Cochain) -> str | None:
-    """delta([a,b]) = a.delta(b) - (-1)^{|a||b|} b.delta(a), delta even."""
-    par, lab = g.basis.parities, g.basis.labels
-    for a, b in product(range(g.dim()), repeat=2):
-        lhs = _f_of(d, g.bracket_basis(a, b))
-        rhs = (adjoint_on_tensor2(g, a, _value(d, b))
-               - adjoint_on_tensor2(g, b, _value(d, a)).scale(
-                   (-1) ** (par[a] * par[b])))
-        if lhs != rhs:
-            return f"pair ({lab[a]}, {lab[b]}): {lhs} != {rhs}"
-    return None
+    """delta([a,b]) = a.delta(b) - (-1)^{|a||b|} b.delta(a): p = 0."""
+    found = pairwise_reference(g, d, 0)
+    if found is None:
+        return None
+    (a, b), lhs, rhs = found
+    lab = g.basis.labels
+    return f"pair ({lab[a]}, {lab[b]}): {lhs} != {rhs}"
 
 
 def cojacobi_reference(g: Superalgebra, d: Cochain) -> str | None:

@@ -12,6 +12,7 @@ exceptions and messages they raised when the tables were Fractions.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
@@ -23,7 +24,7 @@ from superbialg.algebra import (
     MatrixRealization, Superalgebra, from_matrices, gram_matrix,
 )
 from superbialg.double import build_double
-from superbialg.graded import Element, GradedBasis
+from superbialg.graded import Element, GradedBasis, Tensor2
 
 import oracles
 from slmn import realization, standard
@@ -258,34 +259,62 @@ def test_zero_half_table_entries_are_dropped_unchecked():
     assert g.constants == {(0, 1, 1): 1, (1, 0, 1): -1}
 
 
+def _kernel_pairs(g, delta):
+    """The pairs (a, b) at which the pairwise kernel sums a term."""
+    from superbialg.cohomology import _pairwise_residuals
+    n = g.dim()
+    return {divmod(key // (n * n), n)
+            for key in _pairwise_residuals(g, delta, delta.parity)}
+
+
 def test_antisymmetry_is_scanned_once_per_algebra(monkeypatch):
-    # validate, is_cocycle_1 and check_compatibility share one scan of the
-    # 300 sorted pairs of sl(3|2), each pair once
+    # validate, is_cocycle_1 and check_compatibility share one loop over
+    # the sorted pairs of sl(3|2); a passing table renders no pair, and the
+    # pairwise kernel sums over sorted pairs only, the diagonal included
     from superbialg.bialgebra import check_compatibility
     from superbialg.cohomology import coboundary_0, is_cocycle_1
     r = standard(3, 2)[1]
     g = from_matrices(realization(3, 2))  # fresh: nothing scanned yet
     delta = coboundary_0(g, r)
-    calls = []
-    real = Superalgebra._antisymmetry_failure
+    loops, rendered = [], []
+    first = Superalgebra.__dict__["_first_antisymmetry_failure"]
+    render = Superalgebra._antisymmetry_failure
+
+    def looped(self):
+        loops.append(self)
+        return first.func(self)
 
     def counted(self, i, j):
-        calls.append((i, j))
-        return real(self, i, j)
+        rendered.append((i, j))
+        return render(self, i, j)
+    once = cached_property(looped)
+    once.__set_name__(Superalgebra, "_first_antisymmetry_failure")
+    monkeypatch.setattr(Superalgebra, "_first_antisymmetry_failure", once)
     monkeypatch.setattr(Superalgebra, "_antisymmetry_failure", counted)
     for rep in (g.validate(), is_cocycle_1(g, delta),
                 check_compatibility(g, delta)):
         assert rep.passed
-    n = g.dim()
-    assert calls == [(i, j) for i in range(n) for j in range(i, n)]
-    assert len(calls) == 300
+    assert loops == [g] and rendered == []
+    pairs = _kernel_pairs(g, delta)
+    assert all(a <= b for a, b in pairs)
+    assert {(a, a) for a in range(g.dim())} & pairs
 
 
 def test_a_table_that_is_not_antisymmetric_scans_every_pair():
-    g = Superalgebra(B, {(0, 1, 1): 1})  # [h, e] = e, [e, h] = 0
-    n = g.dim()
-    assert list(g.pairs_to_scan()) == [(i, j) for i in range(n)
-                                       for j in range(n)]
+    # [h, e] = e, [e, h] = 0 and f(e) = h (x) e: every pair before (e, h)
+    # holds, and R(e, h) = h . f(e) = h (x) e
+    from superbialg.bialgebra import check_compatibility
+    from superbialg.cohomology import (
+        Cochain, _first_pairwise_failure, is_cocycle_1,
+    )
+    g = Superalgebra(B, {(0, 1, 1): 1})
+    f = Cochain(g, 1, 0, {(1,): Tensor2(B, B, {(0, 1): 1})})
+    assert (1, 0) in _kernel_pairs(g, f)
+    assert _first_pairwise_failure(g, f, 0) == (1, 0)
+    assert is_cocycle_1(g, f).checks[0].detail == (
+        "pair (e, h): f([a,b]) = 0 but action side = -h⊗e")
+    assert check_compatibility(g, f).checks[0].detail == (
+        "pair (e, h): 0 != -h⊗e")
     first = g.validate().first_failure()
     assert (first.name, first.detail) == (
         "super antisymmetry", "[e,h] = 0 but sign rule wants -e")
