@@ -3,7 +3,8 @@
 The package is organized bottom-up:
 
 * `graded` -- one rational sparse tensor type of any rank over a Z/2-graded
-  basis and the Koszul-signed operations (tensor, wedge, super swap);
+  basis, the Koszul-signed operations (tensor, wedge, super swap), exact
+  row reduction and spans, and one linear-map type;
 * `algebra` -- Lie superalgebras from structure constants, matrix
   realizations, the supertrace form, axiom and homomorphism checks;
 * `cohomology` -- super-alternating cochains and the differential;
@@ -16,9 +17,8 @@ The package is organized bottom-up:
 """
 
 from .graded import (
-    EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor, Tensor2, image_basis, is_super_skew, koszul,
-    span_equal, super_swap, tensor, wedge,
+    EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
+    Tensor2, is_super_skew, koszul, span_equal, super_swap, tensor, wedge,
 )
 from .report import VerificationReport
 from .algebra import (

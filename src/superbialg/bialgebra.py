@@ -41,10 +41,10 @@ from itertools import product
 from typing import Sequence
 
 from .graded import (
-    EVEN, BasisMismatch, Element, GradedBasis, LinearEndomorphism,
-    LinearMap, Tensor, Tensor2, _add_into, _combine, _denominator,
-    _numerators, _over, _proportional, _same_basis, invert_matrix,
-    is_super_skew, rref, span_coordinates, square_span, super_swap, tensor,
+    EVEN, BasisMismatch, Element, GradedBasis, LinearMap, Tensor, Tensor2,
+    _add_into, _combine, _denominator, _numerators, _over, _proportional,
+    _same_basis, invert_matrix, is_super_skew, rref, span_coordinates,
+    square_span, super_swap, tensor,
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
@@ -154,16 +154,16 @@ def casimir(real: MatrixRealization, g: Superalgebra) -> Tensor2:
     return omega
 
 
-def r_of_f(f: LinearEndomorphism, omega: Tensor2) -> Tensor2:
-    """(f (x) 1) omega: apply f to the left tensor leg."""
-    if f.basis != omega.basis:
-        raise BasisMismatch("endomorphism and tensor bases differ")
+def r_of_f(f: LinearMap, omega: Tensor2) -> Tensor2:
+    """(f (x) 1) omega: apply f, a map from g to g, to the left tensor leg."""
+    _same_basis(f.source, omega.basis)
+    _same_basis(f.target, omega.basis)
     return sum((tensor(f.images[i], omega.basis.vector(j)).scale(c)
                 for (i, j), c in omega.entries.items()),
                Tensor2.zero(omega.basis))
 
 
-def solve_f_from_r(r: Tensor2, omega: Tensor2) -> LinearEndomorphism:
+def solve_f_from_r(r: Tensor2, omega: Tensor2) -> LinearMap:
     """The unique f with (f (x) 1) omega = r, for invertible omega:
     f(e_i) = sum_j (omega^{-1})_{ji} r_j, r_j the left legs of r at e_j."""
     basis = omega.basis
@@ -173,15 +173,16 @@ def solve_f_from_r(r: Tensor2, omega: Tensor2) -> LinearEndomorphism:
         omega_t[j][i] = c
     for (k, j), c in r.entries.items():
         legs[j][k] = c
-    return LinearEndomorphism(basis, [Element.wrap(basis, _combine(legs, row))
-                                      for row in invert_matrix(omega_t)])
+    return LinearMap(basis, basis, [Element.wrap(basis, _combine(legs, row))
+                                    for row in invert_matrix(omega_t)])
 
 
-def check_f_equation(g: Superalgebra, f: LinearEndomorphism) -> VerificationReport:
+def check_f_equation(g: Superalgebra, f: LinearMap) -> VerificationReport:
     """Check (f-1)[f(x), f(y)] = f([(f-1)(x), (f-1)(y)]) over all pairs;
     both sides add ints over `g.int_table` (D) and `f.int_images` (E), E^3 D
     times their values."""
-    _same_basis(f.basis, g.basis)
+    _same_basis(f.source, g.basis)
+    _same_basis(f.target, g.basis)
     rep = VerificationReport("f-equation")
     e, fi = f.int_images
     fm1 = [{k: x for k, x in {**im, i: im.get(i, 0) - e}.items() if x}
@@ -368,8 +369,7 @@ def opposite(b: Bialgebra) -> Bialgebra:
     axiom is homogeneous in the bracket, so it holds for -[,] as for b.
     """
     neg = Superalgebra(b.basis, {k: -c for k, c in b.algebra.constants.items()})
-    delta = Cochain(neg, 1, b.delta.parity,
-                    {args: v for args, v in b.delta.values.items()})
+    delta = Cochain(neg, 1, b.delta.parity, b.delta.values)
     return Bialgebra(neg, delta, check=False)
 
 

@@ -5,6 +5,8 @@ realization, the map f, the standard r-matrix) or is recomputed here.  The
 constructors only build; the fixtures of `verify paper` make the checks.
 The one check here, which no fixture makes, is that a restricted bracket
 equals the abstract relations of s or t; a mismatch raises FixtureMismatch.
+The displayed maps are `LinearMap`s and the dual bracket tables algebras
+on s* from their half tables, each built once and cached.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 from functools import cache
 
 from .graded import (
-    EVEN, ODD, Q, Element, GradedBasis, LinearEndomorphism, LinearMap,
-    Tensor2, tensor, wedge,
+    EVEN, ODD, Q, Element, GradedBasis, LinearMap, Tensor2, tensor, wedge,
 )
 from .algebra import (
     BilinearForm, MatrixRealization, Superalgebra, from_matrices, gram_matrix,
@@ -72,7 +73,7 @@ def supertrace_gram() -> BilinearForm:
 # ---------------------------------------------------------------------------
 
 @cache
-def f_map() -> LinearEndomorphism:
+def f_map() -> LinearMap:
     b = sl21_basis()
     images = [
         b.zero(),                    # E11+E33 -> 0
@@ -84,7 +85,7 @@ def f_map() -> LinearEndomorphism:
         b.zero(),                    # E23 -> 0
         V("E23") + V("E32"),         # E32 -> E23 + E32
     ]
-    return LinearEndomorphism(b, images)
+    return LinearMap(b, b, images)
 
 
 def _tensor_sum(terms) -> Tensor2:
@@ -136,7 +137,7 @@ def r_standard() -> Tensor2:
 
 
 @cache
-def f_standard() -> LinearEndomorphism:
+def f_standard() -> LinearMap:
     """The (undisplayed) map with (f (x) 1) omega = r_standard."""
     return solve_f_from_r(r_standard(), omega())
 
@@ -261,28 +262,6 @@ def t2_span() -> list[Element]:
     return [V("E22+E33"), V("E12"), V("E13"), V("E32")]
 
 
-@cache
-def s1_embedding() -> LinearMap:
-    """s -> sl(2,1) onto S1: h, x, y1, y2 -> E11+E33, E21, E23, E13+E31."""
-    return LinearMap(s_basis(), sl21_basis(), s1_span())
-
-
-@cache
-def s2_embedding() -> LinearMap:
-    """s -> sl(2,1) onto S2 (also the primal double-identification leg)."""
-    return LinearMap(s_basis(), sl21_basis(), s2_span())
-
-
-@cache
-def t1_embedding() -> LinearMap:
-    return LinearMap(s_basis(), sl21_basis(), t1_span())
-
-
-@cache
-def t2_embedding() -> LinearMap:
-    return LinearMap(s_basis(), sl21_basis(), t2_span())
-
-
 # ---------------------------------------------------------------------------
 # restricted cobrackets delta_1, delta_2, delta_s1, delta_s2
 # ---------------------------------------------------------------------------
@@ -327,11 +306,11 @@ def delta_s2_table() -> Cochain:
     return -delta_s1_table()
 
 
-def _restricted(bi: Bialgebra, emb: LinearMap,
+def _restricted(bi: Bialgebra, span: list[Element],
                 target: Superalgebra) -> Bialgebra:
-    """Restrict bi to emb's image, labelled as the abstract algebra, whose
+    """Restrict bi to the span, labelled as the abstract algebra, whose
     bracket it must equal."""
-    sub = restrict(bi, emb.images, labels=list(emb.source.labels))
+    sub = restrict(bi, span, labels=list(target.basis.labels))
     if (sub.basis != target.basis
             or sub.algebra.constants != target.constants):
         raise FixtureMismatch(
@@ -341,22 +320,22 @@ def _restricted(bi: Bialgebra, emb: LinearMap,
 
 @cache
 def s_bialgebra_1() -> Bialgebra:
-    return _restricted(bialgebra_f(), s1_embedding(), s_algebra())
+    return _restricted(bialgebra_f(), s1_span(), s_algebra())
 
 
 @cache
 def s_bialgebra_2() -> Bialgebra:
-    return _restricted(bialgebra_f(), s2_embedding(), s_algebra())
+    return _restricted(bialgebra_f(), s2_span(), s_algebra())
 
 
 @cache
 def t_bialgebra_1() -> Bialgebra:
-    return _restricted(bialgebra_s(), t1_embedding(), t_algebra())
+    return _restricted(bialgebra_s(), t1_span(), t_algebra())
 
 
 @cache
 def t_bialgebra_2() -> Bialgebra:
-    return _restricted(bialgebra_s(), t2_embedding(), t_algebra())
+    return _restricted(bialgebra_s(), t2_span(), t_algebra())
 
 
 def deltas() -> dict[str, Cochain]:
@@ -382,7 +361,8 @@ def dual_s_basis() -> GradedBasis:
 
 @cache
 def i1_map() -> LinearMap:
-    return s2_embedding()
+    """h, x, y1, y2 -> E22+E33, E12, E13, E23+E32 (image S2)."""
+    return LinearMap(s_basis(), sl21_basis(), s2_span())
 
 
 @cache
@@ -398,7 +378,8 @@ def i2_map() -> LinearMap:
 
 @cache
 def is1_map() -> LinearMap:
-    return t2_embedding()
+    """h, x, y1, y2 -> E22+E33, E12, E13, E32 (image T2)."""
+    return LinearMap(s_basis(), sl21_basis(), t2_span())
 
 
 @cache
@@ -415,7 +396,7 @@ def is2_map() -> LinearMap:
 def _dual_iso(images: list[tuple[int, str]]) -> LinearMap:
     b = s_basis()
     return LinearMap(dual_s_basis(), b,
-                     [b.vector(lab).scale(c) for c, lab in images])
+                     [Element(b, {b.index(lab): c}) for c, lab in images])
 
 
 @cache
@@ -490,47 +471,29 @@ def manin_triple_t() -> ManinTriple:
 # dual bracket reference tables
 # ---------------------------------------------------------------------------
 
-def dual_bracket_table_1() -> dict[tuple[str, str], list[tuple[int, str]]]:
+def _dual_table(half: dict[tuple[str, str, str], int]) -> Superalgebra:
+    """The algebra on s* with [a, b] = c k for each (a, b, k): c, a <= b."""
+    b = dual_s_basis()
+    return Superalgebra.from_half_table(
+        b, {tuple(map(b.index, key)): c for key, c in half.items()})
+
+
+@cache
+def dual_bracket_table_1() -> Superalgebra:
     """Nonzero brackets on the dual of the first restricted structure."""
-    return {
-        ("h*", "x*"): [(-1, "x*")],
-        ("h*", "y2*"): [(-1, "y2*")],
-        ("x*", "y1*"): [(1, "y2*")],
-        ("y1*", "y2*"): [(1, "x*")],
-        ("y1*", "y1*"): [(2, "h*")],
-    }
+    return _dual_table({("h*", "x*", "x*"): -1, ("h*", "y2*", "y2*"): -1,
+                        ("x*", "y1*", "y2*"): 1, ("y1*", "y2*", "x*"): 1,
+                        ("y1*", "y1*", "h*"): 2})
 
 
-def dual_bracket_table_2() -> dict[tuple[str, str], list[tuple[int, str]]]:
-    return {
-        ("h*", "x*"): [(1, "x*")],
-        ("h*", "y2*"): [(1, "y2*")],
-        ("x*", "y1*"): [(-1, "y2*")],
-        ("y1*", "y2*"): [(-1, "x*")],
-        ("y1*", "y1*"): [(-2, "h*")],
-    }
+@cache
+def dual_bracket_table_2() -> Superalgebra:
+    return _dual_table({("h*", "x*", "x*"): 1, ("h*", "y2*", "y2*"): 1,
+                        ("x*", "y1*", "y2*"): -1, ("y1*", "y2*", "x*"): -1,
+                        ("y1*", "y1*", "h*"): -2})
 
 
-def dual_bracket_table_t1() -> dict[tuple[str, str], list[tuple[int, str]]]:
-    return {
-        ("h*", "x*"): [(-1, "x*")],
-        ("h*", "y2*"): [(-1, "y2*")],
-        ("y1*", "y2*"): [(1, "x*")],
-    }
-
-
-def dual_matches_table(dual: Superalgebra,
-                       table: dict[tuple[str, str], list[tuple[int, str]]]) -> bool:
-    """Does a computed dual bracket agree with a reference table?
-
-    Pairs absent from the table must bracket to zero; listed pairs must
-    match exactly (the table lists each unordered pair once).
-    """
-    b = dual.basis
-    listed = {(b.index(la), b.index(lb)): sum(
-        (b.vector(lc).scale(c) for c, lc in terms), b.zero())
-        for (la, lb), terms in table.items()}
-    return (all(dual.bracket_basis(i, j) == v for (i, j), v in listed.items())
-            and all(dual.bracket_basis(i, j).is_zero()
-                    for i in range(len(b)) for j in range(i, len(b))
-                    if (i, j) not in listed and (j, i) not in listed))
+@cache
+def dual_bracket_table_t1() -> Superalgebra:
+    return _dual_table({("h*", "x*", "x*"): -1, ("h*", "y2*", "y2*"): -1,
+                        ("y1*", "y2*", "x*"): 1})

@@ -2,7 +2,8 @@
 
 An n-cochain is super alternating: swapping adjacent arguments x, y costs
 -(-1)^{|x||y|}.  Values are stored only at canonical argument tuples
-(indices nondecreasing, even indices strictly increasing); reading a value
+(indices nondecreasing, even indices strictly increasing; `canonical_tuples`
+filters `itertools.combinations_with_replacement` for them); reading a value
 at any other tuple applies the Koszul-signed permutation automatically.
 
 The differential follows the two-sum formula
@@ -40,6 +41,7 @@ two sides are rendered.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Mapping
 
 from .graded import (
@@ -73,21 +75,11 @@ def canonical_tuple(basis: GradedBasis,
 
 
 def canonical_tuples(basis: GradedBasis, degree: int) -> list[tuple[int, ...]]:
-    """All canonical argument tuples of the given degree."""
-    n = len(basis)
-    out: list[tuple[int, ...]] = []
-
-    def grow(head: tuple[int, ...], start: int):
-        if len(head) == degree:
-            out.append(head)
-            return
-        for i in range(start, n):
-            # repeated indices only for odd vectors
-            if head and head[-1] == i and basis.parity(i) == EVEN:
-                continue
-            grow(head + (i,), i)
-    grow((), 0)
-    return out
+    """All canonical argument tuples of the given degree, in lexicographic
+    order: nondecreasing, with repeated indices only for odd vectors."""
+    par = basis.parities
+    return [t for t in combinations_with_replacement(range(len(basis)), degree)
+            if all(a != b or par[a] for a, b in zip(t, t[1:]))]
 
 
 class Cochain:

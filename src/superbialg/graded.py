@@ -25,9 +25,9 @@ The linear-algebra kernel is `rref`, fraction-free elimination of sparse
 rows {column key: value}; its reduced rows are ints in one canonical form.
 `factor_span` factors a span in one `rref` of the vectors, tagged by index:
 the pivot keys and q P^{-1} (P the pivot block), as ints like the vectors.
-`invert_matrix` reads a square matrix's inverse off it; it and
-`image_basis` alone build Fractions from a reduction, and `rank`, on a
-dense matrix, serves only the tests and the benchmark.  `_int_coordinates`
+`invert_matrix` reads a square matrix's inverse off it, the one place
+that builds Fractions from a reduction, and `rank`, on a dense matrix,
+serves only the tests and the benchmark.  `_int_coordinates`
 reads an integer vector's coordinates off a factored span and rebuilds
 them to decide membership exactly (`span_coordinates` for a Fraction
 vector); `square_span` factors span (x) span, P^{-1} (x) P^{-1} on the
@@ -504,50 +504,6 @@ class LinearMap:
         return True
 
 
-class LinearEndomorphism(LinearMap):
-    """A linear map of a graded space to itself."""
-
-    def __init__(self, basis: GradedBasis, images: Sequence[Element]):
-        super().__init__(basis, basis, images)
-        self.basis = basis
-
-    @classmethod
-    def identity(cls, basis: GradedBasis) -> "LinearEndomorphism":
-        return cls(basis, basis.vectors())
-
-    @classmethod
-    def zero(cls, basis: GradedBasis) -> "LinearEndomorphism":
-        return cls(basis, [basis.zero()] * len(basis))
-
-    def __sub__(self, other: "LinearEndomorphism") -> "LinearEndomorphism":
-        _same_basis(self.basis, other.basis)
-        return LinearEndomorphism(
-            self.basis, [a - b for a, b in zip(self.images, other.images)])
-
-
-def image_basis(m: LinearEndomorphism) -> list[Element]:
-    """A deterministic basis of Im(m) by exact row reduction.
-
-    When every nonzero image is homogeneous (every even map), the even and
-    odd generators are reduced separately so the returned basis is itself
-    homogeneous: even vectors first, then odd, each block in echelon order.
-    """
-    columns = range(len(m.basis))
-    nonzero = [im for im in m.images if not im.is_zero()]
-    if not nonzero:
-        return []
-
-    def reduce_group(els: list[Element]) -> list[Element]:
-        return [Element.wrap(m.basis, _over(row, row[p])) for row, p
-                in zip(*rref([e.entries for e in els], columns))]
-
-    if all(e.is_homogeneous() for e in nonzero):
-        evens = [e for e in nonzero if e.parity() == EVEN]
-        odds = [e for e in nonzero if e.parity() == ODD]
-        return reduce_group(evens) + reduce_group(odds)
-    return reduce_group(nonzero)
-
-
 def span_equal(a: Iterable[Element], b: Iterable[Element]) -> bool:
     """Do two families of elements over one basis span the same subspace?"""
     a, b = list(a), list(b)
@@ -563,11 +519,6 @@ def span_equal(a: Iterable[Element], b: Iterable[Element]) -> bool:
 # rendering helpers
 # ---------------------------------------------------------------------------
 
-def format_scalar(c: Fraction) -> str:
-    """Render p/q, omitting the denominator when it is 1."""
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def atom(label: str) -> str:
     """Parenthesize compound labels so signed sums stay unambiguous."""
     return f"({label})" if ("+" in label or "-" in label) else label
@@ -577,7 +528,7 @@ def format_combination(terms: list[tuple[str, Fraction]]) -> str:
     """Render a signed sum like '2*a - b(x)c' in the given term order."""
     out = ""
     for name, c in terms:
-        body = name if abs(c) == 1 else f"{format_scalar(abs(c))}*{name}"
+        body = name if abs(c) == 1 else f"{abs(c)}*{name}"
         sign = "-" if c < 0 else "+"
         out += (f" {sign} " if out else "-" * (c < 0)) + body
     return out or "0"

@@ -245,8 +245,8 @@ def restrict_inputs():
 
 
 def _perturb_map(rng: random.Random, phi, steps: list):
-    """phi with one or two of its images perturbed (same class)."""
-    from superbialg import LinearEndomorphism, LinearMap
+    """phi with one or two of its images perturbed."""
+    from superbialg import LinearMap
     src, tgt = phi.source, phi.target
     images = list(phi.images)
     for kind in rng.sample(MAP_KINDS, rng.choice((1, 2))):
@@ -270,8 +270,6 @@ def _perturb_map(rng: random.Random, phi, steps: list):
             images[a], images[b] = images[b], images[a]
             steps.append(f"phi({src.labels[a]}) and phi({src.labels[b]}) "
                          f"swapped")
-    if isinstance(phi, LinearEndomorphism):
-        return LinearEndomorphism(src, images)
     return LinearMap(src, tgt, images)
 
 

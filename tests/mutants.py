@@ -249,6 +249,16 @@ MUTANTS = [
     Mutant("writer-one-space-indent", "serialize.py",
            'inner = pad + "  "',
            'inner = pad + " "'),
+    # the canonical tuples, Im(f - 1) and the f-equation's map g -> g
+    Mutant("canonical-tuples-even-repeats-kept", "cohomology.py",
+           "if all(a != b or par[a] for",
+           "if all(a <= b or par[a] for"),
+    Mutant("f-minus-one-plus", "verify.py",
+           "span_equal([im - v for im, v in zip(",
+           "span_equal([im + v for im, v in zip("),
+    Mutant("f-equation-no-target-check", "bialgebra.py",
+           "    _same_basis(f.target, g.basis)\n",
+           ""),
 ]
 
 

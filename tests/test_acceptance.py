@@ -17,8 +17,7 @@ from superbialg.bialgebra import (
 from superbialg.cohomology import coboundary, coboundary_0, is_cocycle_1
 from superbialg.double import check_canonical_r, identify
 from superbialg.graded import (
-    LinearEndomorphism, Tensor2, image_basis, span_equal, super_swap, tensor,
-    wedge,
+    Tensor2, span_equal, super_swap, tensor, wedge,
 )
 
 from oracles import alt_s, pairing_dual_bracket
@@ -79,9 +78,9 @@ def test_criterion_06_cobracket_axioms():
 
 def test_criterion_07_subalgebra_structure():
     g = cat.sl21()
-    fm1 = cat.f_map() - LinearEndomorphism.identity(B)
-    ok = span_equal(image_basis(fm1), cat.s1_span())
-    ok = ok and span_equal(image_basis(cat.f_map()), cat.s2_span())
+    f = cat.f_map().images
+    fm1 = [im - v for im, v in zip(f, B.vectors())]
+    ok = span_equal(fm1, cat.s1_span()) and span_equal(f, cat.s2_span())
     for span in (cat.s1_span(), cat.s2_span(), cat.t1_span(), cat.t2_span()):
         ok = ok and is_subalgebra(g, span)
     try:
@@ -93,12 +92,10 @@ def test_criterion_07_subalgebra_structure():
 
 
 def test_criterion_08_dual_brackets():
-    ok = cat.dual_matches_table(dual_bracket(cat.s_bialgebra_1()),
-                                cat.dual_bracket_table_1())
-    ok = ok and cat.dual_matches_table(dual_bracket(cat.s_bialgebra_2()),
-                                       cat.dual_bracket_table_2())
-    ok = ok and cat.dual_matches_table(dual_bracket(cat.t_bialgebra_1()),
-                                       cat.dual_bracket_table_t1())
+    ok = all(dual_bracket(bial()).constants == table().constants
+             for bial, table in ((cat.s_bialgebra_1, cat.dual_bracket_table_1),
+                                 (cat.s_bialgebra_2, cat.dual_bracket_table_2),
+                                 (cat.t_bialgebra_1, cat.dual_bracket_table_t1)))
     d1 = dual_bracket(cat.s_bialgebra_1())
     ok = ok and d1.bracket_basis(2, 2) == 2 * cat.dual_s_basis().vector("h*")
     d2 = dual_bracket(cat.s_bialgebra_2())

@@ -226,8 +226,8 @@ def test_from_matrices_reproduces_bracket_table():
 
 
 def test_from_matrices_on_embedded_s():
-    # push s into sl(2,1) along the second embedding, read the constants back
-    emb = cat.s2_embedding()
+    # push s into sl(2,1) along i1, onto S2, read the constants back
+    emb = cat.i1_map()
     real = cat.sl21_realization()
     images = [image_of(real, v) for v in emb.images]
     sub = MatrixRealization(SB, 2, 1, images)

@@ -2,7 +2,7 @@
 
 from superbialg import catalog as cat
 from superbialg import verify
-from superbialg.graded import Tensor2
+from superbialg.graded import LinearMap, Tensor2
 from superbialg.report import VerificationReport
 from superbialg.verify import SECTIONS, run_fixtures
 
@@ -68,6 +68,38 @@ def test_a_cobracket_table_fixture_names_both_cochains(monkeypatch):
         "displayed {x: -h⊗x + x⊗h - y1⊗y2 - y2⊗y1, y2: -h⊗y2 + y2⊗h}")}
 
 
+def test_a_dual_table_fixture_names_both_constant_tables(monkeypatch):
+    # the second table on s* displayed for the first: that fixture names
+    # the computed and the displayed constants, and only it fails
+    got = cat.dual_bracket_table_1().constants
+    monkeypatch.setattr(cat, "dual_bracket_table_1", cat.dual_bracket_table_2)
+    failures = {r.name: r.detail for r in run_fixtures("3.2") if not r.passed}
+    assert failures == {"paper.s3_2.dual_bracket_1": (
+        f"got {got}, displayed {cat.dual_bracket_table_2().constants}")}
+    assert "(0, 1, 1): Fraction(-1, 1)" in failures[
+        "paper.s3_2.dual_bracket_1"]
+
+
+def test_restrict_fails_on_s1_says_that_restrict_returned(monkeypatch):
+    monkeypatch.setattr(verify, "restrict", lambda b, span: b)
+    failures = {r.name: r.detail for r in run_fixtures("3.4") if not r.passed}
+    assert failures == {"paper.s3_4.restrict_fails_on_s1":
+                        "restrict returned; NotClosedUnderCobracket was "
+                        "expected"}
+
+
+def test_the_f_even_fixture_names_the_first_image_off_its_parity(
+        monkeypatch):
+    f = cat.f_map()
+    images = list(f.images)
+    images[2] = V("E12") + V("E13")  # E12 -> E12 + E13, mixed
+    images[4] = V("E12")             # E13 -> E12, even
+    monkeypatch.setattr(cat, "f_map",
+                        lambda: LinearMap(f.source, f.target, images))
+    details = {r.name: r.detail for r in run_fixtures("2")}
+    assert details["paper.s2.f_even"] == "E12 -> E12 + E13 leaves its parity"
+
+
 def test_delta_f_expanded_entries():
     # hand-expanded values: the wedge of equal odd vectors doubles
     d = cat.delta_f()
@@ -127,8 +159,8 @@ def test_graded_dimension_bookkeeping():
 
 def test_f_standard_is_projection_onto_T2():
     fs = cat.f_standard()
-    from superbialg.graded import image_basis, span_equal
-    assert span_equal(image_basis(fs), cat.t2_span())
+    from superbialg.graded import span_equal
+    assert span_equal(fs.images, cat.t2_span())
     for v in cat.t1_span():
         assert fs(v).is_zero()
 

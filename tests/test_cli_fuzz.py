@@ -132,10 +132,16 @@ def test_every_subcommand_keeps_its_contract(workdir, data, slot, fmt):
     _assert_contract(code, out, err, fmt)
 
 
-@given(section=st.text(max_size=4), fmt=st.sampled_from(["text", "json"]))
+# a target, not an option: "-h" would print the help
+targets = st.text(max_size=6).filter(lambda s: not s.startswith("-"))
+
+
+@given(what=st.just("paper") | targets, section=st.text(max_size=4),
+       fmt=st.sampled_from(["text", "json"]))
 @settings(max_examples=10, deadline=None)
-def test_verify_keeps_its_contract(section, fmt):
-    code, out, err = _run(["verify", "paper", "--section", section,
+def test_verify_keeps_its_contract(what, section, fmt):
+    # argparse refuses any target but `paper` (exit 2, an `error:` line)
+    code, out, err = _run(["verify", what, "--section", section,
                            "--format", fmt])
     _assert_contract(code, out, err, fmt)
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -89,11 +90,20 @@ def test_constructors_refuse_parities_and_degrees_they_would_truncate(build):
         build()
 
 
-def test_canonical_tuples_degree2_count():
-    # pairs i <= j minus the four even diagonals
-    tuples = canonical_tuples(B, 2)
-    assert len(tuples) == 36 - 4
-    assert all(a <= b for a, b in tuples)
+# sl(2,1), and a basis whose odd vectors are interleaved with the even ones
+INTERLEAVED = GradedBasis(["a", "b", "c", "d", "e", "f"], [1, 0, 1, 0, 0, 1])
+
+
+@pytest.mark.parametrize("degree", range(4))
+@pytest.mark.parametrize("basis", [B, INTERLEAVED], ids=["sl21", "interleaved"])
+def test_canonical_tuples_match_brute_force(basis, degree):
+    # every argument tuple sorted, those forced to zero dropped
+    sorts = (canonical_tuple(basis, args)
+             for args in product(range(len(basis)), repeat=degree))
+    want = sorted({key for key, sign in sorts if sign})
+    assert canonical_tuples(basis, degree) == want
+    if basis is B and degree == 2:  # pairs i <= j minus the four even diagonals
+        assert len(want) == 36 - 4
 
 
 # -- coboundary of 0-cochains ----------------------------------------------------

@@ -18,8 +18,8 @@ from superbialg.algebra import Superalgebra, adjoint_on_tensor2
 from superbialg.cohomology import Cochain, canonical_tuple, coboundary_0, is_cocycle_1
 from superbialg.bialgebra import r_of_f, solve_f_from_r
 from superbialg.graded import (
-    Element, LinearEndomorphism, LinearMap, Tensor, Tensor2, image_basis,
-    invert_matrix, rank, rref, super_swap, wedge,
+    Element, LinearMap, Tensor, Tensor2, invert_matrix, rank, rref,
+    super_swap, wedge,
 )
 
 import oracles
@@ -290,21 +290,6 @@ def test_solve_f_from_r_matches_a_dense_product():
         assert dense([im.entries for im in f.images], 8) == [
             list(col) for col in zip(*matmul(rm, _inverse_reference(om)))]
         assert r_of_f(f, omega) == r
-
-
-@given(st.dictionaries(st.tuples(indices, indices), small_rationals,
-                       max_size=10))
-@settings(max_examples=25, deadline=None)
-def test_image_basis_dimension_matches_rank(entries):
-    m = [[Q(0)] * 8 for _ in range(8)]
-    for (i, j), c in entries.items():
-        m[i][j] = c
-    endo = LinearEndomorphism(B, _map_of(m).images)
-    vecs = image_basis(endo)
-    cols = [[endo.images[j][i] for j in range(8)] for i in range(8)]
-    assert len(vecs) == rank(cols)
-    # and the returned family is itself independent
-    assert rank([[v[i] for i in range(8)] for v in vecs]) == len(vecs)
 
 
 # -- the 100-tensor cocommutator sweep -------------------------------------------

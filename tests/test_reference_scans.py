@@ -25,9 +25,7 @@ from superbialg.bialgebra import (
     check_f_equation,
 )
 from superbialg.cohomology import Cochain, coboundary, is_cocycle_1
-from superbialg.graded import (
-    Element, LinearEndomorphism, LinearMap, Tensor, Tensor2,
-)
+from superbialg.graded import Element, LinearMap, Tensor, Tensor2
 
 from oracles import adjoint_on_tensor2, alt_s, apply_tensor2
 
@@ -204,7 +202,8 @@ def cobracket_reference(phi, source, target) -> str | None:
 
 def f_equation_reference(g, f) -> str | None:
     """(f-1)[f(x), f(y)] = f([(f-1)(x), (f-1)(y)]), in Fractions."""
-    fm1 = f - LinearEndomorphism.identity(g.basis)
+    fm1 = LinearMap(g.basis, g.basis, [im - v for im, v in zip(
+        f.images, g.basis.vectors())])
     lab = g.basis.labels
     for i, j in product(range(g.dim()), repeat=2):
         x, y = g.basis.vector(i), g.basis.vector(j)
@@ -254,7 +253,7 @@ def test_f_equation_matches_the_product_order_reference(name, changes):
     f = getattr(cat, name)()
     images = list(f.images)
     for i, j, c in changes:
-        images[i] = images[i] + f.basis.vector(j).scale(c)
-    f = LinearEndomorphism(f.basis, images)
+        images[i] = images[i] + f.target.vector(j).scale(c)
+    f = LinearMap(f.source, f.target, images)
     g = cat.sl21()
     assert (_detail(check_f_equation(g, f)) == f_equation_reference(g, f))
