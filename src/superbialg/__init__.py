@@ -23,8 +23,8 @@ from .graded import (
 from .report import VerificationReport
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, NotClosed,
-    Superalgebra, adjoint_on_tensor2, check_homomorphism, check_invariance,
-    from_matrices, gram_matrix, is_subalgebra,
+    Superalgebra, check_homomorphism, check_invariance, from_matrices,
+    gram_matrix, is_subalgebra,
 )
 from .cohomology import Cochain, coboundary, coboundary_0, is_cocycle_1
 from .bialgebra import (

@@ -2,10 +2,10 @@
 
 A `Superalgebra` stores one table, [e_i, e_j] = sum_k C(i,j,k) e_k as ints:
 `int_table` = (D, num), num[i][j] = {k: C(i,j,k) D}, D the lcm of the
-denominators.  Every constructor builds it in ints, and `constants`,
-`rows` and the Elements of `bracket_basis` are Fraction views derived from
-it on first use.  Super antisymmetry, Jacobi, the action on g (x) g
-(`_act_into`, also called by `cohomology` and `bialgebra`), form
+denominators.  Every constructor builds it in ints; `constants` is its one
+Fraction view, and `bracket` and `bracket_basis` read Elements off it.
+Super antisymmetry, Jacobi, the one action on g (x) g (`_act_into`, behind
+`cohomology.coboundary_0`, which decides ad-invariance), form
 invariance, the pairing, `is_subalgebra` and `check_homomorphism` sum ints
 over it and over the integer forms of a Gram matrix and of a map
 (`BilinearForm.int_gram`, `LinearMap.int_images`): a sum is the true one
@@ -32,10 +32,12 @@ A `MatrixRealization` keeps its images as ints over one denominator E.
 `from_matrices` re-derives the constants from their integer commutators,
 and `gram_matrix` the supertrace form str(rho(x) rho(y)), used for Casimir
 elements and Manin triples, from integer products.  `from_matrices` and
-`_span_brackets` (for `is_subalgebra` and `bialgebra.restrict`) factor a
-span once with `graded.factor_span` and read every bracket off it in ints,
-each checked exactly against its reconstruction.  `is_solvable` and
-`BilinearForm.is_nondegenerate` reduce sparse integer rows with `rref`.
+`_span_brackets` (for `bialgebra.restrict` and `_leaves_span`, the first
+bracket outside a span, behind `is_subalgebra`, `check_manin_triple` and
+the subalgebra fixtures) factor a span once with `graded.factor_span` and
+read every bracket off it in ints, each checked exactly against its
+reconstruction.  `is_solvable` and `BilinearForm.is_nondegenerate` reduce
+sparse integer rows with `rref`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .graded import (
-    EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearMap, Tensor,
+    EVEN, ODD, BasisMismatch, Element, GradedBasis, LinearMap,
     _add_into, _combine, _denominator, _int_coordinates, _numerators, _over,
     _proportional, _same_basis, as_scalar, factor_span, koszul, rref,
 )
@@ -118,24 +120,16 @@ class Superalgebra:
                         ) -> "Superalgebra":
         """Build from entries with i <= j; i > j follows by antisymmetry.
 
-        Diagonal entries (i, i) are only accepted for odd e_i; the indices
-        of every entry, zero or not, are checked as in the public constructor.
+        The public constructor checks and scales the entries; a diagonal
+        entry (i, i) is only accepted for odd e_i.
         """
-        par = basis.parities
-        entries = {}
-        for (i, j, k), c in half.items():
-            if i > j:
-                raise ValueError(f"half table may only list i <= j, got {(i, j)}")
-            _check_index(len(basis), (i, j, k))
-            c = c if type(c) is int else as_scalar(c)
-            if c == 0:
-                continue
-            if par[i] + par[j] == EVEN and i == j:
-                raise ValueError(
-                    f"[e_{i}, e_{i}] must vanish for even e_{i}")
-            entries[(i, j, k)] = c
-        # the public constructor scales to ints
-        return cls._of(basis, *cls(basis, entries).int_table, half=True)
+        if bad := next(((i, j) for i, j, _ in half if i > j), None):
+            raise ValueError(f"half table may only list i <= j, got {bad}")
+        den, num = cls(basis, half).int_table
+        if (i := next((i for i, p in enumerate(basis.parities)
+                       if p == EVEN and num[i][i]), None)) is not None:
+            raise ValueError(f"[e_{i}, e_{i}] must vanish for even e_{i}")
+        return cls._of(basis, den, num, half=True)
 
     @cached_property
     def constants(self) -> dict[tuple[int, int, int], Fraction]:
@@ -144,14 +138,9 @@ class Superalgebra:
         return {(i, j, k): Fraction(x, den) for i, rs in enumerate(num)
                 for j, row in enumerate(rs) for k, x in row.items()}
 
-    @cached_property
-    def rows(self) -> list[list[dict[int, Fraction]]]:
-        """rows[i][j] = {k: C(i,j,k)}, the table as sparse Fraction rows."""
-        den, num = self.int_table
-        return [[_over(row, den) for row in rs] for rs in num]
-
     def bracket_basis(self, i: int, j: int) -> Element:
-        return Element.wrap(self.basis, self.rows[i][j])
+        den, num = self.int_table
+        return Element.wrap(self.basis, _over(num[i][j], den))
 
     def _int_bracket(self, x: Mapping[int, int],
                      y: Mapping[int, int]) -> dict[int, int]:
@@ -167,12 +156,10 @@ class Superalgebra:
     def bracket(self, x: Element, y: Element) -> Element:
         _same_basis(x.basis, self.basis)
         _same_basis(y.basis, self.basis)
-        acc: dict[int, Fraction] = {}
-        for i, cx in x.entries.items():
-            ri = self.rows[i]
-            for j, cy in y.entries.items():
-                _add_into(acc, ri[j], cx * cy)
-        return Element(self.basis, acc)
+        dx, dy = _denominator([x.entries]), _denominator([y.entries])
+        acc = self._int_bracket(_numerators(x.entries, dx),
+                                _numerators(y.entries, dy))
+        return Element.wrap(self.basis, _over(acc, self.int_table[0] * dx * dy))
 
     def dim(self) -> int:
         return len(self.basis)
@@ -528,22 +515,6 @@ def _act_into(acc: dict, g: Superalgebra, i: int,
             acc[(u, k)] = get((u, k), 0) + cc * y
 
 
-def adjoint_on_tensor2(g: Superalgebra, a: Element, t: Tensor) -> Tensor:
-    """Signed Leibniz action of a on a rank-2 tensor.
-
-    For homogeneous a:  a . (u (x) v) = [a,u] (x) v + (-1)^{|a||u|} u (x) [a,v];
-    mixed a acts part by part.
-    """
-    _same_basis(t.basis, g.basis)
-    _same_basis(a.basis, g.basis)
-    da, dt = _denominator([a.entries]), _denominator([t.entries])
-    ints = _numerators(t.entries, dt)
-    acc: dict[tuple[int, int], int] = {}
-    for i, ca in _numerators(a.entries, da).items():
-        _act_into(acc, g, i, ints, ca)
-    return t._with(_over(acc, g.int_table[0] * da * dt))
-
-
 def _span_brackets(g: Superalgebra, vectors: Sequence[Element],
                    what: str) -> tuple:
     """The span of the vectors factored once (`graded.factor_span`, s times
@@ -562,10 +533,18 @@ def _span_brackets(g: Superalgebra, vectors: Sequence[Element],
     return span, starmap(coordinates, product(range(len(vectors)), repeat=2))
 
 
+def _leaves_span(g: Superalgebra, vectors: Sequence[Element],
+                 what: str) -> str | None:
+    """"[u, v] leaves the span" for the first bracket of the vectors, in
+    product order, outside their span, or None (`_span_brackets`)."""
+    return next((f"[{vectors[a]}, {vectors[b]}] leaves the span"
+                 for a, b, coords in _span_brackets(g, vectors, what)[1]
+                 if coords is None), None)
+
+
 def is_subalgebra(g: Superalgebra, vectors: Sequence[Element]) -> bool:
     """Is the span of the (independent) vectors closed under the bracket?"""
-    _, brackets = _span_brackets(g, vectors, "subalgebra test")
-    return all(coords is not None for _, _, coords in brackets)
+    return _leaves_span(g, vectors, "subalgebra test") is None
 
 
 def check_invariance(g: Superalgebra, form: BilinearForm) -> VerificationReport:

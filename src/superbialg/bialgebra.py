@@ -48,7 +48,8 @@ from .graded import (
 )
 from .algebra import (
     BilinearForm, DependentVectors, MatrixRealization, Superalgebra,
-    _span_brackets, check_homomorphism, check_invariance, gram_matrix,
+    _leaves_span, _span_brackets, check_homomorphism, check_invariance,
+    gram_matrix,
 )
 from .cohomology import (
     Cochain, coboundary_0, is_cocycle_1, pairwise_failure,
@@ -431,12 +432,10 @@ def check_manin_triple(t: ManinTriple) -> VerificationReport:
 
     for name, part in (("plus", t.plus), ("minus", t.minus)):
         try:
-            rep.scan(f"{name} is a subalgebra",
-                     _span_brackets(g, part, name)[1],
-                     lambda a, b, coords: None if coords is not None
-                     else f"[{part[a]}, {part[b]}] leaves the span")
+            bad = _leaves_span(g, part, name)
         except DependentVectors as e:
-            rep.add(f"{name} is a subalgebra", False, str(e))
+            bad = str(e)
+        rep.add(f"{name} is a subalgebra", bad is None, bad)
 
     form = t.form
     for name, part in (("plus", t.plus), ("minus", t.minus)):

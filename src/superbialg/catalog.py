@@ -338,18 +338,6 @@ def t_bialgebra_2() -> Bialgebra:
     return _restricted(bialgebra_s(), t2_span(), t_algebra())
 
 
-def deltas() -> dict[str, Cochain]:
-    """All six named cobrackets, recomputed; the fixtures check the tables."""
-    return {
-        "delta_f": delta_f(),
-        "delta_s": delta_s(),
-        "delta_1": s_bialgebra_1().delta,
-        "delta_2": s_bialgebra_2().delta,
-        "delta_s1": t_bialgebra_1().delta,
-        "delta_s2": t_bialgebra_2().delta,
-    }
-
-
 # ---------------------------------------------------------------------------
 # the displayed maps
 # ---------------------------------------------------------------------------

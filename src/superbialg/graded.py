@@ -11,6 +11,7 @@ rank 1, an r-matrix or a cobracket value rank 2, the coJacobi sum rank 3.
 All legs of a tensor lie over one basis.  Arithmetic, equality, parity and
 rendering are written once; `Element` and `Tensor2` only fix the rank and
 keep their constructor signatures, and a rank-3 value is a plain `Tensor`.
+Every rank keeps its coefficients in one dict, `entries`.
 
 Sign conventions (used throughout the package):
 
@@ -246,10 +247,6 @@ class Element(Tensor):
         The dict must already be clean: in-range indices, nonzero Fractions.
         """
         return cls._of(basis, 1, coeffs)
-
-    @property
-    def coeffs(self) -> dict[int, Fraction]:
-        return self.entries
 
 
 class Tensor2(Tensor):

@@ -186,21 +186,24 @@ MUTANTS = [
     Mutant("r-of-f-legs-swapped", "bialgebra.py",
            "tensor(f.images[i], omega.basis.vector(j))",
            "tensor(omega.basis.vector(j), f.images[i])"),
+    # from_half_table's index checks are the public constructor's
     Mutant("half-table-zero-index-unchecked", "algebra.py",
-           "            _check_index(len(basis), (i, j, k))\n"
+           "            _check_index(n, (i, j, k))\n"
            "            c = c if type(c) is int else as_scalar(c)\n"
-           "            if c == 0:\n"
-           "                continue\n",
+           "            if c != 0:\n",
            "            c = c if type(c) is int else as_scalar(c)\n"
-           "            if c == 0:\n"
-           "                continue\n"
-           "            _check_index(len(basis), (i, j, k))\n",
+           "            if c != 0:\n"
+           "                _check_index(n, (i, j, k))\n",
+           first="test_stored_table.py"),
+    Mutant("half-table-even-diagonal-truthy", "algebra.py",
+           "p == EVEN and num[i][i]), None)) is not None:",
+           "p == EVEN and num[i][i]), None)):",
            first="test_stored_table.py"),
     # one span-closure scan for is_subalgebra and restrict, the fixture
     # rule of verify paper, the integer rank of a form
     Mutant("subalgebra-closure-no-none-test", "algebra.py",
-           "return all(coords is not None for",
-           "return all(True for"),
+           "if coords is None), None)",
+           "if False), None)"),
     Mutant("restrict-closure-no-none-test", "bialgebra.py",
            "        if coords is None:\n"
            "            raise NotClosedUnderCobracket(",
@@ -254,11 +257,21 @@ MUTANTS = [
            "if all(a != b or par[a] for",
            "if all(a <= b or par[a] for"),
     Mutant("f-minus-one-plus", "verify.py",
-           "span_equal([im - v for im, v in zip(",
-           "span_equal([im + v for im, v in zip("),
+           "_same_span([im - v for im, v in zip(",
+           "_same_span([im + v for im, v in zip("),
     Mutant("f-equation-no-target-check", "bialgebra.py",
            "    _same_basis(f.target, g.basis)\n",
            ""),
+    # one action on g (x) g and one stored table
+    Mutant("canonical-r-moved-not-in", "double.py",
+           "if (a,) in moved else None",
+           "if (a,) not in moved else None"),
+    Mutant("canonical-r-symmetric-part-no-swap", "double.py",
+           "d.canonical_r + super_swap(d.canonical_r)",
+           "d.canonical_r + d.canonical_r"),
+    Mutant("bracket-denominator-dx", "algebra.py",
+           "self.int_table[0] * dx * dy",
+           "self.int_table[0] * dx", first="test_stored_table.py"),
 ]
 
 

@@ -26,8 +26,10 @@ When r + T(r) is ad-invariant, d(r) satisfies coJacobi iff [[r,r]] is
 ad-invariant; the canonical r of a double has [[r,r]] = 0.
 
 The library's adjoint action on g (x) g sums integer numerators
-(`algebra._act_into`); `adjoint_on_tensor2` here is the Leibniz rule on
-the Fraction rows, as `adjoint_on_tensor3` is on g (x) g (x) g.
+(`algebra._act_into`, behind `cohomology.coboundary_0`);
+`adjoint_on_tensor2` here is the Leibniz rule on the Fraction rows that
+`fraction_rows` builds from `Superalgebra.constants`, as
+`adjoint_on_tensor3` is on g (x) g (x) g.
 
 `alt_s` (the signed cycle of `graded`'s conventions), `image_of` (the
 dense matrix of an element under a realization) and `supertrace_form`
@@ -47,7 +49,7 @@ test of the sparse kernels, and `matmul` is the dense product their
 results are checked with.
 
 A `Superalgebra` stores its table as ints over one denominator
-(`int_table`) and derives `constants`, `rows` and `bracket_basis` from it;
+(`int_table`) and derives `constants` and `bracket_basis` from it;
 `from_half_table` mirrors a half table by super antisymmetry in ints.
 `mirror_half_table` is that mirror written in Fractions, straight from
 [e_j, e_i] = -(-1)^{|e_i||e_j|} [e_i, e_j].
@@ -96,11 +98,21 @@ def pairing_dual_bracket(b: Bialgebra) -> Superalgebra:
     return Superalgebra(dual_basis(basis), constants)
 
 
+def fraction_rows(g: Superalgebra) -> list[list[dict]]:
+    """rows[i][j] = {k: C(i,j,k)}, the table as Fraction rows built from
+    `g.constants`."""
+    rows = [[{} for _ in range(g.dim())] for _ in range(g.dim())]
+    for (i, j, k), c in g.constants.items():
+        rows[i][j][k] = c
+    return rows
+
+
 def super_cybe(g: Superalgebra, r: Tensor2) -> Tensor:
     """[[r,r]] = [r12,r13] + [r12,r23] + [r13,r23] for an even r."""
     if r.parity() not in (EVEN, None):
         raise ValueError("super_cybe takes an even r")
     par = g.basis.parities
+    rows = fraction_rows(g)
     acc = {}
 
     def add(key, c):
@@ -109,11 +121,11 @@ def super_cybe(g: Superalgebra, r: Tensor2) -> Tensor:
         for (s, t), y in r.entries.items():
             c = x * y
             sign = koszul(par[p], par[s])
-            for k, z in g.rows[p][s].items():
+            for k, z in rows[p][s].items():
                 add((k, q, t), sign * c * z)
-            for k, z in g.rows[q][s].items():
+            for k, z in rows[q][s].items():
                 add((p, k, t), c * z)
-            for k, z in g.rows[q][t].items():
+            for k, z in rows[q][t].items():
                 add((p, s, k), sign * c * z)
     return Tensor(g.basis, acc, 3)
 
@@ -122,7 +134,7 @@ def adjoint_on_tensor3(g: Superalgebra, a: int, t: Tensor) -> Tensor:
     """e_a . (u (x) v (x) w) = [e_a,u] (x) v (x) w
     + (-1)^{|a||u|} u (x) [e_a,v] (x) w + (-1)^{|a|(|u|+|v|)} u (x) v (x) [e_a,w]."""
     par = g.basis.parities
-    row = g.rows[a]
+    row = fraction_rows(g)[a]
     acc = {}
     for (u, v, w), c in t.entries.items():
         for k, z in row[u].items():
@@ -138,9 +150,9 @@ def adjoint_on_tensor3(g: Superalgebra, a: int, t: Tensor) -> Tensor:
 
 def adjoint_on_tensor2(g: Superalgebra, a: int, t: Tensor2) -> Tensor2:
     """e_a . (u (x) v) = [e_a,u] (x) v + (-1)^{|a||u|} u (x) [e_a,v], read
-    straight off `g.rows` in Fractions."""
+    straight off `fraction_rows` in Fractions."""
     par = g.basis.parities
-    row = g.rows[a]
+    row = fraction_rows(g)[a]
     acc = {}
     for (u, v), c in t.entries.items():
         for k, z in row[u].items():

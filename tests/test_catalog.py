@@ -100,6 +100,23 @@ def test_the_f_even_fixture_names_the_first_image_off_its_parity(
     assert details["paper.s2.f_even"] == "E12 -> E12 + E13 leaves its parity"
 
 
+def test_subalgebra_and_span_fixtures_name_their_failure(monkeypatch):
+    # T2 displayed as (E12, E21), whose bracket leaves their span, and S2
+    # displayed as S1, which Im(f) does not span; only these two thunks
+    # run, so no cached catalog object sees the stand-ins
+    names = {"paper.s3_4.t2_subalgebra", "paper.s3_2.s2_image"}
+    suite = [f for f in verify._build_suite() if f[0] in names]
+    monkeypatch.setattr(verify, "_build_suite", lambda: suite)
+    monkeypatch.setattr(cat, "t2_span", lambda: [V("E12"), V("E21")])
+    monkeypatch.setattr(cat, "s2_span", cat.s1_span)
+    details = {r.name: (r.passed, r.detail) for r in run_fixtures("all")}
+    assert details == {
+        "paper.s3_4.t2_subalgebra": (False, "[E12, E21] leaves the span"),
+        "paper.s3_2.s2_image": (
+            False, "span [0, (E22+E33), E12, 0, E13, -E13, 0, E23 + E32] "
+            "!= span [(E11+E33), E21, E23, E13 + E31]")}
+
+
 def test_delta_f_expanded_entries():
     # hand-expanded values: the wedge of equal odd vectors doubles
     d = cat.delta_f()
@@ -123,11 +140,11 @@ def test_delta_s_rows_vanish_on_diagonal_part():
 
 
 def test_delta_tables_collection():
-    tables = cat.deltas()
-    assert set(tables) == {"delta_f", "delta_s", "delta_1", "delta_2",
-                           "delta_s1", "delta_s2"}
-    assert tables["delta_1"] == -tables["delta_2"]
-    assert tables["delta_s1"] == -tables["delta_s2"]
+    # the six named cobrackets, read off their catalog constructors
+    assert cat.delta_f() == cat.bialgebra_f().delta
+    assert cat.delta_s() == cat.bialgebra_s().delta
+    assert cat.s_bialgebra_1().delta == -cat.s_bialgebra_2().delta
+    assert cat.t_bialgebra_1().delta == -cat.t_bialgebra_2().delta
 
 
 def test_paper_maps_fixture_values():

@@ -5,7 +5,8 @@ on g (x) g sum integer numerators over one denominator per table.  Here
 they run on sl(3|1), sl(3|2) and sl(4|2) (15, 24 and 35 dims, see
 tests/slmn.py) and are compared with independent derivations: the super
 classical Yang-Baxter equation, the product-order reference scans and the
-Leibniz rule read off the Fraction rows (`oracles.adjoint_on_tensor2`).
+Leibniz rule read off the Fraction rows (`oracles.adjoint_on_tensor2`),
+which `coboundary_0` is compared with one basis vector at a time.
 The Jacobi kernel of `validate` is compared with a scan of the sorted
 triples through `_jacobi_sum`, whose detail sums the public bracket, on
 perturbed, reordered sl(3|1) and sl(3|2), the repeated-index triples
@@ -34,8 +35,8 @@ from hypothesis import strategies as st
 
 from superbialg import catalog as cat
 from superbialg.algebra import (
-    BilinearForm, Superalgebra, adjoint_on_tensor2, check_homomorphism,
-    check_invariance, from_matrices, gram_matrix,
+    BilinearForm, Superalgebra, check_homomorphism, check_invariance,
+    from_matrices, gram_matrix,
 )
 from superbialg.bialgebra import (
     check_bialgebra_homomorphism, check_cojacobi, check_compatibility,
@@ -46,7 +47,7 @@ from superbialg.cohomology import (
 )
 from superbialg.double import build_double, identify
 from superbialg.graded import (
-    Q, BasisMismatch, Element, GradedBasis, LinearMap, Tensor2, factor_span,
+    Q, BasisMismatch, GradedBasis, LinearMap, Tensor2, factor_span,
     invert_matrix, wedge,
 )
 
@@ -208,18 +209,23 @@ def test_jacobi_kernel_matches_the_sorted_scan(data):
 
 
 @given(name=st.sampled_from(["sl21", "double of s"]),
-       a=st.dictionaries(st.integers(0, 7), coefficient, max_size=3),
        t=st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                          coefficient, max_size=6))
 @settings(max_examples=60, deadline=None)
-def test_adjoint_action_matches_the_leibniz_oracle(name, a, t):
+def test_adjoint_action_matches_the_leibniz_oracle(name, t):
+    # coboundary_0 takes one parity p of t at a time, d(t_p)(e_i) =
+    # (-1)^{|e_i| p} e_i . t_p; a mixed t acts through its two parts
     g = cat.sl21() if name == "sl21" else cat.double_of_s().underlying
     B = g.basis
-    t = Tensor2(B, B, t)
-    want = Tensor2.zero(B)
-    for i, c in Element(B, a).entries.items():
-        want = want + oracles.adjoint_on_tensor2(g, i, t).scale(c)
-    assert adjoint_on_tensor2(g, Element(B, a), t) == want
+    par = B.parities
+    zero = Tensor2.zero(B)
+    d = [coboundary_0(g, Tensor2(B, B, {(u, v): c for (u, v), c in t.items()
+                                        if par[u] ^ par[v] == p}))
+         for p in (0, 1)]
+    for i in range(len(B)):
+        got = sum(((d[p].value(i) or zero).scale(-1 if par[i] & p else 1)
+                   for p in (0, 1)), zero)
+        assert got == oracles.adjoint_on_tensor2(g, i, Tensor2(B, B, t))
 
 
 def _reindexed(g: Superalgebra, delta: Cochain, parity: int) -> Cochain:
@@ -299,7 +305,7 @@ def test_passing_checks_do_no_fraction_arithmetic(monkeypatch):
     reports = [g.validate(), is_cocycle_1(g, delta),
                check_compatibility(g, delta), check_cojacobi(g, delta)]
     kernels = dict(calls)
-    g.bracket(g.basis.vector(3), g.basis.vector(4))  # the counter counts
+    Fraction(1, 2) * 3  # the counter counts
     monkeypatch.undo()
     assert all(rep.passed for rep in reports)
     assert kernels == {}
@@ -345,7 +351,7 @@ def test_table_builds_do_no_fraction_arithmetic(monkeypatch):
     h = Superalgebra.from_half_table(g32.basis, half)
     d = build_double(b)
     kernels = dict(calls)
-    g.bracket(g.basis.vector(3), g.basis.vector(4))  # the counter counts
+    Fraction(1, 2) * 3  # the counter counts
     monkeypatch.undo()
     assert kernels == {}
     assert calls.get("__mul__", 0) > 0

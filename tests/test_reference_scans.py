@@ -47,7 +47,7 @@ def _value(f: Cochain, k: int) -> Tensor2:
 
 def _f_of(f: Cochain, x: Element) -> Tensor2:
     out = Tensor2.zero(f.g.basis)
-    for k, c in x.coeffs.items():
+    for k, c in x.entries.items():
         out = out + _value(f, k).scale(c)
     return out
 

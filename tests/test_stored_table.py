@@ -1,13 +1,13 @@
 """The one stored table of a Superalgebra and the integer realizations.
 
 A `Superalgebra` stores `int_table` = (D, num), num[i][j] = {k: C(i,j,k) D}
-with D the lcm of the denominators, and derives `constants`, `rows` and
-`bracket_basis` from it.  Here the views of `from_half_table` are compared
-with `oracles.mirror_half_table`, the super-antisymmetric mirror written in
-Fractions, and every builder's table with the one the public constructor
-makes from the same constants.  A `MatrixRealization` keeps its nonzero
-entries as ints over one denominator; its dense `images` must be the
-Fraction matrices of its input.  The input checks of both keep the
+with D the lcm of the denominators, derives `constants` from it, and reads
+`bracket` and `bracket_basis` off it.  Here the views of `from_half_table`
+are compared with `oracles.mirror_half_table`, the super-antisymmetric
+mirror written in Fractions, and every builder's table with the one the
+public constructor makes from the same constants.  A `MatrixRealization`
+keeps its nonzero entries as ints over one denominator; its dense `images`
+must be the Fraction matrices of its input.  The input checks of both keep the
 exceptions and messages they raised when the tables were Fractions.
 """
 
@@ -63,8 +63,14 @@ def _check_views(g: Superalgebra, full: dict) -> None:
     for i in range(n):
         for j in range(n):
             row = {k: c for (a, b, k), c in full.items() if (a, b) == (i, j)}
-            assert g.rows[i][j] == row
             assert g.bracket_basis(i, j) == Element(g.basis, row)
+    # bracket sums ints over the table and its arguments' numerators
+    x = Element(g.basis, {i: Q(1, i + 2) for i in range(n)})
+    y = Element(g.basis, {i: Q(i + 1, 3) for i in range(n)})
+    want = {}
+    for (i, j, k), c in full.items():
+        want[k] = want.get(k, 0) + x.entries[i] * y.entries[j] * c
+    assert g.bracket(x, y) == Element(g.basis, want)
     den = lcm(*(c.denominator for c in full.values()))
     num = [[{} for _ in range(n)] for _ in range(n)]
     for (i, j, k), c in full.items():
@@ -191,6 +197,12 @@ REJECTED = {
     "even diagonal": (
         lambda: Superalgebra.from_half_table(B, {(1, 1, 0): 1}),
         ("ValueError", "[e_1, e_1] must vanish for even e_1")),
+    "even diagonal at index 0": (
+        lambda: Superalgebra.from_half_table(B, {(0, 1, 1): 1, (0, 0, 1): 2}),
+        ("ValueError", "[e_0, e_0] must vanish for even e_0")),
+    "half i > j at a zero entry": (
+        lambda: Superalgebra.from_half_table(B, {(0, 1, 1): 1, (3, 2, 0): 0}),
+        ("ValueError", "half table may only list i <= j, got (3, 2)")),
     "half bool index": (
         lambda: Superalgebra.from_half_table(B, {(True, 2, 2): 1}),
         ("IndexError", "index (True, 2, 2) out of range for basis")),
