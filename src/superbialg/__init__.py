@@ -31,7 +31,7 @@ from .bialgebra import (
     Bialgebra, DegenerateForm, InvalidBialgebra, ManinTriple,
     NotClosedUnderCobracket, casimir, check_bialgebra_homomorphism,
     check_cojacobi, check_compatibility, check_f_equation,
-    check_manin_triple, check_unitarity, cocommutator, delta_constants,
+    check_manin_triple, check_unitarity, cocommutator, dual_algebra,
     dual_bracket, exchange, opposite, r_of_f, restrict, solve_f_from_r,
 )
 from .double import (

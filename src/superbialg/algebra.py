@@ -25,8 +25,9 @@ which `_first_jacobi_failure` finds from the nonzero constants: for each a
 in turn, it adds the rotations of every a <= b <= c into one integer
 accumulator keyed (b, c, m), and stops at the first a with a nonzero sum,
 at its least (b, c).  When antisymmetry fails, every triple is scanned in
-product order instead.  `check_invariance` compares the two sides of
-<[a,b],c> = <a,[b,c]> one dict over c per pair.
+product order instead.  `_jacobi_failure` is that step, for `validate` on
+g and for `bialgebra.check_cojacobi` on g*.  `check_invariance` compares
+the two sides of <[a,b],c> = <a,[b,c]> one dict over c per pair.
 
 A `MatrixRealization` keeps its images as ints over one denominator E.
 `from_matrices` re-derives the constants from their integer commutators,
@@ -36,8 +37,8 @@ elements and Manin triples, from integer products.  `from_matrices` and
 bracket outside a span, behind `is_subalgebra`, `check_manin_triple` and
 the subalgebra fixtures) factor a span once with `graded.factor_span` and
 read every bracket off it in ints, each checked exactly against its
-reconstruction.  `is_solvable` and `BilinearForm.is_nondegenerate` reduce
-sparse integer rows with `rref`.
+reconstruction.  `derived_dims` (behind `is_solvable`) and
+`BilinearForm.is_nondegenerate` reduce sparse integer rows with `rref`.
 """
 
 from __future__ import annotations
@@ -170,15 +171,12 @@ class Superalgebra:
         """Check grading consistency, super antisymmetry and super Jacobi.
 
         Each axiom is decided exhaustively and reports its first
-        counterexample in product order.  Jacobi's comes from
-        `_first_jacobi_failure` on an antisymmetric table, and from a scan
-        of every triple otherwise; `_jacobi_sum` renders it.
+        counterexample in product order; Jacobi's is `_jacobi_failure`.
         """
         rep = VerificationReport("superalgebra axioms")
         par = self.basis.parities
         lab = self.basis.labels
         den, num = self.int_table
-        n = self.dim()
 
         def misgraded(i, j, k):
             return (f"C({lab[i]},{lab[j]} -> {lab[k]}) = "
@@ -191,23 +189,15 @@ class Superalgebra:
         rep.add("grading consistency", bad is None, bad and misgraded(*bad))
 
         failure = self._first_antisymmetry_failure
-        antisymmetric = rep.add("super antisymmetry", failure is None, failure)
+        rep.add("super antisymmetry", failure is None, failure)
 
         # even self-brackets must vanish (odd ones may not)
-        rep.scan("even self-brackets vanish", product(range(n)),
+        rep.scan("even self-brackets vanish", product(range(self.dim())),
                  lambda i: (f"[{lab[i]},{lab[i]}] = {self.bracket_basis(i, i)}"
                             f" != 0" if par[i] == EVEN and num[i][i] else None))
 
-        def jacobi_fails(a, b, c):
-            acc = self._jacobi_sum(a, b, c)
-            return (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}): cyclic "
-                    f"sum = {Element.wrap(self.basis, _over(acc, den ** 2))}"
-                    if any(acc.values()) else None)
-        if antisymmetric:  # at most one triple: the kernel's first failure
-            triples = filter(None, [self._first_jacobi_failure()])
-        else:
-            triples = product(range(n), repeat=3)
-        rep.scan("super Jacobi", triples, jacobi_fails)
+        failure = self._jacobi_failure()
+        rep.add("super Jacobi", failure is None, failure)
         return rep
 
     def _antisymmetry_failure(self, i: int, j: int) -> str:
@@ -239,6 +229,21 @@ class Superalgebra:
                 for k, c in row.items():
                     if back.get(k) != s * c:
                         return self._antisymmetry_failure(i, j)
+        return None
+
+    def _jacobi_failure(self) -> str | None:
+        """The detail of the first triple in product order with a nonzero
+        Jacobi sum, or None (see the module docstring)."""
+        lab = self.basis.labels
+        if self._first_antisymmetry_failure is None:
+            triples = filter(None, [self._first_jacobi_failure()])
+        else:
+            triples = product(range(self.dim()), repeat=3)
+        for a, b, c in triples:
+            if any((acc := self._jacobi_sum(a, b, c)).values()):
+                total = _over(acc, self.int_table[0] ** 2)
+                return (f"Jacobi fails on ({lab[a]},{lab[b]},{lab[c]}): "
+                        f"cyclic sum = {Element.wrap(self.basis, total)}")
         return None
 
     def _jacobi_sum(self, a: int, b: int, c: int) -> dict[int, int]:
@@ -306,21 +311,21 @@ class Superalgebra:
         return None
 
     def is_solvable(self) -> bool:
-        """Does the derived series reach zero?
+        """Does the derived series reach zero (`derived_dims`)?"""
+        return self.derived_dims()[-1] == 0
 
-        Each step either stops shrinking (the series stabilizes above zero)
-        or drops the dimension, so at most dim g steps are taken.
-        """
+    def derived_dims(self) -> list[int]:
+        """The dimensions of the derived series, down to 0 or to the first
+        term that stops shrinking, listed twice; at most dim g steps."""
         columns = range(self.dim())
-        current = [{i: 1} for i in columns]
-        while True:
-            brackets = [v for a in current for b in current
-                        if (v := self._int_bracket(a, b))]
-            if not brackets:
-                return True
-            if len(red := rref(brackets, columns)[0]) == len(current):
-                return False
-            current = red
+        current, dims = [{i: 1} for i in columns], [self.dim()]
+        while brackets := [v for a in current for b in current
+                           if (v := self._int_bracket(a, b))]:
+            current = rref(brackets, columns)[0]
+            dims.append(len(current))
+            if dims[-1] == dims[-2]:
+                return dims
+        return dims + [0]
 
 
 # ---------------------------------------------------------------------------

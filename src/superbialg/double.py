@@ -17,15 +17,15 @@ cobracket, -D*, on the dual block; the canonical r-matrix is
 sum_i e_i (x) e_i*.  A `DoubleAlgebra` holds only its bracket and
 cobracket: the pairing, r and n are fixed by the basis and derived from it.
 
-Verification happens once, on g.  By Drinfeld's Manin-triple theorem
-(Andruskiewitsch for the super case), g (+) g* with this bracket is a Lie
-superalgebra iff g and g* are and delta is a 1-cocycle; the pairing is then
-invariant and d(r) = delta by construction.  Jacobi on (g*, g*, g*) is
-coJacobi of delta, on the mixed triples the cocycle condition, and the
-grading and antisymmetry of C* are those of delta.  So `build_double` runs
-`Bialgebra.verify` and checks nothing on the 2n-dim double; its
-`validate`, `check_invariance` and `check_canonical_r` stay as oracles, the
-last reading d(r) and the vectors that move r + T(r) off `coboundary_0`.
+Verification happens once, on g and g*.  By Drinfeld's Manin-triple
+theorem (Andruskiewitsch for the super case), g (+) g* with this bracket is
+a Lie superalgebra iff g and g* are and delta is a 1-cocycle; the pairing
+is then invariant and d(r) = delta by construction.  `Bialgebra.verify` is
+exactly that: `validate` of g and of g* = `bialgebra.dual_algebra`, whose
+table is also the C* block here, and `is_cocycle_1`.  So `build_double`
+runs it and checks nothing on the 2n-dim double; its `validate`,
+`check_invariance` and `check_canonical_r` stay as oracles, the last
+reading d(r) and the vectors that move r + T(r) off `coboundary_0`.
 
 `identify` composes the existing checks: bijectivity, then
 `check_bialgebra_homomorphism` against the target, then the form pullback
@@ -46,8 +46,8 @@ from .graded import (
 )
 from .algebra import BilinearForm, Superalgebra
 from .bialgebra import (
-    Bialgebra, InvalidBialgebra, check_bialgebra_homomorphism,
-    delta_constants, dual_basis, exchange,
+    Bialgebra, InvalidBialgebra, check_bialgebra_homomorphism, dual_algebra,
+    exchange,
 )
 from .cohomology import Cochain, coboundary_0
 from .report import VerificationReport
@@ -56,12 +56,11 @@ from .report import VerificationReport
 def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     """The dual bialgebra: bracket from delta, cobracket from the bracket.
 
-    The bracket is C* = exchange(D), as in `dual_bracket`, and the
-    cobracket is D* = exchange(C).  `Bialgebra.verify` checks both once, g*
-    first, so a sign error in the exchange would surface here.
+    The bracket is `dual_algebra`, C* = exchange(D), and the cobracket is
+    D* = exchange(C).  `Bialgebra.verify` checks both once, so a sign
+    error in the exchange would surface here.
     """
-    g_dual = Superalgebra(dual_basis(b.basis),
-                          exchange(b.basis, delta_constants(b)))
+    g_dual = dual_algebra(b.algebra, b.delta)
     values: dict[tuple[int], dict[tuple[int, int], Fraction]] = {}
     for (i, j, k), c in exchange(b.basis, b.algebra.constants).items():
         values.setdefault((k,), {})[(i, j)] = c
@@ -130,13 +129,11 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     dbasis = GradedBasis(labels, list(basis.parities) * 2)
 
     # the double's table in ints over lcm(D, E): C over D from g's table,
-    # the dual bracket C* = exchange(D) over E from delta's values
+    # the dual bracket C* over E from the table of `dual_algebra`
     den, num = b.algebra.int_table
-    e, values = b.delta.int_values()
-    C = {(i, j, k): x for i, rs in enumerate(num) for j, row in enumerate(rs)
-         for k, x in row.items()}
-    Cd = exchange(basis, {(i, j, k): x for (k,), ent in values.items()
-                          for (i, j), x in ent.items()})
+    e, dual_num = dual_algebra(b.algebra, b.delta).int_table
+    C, Cd = ({(i, j, k): x for i, rs in enumerate(t) for j, row in enumerate(rs)
+              for k, x in row.items()} for t in (num, dual_num))
     common = lcm(den, e)
     table = [[{} for _ in range(2 * n)] for _ in range(2 * n)]
 

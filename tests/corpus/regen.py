@@ -12,7 +12,7 @@ it was made, and an outcome.
   exception class and its message.
 * `verify.jsonl`: every check, as [name, passed, detail], of three
   reports: `Bialgebra.verify`, `bialgebra.check_compatibility`, and the
-  `validate` of the dual table Superalgebra(dual_basis, exchange(D)).
+  `validate` of the dual table `bialgebra.dual_algebra`.
 * `restrict.jsonl`: the outcome of `bialgebra.restrict` on a perturbed
   span.  An accepted span records the SHA-256 of the restricted
   bialgebra's `serialize.bialgebra_to_json` document (compact JSON, sorted
@@ -429,10 +429,8 @@ def outcome(b) -> dict:
 def reports(b) -> dict:
     """The checks of `verify`, `check_compatibility` and the dual table's
     `validate` on b, each as a list of [name, passed, detail]."""
-    from superbialg import Superalgebra, check_compatibility
-    from superbialg.bialgebra import delta_constants, dual_basis, exchange
-    dual = Superalgebra(dual_basis(b.basis),
-                        exchange(b.basis, delta_constants(b)))
+    from superbialg import check_compatibility, dual_algebra
+    dual = dual_algebra(b.algebra, b.delta)
     return {name: [[c.name, c.passed, c.detail] for c in rep.checks]
             for name, rep in (("verify", b.verify()),
                               ("compatibility",

@@ -91,9 +91,12 @@ MUTANTS = [
     Mutant("jacobi-kernel-cab-bound", "algebra.py",
            "if c >= b:",
            "if c > b:", first="test_int_kernels.py"),
-    Mutant("verify-grading-no-mod", "bialgebra.py",
-           "(par[i] + par[j]) % 2 == par[k]",
-           "(par[i] + par[j]) == par[k]"),
+    Mutant("verify-no-dual-merge", "bialgebra.py",
+           "            rep.add(f\"g*: {c.name}\", c.passed, c.detail)\n",
+           "            pass\n"),
+    Mutant("verify-odd-branch-inverted", "bialgebra.py",
+           "if self.delta.parity != EVEN:",
+           "if self.delta.parity == EVEN:"),
     # the pairwise kernel: its pair set, and one Koszul sign and one index
     # bound per action side, e_a . f(e_b) at (a, b) = (z, y) and
     # e_b . f(e_a) at (a, b) = (y, z), and the Leibniz sign
@@ -130,9 +133,12 @@ MUTANTS = [
     Mutant("cobracket-detail-scale", "bialgebra.py",
            "_over(lhs, sl))} != ",
            "_over(lhs, 2 * sl))} != "),
-    Mutant("cojacobi-detail-scale", "bialgebra.py",
-           "_over(acc, den * den)",
-           "_over(acc, den)"),
+    Mutant("derived-series-stops-at-first-step", "algebra.py",
+           "if dims[-1] == dims[-2]:",
+           "if dims[-1] <= dims[-2]:"),
+    Mutant("jacobi-detail-scale", "algebra.py",
+           "_over(acc, self.int_table[0] ** 2)",
+           "_over(acc, self.int_table[0] ** 1)"),
     Mutant("span-coordinates-no-denominator", "graded.py",
            "Fraction(c, span[2] * d)",
            "Fraction(c, span[2])"),
@@ -143,9 +149,6 @@ MUTANTS = [
     Mutant("double-mixed-mirror-sign", "double.py",
            "table[j][n + i][k] = -koszul(par(i), par(j)) * c",
            "table[j][n + i][k] = koszul(par(i), par(j)) * c"),
-    Mutant("grading-detail-character", "bialgebra.py",
-           "{lab[j]} -> {lab[k]}",
-           "{lab[j]} => {lab[k]}"),
     # the sparse elimination kernel and its callers
     Mutant("rref-step-swapped", "graded.py",
            "a, b = pv // g, row[c] // g",

@@ -421,7 +421,10 @@ def test_wrong_sign_breaks_homomorphism():
 def test_s_and_t_are_solvable():
     assert cat.s_algebra().is_solvable()
     assert cat.t_algebra().is_solvable()
+    assert cat.s_algebra().derived_dims() == [4, 3, 2, 0]
+    assert cat.t_algebra().derived_dims() == [4, 2, 0]
 
 
 def test_sl21_is_not_solvable():
     assert not cat.sl21().is_solvable()
+    assert cat.sl21().derived_dims() == [8, 8]

@@ -117,6 +117,17 @@ def test_subalgebra_and_span_fixtures_name_their_failure(monkeypatch):
             "!= span [(E11+E33), E21, E23, E13 + E31]")}
 
 
+def test_solvable_fixtures_name_the_derived_series(monkeypatch):
+    # t displayed as sl(2,1), which is perfect: its derived series stops at
+    # dimension 8; only this thunk runs
+    suite = [f for f in verify._build_suite()
+             if f[0] == "paper.s3_4.t_solvable"]
+    monkeypatch.setattr(verify, "_build_suite", lambda: suite)
+    monkeypatch.setattr(cat, "t_algebra", cat.sl21)
+    assert [(r.passed, r.detail) for r in run_fixtures("all")] == [
+        (False, "derived series dimensions [8, 8] stop above 0")]
+
+
 def test_delta_f_expanded_entries():
     # hand-expanded values: the wedge of equal odd vectors doubles
     d = cat.delta_f()

@@ -108,8 +108,9 @@ def test_canonical_r_solves_the_super_cybe(name):
 
 
 def test_build_double_checks_the_cobracket_through_r_alone(monkeypatch):
-    # one verification of the 8-dim bialgebra, and no call on its 16-dim
-    # double: no validate, check_invariance or check_canonical_r
+    # one verification of the 8-dim bialgebra (g and g* validated, then
+    # the cocycle condition), and no call on its 16-dim double: no
+    # validate, check_invariance or check_canonical_r
     calls = []
 
     def dim(x):
@@ -132,8 +133,8 @@ def test_build_double_checks_the_cobracket_through_r_alone(monkeypatch):
                 counting(module, name)
     d = build_double(cat.bialgebra_f())
     assert d.underlying.dim() == 16
-    assert calls == [("verify", 8), ("validate", 8), ("is_cocycle_1", 8),
-                     ("check_cojacobi", 8)]
+    assert calls == [("verify", 8), ("validate", 8), ("validate", 8),
+                     ("is_cocycle_1", 8)]
 
 
 # -- coJacobi of d(r) against the super CYBE ------------------------------------
