@@ -14,10 +14,10 @@ constants
 
 so one sign map, `exchange`, serves both directions and is its own
 inverse.  `dual_algebra` builds g*, C* = exchange(D), in ints over
-delta's one denominator; `dual_bracket`, `dual_bialgebra`,
-`double.build_double` and `Bialgebra.verify` take g* from it.  The tests
-derive the dual bracket through the wedge basis and the pairing as the
-independent oracle for the exchange.
+delta's one denominator, once per bialgebra as `Bialgebra.dual`, which
+`verify`, `dual_bracket`, `dual_bialgebra` and `build_double` read.
+The tests derive the dual bracket through the wedge basis and the pairing
+as the independent oracle for the exchange.
 
 `Bialgebra.verify` is the one complete check, by the Manin-triple theorem
 (see `double`): (g, delta) is a Lie superbialgebra iff g and g* are Lie
@@ -36,6 +36,7 @@ cocycle kernel of `cohomology` at parity 0.  The f-equation,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -78,7 +79,8 @@ class Bialgebra:
     `check=True` runs `verify` on construction and raises InvalidBialgebra
     naming its first failure; pass False when the caller verifies later
     (`double.build_double` does) or a verified input decides the axioms
-    (`restrict` and `opposite`).
+    (`restrict` and `opposite`).  `dual` is g* (`dual_algebra`), built on
+    first use; `delta` is not changed after construction.
     """
 
     def __init__(self, algebra: Superalgebra, delta: Cochain, check: bool = True):
@@ -95,6 +97,10 @@ class Bialgebra:
     def basis(self) -> GradedBasis:
         return self.algebra.basis
 
+    @cached_property
+    def dual(self) -> Superalgebra:
+        return dual_algebra(self.algebra, self.delta)
+
     def delta_of(self, x: Element) -> Tensor2:
         """delta(x) = sum_i c_i delta(e_i) for x = sum_i c_i e_i."""
         acc: dict[tuple[int, int], Fraction] = {}
@@ -106,14 +112,14 @@ class Bialgebra:
 
     def verify(self) -> VerificationReport:
         """The one complete check (see the module docstring): `validate`
-        of g, then of g* = `dual_algebra` with each check named
+        of g, then of g* = `dual` with each check named
         "g*: <name>", then `is_cocycle_1`.  A cochain declared odd fails
         "delta is even"."""
         rep = VerificationReport("bialgebra axioms")
         rep.merge(self.algebra.validate())
         if self.delta.parity != EVEN:  # a declared odd cochain is no cobracket
             rep.add("delta is even", False)
-        for c in dual_algebra(self.algebra, self.delta).validate().checks:
+        for c in self.dual.validate().checks:
             rep.add(f"g*: {c.name}", c.passed, c.detail)
         rep.merge(is_cocycle_1(self.algebra, self.delta))
         return rep
@@ -275,8 +281,8 @@ def dual_algebra(g: Superalgebra, delta: Cochain) -> Superalgebra:
 
 
 def dual_bracket(b: Bialgebra) -> Superalgebra:
-    """The Lie superalgebra on g*, `dual_algebra`, validated."""
-    out = dual_algebra(b.algebra, b.delta)
+    """The Lie superalgebra on g*, `Bialgebra.dual`, validated."""
+    out = b.dual
     rep = out.validate()
     if not rep.passed:
         raise InvalidBialgebra(f"dual bracket is not a Lie superalgebra: "

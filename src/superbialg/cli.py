@@ -4,7 +4,9 @@ Exit codes: 0 = success / all checks pass, 1 = a verification failed,
 2 = unusable input (malformed JSON, missing file, schema mismatch, an
 unwritable `--out`).  Set SUPERBIALG_COLOR=0 to disable ANSI color.
 `--out PATH` writes the document `--format json` would print to PATH, for
-every subcommand and outcome (`_emit`).
+every subcommand and outcome (`_emit`).  The parser is built on the first
+`main` call of a process and reused by later calls in the same process
+(the golden-file regeneration and the tests call `main` many times).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .graded import BasisMismatch
 from .algebra import DependentVectors
@@ -180,6 +183,7 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="superbialg",

@@ -21,8 +21,8 @@ Verification happens once, on g and g*.  By Drinfeld's Manin-triple
 theorem (Andruskiewitsch for the super case), g (+) g* with this bracket is
 a Lie superalgebra iff g and g* are and delta is a 1-cocycle; the pairing
 is then invariant and d(r) = delta by construction.  `Bialgebra.verify` is
-exactly that: `validate` of g and of g* = `bialgebra.dual_algebra`, whose
-table is also the C* block here, and `is_cocycle_1`.  So `build_double`
+exactly that: `validate` of g and of g* = `Bialgebra.dual`, whose table,
+built once, is also the C* block here, and `is_cocycle_1`.  So `build_double`
 runs it and checks nothing on the 2n-dim double; its `validate`,
 `check_invariance` and `check_canonical_r` stay as oracles, the last
 reading d(r) and the vectors that move r + T(r) off `coboundary_0`.
@@ -46,8 +46,7 @@ from .graded import (
 )
 from .algebra import BilinearForm, Superalgebra
 from .bialgebra import (
-    Bialgebra, InvalidBialgebra, check_bialgebra_homomorphism, dual_algebra,
-    exchange,
+    Bialgebra, InvalidBialgebra, check_bialgebra_homomorphism, exchange,
 )
 from .cohomology import Cochain, coboundary_0
 from .report import VerificationReport
@@ -60,7 +59,7 @@ def dual_bialgebra(b: Bialgebra) -> Bialgebra:
     D* = exchange(C).  `Bialgebra.verify` checks both once, so a sign
     error in the exchange would surface here.
     """
-    g_dual = dual_algebra(b.algebra, b.delta)
+    g_dual = b.dual
     values: dict[tuple[int], dict[tuple[int, int], Fraction]] = {}
     for (i, j, k), c in exchange(b.basis, b.algebra.constants).items():
         values.setdefault((k,), {})[(i, j)] = c
@@ -129,9 +128,9 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     dbasis = GradedBasis(labels, list(basis.parities) * 2)
 
     # the double's table in ints over lcm(D, E): C over D from g's table,
-    # the dual bracket C* over E from the table of `dual_algebra`
+    # the dual bracket C* over E from the table of g* that `verify` built
     den, num = b.algebra.int_table
-    e, dual_num = dual_algebra(b.algebra, b.delta).int_table
+    e, dual_num = b.dual.int_table
     C, Cd = ({(i, j, k): x for i, rs in enumerate(t) for j, row in enumerate(rs)
               for k, x in row.items()} for t in (num, dual_num))
     common = lcm(den, e)

@@ -14,7 +14,8 @@ e_1*..e_n* with |e_i*| = |e_i|, and the pairing and canonical r follow
 from that.  Keys a reader does not use are ignored.
 Bracket tables list only pairs with i <= j; the i > j half is rebuilt by
 super antisymmetry, and diagonal pairs are only accepted for odd vectors.
-All round trips are bit-exact.
+All round trips are bit-exact.  `dump` writes json.dumps(obj, indent=2,
+sort_keys=True) itself, each str or int member inline in its parent.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .graded import Element, GradedBasis, Tensor, Tensor2
 from .algebra import BilinearForm, Superalgebra
@@ -35,8 +37,12 @@ class SchemaError(ValueError):
     """The JSON document does not match the expected schema."""
 
 
-def scalar_to_json(c: Fraction) -> dict:
-    return {"num": str(c.numerator), "den": str(c.denominator)}
+def scalar_to_json(x: Fraction | int, den: int = 1) -> dict:
+    """x/den in lowest terms, den > 0: a Fraction, or an int numerator of
+    an integer table over its denominator."""
+    num, den = x.numerator, x.denominator * den
+    c = gcd(num, den)
+    return {"num": str(num // c), "den": str(den // c)}
 
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
@@ -159,8 +165,8 @@ def superalgebra_to_json(g: Superalgebra) -> dict:
     """The pairs i <= j of the integer table; i > j is rebuilt on reading."""
     den, num = g.int_table
     brackets = [{"i": i, "j": j, "terms": [
-                    {"k": k, **scalar_to_json(Fraction(row[k], den))}
-                    for k in sorted(row)]}
+                    {"k": k, **scalar_to_json(x, den)}
+                    for k, x in sorted(row.items())]}
                 for i, rs in enumerate(num) for j in range(i, len(rs))
                 if (row := rs[j])]
     return {**basis_to_json(g.basis), "brackets": brackets}
@@ -317,15 +323,18 @@ _LEAVES = {dict: lambda _: "{}", list: lambda _: "[]", str: _quote,
 
 
 def _encode(obj, pad: str) -> str:
-    """json's dumps(obj, indent=2, sort_keys=True), indented by `pad`."""
+    """json's dumps(obj, indent=2, sort_keys=True), indented by `pad`.  A str
+    or int member is written in its parent's comprehension, with no call."""
     inner = pad + "  "
-    if type(obj) is dict and obj:
-        return ("{\n" + inner + (",\n" + inner).join(
-            [_quote(k) + ": " + _encode(obj[k], inner) for k in sorted(obj)])
-            + "\n" + pad + "}")
+    if type(obj) is dict and obj:  # `for v in [obj[k]]` binds v = obj[k]
+        return ("{\n" + inner + (",\n" + inner).join([
+            _quote(k) + ": " + (_quote(v) if type(v) is str else repr(v)
+                                if type(v) is int else _encode(v, inner))
+            for k in sorted(obj) for v in [obj[k]]]) + "\n" + pad + "}")
     if type(obj) is list and obj:
-        return ("[\n" + inner + (",\n" + inner).join(
-            [_encode(x, inner) for x in obj]) + "\n" + pad + "]")
+        return ("[\n" + inner + (",\n" + inner).join([
+            _quote(x) if type(x) is str else repr(x) if type(x) is int
+            else _encode(x, inner) for x in obj]) + "\n" + pad + "]")
     leaf = _LEAVES.get(type(obj))
     if leaf is None:
         raise TypeError(f"a document cannot hold a {type(obj).__name__}")

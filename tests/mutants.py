@@ -255,6 +255,13 @@ MUTANTS = [
     Mutant("writer-one-space-indent", "serialize.py",
            'inner = pad + "  "',
            'inner = pad + " "'),
+    # a bool member is written by `_LEAVES`, not inline as an int
+    Mutant("writer-bool-as-int", "serialize.py",
+           "type(v) is int",
+           "isinstance(v, int)"),
+    Mutant("writer-list-bool-as-int", "serialize.py",
+           "type(x) is int",
+           "isinstance(x, int)"),
     # the canonical tuples, Im(f - 1) and the f-equation's map g -> g
     Mutant("canonical-tuples-even-repeats-kept", "cohomology.py",
            "if all(a != b or par[a] for",

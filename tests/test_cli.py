@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from superbialg import catalog as cat
-from superbialg import double, graded
+from superbialg import cli, double, graded
 from superbialg import serialize as ser
 from superbialg.algebra import Superalgebra
 from superbialg.bialgebra import Bialgebra
@@ -275,6 +275,31 @@ def test_double_writes_output(files, capsys, tmp_path, monkeypatch):
     doc = json.loads(Path(out_path).read_text())
     back = ser.double_from_json(doc)
     assert back.underlying.dim() == 8
+
+
+def test_one_parser_serves_every_call_of_a_process(files, capsys, tmp_path,
+                                                    monkeypatch):
+    # a usage error between two `double` calls leaves nothing behind in the
+    # parser that `main` reuses
+    monkeypatch.setenv("SUPERBIALG_COLOR", "0")
+    out_path = tmp_path / "double.json"
+    argv = ["double", files["s_delta2.json"], "--out", str(out_path)]
+    cli._build_parser.cache_clear()
+    first = run(capsys, *argv), out_path.read_text()
+    out_path.unlink()
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "bogus"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert (run(capsys, *argv), out_path.read_text()) == first
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "usage: superbialg" in helps[0]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_double_json_stdout_is_the_document_alone(files, capsys):

@@ -150,6 +150,22 @@ def test_dual_bialgebra_validates_g_dual_once(monkeypatch):
     assert dual.basis.labels == ("h*", "x*", "y1*", "y2*")
 
 
+def test_build_double_builds_g_dual_once(monkeypatch):
+    # `verify` and the C* block of the double read one g*, `Bialgebra.dual`
+    from superbialg import bialgebra, double
+    f = cat.bialgebra_f()
+    built = []
+
+    def counted(g, delta, real=dual_algebra):
+        built.append(len(g.basis))
+        return real(g, delta)
+    for module in (bialgebra, double):
+        monkeypatch.setattr(module, "dual_algebra", counted, raising=False)
+    d = build_double(Bialgebra(f.algebra, f.delta, check=False))
+    assert built == [8]
+    assert d.axioms.passed and d.underlying.dim() == 16
+
+
 def test_dual_bialgebra_is_a_valid_bialgebra():
     # both exchange directions at once: bracket and cobracket must cohere
     for bial in (cat.s_bialgebra_1(), cat.s_bialgebra_2(),

@@ -267,6 +267,7 @@ _tree = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_tree)
 @example({"a": {}, "b": [], "c": [{}, [], [[]], {"d": {"e": []}}], "": None})
+@example({"t": True, "f": False, "i": 1, "l": [False, 0, True, 1, -10**60]})
 def test_dump_matches_json_dumps_on_random_trees(doc):
     assert ser.dump(doc) == indented(doc)
 
@@ -296,5 +297,9 @@ def test_dump_matches_json_dumps_on_the_sl31_double():
 
 @pytest.mark.parametrize("value, name", [(1.5, "float"), ((1, 2), "tuple")])
 def test_dump_refuses_other_types(value, name):
-    with pytest.raises(TypeError, match=name):
-        ser.dump({"a": [value]})
+    # in a list in a dict, as a dict value and as a list member next to
+    # members written inline, and as the root
+    for doc in ({"a": [value]}, {"a": value, "b": "s"}, [1, "s", value],
+                value):
+        with pytest.raises(TypeError, match=name):
+            ser.dump(doc)
