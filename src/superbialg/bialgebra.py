@@ -236,7 +236,8 @@ def check_compatibility(g: Superalgebra, delta: Cochain) -> VerificationReport:
 
     The right bracket of a homogeneous tensor t with b(x)1 + 1(x)b is
     -(-1)^{|b||t|} times the left action of b on t, so this is the pairwise
-    condition of `cohomology.pairwise_failure` at parity 0.
+    condition of `cohomology.pairwise_failure` at parity 0, whose verdict
+    an even delta shares with `is_cocycle_1`.
     """
     rep = VerificationReport("cocycle compatibility")
     failure = pairwise_failure(g, delta, EVEN, "{} != {}")
@@ -271,7 +272,7 @@ def dual_algebra(g: Superalgebra, delta: Cochain) -> Superalgebra:
     """The algebra on g*, C* = exchange(D), with D(i,j,k) the e_i (x) e_j
     entry of delta(e_k): ints over delta's one denominator
     (`Cochain.int_values`), not validated."""
-    den, values = delta.int_values()
+    den, values = delta.int_values
     d = {(i, j, k): x for (k,), ent in values.items()
          for (i, j), x in ent.items()}
     num = [[{} for _ in g.basis.labels] for _ in g.basis.labels]
@@ -323,15 +324,15 @@ def restrict(b: Bialgebra, sub: Sequence[Element],
     sub_alg = Superalgebra._of(sub_basis, q * g.int_table[0] * s * s, num)
 
     pairs = square_span(span)
-    delta_sub = Cochain(sub_alg, 1, b.delta.parity)
+    values = {}
     for s_idx, v in enumerate(sub):
         entries = span_coordinates(pairs, b.delta_of(v).entries)
         if entries is None:
             raise NotClosedUnderCobracket(
                 f"delta({v}) does not lie in span (x) span")
-        if entries:
-            delta_sub.set_value((s_idx,), Tensor2(sub_basis, sub_basis, entries))
-    return Bialgebra(sub_alg, delta_sub, check=False)
+        values[(s_idx,)] = Tensor2(sub_basis, sub_basis, entries)
+    return Bialgebra(sub_alg, Cochain(sub_alg, 1, b.delta.parity, values),
+                     check=False)
 
 
 def opposite(b: Bialgebra) -> Bialgebra:
@@ -355,8 +356,8 @@ def check_bialgebra_homomorphism(phi: LinearMap, source: Bialgebra,
     `int_values` (E_s, E_t): E_s E^2 and E E_t times their values.
     """
     rep = check_homomorphism(phi, source.algebra, target.algebra)
-    es, src = source.delta.int_values()
-    et, tgt = target.delta.int_values()
+    es, src = source.delta.int_values
+    et, tgt = target.delta.int_values
     e, ims = phi.int_images
     tgt = [tgt.get((i,), {}) for i in range(len(target.basis))]
     squares = {ij: {(a, b): x * y for a, x in ims[ij[0]].items()

@@ -268,13 +268,11 @@ def t2_span() -> list[Element]:
 
 def _s_wedge_table(table: dict[str, list[tuple]], g: Superalgebra) -> Cochain:
     basis = g.basis
-    c = Cochain(g, 1, EVEN)
-    for lab, terms in table.items():
-        total = sum((wedge(basis.vector(a), basis.vector(b)).scale(coeff)
-                     for coeff, a, b in terms), Tensor2.zero(basis))
-        if not total.is_zero():
-            c.set_value((basis.index(lab),), total)
-    return c
+    return Cochain(g, 1, EVEN, {
+        (basis.index(lab),): sum((wedge(basis.vector(a), basis.vector(b))
+                                  .scale(coeff) for coeff, a, b in terms),
+                                 Tensor2.zero(basis))
+        for lab, terms in table.items()})
 
 
 @cache

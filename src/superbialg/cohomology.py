@@ -21,7 +21,7 @@ with
 
 `coboundary` adds every term into one plain dict per argument tuple, in
 integers: the bracket rows of `Superalgebra.int_table` (denominator D)
-times the stored values scaled once per call to one denominator E
+times the stored values scaled to one denominator E, once per cochain
 (`Cochain.int_values`), so each sum is D E times its value and "is zero"
 is decided exactly.  The action on g (x) g goes through
 `algebra._act_into`, the bracket-insertion terms through `_add_into`.  A
@@ -36,11 +36,14 @@ least nonzero key names the first failing pair (a, b) in product order.
 Under super antisymmetry the residual at (b, a) is -(-1)^{|a||b|} times
 the one at (a, b), for either parity, so the kernel sums the sorted pairs
 a <= b only; on other tables it sums every pair.  Only the failing pair's
-two sides are rendered.
+two sides are rendered.  A cochain does not change, so the first failing
+pair is kept on it by (algebra, parity): `Bialgebra.verify` and
+`check_compatibility` on one cobracket sum the residuals once.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import Mapping
 
@@ -50,6 +53,8 @@ from .graded import (
 )
 from .algebra import Superalgebra, _act_into
 from .report import VerificationReport
+
+REPEATED_EVEN = "value at a tuple with a repeated even argument must be 0"
 
 
 def canonical_tuple(basis: GradedBasis,
@@ -85,7 +90,9 @@ def canonical_tuples(basis: GradedBasis, degree: int) -> list[tuple[int, ...]]:
 class Cochain:
     """A super-alternating n-cochain on g with values in g (x) g.
 
-    The degree is a nonnegative int and the parity the int 0 or 1.
+    The degree is a nonnegative int and the parity the int 0 or 1.  Each
+    value, a rank-2 tensor over g's basis at any argument tuple, is stored
+    at its canonical tuple, Koszul sign applied; values at one tuple add.
     """
 
     def __init__(self, g: Superalgebra, degree: int, parity: int,
@@ -97,34 +104,22 @@ class Cochain:
         self.g = g
         self.degree = degree
         self.parity = parity
-        self.values: dict[tuple[int, ...], Tensor] = {}
-        if values:
-            for args, val in values.items():
-                self.set_value(tuple(args), val)
-
-    def set_value(self, args: tuple[int, ...], val: Tensor):
-        """Store a value given at an arbitrary tuple (sign applied).
-
-        The value must be a rank-2 tensor over the algebra's basis.
-        """
-        if len(args) != self.degree:
-            raise ValueError("argument count must equal the cochain degree")
-        _same_basis(val.basis, self.g.basis)
-        if val.rank != 2:
-            raise ValueError(f"a cochain value has rank 2, not {val.rank}")
-        key, sign = canonical_tuple(self.g.basis, args)
-        if key is None:
-            if not val.is_zero():
-                raise ValueError(
-                    "value at a tuple with a repeated even argument must be 0")
-            return
-        signed = val if sign == 1 else val.scale(sign)
-        if key in self.values:
-            signed = self.values[key] + signed
-        if signed.is_zero():
-            self.values.pop(key, None)
-        else:
-            self.values[key] = signed
+        acc: dict[tuple[int, ...], Tensor] = {}
+        for args, val in (values or {}).items():
+            if len(args) != degree:
+                raise ValueError("argument count must equal the cochain degree")
+            _same_basis(val.basis, g.basis)
+            if val.rank != 2:
+                raise ValueError(f"a cochain value has rank 2, not {val.rank}")
+            key, sign = canonical_tuple(g.basis, args)
+            if key is None:
+                if not val.is_zero():
+                    raise ValueError(REPEATED_EVEN)
+                continue
+            signed = val if sign == 1 else val.scale(sign)
+            acc[key] = acc[key] + signed if key in acc else signed
+        self.values = {k: v for k, v in acc.items() if not v.is_zero()}
+        self._pairwise: dict = {}  # `_first_pairwise_failure` by (g, parity)
 
     def value(self, *args: int) -> Tensor | None:
         """Value at an arbitrary argument tuple, Koszul sign included."""
@@ -136,6 +131,7 @@ class Cochain:
             return None
         return val if sign == 1 else val.scale(sign)
 
+    @cached_property
     def int_values(self) -> tuple[int, dict[tuple[int, ...], dict]]:
         """(E, {args: {key: c E}}): every value in ints over one E."""
         den = _denominator(v.entries for v in self.values.values())
@@ -160,9 +156,8 @@ class Cochain:
     __repr__ = __str__
 
     def __neg__(self) -> "Cochain":
-        out = Cochain(self.g, self.degree, self.parity)
-        out.values = {args: -v for args, v in self.values.items()}
-        return out
+        return Cochain(self.g, self.degree, self.parity,
+                       {args: -v for args, v in self.values.items()})
 
 
 def coboundary_0(g: Superalgebra, r: Tensor) -> Cochain:
@@ -188,8 +183,8 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
     n = f.degree
     par = g.basis.parity
     den, rows = g.int_table
-    scale, ints = f.int_values()
-    out = Cochain(g, n + 1, f.parity)
+    scale, ints = f.int_values
+    out: dict = {}
 
     def stored(args):  # the integer value behind a tuple, and the sign
         key, sign = canonical_tuple(g.basis, args)
@@ -226,9 +221,8 @@ def coboundary(g: Superalgebra, f: Cochain) -> Cochain:
                         _add_into(acc, fv, s2 * sign * c)
 
         if any(acc.values()):
-            out.set_value(args, Tensor2._of(g.basis, 2,
-                                            _over(acc, scale * den)))
-    return out
+            out[args] = Tensor2._of(g.basis, 2, _over(acc, scale * den))
+    return Cochain(g, n + 1, f.parity, out)
 
 
 def _pairwise_residuals(g: Superalgebra, delta: Cochain,
@@ -249,7 +243,7 @@ def _pairwise_residuals(g: Superalgebra, delta: Cochain,
     nn = n * n
     par = g.basis.parities
     num = g.int_table[1]
-    vals = delta.int_values()[1]  # f(e_y) at (y,), E times its value
+    vals = delta.int_values[1]  # f(e_y) at (y,), E times its value
     f = [vals.get((y,), {}) for y in range(n)]
     every = g._first_antisymmetry_failure is not None
     acc: dict[int, int] = {}
@@ -300,11 +294,15 @@ def _first_pairwise_failure(g: Superalgebra, delta: Cochain,
                             parity: int) -> tuple[int, int] | None:
     """The first pair (a, b) in product order at which the pairwise
     condition fails, or None: the least nonzero key of
-    `_pairwise_residuals`."""
-    n = g.dim()
-    least = min((key for key, x in _pairwise_residuals(g, delta, parity).items()
-                 if x), default=None)
-    return None if least is None else divmod(least // (n * n), n)
+    `_pairwise_residuals`, kept on the cochain by algebra and parity."""
+    key = g, parity
+    if key not in delta._pairwise:
+        n = g.dim()
+        least = min((k for k, x in _pairwise_residuals(g, delta, parity).items()
+                     if x), default=None)
+        delta._pairwise[key] = (None if least is None
+                                else divmod(least // (n * n), n))
+    return delta._pairwise[key]
 
 
 def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
@@ -327,7 +325,7 @@ def pairwise_failure(g: Superalgebra, delta: Cochain, parity: int,
     a, b = pair
     par, lab = g.basis.parities, g.basis.labels
     den, rows = g.int_table
-    scale, vals = delta.int_values()
+    scale, vals = delta.int_values
     f = [vals.get((y,), {}) for y in range(g.dim())]
     rhs: dict = {}
     _act_into(rhs, g, a, f[b], koszul(par[a], parity))

@@ -152,16 +152,15 @@ def build_double(b: Bialgebra) -> DoubleAlgebra:
     # cobracket: delta on the primal block, minus the dual cobracket
     # D* = exchange(C) on the dual block (the dual half sits inside the
     # double co-oppositely)
-    delta = Cochain(underlying, 1, EVEN)
-    for args, t in sorted(b.delta.values.items()):
-        delta.set_value(args, Tensor2(dbasis, dbasis, dict(t.entries)))
+    values = {args: Tensor2(dbasis, dbasis, dict(t.entries))
+              for args, t in sorted(b.delta.values.items())}
     dual_delta: dict[int, dict[tuple[int, int], Fraction]] = {}
     for (i, j, k), x in exchange(basis, C).items():
         dual_delta.setdefault(n + k, {})[(n + i, n + j)] = Fraction(-x, den)
     for k, ent in sorted(dual_delta.items()):
-        delta.set_value((k,), Tensor2(dbasis, dbasis, ent))
-
-    return DoubleAlgebra(underlying, delta, axioms=axioms)
+        values[(k,)] = Tensor2(dbasis, dbasis, ent)
+    return DoubleAlgebra(underlying, Cochain(underlying, 1, EVEN, values),
+                         axioms=axioms)
 
 
 def check_canonical_r(d: DoubleAlgebra) -> VerificationReport:

@@ -29,7 +29,7 @@ from math import gcd
 from .graded import Element, GradedBasis, Tensor, Tensor2
 from .algebra import BilinearForm, Superalgebra
 from .bialgebra import Bialgebra, ManinTriple
-from .cohomology import Cochain
+from .cohomology import REPEATED_EVEN, Cochain, canonical_tuple
 from .double import DoubleAlgebra
 
 
@@ -218,23 +218,23 @@ def cochain_from_json(d, g: Superalgebra) -> Cochain:
     degree = _integer(degree, "cochain degree")
     if degree < 0:
         raise SchemaError(f"cochain degree {degree} is negative")
-    out = Cochain(g, degree, _parity(parity, "cochain parity"))
+    parity = _parity(parity, "cochain parity")
     n = len(g.basis)
+    values: dict = {}
     for pos, ent in enumerate(_objects(d, "values")):
         try:
             args, vj = ent["args"], ent["value"]
         except KeyError as e:
             raise SchemaError(f"cochain value {pos} needs {e} field") from e
-        if not isinstance(args, list) or len(args) != out.degree:
+        if not isinstance(args, list) or len(args) != degree:
             raise SchemaError(f"cochain args {args!r} must list "
-                              f"{out.degree} indices")
+                              f"{degree} indices")
         args = tuple(_index(a, n, "cochain argument") for a in args)
         val = tensor_from_json(vj, g.basis, 2)
-        try:
-            out.set_value(args, val)
-        except ValueError as e:
-            raise SchemaError(f"cochain args {list(args)!r}: {e}") from e
-    return out
+        if canonical_tuple(g.basis, args)[0] is None and not val.is_zero():
+            raise SchemaError(f"cochain args {list(args)!r}: {REPEATED_EVEN}")
+        values[args] = values[args] + val if args in values else val
+    return Cochain(g, degree, parity, values)
 
 
 def bialgebra_to_json(b: Bialgebra) -> dict:

@@ -173,9 +173,8 @@ def _perturbed(rng: random.Random, base: str):
             constants[(i, j, k)] = constants.get((i, j, k), 0) + c
             steps.append(f"{c} added to C({lab[i]},{lab[j]} -> {lab[k]})")
     g = Superalgebra(basis, constants)
-    cochain = Cochain(g, 1, 0)
-    for k, row in sorted(delta.items()):
-        cochain.set_value((k,), Tensor2(basis, basis, row))
+    cochain = Cochain(g, 1, 0, {(k,): Tensor2(basis, basis, row)
+                                for k, row in sorted(delta.items())})
     return "; ".join(steps), Bialgebra(g, cochain, check=False)
 
 

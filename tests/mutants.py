@@ -223,10 +223,15 @@ MUTANTS = [
            "_act_into(rhs, g, a, f[b], koszul(par[a], parity))",
            "_act_into(rhs, g, a, f[b], 1)"),
     Mutant("set-value-no-rank-check", "cohomology.py",
-           "        if val.rank != 2:\n"
-           "            raise ValueError(f\"a cochain value has rank 2, "
+           "            if val.rank != 2:\n"
+           "                raise ValueError(f\"a cochain value has rank 2, "
            "not {val.rank}\")\n",
            ""),
+    # the pairwise verdict kept on a cochain, keyed by algebra and parity
+    Mutant("pairwise-verdict-ignores-parity", "cohomology.py",
+           "key = g, parity", "key = g"),
+    Mutant("pairwise-verdict-ignores-algebra", "cohomology.py",
+           "key = g, parity", "key = parity"),
     Mutant("canonical-r-counts-equal-values", "double.py",
            "dr.values.get(a) != d.delta.values.get(a)",
            "dr.values.get(a) == d.delta.values.get(a)"),

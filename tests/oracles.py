@@ -301,7 +301,7 @@ def restrict_reference(b, sub, labels=None):
                 return None
         return out
 
-    delta_sub = Cochain(sub_alg, 1, b.delta.parity)
+    values = {}
     for s_idx, v in enumerate(sub):
         total = b.delta_of(v)
         ys = coordinates([total[(i, j)] for i in range(n)] for j in range(n))
@@ -312,9 +312,8 @@ def restrict_reference(b, sub, labels=None):
                 f"delta({v}) does not lie in span (x) span")
         entries = {(a, bb): c for a, row in enumerate(xs)
                    for bb, c in enumerate(row) if c != 0}
-        if entries:
-            delta_sub.set_value((s_idx,), Tensor2(sub_basis, sub_basis, entries))
-    return Bialgebra(sub_alg, delta_sub)
+        values[(s_idx,)] = Tensor2(sub_basis, sub_basis, entries)
+    return Bialgebra(sub_alg, Cochain(sub_alg, 1, b.delta.parity, values))
 
 
 def apply_tensor2(phi, t: Tensor2) -> Tensor2:

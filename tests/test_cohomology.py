@@ -7,8 +7,9 @@ from itertools import product
 import pytest
 
 from superbialg import catalog as cat
+from superbialg import cohomology
 from superbialg.algebra import Superalgebra
-from superbialg.bialgebra import check_compatibility, check_cojacobi
+from superbialg.bialgebra import Bialgebra, check_compatibility, check_cojacobi
 from superbialg.cohomology import (
     Cochain, canonical_tuple, canonical_tuples, coboundary, coboundary_0,
     is_cocycle_1,
@@ -50,26 +51,24 @@ def test_repeated_odd_index_is_allowed():
 
 
 def test_storage_roundtrip_signed():
-    c = Cochain(cat.sl21(), 2, 0)
     val = T({(0, 1): 1})
-    c.set_value((3, 2), val)  # unordered even pair
+    c = Cochain(cat.sl21(), 2, 0, {(3, 2): val})  # unordered even pair
     assert c.value(2, 3) == val.scale(-1)
     assert c.value(3, 2) == val
 
 
 def test_write_at_repeated_even_tuple_requires_zero():
-    c = Cochain(cat.sl21(), 2, 0)
     with pytest.raises(ValueError):
-        c.set_value((2, 2), T({(0, 1): 1}))
-    c.set_value((2, 2), Tensor2.zero(B))  # storing zero there is fine
-    assert c.is_zero()
+        Cochain(cat.sl21(), 2, 0, {(2, 2): T({(0, 1): 1})})
+    # storing zero there is fine
+    assert Cochain(cat.sl21(), 2, 0, {(2, 2): Tensor2.zero(B)}).is_zero()
 
 
 def test_values_of_one_cochain_lie_in_one_module():
     # every value lies in g (x) g: an element of g is refused
-    c = Cochain(cat.sl21(), 1, 0, {(0,): T({(2, 3): 1})})
     with pytest.raises(ValueError, match="rank 2, not 1"):
-        c.set_value((1,), Element(B, {2: 1}))
+        Cochain(cat.sl21(), 1, 0, {(0,): T({(2, 3): 1}),
+                                   (1,): Element(B, {2: 1})})
 
 
 @pytest.mark.parametrize("build", [
@@ -165,19 +164,14 @@ def test_d_squared_zero_on_random_1_cochains_tensor_values():
     g = cat.sl21()
     rng = random.Random(11)
     for _ in range(6):
-        c = Cochain(g, 1, 0)
-        for a in range(8):
-            t = _random_tensor(rng, 3)
-            if not t.is_zero():
-                c.set_value((a,), t)
+        c = Cochain(g, 1, 0, {(a,): _random_tensor(rng, 3) for a in range(8)})
         assert coboundary(g, coboundary(g, c)).is_zero()
 
 
 def test_d_squared_zero_for_odd_parity_cochain():
     g = cat.sl21()
-    c = Cochain(g, 1, 1)
-    c.set_value((B.index("E12"),), tensor(V("E13"), V("E11+E33")))
-    c.set_value((B.index("E13"),), tensor(V("E12"), V("E21")))
+    c = Cochain(g, 1, 1, {(B.index("E12"),): tensor(V("E13"), V("E11+E33")),
+                          (B.index("E13"),): tensor(V("E12"), V("E21"))})
     assert coboundary(g, coboundary(g, c)).is_zero()
 
 
@@ -199,10 +193,8 @@ def test_delta_s_is_a_cocycle():
 
 def test_constant_cochain_is_not_a_cocycle():
     g = cat.sl21()
-    c = Cochain(g, 1, 0)
     fixed = tensor(V("E12"), V("E12"))
-    for a in range(8):
-        c.set_value((a,), fixed)
+    c = Cochain(g, 1, 0, {(a,): fixed for a in range(8)})
     rep = is_cocycle_1(g, c)
     assert not rep.passed
     assert [(ch.name, ch.detail) for ch in rep.checks] == [
@@ -225,8 +217,7 @@ def test_coboundaries_are_cocycles():
 def test_cocycle_paths_agree_on_non_cocycles():
     # the pairwise condition and d(delta) = 0 fail together
     g = cat.sl21()
-    c = Cochain(g, 1, 0)
-    c.set_value((B.index("E12"),), tensor(V("E13"), V("E13")))
+    c = Cochain(g, 1, 0, {(B.index("E12"),): tensor(V("E13"), V("E13"))})
     assert coboundary(g, c).is_zero() == is_cocycle_1(g, c).passed
 
 
@@ -247,13 +238,73 @@ def test_checks_without_antisymmetry_name_an_unsorted_pair():
         "pair (E22+E33, E11+E33): -2*E23⊗E23 != 0")
 
 
-def test_value_over_another_basis_is_refused():
+# -- one integer form and one pairwise verdict per cochain --------------------
+
+def _counted(monkeypatch, name):
+    calls = []
+    real = getattr(cohomology, name)
+    monkeypatch.setattr(cohomology, name,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_cochain_is_read_in_integers_once(monkeypatch):
+    # `Cochain.int_values` is the one caller of `_denominator` here
     g = cat.sl21()
+    delta = Cochain(g, 1, 0, cat.delta_f().values)  # nothing cached yet
+    calls = _counted(monkeypatch, "_denominator")
+    Bialgebra(g, delta)
+    assert check_compatibility(g, delta).passed
+    assert check_cojacobi(g, delta).passed
+    assert len(calls) == 1
+
+
+def test_the_bialgebra_and_compatibility_share_one_pairwise_sum(monkeypatch):
+    g = cat.sl21()
+    delta = Cochain(g, 1, 0, cat.delta_f().values)
+    calls = _counted(monkeypatch, "_pairwise_residuals")
+    Bialgebra(g, delta)
+    assert check_compatibility(g, delta).passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", [(check_compatibility, is_cocycle_1),
+                                   (is_cocycle_1, check_compatibility)],
+                         ids=["compatibility-first", "cocycle-first"])
+def test_one_cochain_keeps_a_verdict_per_parity(order):
+    # an odd coboundary is a cocycle at its parity 1 and fails the
+    # pairwise condition at parity 0, where compatibility checks it
+    g = cat.sl21()
+    f = coboundary_0(g, tensor(V("E13"), V("E12")))
+    reports = {check: str(check(g, f)) for check in order}
+    assert reports == {
+        is_cocycle_1: "1-cocycle: PASS\n  PASS pairwise super cocycle condition",
+        check_compatibility:
+            "cocycle compatibility: FAIL\n  FAIL delta([a,b]) matches the "
+            "Leibniz expansion (pair (E11+E33, E31): 0 != "
+            "-2*(E11+E33)⊗E12 + 2*E13⊗E32)"}
+
+
+def test_one_cochain_keeps_a_verdict_per_algebra():
+    # the same basis with [E11+E33, E12] = 2 E12: delta_f is no cocycle
+    # there, whatever it is on sl(2,1)
+    g = cat.sl21()
+    delta = Cochain(g, 1, 0, cat.delta_f().values)
+    assert is_cocycle_1(g, delta).passed
+    consts = dict(g.constants)
+    consts[(0, 2, 2)] += 1
+    consts[(2, 0, 2)] -= 1
+    h = Superalgebra(B, consts)
+    rep = is_cocycle_1(h, delta)
+    assert not rep.passed
+    assert str(rep) == str(is_cocycle_1(h, Cochain(h, 1, 0, delta.values)))
+    assert is_cocycle_1(g, delta).passed
+
+
+def test_value_over_another_basis_is_refused():
     other = cat.s_basis()
-    c = Cochain(g, 1, 0)
     with pytest.raises(BasisMismatch):
-        c.set_value((0,), Tensor2(other, other, {(0, 1): 1}))
-        is_cocycle_1(g, c)
+        Cochain(cat.sl21(), 1, 0, {(0,): Tensor2(other, other, {(0, 1): 1})})
 
 
 @pytest.mark.parametrize("check", [is_cocycle_1, coboundary,

@@ -183,12 +183,12 @@ def _perturbed(b: Bialgebra, kind: str, k: int, i: int, j: int, c) -> Bialgebra:
                                    for key, v in g.constants.items()})
     values = {args: (v.scale(c) if kind == "scale delta" else v)
               for args, v in b.delta.values.items()}
-    delta = Cochain(g, 1, 0, values)
     if kind == "wedge" and not (i == j and par(i) == 0):
         ent = {(i, i): 2 * c} if i == j else {
             (i, j): c, (j, i): -koszul(par(i), par(j)) * c}
-        delta.set_value((k,), Tensor2(b.basis, b.basis, ent))
-    return Bialgebra(g, delta, check=False)
+        values[(k,)] = (values.get((k,), Tensor2.zero(b.basis))
+                        + Tensor2(b.basis, b.basis, ent))
+    return Bialgebra(g, Cochain(g, 1, 0, values), check=False)
 
 
 @given(base=st.sampled_from(sorted(BASES)),

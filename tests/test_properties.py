@@ -97,13 +97,12 @@ def test_alt_fixed_by_signed_cycle(t):
 
 @given(st.lists(st.tuples(indices, indices), min_size=1, max_size=3))
 def test_canonical_storage_roundtrip(args_pairs):
-    c = Cochain(cat.sl21(), 2, 0)
     val = Tensor2(B, B, {(0, 1): 1})
     i, j = args_pairs[0]
     key, sign = canonical_tuple(B, (i, j))
     if key is None:
         return
-    c.set_value((i, j), val)
+    c = Cochain(cat.sl21(), 2, 0, {(i, j): val})
     back = c.value(i, j)
     assert back == val
 

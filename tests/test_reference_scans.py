@@ -148,9 +148,11 @@ def test_cochain_checks_match_product_order_references(
     g = _broken(algebra(), breaks)
     # the catalog cobracket, relabelled with the drawn parity, plus
     # c * e_i (x) e_j added to the value at e_k
-    f = Cochain(g, 1, parity, dict(delta().values))
+    values = dict(delta().values)
     for k, i, j, c in changes:
-        f.set_value((k,), Tensor2(g.basis, g.basis, {(i, j): c}))
+        values[(k,)] = (values.get((k,), Tensor2.zero(g.basis))
+                        + Tensor2(g.basis, g.basis, {(i, j): c}))
+    f = Cochain(g, 1, parity, values)
     cocycle = is_cocycle_1(g, f)
     assert _detail(cocycle) == cocycle_reference(g, f)
     # d(f) = 0 is the pairwise condition on the canonical pairs a <= b;
@@ -174,10 +176,12 @@ def test_cojacobi_verdict_matches_the_reference_on_skew_perturbations(
     # super-skew, where Alt (delta (x) Id) delta = 0 is super Jacobi of g*
     algebra, delta, _ = BASES[name]
     g = algebra()
-    f = Cochain(g, 1, 0, dict(delta().values))
+    values = dict(delta().values)
     e = g.basis.vector
     for k, i, j, c in changes:
-        f.set_value((k,), _value(f, k) + wedge(e(i), e(j)).scale(c))
+        values[(k,)] = (values.get((k,), Tensor2.zero(g.basis))
+                        + wedge(e(i), e(j)).scale(c))
+    f = Cochain(g, 1, 0, values)
     assert check_cojacobi(g, f).passed == (cojacobi_reference(g, f) is None)
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from superbialg import build_double
 from superbialg import catalog as cat
 from superbialg import serialize as ser
-from superbialg.graded import Element, Tensor, Tensor2
+from superbialg.cli import main
+from superbialg.graded import Element, Tensor, Tensor2, tensor
 from corpus.regen import CORPUS, inputs
 from golden.regen import HERE as GOLDEN
 from slmn import standard
@@ -99,6 +100,41 @@ def test_cochain_roundtrip_tensor_values():
     d = cat.delta_f()
     doc = roundtrip(ser.cochain_to_json(d))
     assert ser.cochain_from_json(doc, cat.sl21()) == d
+
+
+def _delta_f_document():
+    return json.loads((GOLDEN / "inputs" / "sl21-delta-f.json").read_text())
+
+
+def test_a_value_listed_twice_adds():
+    doc = _delta_f_document()
+    g = ser.superalgebra_from_json(doc["algebra"])
+    once = ser.cochain_from_json(doc["delta"], g)
+    first = doc["delta"]["values"][0]
+    doc["delta"]["values"].append(first)
+    twice = ser.cochain_from_json(doc["delta"], g)
+    args = tuple(first["args"])
+    assert twice.value(*args) == 2 * once.value(*args) != once.value(*args)
+    assert {k: v for k, v in twice.values.items() if k != args} == {
+        k: v for k, v in once.values.items() if k != args}
+
+
+def test_a_nonzero_value_at_a_repeated_even_tuple_is_named(tmp_path, capsys):
+    doc = _delta_f_document()
+    assert B.labels[2] == "E12" and B.parity(2) == 0
+    value = ser.tensor_to_json(tensor(V("E12"), V("E21")))
+    doc["delta"] = {"degree": 2, "parity": 0,
+                    "values": [{"args": [2, 2], "value": value}]}
+    error = ("cochain args [2, 2]: value at a tuple with a repeated even "
+             "argument must be 0")
+    g = ser.superalgebra_from_json(doc["algebra"])
+    with pytest.raises(ser.SchemaError) as e:
+        ser.cochain_from_json(doc["delta"], g)
+    assert str(e.value) == error
+    p = tmp_path / "repeated-even.json"
+    p.write_text(json.dumps(doc))
+    assert main(["double", str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_bialgebra_roundtrip():
